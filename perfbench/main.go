@@ -100,7 +100,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	name := fs.String("workload", "", "workload to run: "+strings.Join(workloadNames(), ", "))
 	seed := fs.Int64("seed", 1, "seed the workload's networks and session seeds derive from")
-	seconds := fs.Float64("seconds", 10, "nominal run length; sizes the fixed, seeded session sequence")
+	seconds := fs.Float64("seconds", 10, "how long to drive units; unit i's inputs depend only on the seed")
 	trace := fs.Int("trace", 0, "0: end-to-end metrics; 1: traced run with per-layer metrics")
 	tmp := fs.String("tmp", ".bench_build/tmp", "scratch directory for durable stores (removed before exit)")
 	if err := fs.Parse(args); err != nil {

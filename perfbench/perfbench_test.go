@@ -12,8 +12,9 @@ import (
 	"schemanet/internal/wal"
 )
 
-// small returns a copy of the named workload shrunk to test size: one
-// unit of a small network, so a run takes well under a second.
+// small returns a copy of the named workload shrunk to test size: a
+// small network, and with smallConfig one unit, so a run takes well
+// under a second.
 func small(t *testing.T, name string) *workload {
 	t.Helper()
 	w, ok := lookupWorkload(name)
@@ -21,7 +22,7 @@ func small(t *testing.T, name string) *workload {
 		t.Fatalf("no workload %q", name)
 	}
 	c := *w
-	c.size, c.perSecond = 96, 1
+	c.size = 96
 	switch c.kind {
 	case crowdDriver:
 		c.size = 128
@@ -32,7 +33,7 @@ func small(t *testing.T, name string) *workload {
 }
 
 func smallConfig(t *testing.T, traced bool) runConfig {
-	return runConfig{seed: 3, seconds: 1, traced: traced, tmp: filepath.Join(t.TempDir(), "stores")}
+	return runConfig{seed: 3, seconds: 1e-9, traced: traced, tmp: filepath.Join(t.TempDir(), "stores")}
 }
 
 func TestNetworksRepeatForASeed(t *testing.T) {
@@ -88,8 +89,8 @@ func TestSingleDriverRunsRepeatForASeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	var r1, r2 recorder
-	r1.durableRound(w, nw, sessionOptions(2, 0), filepath.Join(t.TempDir(), "a"), nil)
-	r2.durableRound(w, nw, sessionOptions(2, 0), filepath.Join(t.TempDir(), "b"), nil)
+	r1.durableRound(w, nw, sessionOptions(2, 0), filepath.Join(t.TempDir(), "a"), nil, false)
+	r2.durableRound(w, nw, sessionOptions(2, 0), filepath.Join(t.TempDir(), "b"), nil, false)
 	if len(r1.problems)+len(r2.problems) > 0 {
 		t.Fatalf("durable rounds failed: %v %v", r1.problems, r2.problems)
 	}
@@ -149,7 +150,7 @@ func TestSmokeEmitsEveryMetric(t *testing.T) {
 func TestTimingFSPassesThrough(t *testing.T) {
 	for _, timed := range []bool{false, true} {
 		mem := wal.NewMemFS()
-		fsys := &timingFS{inner: mem, timed: timed}
+		fsys := &timingFS{inner: mem, timed: timed, flush: true}
 		if err := fsys.MkdirAll("d"); err != nil {
 			t.Fatal(err)
 		}
@@ -229,6 +230,35 @@ func TestTimingFSPassesThrough(t *testing.T) {
 		if !timed && st.io() != 0 {
 			t.Errorf("untimed wrapper recorded %v of I/O time", st.io())
 		}
+	}
+}
+
+// TestTimingFSCountsElidedFlushes: without flush, syncs are counted but
+// never reach the wrapped filesystem.
+func TestTimingFSCountsElidedFlushes(t *testing.T) {
+	mem := wal.NewMemFS()
+	fsys := &timingFS{inner: mem}
+	if err := fsys.MkdirAll("d"); err != nil {
+		t.Fatal(err)
+	}
+	f, err := fsys.Create("d/x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem.SetHook(func(op, _ string, _ int) error {
+		if op == "sync" || op == "syncdir" {
+			t.Errorf("%s reached the wrapped filesystem", op)
+		}
+		return nil
+	})
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fsys.SyncDir("d"); err != nil {
+		t.Fatal(err)
+	}
+	if got := fsys.stats().fsyncs; got != 2 {
+		t.Errorf("counted %d syncs, want 2", got)
 	}
 }
 

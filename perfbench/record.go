@@ -19,7 +19,7 @@ type recorder struct {
 	driveSec float64   // wall seconds spent in annotation loops
 	alloc    uint64    // bytes allocated inside annotation loops
 	setups   []float64 // s per session build
-	insts    []float64 // ms per Instantiate at the goal
+	insts    []float64 // ms per Instantiate call at the goal
 	reopens  []float64 // ms per restore of a closed or evicted session
 	efforts  []float64 // share of candidates asserted at the goal
 	f1s      []float64
@@ -59,7 +59,7 @@ func (r *recorder) metrics() map[string]metric {
 		"steps_per_s":         steps / r.driveSec,
 		"step_p50_ms":         quantile(r.steps, 0.50),
 		"step_p99_ms":         quantile(r.steps, 0.99),
-		"instantiate_ms":      median(r.insts),
+		"instantiate_ms":      trimmedMean(r.insts),
 		"reopen_ms":           median(r.reopens),
 		"effort_h10":          mean(r.efforts),
 		"match_f1":            mean(r.f1s),
@@ -135,6 +135,16 @@ func mean(xs []float64) float64 {
 }
 
 func median(xs []float64) float64 { return quantile(xs, 0.5) }
+
+// trimmedMean is the mean of the middle 80% of xs. It averages over the
+// host's fast and slow phases, which a median of bimodal samples does
+// not, while a stray preemption or collection at either end is dropped.
+func trimmedMean(xs []float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	k := len(s) / 10
+	return mean(s[k : len(s)-k])
+}
 
 // quantile is the nearest-rank q-quantile.
 func quantile(xs []float64, q float64) float64 {

@@ -2,10 +2,10 @@ package main
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"time"
 
 	"schemanet"
 	"schemanet/internal/datagen"
@@ -31,10 +31,6 @@ type workload struct {
 	// network, so no metric hangs on the quirks of one network.
 	gen  func(size int, rng *rand.Rand) (*schemanet.Dataset, error)
 	size int
-	// perSecond sizes the run: units per nominal second of --seconds.
-	// The unit sequence is fixed by the seed, so counts repeat exactly
-	// for a given seed.
-	perSecond float64
 
 	// durable-tenants only: tenants per store, the resident-pool bound
 	// (below tenants, so the LRU evicts), and steps per burst.
@@ -46,25 +42,25 @@ var workloads = []*workload{
 		name: "solo-dense",
 		why: "one component spans the network, so every refill re-walks the whole constraint graph and every Suggest " +
 			"ranks hundreds of members: sampling, constraints and core ranking do most of the work",
-		kind: soloDriver, gen: denseNetwork, size: 256, perSecond: 2,
+		kind: soloDriver, gen: denseNetwork, size: 256,
 	},
 	{
 		name: "solo-manysmall",
 		why: "~160 components of ~3 candidates, mostly exact: a step is so cheap that the session surface's fixed " +
 			"per-call cost dominates; the contrast workload for sampling and ranking changes",
-		kind: soloDriver, gen: multicompNetwork, size: 512, perSecond: 1.3,
+		kind: soloDriver, gen: multicompNetwork, size: 512,
 	},
 	{
 		name: "crowd-hubs",
 		why: "two annotators share one ConcurrentSession on a hub-heavy network: Suggest re-ranks hub components " +
 			"through lazy top-k while Assert writes them (read path beside write path, locks, collisions)",
-		kind: crowdDriver, gen: hubsNetwork, size: 512, perSecond: 1,
+		kind: crowdDriver, gen: hubsNetwork, size: 512,
 	},
 	{
 		name: "durable-tenants",
-		why: "bursts across more DurableSessions than the store keeps resident, fsync per assert: WAL appends " +
+		why: "bursts across more DurableSessions than the store keeps resident, a sync per assert: WAL appends " +
 			"dominate the writes and snapshot plus replay the reopens, so internal/wal is measured both ways",
-		kind: durableDriver, gen: multicompNetwork, size: 256, perSecond: 2.5,
+		kind: durableDriver, gen: exactOnly(multicompNetwork), size: 256,
 		tenants: 3, maxOpen: 2, burst: 40,
 	},
 }
@@ -84,18 +80,6 @@ func lookupWorkload(name string) (*workload, bool) {
 		}
 	}
 	return nil, false
-}
-
-// units returns how many units (sessions; durable: store rounds) a run
-// drives.
-func (w *workload) units(cfg runConfig) int {
-	n := int(math.Ceil(cfg.seconds * w.perSecond))
-	if cfg.traced {
-		// A traced unit runs twice (untraced twin plus traced pass) and
-		// is replayed at core level; halve the count to keep the run length.
-		n = (n + 1) / 2
-	}
-	return max(n, 1)
 }
 
 // unitSeed derives unit i's seed from the run's seed. It seeds both the
@@ -155,6 +139,41 @@ func multicompNetwork(size int, rng *rand.Rand) (*schemanet.Dataset, error) {
 		datagen.SyntheticOpts{TargetCount: size, Precision: 0.67, ConflictBias: 0.3, StrictCount: true}, rng)
 }
 
+// exactOnly wraps gen to yield only networks whose every component the
+// default options serve exactly, drawing again (from the same seeded
+// rng) until one is. A multicomp network now and then holds a component
+// big enough to be sampled; its refills cost 10-40 ms a step against
+// ~20 us for the rest, so a handful of such components among a run's
+// networks would set the run's whole step time.
+func exactOnly(gen func(int, *rand.Rand) (*schemanet.Dataset, error)) func(int, *rand.Rand) (*schemanet.Dataset, error) {
+	return func(size int, rng *rand.Rand) (*schemanet.Dataset, error) {
+		const draws = 100
+		for i := 0; i < draws; i++ {
+			d, err := gen(size, rng)
+			if err != nil {
+				return nil, err
+			}
+			s, err := schemanet.NewSession(d.Network, &schemanet.Options{Workers: 1})
+			if err != nil {
+				return nil, err
+			}
+			if allExact(s) {
+				return d, nil
+			}
+		}
+		return nil, fmt.Errorf("no network served wholly exactly in %d draws", draws)
+	}
+}
+
+func allExact(s *schemanet.Session) bool {
+	for k := 0; k < s.Components(); k++ {
+		if mode, err := s.InferenceOf(k); err != nil || mode != schemanet.InferenceExact {
+			return false
+		}
+	}
+	return true
+}
+
 // hubsNetwork merges 4 independently generated dense sub-networks with
 // no interaction edges between them: a few dense hub components plus a
 // tail of small ones.
@@ -196,7 +215,10 @@ func hubsNetwork(size int, rng *rand.Rand) (*schemanet.Dataset, error) {
 }
 
 // measure runs the workload once and assembles its result line plus
-// human-readable notes.
+// human-readable notes. It drives units 0, 1, 2, ... (at least one)
+// until cfg.seconds of wall time have passed, so a run's length does not
+// grow when the host is slow; the inputs of unit i depend only on the
+// seed.
 func (w *workload) measure(cfg runConfig) (result, []string, error) {
 	rec := &recorder{}
 	var tr *tracer
@@ -210,9 +232,10 @@ func (w *workload) measure(cfg runConfig) (result, []string, error) {
 		// Only this run's stores live here; drop the directory if empty.
 		defer os.Remove(cfg.tmp)
 	}
-	n := w.units(cfg)
-	candidates := 0
-	for i := 0; i < n; i++ {
+	deadline := time.Now().Add(time.Duration(cfg.seconds * float64(time.Second)))
+	n, candidates := 0, 0
+	for ; n == 0 || time.Now().Before(deadline); n++ {
+		i := n
 		nw, err := w.network(cfg.seed, i)
 		if err != nil {
 			return result{}, nil, err
@@ -237,9 +260,9 @@ func (w *workload) measure(cfg runConfig) (result, []string, error) {
 		case durableDriver:
 			dir := filepath.Join(cfg.tmp, fmt.Sprintf("%s-%d-%d", w.name, os.Getpid(), i))
 			if tr != nil {
-				tr.base.durableRound(w, nw, opts, dir+"-twin", nil)
+				tr.base.durableRound(w, nw, opts, dir+"-twin", nil, true)
 			}
-			rec.durableRound(w, nw, opts, dir, tr)
+			rec.durableRound(w, nw, opts, dir, tr, cfg.traced)
 		}
 	}
 
