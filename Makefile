@@ -73,6 +73,9 @@ bench-smoke:
 	# gain-pass microbenchmark.
 	$(GO) test -run '^$$' -bench 'BenchmarkSuggestHot' -benchmem -benchtime $(BENCHTIME) -count $(COUNT) . | $(GO) run ./cmd/benchmedian
 	$(GO) test -run '^$$' -bench 'BenchmarkTopGainPass' -benchmem -benchtime $(BENCHTIME) -count $(COUNT) ./internal/core | $(GO) run ./cmd/benchmedian
+	# Session setup and reopen: construction (per-component backends)
+	# and LoadSession's batch replay, which no step benchmark measures.
+	$(GO) test -run '^$$' -bench 'BenchmarkNewSession|BenchmarkLoadSession' -benchmem -benchtime $(BENCHTIME) -count $(COUNT) . | $(GO) run ./cmd/benchmedian
 
 # Multi-core throughput rig: the Throughput benchmarks at each GOMAXPROCS
 # in BENCHCPUS, reported as medians plus a scaling table (ratio vs the

@@ -9,6 +9,7 @@ package schemanet_test
 //	go test -bench=. -benchmem
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math/rand"
@@ -333,13 +334,7 @@ func BenchmarkSessionAssertInference(b *testing.B) {
 
 	// Small-component-heavy profile via the public generator + synthetic
 	// candidates (matcher-independent size control, like benchDataset).
-	rng := rand.New(rand.NewSource(7))
-	small, err := datagen.SyntheticNetwork(datagen.MultiComp(), datagen.SyntheticOpts{
-		TargetCount: 512, Precision: 0.67, ConflictBias: 0.3, StrictCount: true,
-	}, rng)
-	if err != nil {
-		b.Fatal(err)
-	}
+	small := benchMultiCompDataset(b)
 	loads = append(loads, workload{name: "multicomp/C=512", d: small, net: small.Network})
 
 	merged := benchMultiComponentDataset(b, 512, 4)
@@ -622,13 +617,7 @@ func BenchmarkThroughputSuggest(b *testing.B) {
 // dominates wall clock); assert-only isolates the refill path the
 // budget governs.
 func BenchmarkSessionAssertBudget(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	multi, err := datagen.SyntheticNetwork(datagen.MultiComp(), datagen.SyntheticOpts{
-		TargetCount: 512, Precision: 0.67, ConflictBias: 0.3, StrictCount: true,
-	}, rng)
-	if err != nil {
-		b.Fatal(err)
-	}
+	multi := benchMultiCompDataset(b)
 	dense, _ := benchDataset(b, 512)
 	for _, ds := range []struct {
 		name string
@@ -772,13 +761,7 @@ func benchSuggestHot(b *testing.B, d *schemanet.Dataset, opts schemanet.Options)
 // return bit-identical suggestions (topk_differential_test.go), so the
 // ratio is pure ranking cost.
 func BenchmarkSuggestHot(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	multi, err := datagen.SyntheticNetwork(datagen.MultiComp(), datagen.SyntheticOpts{
-		TargetCount: 512, Precision: 0.67, ConflictBias: 0.3, StrictCount: true,
-	}, rng)
-	if err != nil {
-		b.Fatal(err)
-	}
+	multi := benchMultiCompDataset(b)
 	merged := benchMultiComponentDataset(b, 512, 4)
 	for _, w := range []struct {
 		name string
@@ -793,6 +776,75 @@ func BenchmarkSuggestHot(b *testing.B) {
 			})
 		}
 	}
+}
+
+// benchMultiCompDataset is the small-component-heavy "multicomp"
+// profile at C=512 (~160 components of ~3 candidates, mostly exact
+// under the default auto inference).
+func benchMultiCompDataset(b testing.TB) *schemanet.Dataset {
+	b.Helper()
+	d, err := datagen.SyntheticNetwork(datagen.MultiComp(), datagen.SyntheticOpts{
+		TargetCount: 512, Precision: 0.67, ConflictBias: 0.3, StrictCount: true,
+	}, rand.New(rand.NewSource(7)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return d
+}
+
+// BenchmarkNewSession measures session construction — compiling Γ,
+// partitioning, and building every component's initial backend
+// (enumeration for exact components, sampler stream and initial fill
+// for sampled ones) — on one dense component and on many small ones.
+func BenchmarkNewSession(b *testing.B) {
+	dense, _ := benchDataset(b, 512)
+	for _, w := range []struct {
+		name string
+		d    *schemanet.Dataset
+	}{{"dense", dense}, {"multicomp", benchMultiCompDataset(b)}} {
+		b.Run(w.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := schemanet.NewSession(w.d.Network, &schemanet.Options{Seed: 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkLoadSession measures reopening a saved session: construction
+// plus the batch replay of a 64-assertion history on the multicomp
+// profile, where replay promotes and re-filters many small components.
+func BenchmarkLoadSession(b *testing.B) {
+	d := benchMultiCompDataset(b)
+	net := d.Network
+	opts := schemanet.Options{Seed: 1}
+	s, err := schemanet.NewSession(net, &opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		c, ok := s.Suggest()
+		if !ok {
+			break
+		}
+		if err := s.Assert(c, d.GroundTruth.ContainsCorrespondence(net.Candidate(c))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var saved bytes.Buffer
+	if err := s.Save(&saved); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("multicomp", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := schemanet.LoadSession(net, &opts, bytes.NewReader(saved.Bytes())); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkSessionAssertBP is the same step cost on a matcher-produced

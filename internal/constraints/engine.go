@@ -23,9 +23,10 @@ import (
 // against.
 //
 // Concurrency: the query methods (HasConflict, ConflictsWith,
-// Violations, Consistent, CanAdd, Maximal, ViolationCount, Components)
-// are safe for concurrent use after construction — the network, the
-// constraint set, and the compiled conflict index are all immutable.
+// Violations, Consistent, CanAdd, Maximal, MaximalWithin,
+// ViolationCount, Components) are safe for concurrent use after
+// construction — the network, the constraint set, and the compiled
+// conflict index are all immutable.
 // Maximize and Repair reuse engine-owned scratch and must be externally
 // serialized; callers that need those primitives from several
 // goroutines give each goroutine its own Fork, which shares the
@@ -186,6 +187,36 @@ func (e *Engine) Maximal(inst, excluded *bitset.Set) bool {
 		retired = e.idx.retiredMask
 	}
 	for c := 0; c < e.net.NumCandidates(); c++ {
+		if inst.Has(c) || (excluded != nil && excluded.Has(c)) {
+			continue
+		}
+		if retired != nil && retired.Has(c) {
+			continue
+		}
+		if e.CanAdd(inst, c) {
+			return false
+		}
+	}
+	return true
+}
+
+// MaximalWithin is Maximal restricted to the given candidate subset
+// (typically one constraint-connected component's members): only
+// members outside inst and excluded are probed, so the check costs
+// O(|members|) HasConflict calls instead of a universe scan. A nil
+// members slice means no restriction (plain Maximal). For an instance
+// of the member sub-universe — inst ⊆ members, and constraints never
+// couple members to non-members — the answer equals Maximal with
+// excluded ∪ ¬members.
+func (e *Engine) MaximalWithin(inst, excluded *bitset.Set, members []int) bool {
+	if members == nil {
+		return e.Maximal(inst, excluded)
+	}
+	var retired *bitset.Set
+	if e.idx != nil {
+		retired = e.idx.retiredMask
+	}
+	for _, c := range members {
 		if inst.Has(c) || (excluded != nil && excluded.Has(c)) {
 			continue
 		}

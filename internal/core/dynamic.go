@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"math/rand"
 	"strconv"
 
 	"schemanet/internal/bitset"
@@ -180,8 +179,7 @@ func (p *PMN) TopologyChanged(oldN, retiredCand int) (map[int]int, error) {
 		if scfg.StagnationLimit == 0 {
 			scfg.StagnationLimit = 8*len(members) + 128
 		}
-		rng := rand.New(rand.NewSource(p.contentSeed(members)))
-		inf, err := p.newInference(k, c, scfg, rng)
+		inf, err := p.newInference(k, c, scfg, stream{seed: p.contentSeed(members)})
 		if err != nil {
 			return nil, err
 		}

@@ -275,10 +275,11 @@ func maxAbsDelta(a, b []float64) float64 {
 type exactInference struct {
 	engine *constraints.Engine
 	store  *sampling.Store
-	// disapproved/mask are shared with the owning component (mask nil =
-	// whole universe); the disapproval maximality probe reads them.
-	disapproved, mask *bitset.Set
-	excl              *bitset.Set // scratch: ¬mask ∪ F− for the probe
+	// disapproved and members are shared with the owning component
+	// (members nil = whole universe); the disapproval maximality probe
+	// reads them.
+	disapproved *bitset.Set
+	members     []int
 }
 
 // newExactInference enumerates the component's matching instances under
@@ -302,7 +303,7 @@ func newExactInference(engine *constraints.Engine, approved, disapproved, mask *
 		store.Add(inst)
 	}
 	store.MarkComplete()
-	return &exactInference{engine: engine, store: store, disapproved: disapproved, mask: mask}, nil
+	return &exactInference{engine: engine, store: store, disapproved: disapproved, members: members}, nil
 }
 
 func (x *exactInference) Mode() InferenceMode    { return InferExact }
@@ -313,15 +314,12 @@ func (x *exactInference) Apply(c int, approve bool) bool {
 		x.store.ApplyAssertion(c, true)
 	} else {
 		// The caller mirrored c into the disapproved mask already, so the
-		// exclusion set the maximality probe needs — ¬mask ∪ F− — is
-		// exactly what FeedbackWithin derives from the component views.
-		if x.mask != nil && x.excl == nil {
-			x.excl = bitset.New(x.engine.Network().NumCandidates())
-		}
-		_, excl := sampling.FeedbackWithin(x.engine.Network().NumCandidates(),
-			nil, x.disapproved, x.mask, nil, x.excl)
+		// maximality probe — over the members outside the instance, F−,
+		// and the retired set — sees the updated exclusions. Constraints
+		// never couple members to non-members, so probing the members is
+		// the universe-wide check with ¬members excluded.
 		x.store.ApplyAssertionExact(c, false, func(inst *bitset.Set) bool {
-			return x.engine.Maximal(inst, excl)
+			return x.engine.MaximalWithin(inst, x.disapproved, x.members)
 		})
 	}
 	// Both directions preserve exactness (see FilterInstances): an
@@ -335,7 +333,6 @@ func (x *exactInference) Refill() int { return 0 }
 
 func (x *exactInference) Grow(n int, local []int32) {
 	x.store.GrowUniverse(n, local)
-	x.excl = nil // universe-sized scratch; rebuilt on demand
 }
 
 // exactBudget resolves Config.ExactBudget: under InferAuto, zero means
@@ -377,14 +374,33 @@ func (c *component) freeCount(universe int) int {
 	return n - c.approved.Count() - c.disapproved.Count()
 }
 
+// stream is a component's sampler stream, built lazily: a decomposed
+// PMN draws one seed per component (in component order, or from the
+// member content on a topology rebuild) but seeds a rand.Rand — a
+// few KB and microseconds each — only for components that sample.
+// shared non-nil is an already-built stream used as is (the trivial
+// partition's session rng).
+type stream struct {
+	shared *rand.Rand
+	seed   int64
+}
+
+func (s stream) rand() *rand.Rand {
+	if s.shared != nil {
+		return s.shared
+	}
+	return rand.New(rand.NewSource(s.seed))
+}
+
 // newInference builds component c's initial backend per Config.Inference:
 // InferExact enumerates (propagating overflow as ErrExactBudgetExceeded),
 // InferAuto tries exact within budget — gated on the member count, so
 // construction never burns enumeration work on components that are
 // obviously too large — and falls back to sampling, InferSampled always
-// samples. rng is the component's sampler stream; it is consumed only by
-// the sampled backend, so mode selection never perturbs it.
-func (p *PMN) newInference(k int, c *component, scfg sampling.Config, rng *rand.Rand) (Inference, error) {
+// samples. st is the component's sampler stream; it is built and
+// consumed only by the sampled backend, so mode selection never
+// perturbs it.
+func (p *PMN) newInference(k int, c *component, scfg sampling.Config, st stream) (Inference, error) {
 	nmin := scfg.NMin
 	if nmin <= 0 {
 		nmin = sampling.DefaultConfig().NMin
@@ -407,7 +423,7 @@ func (p *PMN) newInference(k int, c *component, scfg sampling.Config, rng *rand.
 				k, size, ErrExactBudgetExceeded, err)
 		}
 	}
-	sampler := sampling.NewSampler(c.engine, scfg, rng)
+	sampler := sampling.NewSampler(c.engine, scfg, st.rand())
 	var store *sampling.Store
 	if c.members == nil {
 		store = sampling.NewStore(len(p.probs), sampler.Config().NMin)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -175,6 +176,176 @@ func TestAutoIdenticalToSampledWhileUnpromoted(t *testing.T) {
 	for c := 0; c < n; c++ {
 		if a, s := auto.Probability(c), sampled.Probability(c); a != s {
 			t.Fatalf("post-assert p(%d): auto %v != sampled %v", c, a, s)
+		}
+	}
+}
+
+// buildBipartiteBlocks builds a two-schema network of independent
+// complete bipartite blocks: block i joins its own m_i attributes of S
+// to its own n_i attributes of T with every correspondence, so the
+// one-to-one constraint makes each block one component whose instances
+// are its maximal matchings (min(m,n)!·C(max,min) of them) and no
+// constraint couples different blocks. It returns the engine, each
+// block's S and T attribute ids, and the candidates of the diagonal
+// a_j ↔ t_j matching of every block as the ground truth.
+func buildBipartiteBlocks(t testing.TB, blocks [][2]int) (*constraints.Engine, [][2][]schema.AttrID, map[int]bool) {
+	t.Helper()
+	var sNames, tNames []string
+	for i, bl := range blocks {
+		for j := 0; j < bl[0]; j++ {
+			sNames = append(sNames, fmt.Sprintf("s%d_%d", i, j))
+		}
+		for j := 0; j < bl[1]; j++ {
+			tNames = append(tNames, fmt.Sprintf("t%d_%d", i, j))
+		}
+	}
+	b := schema.NewBuilder()
+	sID := b.AddSchema("S", sNames...)
+	tID := b.AddSchema("T", tNames...)
+	b.Connect(sID, tID)
+	attrs := make([][2][]schema.AttrID, len(blocks))
+	sBase, tBase := 0, len(sNames)
+	for i, bl := range blocks {
+		for j := 0; j < bl[0]; j++ {
+			attrs[i][0] = append(attrs[i][0], schema.AttrID(sBase+j))
+		}
+		for j := 0; j < bl[1]; j++ {
+			attrs[i][1] = append(attrs[i][1], schema.AttrID(tBase+j))
+		}
+		for x, a := range attrs[i][0] {
+			for y, c := range attrs[i][1] {
+				b.AddCorrespondence(a, c, 0.3+0.1*float64((x+2*y)%7))
+			}
+		}
+		sBase += bl[0]
+		tBase += bl[1]
+	}
+	net, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	truth := map[int]bool{}
+	for _, at := range attrs {
+		for j := 0; j < len(at[0]) && j < len(at[1]); j++ {
+			truth[net.CandidateIndex(at[0][j], at[1][j])] = true
+		}
+	}
+	return constraints.Default(net), attrs, truth
+}
+
+// TestAutoStreamsAlignWithSampledAcrossComponents generalizes the test
+// above to a many-component network where auto serves some components
+// exactly: every component auto still samples must match a pure sampled
+// run bit for bit — initially, after assertions, and after an
+// AddCandidates-style merge rebuilds a component from its content-
+// derived stream. Exact components sit ahead of sampled ones in
+// component order, so this pins that a sampler seed is drawn for every
+// component whether or not the component ever builds its stream.
+func TestAutoStreamsAlignWithSampledAcrossComponents(t *testing.T) {
+	// 1×1 and 1×2 blocks enumerate within budget 3; the 4×4 (24
+	// matchings) and 5×5 (120) blocks sample, and with n_min 10 their
+	// stores hold a stream-dependent subset of the matchings.
+	blocks := [][2]int{{1, 1}, {4, 4}, {1, 2}, {5, 5}, {1, 1}, {4, 4}, {1, 2}, {5, 5}, {4, 4}}
+	base, attrs, truth := buildBipartiteBlocks(t, blocks)
+	mk := func(mode InferenceMode) (*PMN, *constraints.Engine) {
+		e := constraints.Default(base.Network().Clone())
+		cfg := DefaultConfig()
+		cfg.Samples = 12
+		cfg.Sampler.NMin = 10
+		cfg.Inference = mode
+		cfg.ExactBudget = 3
+		p := MustNew(e, cfg, rand.New(rand.NewSource(7)))
+		p.SetTopoSeed(7)
+		return p, e
+	}
+	auto, autoEng := mk(InferAuto)
+	sampled, sampledEng := mk(InferSampled)
+	if got := auto.NumComponents(); got != len(blocks) {
+		t.Fatalf("%d components, want one per block (%d)", got, len(blocks))
+	}
+
+	// compare checks every still-sampled auto component against the pure
+	// sampled run and returns how many it compared.
+	compare := func(step string) int {
+		t.Helper()
+		compared := 0
+		for k, c := range auto.comps {
+			if c.inf.Mode() != InferSampled {
+				continue
+			}
+			compared++
+			for _, m := range c.members {
+				if a, s := auto.Probability(m), sampled.Probability(m); a != s {
+					t.Fatalf("%s: component %d p(%d): auto %v != sampled %v", step, k, m, a, s)
+				}
+			}
+		}
+		return compared
+	}
+	exactBeforeSampled := false
+	for k := 1; k < auto.NumComponents(); k++ {
+		if auto.ComponentInference(k-1) == InferExact && auto.ComponentInference(k) == InferSampled {
+			exactBeforeSampled = true
+		}
+	}
+	if !exactBeforeSampled {
+		t.Fatal("no exact component ahead of a sampled one; the fixture does not exercise stream order")
+	}
+	if got := compare("initial"); got != 5 {
+		t.Fatalf("auto samples %d components, want the 5 large blocks", got)
+	}
+
+	net := auto.Network()
+	assertBoth := func(c int) {
+		t.Helper()
+		if err := auto.Assert(c, truth[c]); err != nil {
+			t.Fatal(err)
+		}
+		if err := sampled.Assert(c, truth[c]); err != nil {
+			t.Fatal(err)
+		}
+		compare(net.DescribeCandidate(c))
+	}
+	// One off-diagonal disapproval in every sampled block.
+	for _, at := range attrs {
+		if len(at[0]) >= 4 {
+			assertBoth(net.CandidateIndex(at[0][0], at[1][1]))
+		}
+	}
+
+	// Bridge blocks 1 and 3 (both sampled): s1_0 ↔ t3_0 one-to-one-
+	// conflicts with block 1's s1_0 row and block 3's t3_0 column.
+	bridge := schema.Correspondence{A: attrs[1][0][0], B: attrs[3][1][0], Confidence: 0.5}
+	for _, side := range []struct {
+		p *PMN
+		e *constraints.Engine
+	}{{auto, autoEng}, {sampled, sampledEng}} {
+		n := side.e.Network()
+		oldN := n.NumCandidates()
+		if _, err := n.AppendCandidates([]schema.Correspondence{bridge}); err != nil {
+			t.Fatal(err)
+		}
+		side.e.Grow(oldN)
+		if _, err := side.p.TopologyChanged(oldN, -1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	net = auto.Network()
+	merged := auto.ComponentOf(net.CandidateIndex(attrs[1][0][0], attrs[1][1][0]))
+	if auto.ComponentOf(net.CandidateIndex(attrs[3][0][0], attrs[3][1][0])) != merged ||
+		auto.NumComponents() != len(blocks)-1 {
+		t.Fatalf("bridge did not merge blocks 1 and 3 (%d components)", auto.NumComponents())
+	}
+	if auto.ComponentInference(merged) != InferSampled {
+		t.Fatal("merged component is exact under auto; the rebuilt stream is not exercised")
+	}
+	if got := compare("merge"); got != 4 {
+		t.Fatalf("auto samples %d components after the merge, want 4", got)
+	}
+	// Keep asserting the diagonal of the merged component.
+	for _, bl := range []int{1, 3} {
+		for j := 1; j < 4; j++ {
+			assertBoth(net.CandidateIndex(attrs[bl][0][j], attrs[bl][1][j]))
 		}
 	}
 }

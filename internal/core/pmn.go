@@ -226,13 +226,15 @@ func New(engine *constraints.Engine, cfg Config, rng *rand.Rand) (*PMN, error) {
 		probs:    make([]float64, n),
 	}
 
-	// Per-component sampler configs and rng streams: the backend choice
-	// is made after the components are wired, but the streams must be
+	// Per-component sampler configs and stream seeds: the backend choice
+	// is made after the components are wired, but the seeds must be
 	// drawn in component order regardless of mode, so an exact component
 	// does not shift its neighbors' seeds (mode is derived state —
-	// replay and differential runs depend on stable streams).
+	// replay and differential runs depend on stable streams). Only the
+	// seed is kept; newInference builds the stream for sampled backends
+	// alone, since exact components never draw from it.
 	var scfgs []sampling.Config
-	var rngs []*rand.Rand
+	var streams []stream
 
 	parts := engine.Components()
 	if cfg.Monolithic || parts.Trivial() {
@@ -245,13 +247,13 @@ func New(engine *constraints.Engine, cfg Config, rng *rand.Rand) (*PMN, error) {
 		p.localIdx = nil
 		p.maxComp = n
 		scfgs = []sampling.Config{cfg.Sampler}
-		rngs = []*rand.Rand{rng}
+		streams = []stream{{shared: rng}}
 	} else {
 		p.compOf = make([]int, n)
 		p.localIdx = make([]int32, n)
 		p.comps = make([]*component, parts.NumComponents())
 		scfgs = make([]sampling.Config, parts.NumComponents())
-		rngs = make([]*rand.Rand, parts.NumComponents())
+		streams = make([]stream, parts.NumComponents())
 		for k := 0; k < parts.NumComponents(); k++ {
 			members := parts.Members(k)
 			for j, c := range members {
@@ -266,7 +268,7 @@ func New(engine *constraints.Engine, cfg Config, rng *rand.Rand) (*PMN, error) {
 			// and maintenance of component-disjoint assertions commutes
 			// bit-for-bit, which is what makes concurrent serving
 			// reproducible.
-			rngs[k] = rand.New(rand.NewSource(rng.Int63()))
+			streams[k] = stream{seed: rng.Int63()}
 			scfg := cfg.Sampler
 			if scfg.StagnationLimit == 0 {
 				// Unset: a small component's instance space saturates in a
@@ -286,7 +288,7 @@ func New(engine *constraints.Engine, cfg Config, rng *rand.Rand) (*PMN, error) {
 	p.gains = make([]float64, n)
 	p.gainsStale = make([]bool, len(p.comps))
 	for k, c := range p.comps {
-		inf, err := p.newInference(k, c, scfgs[k], rngs[k])
+		inf, err := p.newInference(k, c, scfgs[k], streams[k])
 		if err != nil {
 			return nil, err
 		}

@@ -32,8 +32,9 @@ func (e ErrTooManyInstances) Is(target error) bool {
 // The floor keeps tiny budgets from starving legitimately twisty small
 // components; the factor is deliberately tight — the hybrid inference
 // retries its promotion probe as a component shrinks, so a failing
-// probe must stay cheap (leaves pay a member-scan maximality check on
-// top of the node count).
+// probe must stay cheap (on top of the node count, each leaf pays one
+// HasConflict per free candidate it left out — O(|free|), never
+// O(universe)).
 const (
 	enumWorkFactor = 8
 	enumWorkFloor  = 1024
@@ -67,10 +68,6 @@ func EnumerateAll(e *constraints.Engine, approved, disapproved *bitset.Set, limi
 // no matter how large the component's subset lattice is.
 func EnumerateWithin(e *constraints.Engine, approved, disapproved, within *bitset.Set, limit int) ([]*bitset.Set, error) {
 	n := e.Network().NumCandidates()
-	// excluded = disapproved ∪ ¬within bounds the maximality check (the
-	// restricted approved set is rebuilt inline below during the
-	// consistency check, so only the exclusion half is needed here).
-	_, excluded := FeedbackWithin(n, nil, disapproved, within, nil, nil)
 	base := e.NewInstance()
 	if approved != nil {
 		// Verify the (restricted) approved set is self-consistent while
@@ -94,9 +91,13 @@ func EnumerateWithin(e *constraints.Engine, approved, disapproved, within *bitse
 
 	// Free candidates: tracked, not asserted either way, not retired
 	// (retired candidates can never join an instance, matching the
-	// retired-mask block in Maximize/Maximal).
+	// retired-mask block in Maximize/Maximal). Every other candidate is
+	// in base or excluded (F−, retired, or outside within), so a leaf is
+	// maximal iff each free candidate it left out conflicts with it —
+	// the leaf check scans the free list, not the universe. free is
+	// never nil: a nil member list would mean the whole universe.
 	net := e.Network()
-	var free []int
+	free := []int{}
 	addFree := func(c int) bool {
 		if !base.Has(c) && (disapproved == nil || !disapproved.Has(c)) && !net.Retired(c) {
 			free = append(free, c)
@@ -128,7 +129,7 @@ func EnumerateWithin(e *constraints.Engine, approved, disapproved, within *bitse
 			}
 		}
 		if i == len(free) {
-			if e.Maximal(cur, excluded) {
+			if e.MaximalWithin(cur, nil, free) {
 				if limit > 0 && len(out) >= limit {
 					overflow = ErrTooManyInstances{Limit: limit}
 					return false

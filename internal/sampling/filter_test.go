@@ -74,6 +74,91 @@ func TestPropertyFilterInstancesMatchesReenumeration(t *testing.T) {
 	}
 }
 
+// TestPropertyFilterWithinComponentMatchesReenumeration is the
+// component-restricted form of the property above, through the exact
+// store: each component of a random network (some candidates retired
+// through the engine) starts from its EnumerateWithin list in a
+// component store, and after every random assertion — the disapprovals
+// filtered with the member-scoped Engine.MaximalWithin probe — the store
+// holds exactly the instances a fresh EnumerateWithin of the component
+// under the accumulated feedback produces.
+func TestPropertyFilterWithinComponentMatchesReenumeration(t *testing.T) {
+	rng := rand.New(rand.NewSource(404))
+	disapprovals := 0
+	for trial := 0; trial < 12; trial++ {
+		e, _ := tinyNetwork(t, rng)
+		net := e.Network()
+		n := net.NumCandidates()
+		if trial%2 == 1 {
+			c := rng.Intn(n)
+			if err := net.RetireCandidate(c); err != nil {
+				t.Fatal(err)
+			}
+			e.Retire(c)
+		}
+		parts := e.Components()
+		local := make([]int32, n)
+		for k := 0; k < parts.NumComponents(); k++ {
+			for j, c := range parts.Members(k) {
+				local[c] = int32(j)
+			}
+		}
+		for k := 0; k < parts.NumComponents(); k++ {
+			members := parts.Members(k)
+			within := bitset.FromIndices(n, members...)
+			instances, err := EnumerateWithin(e, nil, nil, within, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := NewComponentStore(n, 4, members, local)
+			for _, inst := range instances {
+				st.Add(inst)
+			}
+			st.MarkComplete()
+			approved, disapproved := bitset.New(n), bitset.New(n)
+			for _, j := range rng.Perm(len(members)) {
+				c := members[j]
+				if net.Retired(c) {
+					continue
+				}
+				approve := rng.Intn(3) == 0
+				if approve {
+					approved.Add(c)
+				} else {
+					disapproved.Add(c)
+					disapprovals++
+				}
+				st.ApplyAssertionExact(c, approve, func(inst *bitset.Set) bool {
+					return e.MaximalWithin(inst, disapproved, members)
+				})
+				want, err := EnumerateWithin(e, approved, disapproved, within, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got []*bitset.Set
+				st.ForEachInstance(func(inst *bitset.Set) bool {
+					got = append(got, inst)
+					return true
+				})
+				g, w := keysOf(got), keysOf(want)
+				if len(g) != len(w) {
+					t.Fatalf("trial %d component %d after asserting %d (approve=%v): %d instances, re-enumeration has %d",
+						trial, k, c, approve, len(g), len(w))
+				}
+				for i := range g {
+					if g[i] != w[i] {
+						t.Fatalf("trial %d component %d after asserting %d (approve=%v): instance sets differ",
+							trial, k, c, approve)
+					}
+				}
+			}
+		}
+	}
+	if disapprovals < 50 {
+		t.Fatalf("only %d disapprovals exercised; the fixture is too small", disapprovals)
+	}
+}
+
 // TestStoreApplyAssertionExactConsistency: the exact maintenance path
 // must leave the store's columnar matrix, counts, and probabilities
 // identical to a store rebuilt from the same filtered list — and keep
