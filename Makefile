@@ -68,9 +68,9 @@ bench-smoke:
 	# Incremental topology cost: one late schema / one component-merging
 	# candidate batch on a live session vs recompiling the world.
 	$(GO) test -run '^$$' -bench 'BenchmarkAddSchema|BenchmarkAddCandidatesMerge' -benchmem -benchtime $(BENCHTIME) -count $(COUNT) . | $(GO) run ./cmd/benchmedian
-	# Lazy top-k ranking: suggest-per-assert (assert off the clock,
-	# pruned vs the ExhaustiveRank escape hatch) plus the core-layer
-	# gain-pass microbenchmark.
+	# Lazy top-k ranking: suggest-per-assert (assert off the clock)
+	# plus the core-layer gain-pass microbenchmark, which keeps the
+	# pruned-vs-exhaustive ratio measurable.
 	$(GO) test -run '^$$' -bench 'BenchmarkSuggestHot' -benchmem -benchtime $(BENCHTIME) -count $(COUNT) . | $(GO) run ./cmd/benchmedian
 	$(GO) test -run '^$$' -bench 'BenchmarkTopGainPass' -benchmem -benchtime $(BENCHTIME) -count $(COUNT) ./internal/core | $(GO) run ./cmd/benchmedian
 	# Session setup and reopen: construction (per-component backends)
@@ -85,9 +85,8 @@ bench-throughput:
 	$(GO) test -run '^$$' -bench 'BenchmarkThroughput' -cpu $(BENCHCPUS) -benchtime $(BENCHTIME) -count $(COUNT) . | \
 		$(GO) run ./cmd/benchmedian $(if $(BENCHJSON),-json $(BENCHJSON))
 
-# Lazy top-k acceptance rig: BenchmarkSuggestHot medians (pruned vs
-# the ExhaustiveRank escape hatch) on the multicomp and hub-heavy
-# merged profiles. Set SUGGESTJSON=path.json for the machine-readable
+# Lazy top-k acceptance rig: BenchmarkSuggestHot medians (pruned
+# ranking) on the multicomp and hub-heavy merged profiles. Set SUGGESTJSON=path.json for the machine-readable
 # summary (CI archives it as BENCH_suggest.json).
 bench-suggest:
 	$(GO) test -run '^$$' -bench 'BenchmarkSuggestHot' -benchmem -benchtime $(SUGGESTTIME) -count $(COUNT) . | \

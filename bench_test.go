@@ -192,11 +192,10 @@ func BenchmarkMaximize(b *testing.B) {
 	})
 }
 
-// BenchmarkInformationGain measures one full (cold) IG ranking pass at
-// several network sizes: the cache is invalidated every iteration, so
-// the number stays comparable with the pre-cache measurements. In a
-// live session only the asserted component re-ranks per step; the
-// SessionAssert benchmarks capture that amortized cost.
+// BenchmarkInformationGain measures one full exhaustive IG pass
+// (InformationGains, the ranking oracle) at several network sizes. A
+// live session ranks lazily and only where an assertion landed; the
+// SessionAssert and SuggestHot benchmarks capture that cost.
 func BenchmarkInformationGain(b *testing.B) {
 	for _, size := range []int{128, 256, 512, 2048} {
 		b.Run(benchName(size), func(b *testing.B) {
@@ -204,7 +203,6 @@ func BenchmarkInformationGain(b *testing.B) {
 			pmn := core.MustNew(e, core.DefaultConfig(), rng)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				pmn.InvalidateGains()
 				_ = pmn.InformationGains()
 			}
 		})
@@ -288,10 +286,9 @@ func BenchmarkSessionAssert(b *testing.B) {
 }
 
 // BenchmarkSessionAssertMultiComp measures the suggest+assert step on a
-// multi-component network (≥4 constraint-connected components), with
-// component decomposition on (default) and off (Options.Monolithic) —
-// the head-to-head the component-decomposed PMN is built for: an
-// assertion pays O(component), not O(network).
+// multi-component network (≥4 constraint-connected components) — the
+// shape the component-decomposed PMN is built for: an assertion pays
+// O(component), not O(network).
 func BenchmarkSessionAssertMultiComp(b *testing.B) {
 	for _, size := range []int{512, 2048} {
 		d := benchMultiComponentDataset(b, size, 4)
@@ -302,17 +299,9 @@ func BenchmarkSessionAssertMultiComp(b *testing.B) {
 		if s.Components() < 4 {
 			b.Fatalf("merged network has %d components, want ≥ 4", s.Components())
 		}
-		for _, mode := range []struct {
-			name string
-			opts schemanet.Options
-		}{
-			{"decomposed", schemanet.Options{}},
-			{"monolithic", schemanet.Options{Monolithic: true}},
-		} {
-			b.Run(fmt.Sprintf("C=%d/comps=%d/%s", size, s.Components(), mode.name), func(b *testing.B) {
-				benchSessionAssertOpts(b, d, d.Network, mode.opts)
-			})
-		}
+		b.Run(fmt.Sprintf("C=%d/comps=%d/decomposed", size, s.Components()), func(b *testing.B) {
+			benchSessionAssert(b, d, d.Network)
+		})
 	}
 }
 
@@ -718,16 +707,13 @@ func benchBudgetAssertOnly(b *testing.B, d *schemanet.Dataset, opts schemanet.Op
 // benchSuggestHot times the Suggest half of the pay-as-you-go loop:
 // every iteration is one ranked suggestion, and the assertion that
 // stales the ranking happens off the clock — so the number isolates
-// the top-k re-rank (plus snapshot/strategy plumbing) that
-// Options.ExhaustiveRank toggles between the lazy bound-pruned
-// evaluator and the full gain pass.
-func benchSuggestHot(b *testing.B, d *schemanet.Dataset, opts schemanet.Options) {
+// the lazy bound-pruned top-k re-rank (plus snapshot/strategy
+// plumbing).
+func benchSuggestHot(b *testing.B, d *schemanet.Dataset) {
 	b.Helper()
 	net := d.Network
 	newSession := func(seed int64) *schemanet.Session {
-		o := opts
-		o.Seed = seed
-		s, err := schemanet.NewSession(net, &o)
+		s, err := schemanet.NewSession(net, &schemanet.Options{Seed: seed})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -755,11 +741,10 @@ func benchSuggestHot(b *testing.B, d *schemanet.Dataset, opts schemanet.Options)
 }
 
 // BenchmarkSuggestHot is the lazy top-k acceptance benchmark:
-// suggest-per-assert with the assert off the clock, pruned ranking
-// against the exhaustive escape hatch, on the small-component-heavy
-// multicomp profile and the hub-heavy merged profile. The two paths
-// return bit-identical suggestions (topk_differential_test.go), so the
-// ratio is pure ranking cost.
+// suggest-per-assert with the assert off the clock, on the
+// small-component-heavy multicomp profile and the hub-heavy merged
+// profile. The pruned-vs-exhaustive ratio is measured at the core layer
+// by BenchmarkTopGainPass.
 func BenchmarkSuggestHot(b *testing.B) {
 	multi := benchMultiCompDataset(b)
 	merged := benchMultiComponentDataset(b, 512, 4)
@@ -767,14 +752,9 @@ func BenchmarkSuggestHot(b *testing.B) {
 		name string
 		d    *schemanet.Dataset
 	}{{"multicomp/C=512", multi}, {"merged/C=512", merged}} {
-		for _, mode := range []struct {
-			name       string
-			exhaustive bool
-		}{{"rank=pruned", false}, {"rank=exhaustive", true}} {
-			b.Run(w.name+"/"+mode.name, func(b *testing.B) {
-				benchSuggestHot(b, w.d, schemanet.Options{ExhaustiveRank: mode.exhaustive})
-			})
-		}
+		b.Run(w.name+"/rank=pruned", func(b *testing.B) {
+			benchSuggestHot(b, w.d)
+		})
 	}
 }
 

@@ -201,7 +201,6 @@ func main() {
 		budget      = flag.Int("budget", 0, "maximum number of assertions (0 = use -effort)")
 		effort      = flag.Float64("effort", 0.1, "effort budget as a fraction of |C|")
 		seed        = flag.Int64("seed", 1, "random seed")
-		exact       = flag.Bool("exact", false, "exact probabilities (small networks only)")
 		inference   = flag.String("inference", "", `per-component inference: "auto" (default), "sampled", or "exact"`)
 		exactBudget = flag.Int("exact-budget", 0, "per-component instance budget for exact inference (0 = mode default)")
 		minSamples  = flag.Int("min-samples", 0, "adaptive sampling: chunk size / budget floor (0 = fixed budget)")
@@ -255,7 +254,7 @@ func main() {
 	}
 
 	opts := &schemanet.Options{
-		Seed: *seed, Exact: *exact, Inference: *inference, ExactBudget: *exactBudget,
+		Seed: *seed, Inference: *inference, ExactBudget: *exactBudget,
 		MinSamples: *minSamples, MaxSamples: *maxSamples, Convergence: *convergence,
 	}
 	var (

@@ -43,7 +43,7 @@ import (
 //     gain already found. Assert-only workloads never re-rank at all.
 //     The ranking is a deterministic function of component state, so
 //     suggestions are exactly what eager exhaustive re-ranking would
-//     produce (Options.ExhaustiveRank forces the legacy pass).
+//     produce.
 //   - Each component samples from its own deterministic rng stream
 //     (seeded from the session seed at construction), so a
 //     component-disjoint assertion schedule produces probabilities
@@ -129,20 +129,9 @@ func (s *Session) Concurrent() *ConcurrentSession {
 		// perturb (or race with) sampling draws.
 		sugRng: rand.New(rand.NewSource(s.seed ^ 0x5eed5a17)),
 	}
-	if s.pmn.ExhaustiveRank() {
-		// A fresh session is gain-stale everywhere: one worker-sharded
-		// cold ranking pass (the serial path's machinery) beats ranking
-		// each component sequentially in the snapshot loop, which then
-		// finds every component already ranked.
-		s.pmn.InformationGains()
-		for k := 0; k < n; k++ {
-			cs.snaps[k].Store(s.pmn.SnapshotComponent(k))
-		}
-		return cs
-	}
-	// Lazy mode: publish probs-only snapshots and let the first Suggest
-	// rank on demand — the entropy-ordered skip rule then prunes most
-	// components without ever ranking them.
+	// Publish probs-only snapshots and let the first Suggest rank on
+	// demand — the entropy-ordered skip rule then prunes most components
+	// without ever ranking them.
 	for k := 0; k < n; k++ {
 		cs.snaps[k].Store(s.pmn.SnapshotComponentProbs(k))
 	}
@@ -283,7 +272,6 @@ func (cs *ConcurrentSession) refreshComponent(k int) *core.ComponentSnapshot {
 func (cs *ConcurrentSession) Suggest() (c int, ok bool) {
 	cs.topoMu.RLock()
 	defer cs.topoMu.RUnlock()
-	lazy := !cs.pmn.ExhaustiveRank()
 	best := -1.0
 	nUnasserted := 0
 	snaps := make([]*core.ComponentSnapshot, len(cs.snaps))
@@ -305,8 +293,7 @@ func (cs *ConcurrentSession) Suggest() (c int, ok bool) {
 	// a component's entropy term (strictly, beyond the fp margin) the
 	// component cannot contribute a maximum or a tie and is skipped
 	// without any ranking work — left unranked for a later Suggest to
-	// revisit if the bar ever drops. The skip is gated on lazy mode so
-	// Options.ExhaustiveRank keeps the legacy rank-everything behavior.
+	// revisit if the bar ever drops.
 	sort.Slice(pending, func(a, b int) bool {
 		ea, eb := snaps[pending[a]].Entropy(), snaps[pending[b]].Entropy()
 		if ea != eb {
@@ -315,7 +302,7 @@ func (cs *ConcurrentSession) Suggest() (c int, ok bool) {
 		return pending[a] < pending[b]
 	})
 	for _, k := range pending {
-		if lazy && snaps[k].Entropy() < best-core.PruneMargin(best) {
+		if snaps[k].Entropy() < best-core.PruneMargin(best) {
 			continue
 		}
 		snap := cs.rankComponent(k)
@@ -326,7 +313,7 @@ func (cs *ConcurrentSession) Suggest() (c int, ok bool) {
 	}
 	if best >= 0 {
 		// Merge the tie sets in ascending component order — the same
-		// concatenation the eager rank-everything loop produced, so the
+		// concatenation ranking every component would produce, so the
 		// tie-break draw lands on the same candidate for the same rng
 		// state. Components skipped above cannot hold a tie: every member
 		// gain is bounded by the entropy term the skip compared.
@@ -360,8 +347,7 @@ func (cs *ConcurrentSession) Suggest() (c int, ok bool) {
 
 // rankComponent upgrades component k's published snapshot to a ranked
 // one under the component's lock, through the lazy bound-pruned top-k
-// evaluator (SnapshotComponentTop; the exhaustive pass under
-// Options.ExhaustiveRank). Double-checked — a concurrent Suggest or a
+// evaluator (SnapshotComponentTop). Double-checked — a concurrent Suggest or a
 // write that raced us may have published a current ranked snapshot
 // first, in which case the re-rank is already paid and the snapshot is
 // returned as is. A set dirty flag defeats the short-circuit: it means

@@ -118,17 +118,17 @@ func TestConcurrentDisjointScheduleMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestConcurrentBatchMatchesSerialExact: under Options.Exact a batch
+// TestConcurrentBatchMatchesSerialExact: under exact inference a batch
 // fanned out across the worker pool must land on exactly the serial
 // step-by-step probabilities (enumeration is deterministic, so the
 // comparison is strict equality).
 func TestConcurrentBatchMatchesSerialExact(t *testing.T) {
 	net, truth := multiVideoNet(t, 5)
-	serial, err := schemanet.NewSession(net, &schemanet.Options{Exact: true, Seed: 9})
+	serial, err := schemanet.NewSession(net, &schemanet.Options{Inference: "exact", Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	conc, err := schemanet.NewConcurrentSession(net, &schemanet.Options{Exact: true, Seed: 9, Workers: 4})
+	conc, err := schemanet.NewConcurrentSession(net, &schemanet.Options{Inference: "exact", Seed: 9, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestConcurrentReadsDuringWrites(t *testing.T) {
 // unasserted fallback, then report exhaustion.
 func TestConcurrentSuggestDrains(t *testing.T) {
 	net, truth := multiVideoNet(t, 3)
-	conc, err := schemanet.NewConcurrentSession(net, &schemanet.Options{Exact: true, Seed: 5})
+	conc, err := schemanet.NewConcurrentSession(net, &schemanet.Options{Inference: "exact", Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestConcurrentDeferredRankingFreshReads(t *testing.T) {
 // lock, whole-universe snapshots) end to end.
 func TestConcurrentSingleComponent(t *testing.T) {
 	net, truth := videoNet(t)
-	conc, err := schemanet.NewConcurrentSession(net, &schemanet.Options{Exact: true, Seed: 1})
+	conc, err := schemanet.NewConcurrentSession(net, &schemanet.Options{Inference: "exact", Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestConcurrentSingleComponent(t *testing.T) {
 // malformed batches, all without state changes.
 func TestConcurrentSessionBadInput(t *testing.T) {
 	net, _ := multiVideoNet(t, 2)
-	conc, err := schemanet.NewConcurrentSession(net, &schemanet.Options{Exact: true, Seed: 2})
+	conc, err := schemanet.NewConcurrentSession(net, &schemanet.Options{Inference: "exact", Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +392,7 @@ func TestConcurrentSessionBadInput(t *testing.T) {
 // in a fully asserted component.
 func TestConcurrentAssertsSameComponentSerialize(t *testing.T) {
 	net, truth := videoNet(t)
-	conc, err := schemanet.NewConcurrentSession(net, &schemanet.Options{Exact: true, Seed: 8})
+	conc, err := schemanet.NewConcurrentSession(net, &schemanet.Options{Inference: "exact", Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +425,7 @@ func TestConcurrentAssertsSameComponentSerialize(t *testing.T) {
 // a working serial session.
 func TestConcurrentSaveRoundTrip(t *testing.T) {
 	net, truth := multiVideoNet(t, 2)
-	conc, err := schemanet.NewConcurrentSession(net, &schemanet.Options{Exact: true, Seed: 4})
+	conc, err := schemanet.NewConcurrentSession(net, &schemanet.Options{Inference: "exact", Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +438,7 @@ func TestConcurrentSaveRoundTrip(t *testing.T) {
 	if err := conc.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := schemanet.LoadSession(net, &schemanet.Options{Exact: true, Seed: 4}, &buf)
+	restored, err := schemanet.LoadSession(net, &schemanet.Options{Inference: "exact", Seed: 4}, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +456,7 @@ func TestConcurrentSaveRoundTrip(t *testing.T) {
 // critical section). Runs under -race in CI.
 func TestConcurrentSaveRacingAssertBatch(t *testing.T) {
 	net, truth := multiVideoNet(t, 4)
-	conc, err := schemanet.NewConcurrentSession(net, &schemanet.Options{Exact: true, Seed: 8})
+	conc, err := schemanet.NewConcurrentSession(net, &schemanet.Options{Inference: "exact", Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -550,7 +550,7 @@ func TestConcurrentSaveRacingAssertBatch(t *testing.T) {
 			}
 		}
 		// Every snapshot must itself be loadable.
-		if _, err := schemanet.LoadSession(net, &schemanet.Options{Exact: true, Seed: 8}, bytes.NewReader(snap)); err != nil {
+		if _, err := schemanet.LoadSession(net, &schemanet.Options{Inference: "exact", Seed: 8}, bytes.NewReader(snap)); err != nil {
 			t.Fatalf("snapshot %d does not load: %v", i, err)
 		}
 	}

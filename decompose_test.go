@@ -44,18 +44,19 @@ func multiVideoNet(t testing.TB, groups int) (*schemanet.Network, *schemanet.Mat
 
 // TestDecomposedMatchesMonolithicExact is the headline differential
 // guarantee of the component decomposition: on a multi-component
-// network under Options.Exact, the decomposed PMN computes *identical*
-// probabilities to the monolithic single-sample-space path, after every
-// assertion of a full reconciliation — including disapprovals, which
-// trigger per-component re-enumeration on one side and global
-// re-enumeration on the other.
+// network under exact inference, the decomposed PMN computes
+// *identical* probabilities to the monolithic single-sample-space
+// reference (NewMonolithicSession, whose interpreted engine yields a
+// trivial partition), after every assertion of a full reconciliation —
+// including disapprovals, which trigger per-component re-enumeration on
+// one side and global re-enumeration on the other.
 func TestDecomposedMatchesMonolithicExact(t *testing.T) {
 	net, truth := multiVideoNet(t, 3)
-	dec, err := schemanet.NewSession(net, &schemanet.Options{Exact: true, Seed: 11})
+	dec, err := schemanet.NewSession(net, &schemanet.Options{Inference: "exact", Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mono, err := schemanet.NewSession(net, &schemanet.Options{Exact: true, Seed: 11, Monolithic: true})
+	mono, err := schemanet.NewMonolithicSession(net, &schemanet.Options{Inference: "exact", Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestDecomposedMatchesMonolithicExact(t *testing.T) {
 // not just the first component's.
 func TestDecomposedSuggestWorksPerComponent(t *testing.T) {
 	net, truth := multiVideoNet(t, 4)
-	s, err := schemanet.NewSession(net, &schemanet.Options{Exact: true, Seed: 3})
+	s, err := schemanet.NewSession(net, &schemanet.Options{Inference: "exact", Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,27 +143,35 @@ func TestDecomposedSuggestWorksPerComponent(t *testing.T) {
 // probabilities on a multi-component network small enough that every
 // component's sample set completes (each triangle has 4 instances,
 // far below n_min), the decomposed estimates equal the exact
-// per-component probabilities — and so do the monolithic ones when its
-// global store completes. 3 components give 4³ = 64 global instances,
-// still below the default n_min of 200, so both sides are exact here.
+// per-component probabilities — and so do the monolithic reference's
+// (NewMonolithicSession) when its global store completes. 3 components
+// give 4³ = 64 global instances, still below the default n_min of 200,
+// so both sides are exact here.
 func TestDecomposedSampledStatisticallyEquivalent(t *testing.T) {
 	net, _ := multiVideoNet(t, 3)
-	exact, err := schemanet.NewSession(net, &schemanet.Options{Exact: true, Seed: 7})
+	exact, err := schemanet.NewSession(net, &schemanet.Options{Inference: "exact", Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opts := range []*schemanet.Options{
-		{Seed: 7, Samples: 400},
-		{Seed: 7, Samples: 400, Monolithic: true},
+	opts := &schemanet.Options{Seed: 7, Samples: 400}
+	for _, mode := range []struct {
+		name string
+		new  func(*schemanet.Network, *schemanet.Options) (*schemanet.Session, error)
+	}{
+		{"decomposed", schemanet.NewSession},
+		{"monolithic", schemanet.NewMonolithicSession},
 	} {
-		s, err := schemanet.NewSession(net, opts)
+		s, err := mode.new(net, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if mode.name == "monolithic" && s.Components() != 1 {
+			t.Fatalf("monolithic reference has %d components, want 1", s.Components())
+		}
 		for c := 0; c < net.NumCandidates(); c++ {
 			if got, want := mustProb(t, s, c), mustProb(t, exact, c); math.Abs(got-want) > 1e-9 {
-				t.Fatalf("monolithic=%v: p(%d) = %v, want %v (store should cover all instances)",
-					opts.Monolithic, c, got, want)
+				t.Fatalf("%s: p(%d) = %v, want %v (store should cover all instances)",
+					mode.name, c, got, want)
 			}
 		}
 	}

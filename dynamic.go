@@ -14,7 +14,7 @@ import (
 // rows for the new candidates only, the component partition merges (or
 // conservatively re-partitions on retire), and the probabilistic
 // network carries every untouched component's samples, probabilities,
-// and cached gains verbatim. See DESIGN.md, "Dynamic networks".
+// and cached ranking verbatim. See DESIGN.md, "Dynamic networks".
 
 // ErrCandidateRetired reports an operation against a candidate that was
 // withdrawn through RetireCandidate: retired candidates keep their
@@ -51,18 +51,6 @@ type topoOp struct {
 	to     string // retire
 }
 
-// topoAllowed gates the topology mutators: both debugging switches
-// disable the component machinery incremental maintenance rides on.
-func (s *Session) topoAllowed() error {
-	if s.monolithic {
-		return errors.New("schemanet: topology changes are not supported under Options.Monolithic")
-	}
-	if s.interpreted {
-		return errors.New("schemanet: topology changes are not supported under Options.InterpretedConstraints")
-	}
-	return nil
-}
-
 // AddSchema registers a new schema on the live session. The schema is
 // auto-connected to every existing schema in the interaction graph; it
 // arrives without candidates (follow with AddCandidates), so no
@@ -74,9 +62,6 @@ func (s *Session) AddSchema(name string, attrs ...string) error {
 }
 
 func (s *Session) addSchema(name string, attrs []string) (map[int]int, error) {
-	if err := s.topoAllowed(); err != nil {
-		return nil, err
-	}
 	net := s.Network()
 	oldN := net.NumCandidates()
 	if _, err := net.AppendSchema(name, attrs...); err != nil {
@@ -114,9 +99,6 @@ func (s *Session) AddCandidates(cs []Correspondence) error {
 }
 
 func (s *Session) addCandidates(cs []Correspondence) (map[int]int, error) {
-	if err := s.topoAllowed(); err != nil {
-		return nil, err
-	}
 	if len(cs) == 0 {
 		return nil, errors.New("schemanet: AddCandidates requires at least one correspondence")
 	}
@@ -155,9 +137,6 @@ func (s *Session) RetireCandidate(c int) error {
 }
 
 func (s *Session) retireCandidate(c int) (map[int]int, error) {
-	if err := s.topoAllowed(); err != nil {
-		return nil, err
-	}
 	if err := s.checkCandidate(c); err != nil {
 		return nil, err
 	}

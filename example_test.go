@@ -32,7 +32,7 @@ func Example() {
 	truth.Add(1, 2)
 	truth.Add(0, 2)
 
-	s, err := schemanet.NewSession(net, &schemanet.Options{Exact: true, Seed: 42})
+	s, err := schemanet.NewSession(net, &schemanet.Options{Inference: "exact", Seed: 42})
 	if err != nil {
 		panic(err)
 	}

@@ -74,7 +74,7 @@ func main() {
 		truth.Add(p[0], p[1])
 	}
 
-	s, err := schemanet.NewSession(net, &schemanet.Options{Exact: true, Seed: 8})
+	s, err := schemanet.NewSession(net, &schemanet.Options{Inference: "exact", Seed: 8})
 	if err != nil {
 		log.Fatal(err)
 	}

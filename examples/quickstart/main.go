@@ -44,7 +44,7 @@ func main() {
 	truth.Add(0, 4)
 
 	// Small network → exact probabilities are feasible.
-	s, err := schemanet.NewSession(net, &schemanet.Options{Exact: true, Seed: 42})
+	s, err := schemanet.NewSession(net, &schemanet.Options{Inference: "exact", Seed: 42})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,0 +1,52 @@
+package schemanet
+
+import "schemanet/internal/constraints"
+
+// Test-only reference surfaces. Production builds every session on the
+// compiled conflict index, decomposes it into constraint-connected
+// components, and ranks suggestions through the lazy top-k evaluator;
+// the oracles below are what the differential tests hold those paths
+// to.
+
+// NewMonolithicSession builds a session on the interpreted reference
+// constraint engine (constraints.NewInterpreted). The interpreted
+// engine derives no conflict index, so its partition is trivial and the
+// PMN keeps one global sample space — the monolithic reference for the
+// component decomposition, and the compiled ≡ interpreted reference at
+// the session level.
+func NewMonolithicSession(net *Network, opts *Options) (*Session, error) {
+	return newSession(net, opts, constraints.NewInterpreted)
+}
+
+// ExhaustiveTies is the exhaustive ranking oracle: one full
+// InformationGains pass, then an argmax scan over the uncertain,
+// unasserted, live candidates in ascending order. It returns the
+// maximal-gain tie set and its gain, or (nil, -1) when no uncertain
+// unasserted candidate remains. The pass touches no ranker state.
+func ExhaustiveTies(s *Session) ([]int, float64) {
+	gains := s.pmn.InformationGains()
+	fb, net := s.pmn.Feedback(), s.Network()
+	best := -1.0
+	var ties []int
+	for c, g := range gains {
+		if pc := s.pmn.Probability(c); pc <= 0 || pc >= 1 || fb.IsAsserted(c) || net.Retired(c) {
+			continue
+		}
+		switch {
+		case g > best:
+			best = g
+			ties = append(ties[:0], c)
+		case g == best:
+			ties = append(ties, c)
+		}
+	}
+	if best < 0 {
+		return nil, -1
+	}
+	return ties, best
+}
+
+// PrunedTies returns the lazy bound-pruned ranker's tie set and gain —
+// the set Suggest draws from. It consumes no rng state, so calling it
+// before Suggest leaves the suggestion unchanged.
+func PrunedTies(s *Session) ([]int, float64) { return s.pmn.TopGainTies() }

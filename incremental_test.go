@@ -303,7 +303,7 @@ func checkAgainstScratch(t testing.TB, label string, v dynOps, sc *dynScript, op
 	for j, li := range live {
 		// Without partition introspection (DurableSession) only compare
 		// when the options force exact inference everywhere.
-		exact := opts.Exact || opts.Inference == "exact"
+		exact := opts.Inference == "exact"
 		if !exact && hasParts {
 			k, err := pv.ComponentOf(li)
 			if err != nil {
@@ -407,7 +407,7 @@ func mkDurable(t *testing.T, net *schemanet.Network, opts *schemanet.Options) dy
 }
 
 func TestDynamicDifferentialExact(t *testing.T) {
-	opts := &schemanet.Options{Exact: true, Seed: 11}
+	opts := &schemanet.Options{Inference: "exact", Seed: 11}
 	t.Run("plain", func(t *testing.T) { runDifferential(t, "plain", opts, growthSteps(), mkPlain) })
 	t.Run("concurrent", func(t *testing.T) { runDifferential(t, "concurrent", opts, growthSteps(), mkConcurrent) })
 	t.Run("durable", func(t *testing.T) { runDifferential(t, "durable", opts, growthSteps(), mkDurable) })
@@ -564,7 +564,7 @@ func FuzzIncrementalBuild(f *testing.F) {
 // operation stream and loads back — against the ORIGINAL base network —
 // to bit-identical probabilities.
 func TestDynamicSaveLoadRoundTrip(t *testing.T) {
-	opts := &schemanet.Options{Exact: true, Seed: 23}
+	opts := &schemanet.Options{Inference: "exact", Seed: 23}
 	sc := baseScript()
 	baseNet := sc.buildScratchNet(t)
 	s := mkPlain(t, baseNet, opts).(*schemanet.Session)
@@ -605,7 +605,7 @@ func TestDynamicSaveLoadRoundTrip(t *testing.T) {
 // flowing, and the session stays consistent throughout.
 func TestConcurrentTopologyRace(t *testing.T) {
 	net, truth := multiVideoNet(t, 3)
-	cs, err := schemanet.NewConcurrentSession(net, &schemanet.Options{Exact: true, Seed: 9})
+	cs, err := schemanet.NewConcurrentSession(net, &schemanet.Options{Inference: "exact", Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,14 +114,14 @@ func TestExactBudgetExceededSurfaces(t *testing.T) {
 	if _, err := schemanet.NewConcurrentSession(net, opts); !errors.Is(err, schemanet.ErrExactBudgetExceeded) {
 		t.Fatalf("concurrent err = %v, want ErrExactBudgetExceeded", err)
 	}
-	// A budget that fits succeeds, and so does the unbounded legacy mode.
+	// A budget that fits succeeds, and so does the unbounded mode.
 	opts.ExactBudget = 16
 	if _, err := schemanet.NewSession(net, opts); err != nil {
 		t.Fatalf("budget 16: %v", err)
 	}
-	if _, err := schemanet.NewSession(net, &schemanet.Options{Exact: true,
+	if _, err := schemanet.NewSession(net, &schemanet.Options{Inference: "exact",
 		ExclusivePairs: [][2]schemanet.AttrID{{1, 6}}}); err != nil {
-		t.Fatalf("legacy Exact: %v", err)
+		t.Fatalf("unbounded exact: %v", err)
 	}
 }
 
@@ -131,16 +131,9 @@ func TestInferenceOptionValidation(t *testing.T) {
 		!strings.Contains(err.Error(), "psychic") {
 		t.Fatalf("unknown inference mode: err = %v, want it named", err)
 	}
-	if _, err := schemanet.NewSession(net, &schemanet.Options{Inference: "sampled", Exact: true}); err == nil {
-		t.Fatal("conflicting Exact + Inference must be rejected")
-	}
 	if _, err := schemanet.NewSession(net, &schemanet.Options{ExactBudget: -1}); err == nil ||
 		!strings.Contains(err.Error(), "ExactBudget") {
 		t.Fatalf("negative ExactBudget: err = %v, want it named", err)
-	}
-	// "exact" and the legacy switch agree; both accepted together.
-	if _, err := schemanet.NewSession(net, &schemanet.Options{Inference: "exact", Exact: true}); err != nil {
-		t.Fatal(err)
 	}
 }
 

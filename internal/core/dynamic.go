@@ -12,7 +12,7 @@ import (
 // layout after the engine's compiled constraint index grew (schema or
 // candidate arrival) or retired a candidate. Components whose member
 // list is unchanged are carried — store, sampler stream, cached entropy
-// and gains survive in place — while touched components (merged by a
+// and tie set survive in place — while touched components (merged by a
 // bridging candidate, split or emptied by a retire) are rebuilt under
 // the accumulated feedback, seeded from their predecessors' surviving
 // samples where possible.
@@ -78,8 +78,8 @@ func memberKey(members []int, universe int) string {
 // retiredCand the candidate withdrawn by a retire (-1 for growth).
 //
 // Components whose member list is unchanged are carried in place (their
-// stores widen to the new universe; probabilities, entropy, and cached
-// gains stay verbatim). Every other component is rebuilt under the
+// stores widen to the new universe; probabilities, entropy, and the
+// cached tie set stay verbatim). Every other component is rebuilt under the
 // accumulated feedback with a content-derived sampler stream; rebuilt
 // sampled components are first seeded with the consistent union of
 // their predecessors' surviving samples, so the following refill only
@@ -101,12 +101,8 @@ func (p *PMN) TopologyChanged(oldN, retiredCand int) (map[int]int, error) {
 	for len(p.probs) < n {
 		p.probs = append(p.probs, 0)
 	}
-	for len(p.gains) < n {
-		p.gains = append(p.gains, 0)
-	}
 
 	oldComps := p.comps
-	oldStale := p.gainsStale
 	oldByKey := make(map[string]int, len(oldComps))
 	for k0, c := range oldComps {
 		oldByKey[memberKey(c.members, oldN)] = k0
@@ -115,7 +111,6 @@ func (p *PMN) TopologyChanged(oldN, retiredCand int) (map[int]int, error) {
 	parts := p.engine.Components()
 	nk := parts.NumComponents()
 	newComps := make([]*component, nk)
-	newStale := make([]bool, nk)
 	carried := make(map[int]int, nk)
 	compOf := make([]int, n)
 	localIdx := make([]int32, n)
@@ -146,8 +141,8 @@ func (p *PMN) TopologyChanged(oldN, retiredCand int) (map[int]int, error) {
 		if ok && (retiredCand < 0 || !memberOf(oldComps[k0], retiredCand, oldN)) {
 			// Unchanged membership: carry the component, widening its
 			// universe-sized state in place. Feedback masks, store
-			// columns, probabilities, entropy, and cached gains are all
-			// still valid; only the ranking scratch (sized to the old
+			// columns, probabilities, entropy, and the cached tie set are
+			// all still valid; only the ranking scratch (sized to the old
 			// maxComp) is dropped.
 			c := oldComps[k0]
 			c.approved.Grow(n)
@@ -158,10 +153,8 @@ func (p *PMN) TopologyChanged(oldN, retiredCand int) (map[int]int, error) {
 				local = localIdx
 			}
 			c.inf.Grow(n, local)
-			c.rankScratch = nil
 			c.topScratch = nil
 			newComps[k] = c
-			newStale[k] = oldStale[k0]
 			carried[k] = k0
 			continue
 		}
@@ -188,7 +181,6 @@ func (p *PMN) TopologyChanged(oldN, retiredCand int) (map[int]int, error) {
 		rebuilt = append(rebuilt, k)
 	}
 	p.comps = newComps
-	p.gainsStale = newStale
 
 	carriedOld := make(map[int]bool, len(carried))
 	//lint:sorted builds a membership set; insertion order cannot affect it
@@ -202,15 +194,6 @@ func (p *PMN) TopologyChanged(oldN, retiredCand int) (map[int]int, error) {
 		}
 		p.emissions.Add(int64(c.inf.Refill()))
 		p.recomputeComp(k)
-		if c.rankScratch != nil {
-			c.rankScratch = nil
-		}
-	}
-	// Carried components keep scratch-free state too: the ranking
-	// scratch is sized to maxComp and the global assertion mask, both of
-	// which may have changed.
-	for _, c := range p.comps {
-		c.rankScratch = nil
 	}
 	return carried, nil
 }

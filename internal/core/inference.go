@@ -337,7 +337,7 @@ func (x *exactInference) Grow(n int, local []int32) {
 
 // exactBudget resolves Config.ExactBudget: under InferAuto, zero means
 // DefaultExactBudget; under forced InferExact, zero means unlimited
-// (the legacy exhaustive mode, which must not spuriously overflow).
+// (an unbounded enumeration must not spuriously overflow).
 func (p *PMN) exactBudget() int {
 	if p.cfg.ExactBudget == 0 && p.cfg.Inference == InferAuto {
 		return DefaultExactBudget

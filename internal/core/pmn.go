@@ -48,29 +48,14 @@ type Config struct {
 	// exact backend; the enumeration's search work is bounded
 	// proportionally, so an attempt costs O(budget) regardless of the
 	// component's instance space. 0 means DefaultExactBudget under
-	// InferAuto and *unlimited* under InferExact (the legacy exhaustive
-	// mode, which never overflows).
+	// InferAuto and *unlimited* under InferExact (which then never
+	// overflows).
 	ExactBudget int
-	// Workers bounds the goroutines of the information-gain ranking
-	// pass (InformationGains) and of the lazy top-k ranker's
-	// intra-component sharding (see topk.go). 0 means
-	// runtime.GOMAXPROCS(0); 1 forces a sequential pass.
+	// Workers bounds the goroutines of the lazy top-k ranker's
+	// intra-component sharding (see topk.go) and of the exhaustive
+	// InformationGains pass. 0 means runtime.GOMAXPROCS(0); 1 forces a
+	// sequential pass.
 	Workers int
-	// ExhaustiveRank disables the lazy bound-pruned top-k suggestion
-	// ranking: Suggest-facing paths fall back to the legacy exhaustive
-	// per-component gain pass (EnsureComponentGains /
-	// InformationGains). The two paths produce bit-identical
-	// suggestions, tie sets, and gain values — the lazy ranker prunes
-	// only candidates whose upper bound proves they cannot reach the
-	// maximum (see DESIGN.md, "Lazy top-k ranking") — so the switch
-	// exists for differential testing and as an escape hatch.
-	ExhaustiveRank bool
-	// Monolithic disables component decomposition: the whole network is
-	// one sample space, as in the paper's Algorithm 1. The decomposed
-	// and monolithic paths are equivalent (identical probabilities under
-	// Exact, statistically equivalent estimates when sampling); the
-	// switch exists for differential testing and debugging.
-	Monolithic bool
 }
 
 // DefaultConfig returns the sampling-based configuration used by the
@@ -116,14 +101,10 @@ type component struct {
 	// the component further, so a too-big component does not re-burn its
 	// budgeted enumeration probe on every assertion.
 	promoteBar int
-	// rankScratch is reused by EnsureComponentGains; owned by the
-	// component (used only under the component's lock in concurrent
-	// serving), so the eager per-assertion re-rank does not re-allocate.
-	rankScratch *igScratch
 
 	// Lazy top-k ranking state (see topk.go). topTies/topGain cache the
 	// component's maximal-gain tie set; topFresh is its validity bit,
-	// cleared wherever gainsStale is set. The drift fields back the
+	// cleared whenever the component's probabilities are recomputed. The drift fields back the
 	// ranker's "previous gain plus delta" upper bound: driftTotal
 	// accumulates a provable per-pair mutual-information drift bound as
 	// assertions reshape the component's sample distribution, and
@@ -162,8 +143,9 @@ func (c *component) isAsserted(cand int) bool {
 // sample store, an assertion only ever pays for its own component —
 // view maintenance, resampling, and probability recomputation are
 // O(component), not O(network) — and the network entropy is the sum of
-// cached per-component terms. Config.Monolithic restores the single
-// global sample space.
+// cached per-component terms. A network whose constraints connect every
+// candidate (a trivial partition) is one whole-universe component: the
+// paper's single global sample space.
 type PMN struct {
 	engine    *constraints.Engine
 	cfg       Config
@@ -176,13 +158,6 @@ type PMN struct {
 	maxComp   int          // size of the largest component (scratch sizing)
 	resamples atomic.Int64 // post-construction refill rounds (observability)
 	emissions atomic.Int64 // walk emissions requested, incl. initial fill
-
-	// gains caches IG(c) per candidate. Information gain is
-	// component-local (see InformationGain), so an assertion staleness-
-	// marks only its own component and the ranking pass re-ranks just
-	// that component's members — the others' cached gains stay valid.
-	gains      []float64
-	gainsStale []bool // per component
 
 	// topoSeed/topoGen derive the deterministic sampler streams of
 	// components rebuilt by topology changes (see TopologyChanged):
@@ -237,7 +212,7 @@ func New(engine *constraints.Engine, cfg Config, rng *rand.Rand) (*PMN, error) {
 	var streams []stream
 
 	parts := engine.Components()
-	if cfg.Monolithic || parts.Trivial() {
+	if parts.Trivial() {
 		// One component covering the whole universe: nil members/mask
 		// select the unrestricted code paths everywhere, and the shared
 		// session rng keeps the sampling stream identical to the
@@ -285,8 +260,6 @@ func New(engine *constraints.Engine, cfg Config, rng *rand.Rand) (*PMN, error) {
 		}
 	}
 
-	p.gains = make([]float64, n)
-	p.gainsStale = make([]bool, len(p.comps))
 	for k, c := range p.comps {
 		inf, err := p.newInference(k, c, scfgs[k], streams[k])
 		if err != nil {
@@ -318,7 +291,7 @@ func (p *PMN) Network() *schema.Network { return p.engine.Network() }
 func (p *PMN) Engine() *constraints.Engine { return p.engine }
 
 // NumComponents returns the number of constraint-connected components
-// the PMN is decomposed into (1 when monolithic).
+// the PMN is decomposed into (1 for a trivial partition).
 func (p *PMN) NumComponents() int { return len(p.comps) }
 
 // ComponentOf returns the component index of candidate c.
@@ -356,7 +329,7 @@ func (p *PMN) ComponentMasks() []*bitset.Set {
 }
 
 // Store returns the sample set Ω* when the PMN consists of a single
-// component (always true under Config.Monolithic) and nil otherwise —
+// component (always true for a trivial partition) and nil otherwise —
 // a decomposed PMN has one store per component; use ComponentStores.
 func (p *PMN) Store() *sampling.Store {
 	if len(p.comps) == 1 {
@@ -367,22 +340,6 @@ func (p *PMN) Store() *sampling.Store {
 
 // Feedback returns the user input collected so far.
 func (p *PMN) Feedback() *Feedback { return p.feedback }
-
-// InvalidateGains marks every component's cached information gains
-// stale, forcing the next InformationGains call to re-rank the whole
-// network. Normal operation never needs this — assertions invalidate
-// their own component — it exists so benchmarks and tests can measure
-// or exercise a full cold ranking pass.
-func (p *PMN) InvalidateGains() {
-	for k := range p.gainsStale {
-		p.gainsStale[k] = true
-		p.comps[k].topFresh = false
-	}
-}
-
-// ExhaustiveRank reports whether the lazy top-k suggestion ranking is
-// disabled (Config.ExhaustiveRank).
-func (p *PMN) ExhaustiveRank() bool { return p.cfg.ExhaustiveRank }
 
 // Resamples returns the number of post-construction refill rounds
 // (component-scoped; one batch assertion triggers at most one per
@@ -412,10 +369,9 @@ func (p *PMN) LocalIndex(c int) int {
 
 // recomputeComp refreshes component k's slice of P from its store,
 // overriding asserted candidates with 1/0 (assertions are always right,
-// §II-B), refreshes the cached entropy term H_k, and staleness-marks
-// the component's cached information gains.
+// §II-B), refreshes the cached entropy term H_k, and invalidates the
+// component's cached top-k tie set.
 func (p *PMN) recomputeComp(k int) {
-	p.gainsStale[k] = true
 	c := p.comps[k]
 	c.topFresh = false
 	c.store().ProbabilitiesInto(p.probs)
@@ -494,11 +450,11 @@ func (p *PMN) RecordAssertion(c int, approve bool) error {
 // already recorded with RecordAssertion: each assertion is mirrored
 // into the component's feedback masks and view-maintained in order, the
 // store is refilled at most once if any step left it below n_min, and
-// the component's probabilities, entropy term, and gain staleness are
+// the component's probabilities, entropy term, and cached tie set are
 // refreshed. Every candidate must belong to component k.
 //
 // ApplyAssertions touches only component k's state (plus the
-// component-disjoint entries of the probability and gain vectors), so
+// component-disjoint entries of the probability vector), so
 // calls for different components may run concurrently; calls for the
 // same component must be serialized by the caller.
 func (p *PMN) ApplyAssertions(k int, as []Assertion) {

@@ -27,7 +27,7 @@ type ComponentSnapshot struct {
 	// (mirrors InfoGainStrategy's degradation to random).
 	unasserted []int
 	// ranked records whether best/bestGain were computed from a fresh
-	// gain ranking (SnapshotComponent) or skipped entirely
+	// gain ranking (SnapshotComponentTop) or skipped entirely
 	// (SnapshotComponentProbs). Carrying the flag on the snapshot makes
 	// flag and data change hands in one atomic pointer swap — a
 	// publisher cannot expose a probs-only snapshot that readers mistake
@@ -55,41 +55,28 @@ func (s *ComponentSnapshot) Unasserted() []int { return s.unasserted }
 // readers must re-rank before consuming Best.
 func (s *ComponentSnapshot) Ranked() bool { return s.ranked }
 
-// SnapshotComponent builds a fresh immutable snapshot of component k,
-// re-ranking the component's information gains first if they are stale.
-// Like ApplyAssertions, it reads only component-local state (plus the
-// component's entries of the probability and gain vectors), so calls
-// for different components may run concurrently; calls for the same
-// component must be serialized with that component's maintenance.
-func (p *PMN) SnapshotComponent(k int) *ComponentSnapshot {
-	p.EnsureComponentGains(k)
-	return p.snapshot(k, true)
-}
-
 // SnapshotComponentProbs builds a probabilities/entropy/unasserted-only
 // snapshot of component k, skipping the gain re-rank entirely — the
 // cheap publication a write path uses to keep probability and
 // uncertainty reads fresh while deferring ranking work to the next
 // suggestion (see ConcurrentSession). Its Best reports an empty tie
-// set and Ranked reports false. Serialization requirements are those
-// of SnapshotComponent.
+// set and Ranked reports false. Like ApplyAssertions, it reads only
+// component-local state (plus the component's entries of the
+// probability vector), so calls for different components may run
+// concurrently; calls for the same component must be serialized with
+// that component's maintenance.
 func (p *PMN) SnapshotComponentProbs(k int) *ComponentSnapshot {
-	return p.snapshot(k, false)
+	return p.snapshot(k)
 }
 
 // SnapshotComponentTop builds a ranked snapshot of component k through
-// the lazy bound-pruned top-k evaluator (TopGains) instead of a full
-// gain re-rank: Best carries the exact exhaustive tie set, but members
-// whose gain bound was dominated were never evaluated and the full gain
-// vector stays stale. Under Config.ExhaustiveRank it falls back to
-// SnapshotComponent. Serialization requirements are those of
-// SnapshotComponent.
+// the lazy bound-pruned top-k evaluator (TopGains): Best carries the
+// exact exhaustive tie set, though members whose gain bound was
+// dominated were never evaluated. Serialization requirements are those
+// of SnapshotComponentProbs.
 func (p *PMN) SnapshotComponentTop(k int) *ComponentSnapshot {
-	if p.cfg.ExhaustiveRank {
-		return p.SnapshotComponent(k)
-	}
 	ties, gain := p.TopGains(k)
-	snap := p.snapshot(k, false)
+	snap := p.snapshot(k)
 	snap.ranked = true
 	snap.bestGain = gain
 	if len(ties) > 0 {
@@ -100,28 +87,14 @@ func (p *PMN) SnapshotComponentTop(k int) *ComponentSnapshot {
 	return snap
 }
 
-func (p *PMN) snapshot(k int, withGains bool) *ComponentSnapshot {
+func (p *PMN) snapshot(k int) *ComponentSnapshot {
 	cp := p.comps[k]
 	net := p.Network()
-	snap := &ComponentSnapshot{entropy: cp.entropy, bestGain: -1, ranked: withGains}
+	snap := &ComponentSnapshot{entropy: cp.entropy, bestGain: -1}
 	collect := func(j, c int) {
 		snap.probs[j] = p.probs[c]
-		if cp.isAsserted(c) || net.Retired(c) {
-			return
-		}
-		snap.unasserted = append(snap.unasserted, c)
-		if !withGains {
-			return
-		}
-		if pc := p.probs[c]; pc > 0 && pc < 1 {
-			switch g := p.gains[c]; {
-			case g > snap.bestGain:
-				snap.bestGain = g
-				snap.best = snap.best[:0]
-				snap.best = append(snap.best, c)
-			case g == snap.bestGain:
-				snap.best = append(snap.best, c)
-			}
+		if !cp.isAsserted(c) && !net.Retired(c) {
+			snap.unasserted = append(snap.unasserted, c)
 		}
 	}
 	if cp.members == nil {

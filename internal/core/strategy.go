@@ -78,36 +78,13 @@ func (InfoGainStrategy) Name() string { return "info-gain" }
 
 // Next implements Strategy.
 func (InfoGainStrategy) Next(p *PMN, rng *rand.Rand) (int, bool) {
-	if !p.cfg.ExhaustiveRank {
-		// Lazy bound-pruned ranking: TopGainTies returns exactly the tie
-		// set the exhaustive scan below would collect (same ascending
-		// order), so the single uniform draw consumes the same rng state.
-		ties, _ := p.TopGainTies()
-		if len(ties) == 0 {
-			return fallback(p, rng)
-		}
-		return ties[rng.Intn(len(ties))], true
-	}
-	u := uncertainUnasserted(p)
-	if len(u) == 0 {
+	// Lazy bound-pruned ranking: TopGainTies returns exactly the tie set
+	// an exhaustive argmax scan over InformationGains would collect (same
+	// ascending order), so the single uniform draw consumes the same rng
+	// state.
+	ties, _ := p.TopGainTies()
+	if len(ties) == 0 {
 		return fallback(p, rng)
-	}
-	// One batched (parallel, columnar) ranking pass instead of a
-	// per-candidate InformationGain call: this is the per-step cost the
-	// expert waits on.
-	gains := p.InformationGains()
-	best := -1.0
-	var ties []int
-	for _, c := range u {
-		ig := gains[c]
-		switch {
-		case ig > best:
-			best = ig
-			ties = ties[:0]
-			ties = append(ties, c)
-		case ig == best:
-			ties = append(ties, c)
-		}
 	}
 	return ties[rng.Intn(len(ties))], true
 }

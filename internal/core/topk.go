@@ -48,8 +48,8 @@ import (
 // *exactly* those of the exhaustive pass, and the per-candidate
 // arithmetic is bit-identical (see partitionEntropySubset). Components
 // whose cached entropy term H_k cannot reach the network-wide best are
-// skipped wholesale by TopGainTies. Config.ExhaustiveRank routes
-// everything back through the legacy full pass.
+// skipped wholesale by TopGainTies. InformationGains is the exhaustive
+// reference the tests hold this ranker to.
 
 const (
 	// topkBlock is how many candidates one lazy round evaluates before
@@ -202,56 +202,15 @@ func (cp *component) recordEval(j int, g float64, m int) {
 // they share, or (nil, -1) when no such member exists — exactly the
 // Best of a freshly ranked snapshot. The result is cached on the
 // component until the next assertion invalidates it. The returned slice
-// must not be mutated. Serialization requirements are those of
-// EnsureComponentGains.
+// must not be mutated. Like ApplyAssertions, it touches only component
+// k's state, so calls for different components may run concurrently;
+// calls for the same component must be serialized by the caller.
 func (p *PMN) TopGains(k int) ([]int, float64) {
 	cp := p.comps[k]
 	if cp.topFresh {
 		return cp.topTies, cp.topGain
 	}
-	if !p.gainsStale[k] || p.cfg.ExhaustiveRank {
-		// A valid full gain vector (or the exhaustive escape hatch, which
-		// refreshes one) already holds every member's gain; derive the
-		// tie set by the same ascending scan the ranked snapshot uses.
-		p.EnsureComponentGains(k)
-		return p.topFromGains(k)
-	}
 	return p.computeTopGains(k)
-}
-
-// topFromGains derives the cached tie set from the component's slice of
-// the (fresh) full gain vector.
-func (p *PMN) topFromGains(k int) ([]int, float64) {
-	cp := p.comps[k]
-	net := p.Network()
-	best := -1.0
-	ties := cp.topTies[:0]
-	scan := func(c int) {
-		if pc := p.probs[c]; pc <= 0 || pc >= 1 {
-			return
-		}
-		if cp.isAsserted(c) || net.Retired(c) {
-			return
-		}
-		switch g := p.gains[c]; {
-		case g > best:
-			best = g
-			ties = append(ties[:0], c)
-		case g == best:
-			ties = append(ties, c)
-		}
-	}
-	if cp.members == nil {
-		for c := range p.probs {
-			scan(c)
-		}
-	} else {
-		for _, c := range cp.members {
-			scan(c)
-		}
-	}
-	cp.topTies, cp.topGain, cp.topFresh = ties, best, true
-	return ties, best
 }
 
 // computeTopGains is the lazy bound-pruned evaluation of one stale

@@ -9,10 +9,11 @@ import (
 	"schemanet/internal/schema"
 )
 
-// topkTestPMNs builds two PMNs over the same synthetic network with
-// identical seeds — one on the lazy bound-pruned ranking path, one on
-// the exhaustive escape hatch — so any divergence between them is a
-// pruning bug, not noise.
+// topkTestPMNs builds two identical PMNs over the same synthetic
+// network with identical seeds — one ranked through the lazy
+// bound-pruned path, one through the exhaustive InformationGains scan
+// (exhaustiveTies) — so any divergence between them is a pruning bug,
+// not noise.
 func topkTestPMNs(t testing.TB, seed int64, mutate func(*Config)) (pruned, exhaustive *PMN, d *schema.Dataset) {
 	t.Helper()
 	ds, err := datagen.SyntheticNetwork(datagen.MultiComp(), datagen.SyntheticOpts{
@@ -26,16 +27,14 @@ func topkTestPMNs(t testing.TB, seed int64, mutate func(*Config)) (pruned, exhau
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	exCfg := cfg
-	exCfg.ExhaustiveRank = true
 	pruned = MustNew(constraints.Default(ds.Network), cfg, rand.New(rand.NewSource(seed+1)))
-	exhaustive = MustNew(constraints.Default(ds.Network), exCfg, rand.New(rand.NewSource(seed+1)))
+	exhaustive = MustNew(constraints.Default(ds.Network), cfg, rand.New(rand.NewSource(seed+1)))
 	return pruned, exhaustive, ds
 }
 
-// exhaustiveTies reproduces the legacy InfoGainStrategy scan: the
-// maximal gain over the uncertain unasserted candidates and its full
-// ascending tie set, straight from the exhaustive gain vector.
+// exhaustiveTies is the exhaustive ranking oracle: the maximal gain
+// over the uncertain unasserted candidates and its full ascending tie
+// set, straight from the exhaustive gain vector.
 func exhaustiveTies(p *PMN) ([]int, float64) {
 	gains := p.InformationGains()
 	best := -1.0
@@ -192,18 +191,32 @@ func TestDeltaBoundSound(t *testing.T) {
 	}
 }
 
+// exhaustiveStrategy is InfoGainStrategy on the exhaustive oracle: the
+// uniform tie-break draw over exhaustiveTies, with the same fallback.
+type exhaustiveStrategy struct{}
+
+func (exhaustiveStrategy) Name() string { return "info-gain-exhaustive" }
+
+func (exhaustiveStrategy) Next(p *PMN, rng *rand.Rand) (int, bool) {
+	ties, _ := exhaustiveTies(p)
+	if len(ties) == 0 {
+		return fallback(p, rng)
+	}
+	return ties[rng.Intn(len(ties))], true
+}
+
 // TestInfoGainStrategyPrunedTrajectory runs the full strategy (with its
-// tie-break rng) on both ranking paths and demands identical suggestion
-// sequences — the rng draw counts must line up exactly, not just the
-// winners.
+// tie-break rng) against the exhaustive oracle strategy and demands
+// identical suggestion sequences — the rng draw counts must line up
+// exactly, not just the winners.
 func TestInfoGainStrategyPrunedTrajectory(t *testing.T) {
 	pr, ex, d := topkTestPMNs(t, 17, nil)
 	prRng := rand.New(rand.NewSource(99))
 	exRng := rand.New(rand.NewSource(99))
-	strat := InfoGainStrategy{}
+	var strat, oracle Strategy = InfoGainStrategy{}, exhaustiveStrategy{}
 	for step := 0; step < 200; step++ {
 		pc, pok := strat.Next(pr, prRng)
-		ec, eok := strat.Next(ex, exRng)
+		ec, eok := oracle.Next(ex, exRng)
 		if pc != ec || pok != eok {
 			t.Fatalf("step %d: pruned suggests (%d,%v), exhaustive (%d,%v)", step, pc, pok, ec, eok)
 		}

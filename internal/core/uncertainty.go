@@ -98,67 +98,6 @@ func (p *PMN) assertedMask() []bool {
 	return out
 }
 
-// componentAsserted refreshes a universe-sized asserted mask from one
-// component's feedback masks instead of the global history: the ranking
-// pass only ever probes member indices, and the component masks are
-// readable under the component's own lock — no PMN-global state is
-// touched, which is what lets a concurrent serving layer re-rank one
-// component while another component's feedback is being recorded.
-func (p *PMN) componentAsserted(cp *component, out []bool) []bool {
-	if out == nil {
-		out = make([]bool, len(p.probs))
-	} else if cp.members == nil {
-		clear(out)
-	} else {
-		// Only member entries can be set; resetting just those keeps the
-		// refresh O(component).
-		for _, c := range cp.members {
-			out[c] = false
-		}
-	}
-	mark := func(c int) bool { out[c] = true; return true }
-	cp.approved.ForEach(mark)
-	cp.disapproved.ForEach(mark)
-	return out
-}
-
-// EnsureComponentGains re-ranks component k's cached information gains
-// if an assertion staleness-marked them. The pass is sequential (the
-// concurrent serving layer draws its parallelism from components, not
-// from within one component) and reads only component-local state, so
-// calls for different components may run concurrently; calls for the
-// same component must be serialized by the caller. The serial
-// InformationGains path computes identical values.
-func (p *PMN) EnsureComponentGains(k int) {
-	if !p.gainsStale[k] {
-		return
-	}
-	cp := p.comps[k]
-	if cp.rankScratch == nil {
-		cp.rankScratch = p.newScratch(nil)
-	}
-	s := cp.rankScratch
-	s.asserted = p.componentAsserted(cp, s.asserted)
-	rank := func(c int) {
-		p.gains[c] = 0
-		if pc := p.probs[c]; pc > 0 && pc < 1 {
-			if ig := cp.entropy - p.condEntropyComp(cp, c, s); ig > 0 {
-				p.gains[c] = ig
-			}
-		}
-	}
-	if cp.members == nil {
-		for c := range p.probs {
-			rank(c)
-		}
-	} else {
-		for _, c := range cp.members {
-			rank(c)
-		}
-	}
-	p.gainsStale[k] = false
-}
-
 // condEntropyComp computes the component-local part of H(C | c, P) of
 // Equation 4 — the expected uncertainty of c's component after the
 // expert asserts c — from one batched columnar count pass over the
@@ -290,43 +229,23 @@ func (p *PMN) InformationGain(c int) float64 {
 // count pass), so small chunks balance well without contention.
 const igChunk = 8
 
-// InformationGains returns IG(c) for every candidate. Information gain
-// is component-local, so the PMN caches the gain vector and an
-// assertion staleness-marks only its own component: each call re-ranks
-// just the stale components' uncertain members — O(touched component),
-// not O(network), per pay-as-you-go step — sharding them across
-// Config.Workers goroutines (default GOMAXPROCS). The per-candidate
-// computations read only the owning component's columnar matrix and
-// the probability vector, so workers never contend.
+// InformationGains returns IG(c) for every candidate: one full,
+// uncached pass over every uncertain candidate, sharded across
+// Config.Workers goroutines (default GOMAXPROCS). It is the exhaustive
+// reference for the lazy top-k ranker (TopGainTies), which serves
+// Suggest; it reads the stores and the probability vector and touches
+// no ranker state, so calling it never changes what TopGains returns
+// or how it gets there. The per-candidate computations read only the
+// owning component's columnar matrix, so workers never contend.
 func (p *PMN) InformationGains() []float64 {
-	// Collect the uncertain members of stale components, resetting the
-	// stale components' cached gains (certain candidates rank 0).
+	out := make([]float64, len(p.probs))
 	var pending []int
-	for k, comp := range p.comps {
-		if !p.gainsStale[k] {
-			continue
+	for c, pc := range p.probs {
+		if pc > 0 && pc < 1 {
+			pending = append(pending, c)
 		}
-		reset := func(c int) {
-			p.gains[c] = 0
-			if pc := p.probs[c]; pc > 0 && pc < 1 {
-				pending = append(pending, c)
-			}
-		}
-		if comp.members == nil {
-			for c := range p.probs {
-				reset(c)
-			}
-		} else {
-			for _, c := range comp.members {
-				reset(c)
-			}
-		}
-		p.gainsStale[k] = false
 	}
-
-	out := make([]float64, len(p.gains))
 	if len(pending) == 0 {
-		copy(out, p.gains)
 		return out
 	}
 
@@ -342,7 +261,7 @@ func (p *PMN) InformationGains() []float64 {
 	rank := func(s *igScratch, c int) {
 		comp := p.comps[p.compOf[c]]
 		if ig := comp.entropy - p.condEntropyComp(comp, c, s); ig > 0 {
-			p.gains[c] = ig
+			out[c] = ig
 		}
 	}
 	if workers <= 1 {
@@ -350,31 +269,30 @@ func (p *PMN) InformationGains() []float64 {
 		for _, c := range pending {
 			rank(s, c)
 		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				s := p.newScratch(asserted)
-				for {
-					lo := int(next.Add(igChunk)) - igChunk
-					if lo >= len(pending) {
-						return
-					}
-					hi := lo + igChunk
-					if hi > len(pending) {
-						hi = len(pending)
-					}
-					for _, c := range pending[lo:hi] {
-						rank(s, c)
-					}
-				}
-			}()
-		}
-		wg.Wait()
+		return out
 	}
-	copy(out, p.gains)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := p.newScratch(asserted)
+			for {
+				lo := int(next.Add(igChunk)) - igChunk
+				if lo >= len(pending) {
+					return
+				}
+				hi := lo + igChunk
+				if hi > len(pending) {
+					hi = len(pending)
+				}
+				for _, c := range pending[lo:hi] {
+					rank(s, c)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 	return out
 }

@@ -191,11 +191,6 @@ type Options struct {
 	// 0 means a built-in default under "auto" and unlimited under
 	// "exact". Negative values are rejected by NewSession.
 	ExactBudget int
-	// Exact is the legacy switch for Inference: "exact" with an
-	// unbounded budget — exact probabilities per Equation 1, feasible
-	// only for small networks. Setting both Exact and a conflicting
-	// Inference string is an error.
-	Exact bool
 	// InstantiateIterations bounds the local search of Instantiate
 	// (default 200).
 	InstantiateIterations int
@@ -203,39 +198,17 @@ type Options struct {
 	// the paper's heuristic), "random" (no-tool baseline),
 	// "least-certain", or "by-confidence".
 	Strategy string
-	// Workers bounds the goroutines of the information-gain ranking
-	// pass that backs Suggest — both the global pass and the
-	// intra-component sharding of the lazy top-k evaluator. 0 uses all
-	// CPUs (GOMAXPROCS); 1 forces a sequential pass. Assertions and
-	// instantiation are unaffected.
+	// Workers bounds the goroutines of the lazy top-k evaluator's
+	// intra-component sharding, the ranking that backs Suggest, and the
+	// worker pool of ConcurrentSession.AssertBatch. 0 uses all CPUs
+	// (GOMAXPROCS); 1 forces a sequential pass. Probabilities and
+	// suggestions do not depend on it.
 	Workers int
-	// ExhaustiveRank disables the lazy bound-pruned top-k suggestion
-	// ranking and restores the legacy exhaustive gain pass. The two
-	// paths return bit-identical suggestions, tie sets, and gain values
-	// (see DESIGN.md, "Lazy top-k ranking"); the switch exists for
-	// differential testing and as an escape hatch.
-	ExhaustiveRank bool
 	// ExclusivePairs declares attribute pairs that must never be matched
 	// together (a custom MutualExclusion constraint on top of the
-	// paper's Γ).
+	// paper's Γ). Each pair must name two attributes of the network;
+	// NewSession rejects an out-of-range entry.
 	ExclusivePairs [][2]AttrID
-	// InterpretedConstraints switches the session to the interpreted
-	// reference constraint engine instead of the compiled conflict index
-	// (see DESIGN.md, "Compiled conflict index"). The two are
-	// equivalent; the interpreted path exists for debugging and
-	// differential testing and is markedly slower. It also disables
-	// component decomposition (the partition is derived from the
-	// compiled index).
-	InterpretedConstraints bool
-	// Monolithic disables component decomposition: the probabilistic
-	// matching network keeps one global sample space instead of one per
-	// constraint-connected component (see DESIGN.md, "Component
-	// decomposition"). The two paths are equivalent — identical
-	// probabilities under Exact, statistically equivalent estimates when
-	// sampling — but the decomposed path makes each assertion pay only
-	// for its own component. The switch exists for differential testing
-	// and debugging.
-	Monolithic bool
 	// Seed makes the session deterministic.
 	Seed int64
 }
@@ -289,27 +262,17 @@ func (o *Options) validate() error {
 	return nil
 }
 
-// inferenceMode resolves the Inference string and the legacy Exact
-// switch into the core mode.
+// inferenceMode resolves the Inference string into the core mode.
 func (o *Options) inferenceMode() (core.InferenceMode, error) {
-	var mode core.InferenceMode
 	switch o.Inference {
 	case "", "auto":
-		mode = core.InferAuto
+		return core.InferAuto, nil
 	case "sampled":
-		mode = core.InferSampled
+		return core.InferSampled, nil
 	case "exact":
-		mode = core.InferExact
-	default:
-		return 0, fmt.Errorf("schemanet: unknown inference mode %q (want \"auto\", \"sampled\", or \"exact\")", o.Inference)
+		return core.InferExact, nil
 	}
-	if o.Exact {
-		if o.Inference != "" && o.Inference != "exact" {
-			return 0, fmt.Errorf("schemanet: Options.Exact conflicts with Options.Inference = %q", o.Inference)
-		}
-		mode = core.InferExact
-	}
-	return mode, nil
+	return 0, fmt.Errorf("schemanet: unknown inference mode %q (want \"auto\", \"sampled\", or \"exact\")", o.Inference)
 }
 
 // Session is a pay-as-you-go reconciliation session over one network:
@@ -338,11 +301,6 @@ type Session struct {
 	workers  int   // Options.Workers, for the concurrent wrapper's pool
 	seed     int64 // Options.Seed, for derived deterministic streams
 
-	// monolithic/interpreted gate the topology mutators (AddSchema,
-	// AddCandidates, RetireCandidate): both switches disable the
-	// component machinery incremental topology maintenance rides on.
-	monolithic  bool
-	interpreted bool
 	// topoOps logs the session's topology mutations interleaved with the
 	// assertion history (each op records the history length at the time
 	// it was applied), so Save can serialize and LoadSession replay the
@@ -383,12 +341,28 @@ func (s *Session) checkCandidate(c int) error {
 // correspondences and computes the initial probabilities. The returned
 // Session must be confined to one goroutine; see Session.
 func NewSession(net *Network, opts *Options) (*Session, error) {
+	return newSession(net, opts, constraints.NewEngine)
+}
+
+// newSession is NewSession over a chosen constraint engine constructor.
+// Production always compiles the conflict index (constraints.NewEngine);
+// the tests build reference sessions on constraints.NewInterpreted.
+func newSession(net *Network, opts *Options,
+	newEngine func(*Network, ...constraints.Constraint) *constraints.Engine) (*Session, error) {
 	if net.NumCandidates() == 0 {
 		return nil, fmt.Errorf("schemanet: network has no candidate correspondences; run Match first")
 	}
 	o := opts.withDefaults()
 	if err := o.validate(); err != nil {
 		return nil, err
+	}
+	na := net.NumAttributes()
+	for i, p := range o.ExclusivePairs {
+		for _, a := range p {
+			if a < 0 || int(a) >= na {
+				return nil, fmt.Errorf("schemanet: Options.ExclusivePairs[%d] = %v: attribute %d outside [0,%d)", i, p, a, na)
+			}
+		}
 	}
 	// The session owns a private copy of the network: the topology
 	// mutators (AddSchema, AddCandidates, RetireCandidate) grow it in
@@ -406,10 +380,6 @@ func NewSession(net *Network, opts *Options) (*Session, error) {
 	}
 	if len(cons) == 0 {
 		return nil, fmt.Errorf("schemanet: at least one constraint is required")
-	}
-	newEngine := constraints.NewEngine
-	if o.InterpretedConstraints {
-		newEngine = constraints.NewInterpreted
 	}
 	engine := newEngine(net, cons...)
 
@@ -445,8 +415,6 @@ func NewSession(net *Network, opts *Options) (*Session, error) {
 	cfg.Inference = mode
 	cfg.ExactBudget = o.ExactBudget
 	cfg.Workers = o.Workers
-	cfg.Monolithic = o.Monolithic
-	cfg.ExhaustiveRank = o.ExhaustiveRank
 
 	rng := rand.New(rand.NewSource(o.Seed))
 	pmn, err := core.New(engine, cfg, rng)
@@ -455,15 +423,13 @@ func NewSession(net *Network, opts *Options) (*Session, error) {
 	}
 	pmn.SetTopoSeed(o.Seed)
 	s := &Session{
-		engine:      engine,
-		pmn:         pmn,
-		strategy:    strat,
-		instCfg:     instantiate.DefaultConfig(),
-		rng:         rng,
-		workers:     o.Workers,
-		seed:        o.Seed,
-		monolithic:  o.Monolithic,
-		interpreted: o.InterpretedConstraints,
+		engine:   engine,
+		pmn:      pmn,
+		strategy: strat,
+		instCfg:  instantiate.DefaultConfig(),
+		rng:      rng,
+		workers:  o.Workers,
+		seed:     o.Seed,
 	}
 	s.instCfg.Iterations = o.InstantiateIterations
 	return s, nil
@@ -530,15 +496,13 @@ func (s *Session) Describe(c int) string {
 }
 
 // Components returns how many constraint-connected components the
-// probabilistic matching network decomposes into (1 under
-// Options.Monolithic or Options.InterpretedConstraints). Assertions
-// only ever pay for their own component; many small components mean
-// cheap assertions.
+// probabilistic matching network decomposes into (1 when the
+// constraints connect every candidate). Assertions only ever pay for
+// their own component; many small components mean cheap assertions.
 func (s *Session) Components() int { return s.pmn.NumComponents() }
 
 // ComponentOf returns the index of the constraint-connected component
-// candidate c belongs to (always 0 under Options.Monolithic or
-// Options.InterpretedConstraints). Callers routing work across
+// candidate c belongs to. Callers routing work across
 // components — e.g. building a component-disjoint assertion schedule
 // for ConcurrentSession — use it to group candidates. It returns
 // ErrUnknownCandidate (wrapped) for an out-of-universe c.

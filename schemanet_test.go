@@ -49,7 +49,7 @@ func videoNet(t testing.TB) (*schemanet.Network, *schemanet.Matching) {
 
 func TestSessionEndToEnd(t *testing.T) {
 	net, truth := videoNet(t)
-	s, err := schemanet.NewSession(net, &schemanet.Options{Exact: true, Seed: 1})
+	s, err := schemanet.NewSession(net, &schemanet.Options{Inference: "exact", Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestSessionEndToEnd(t *testing.T) {
 
 func TestSessionInstantiateBeforeAnyFeedback(t *testing.T) {
 	net, _ := videoNet(t)
-	s, err := schemanet.NewSession(net, &schemanet.Options{Exact: true, Seed: 2})
+	s, err := schemanet.NewSession(net, &schemanet.Options{Inference: "exact", Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestSessionRequiresConstraints(t *testing.T) {
 
 func TestSessionDescribe(t *testing.T) {
 	net, _ := videoNet(t)
-	s, err := schemanet.NewSession(net, &schemanet.Options{Exact: true})
+	s, err := schemanet.NewSession(net, &schemanet.Options{Inference: "exact"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestSessionDescribe(t *testing.T) {
 
 func TestSessionDoubleAssertFails(t *testing.T) {
 	net, _ := videoNet(t)
-	s, err := schemanet.NewSession(net, &schemanet.Options{Exact: true})
+	s, err := schemanet.NewSession(net, &schemanet.Options{Inference: "exact"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestSessionRejectsInvalidOptions(t *testing.T) {
 	}
 	// Valid positive values still pass.
 	if _, err := schemanet.NewSession(net, &schemanet.Options{
-		Samples: 50, Workers: 2, StagnationLimit: 64, Exact: true,
+		Samples: 50, Workers: 2, StagnationLimit: 64, Inference: "exact",
 	}); err != nil {
 		t.Fatalf("valid options rejected: %v", err)
 	}
@@ -191,7 +191,7 @@ func TestSessionRejectsInvalidOptions(t *testing.T) {
 // bare index-out-of-range.
 func TestSessionUnknownCandidate(t *testing.T) {
 	net, _ := videoNet(t)
-	s, err := schemanet.NewSession(net, &schemanet.Options{Exact: true, Seed: 6})
+	s, err := schemanet.NewSession(net, &schemanet.Options{Inference: "exact", Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestMatchThroughFacade(t *testing.T) {
 func TestSessionStrategyOption(t *testing.T) {
 	net, truth := videoNet(t)
 	for _, name := range []string{"", "info-gain", "random", "least-certain", "by-confidence"} {
-		s, err := schemanet.NewSession(net, &schemanet.Options{Exact: true, Strategy: name, Seed: 4})
+		s, err := schemanet.NewSession(net, &schemanet.Options{Inference: "exact", Strategy: name, Seed: 4})
 		if err != nil {
 			t.Fatalf("strategy %q: %v", name, err)
 		}
@@ -278,7 +278,7 @@ func TestSessionExclusivePairs(t *testing.T) {
 	// 2 releaseDate, 3 screenDate) exclusive with screenDate forbids
 	// instances covering both.
 	s, err := schemanet.NewSession(net, &schemanet.Options{
-		Exact:          true,
+		Inference:      "exact",
 		Seed:           5,
 		ExclusivePairs: [][2]schemanet.AttrID{{2, 3}},
 	})
@@ -301,6 +301,41 @@ func TestSessionExclusivePairs(t *testing.T) {
 	}
 	if coversRelease && coversScreen {
 		t.Fatalf("instantiation covers both exclusive attributes: %v", trusted.Pairs())
+	}
+}
+
+// TestExclusivePairsOutOfRangeRejected: an ExclusivePairs entry naming
+// an attribute outside the network must come back as an error naming
+// the offending entry — from both constructors, before any constraint
+// is compiled — never as an index panic. A valid pair is still
+// accepted.
+func TestExclusivePairsOutOfRangeRejected(t *testing.T) {
+	net, _ := videoNet(t) // attributes 0..3
+	for _, tc := range []struct {
+		name  string
+		pairs [][2]schemanet.AttrID
+		entry string // "" = must be accepted
+	}{
+		{"valid", [][2]schemanet.AttrID{{2, 3}}, ""},
+		{"too-large", [][2]schemanet.AttrID{{2, 999}}, "Options.ExclusivePairs[0]"},
+		{"negative", [][2]schemanet.AttrID{{-1, 2}}, "Options.ExclusivePairs[0]"},
+		{"one-past-end", [][2]schemanet.AttrID{{0, 1}, {4, 0}}, "Options.ExclusivePairs[1]"},
+	} {
+		opts := &schemanet.Options{Seed: 1, ExclusivePairs: tc.pairs}
+		_, errPlain := schemanet.NewSession(net, opts)
+		_, errConc := schemanet.NewConcurrentSession(net, opts)
+		for _, r := range []struct {
+			surface string
+			err     error
+		}{{"NewSession", errPlain}, {"NewConcurrentSession", errConc}} {
+			surface, err := r.surface, r.err
+			switch {
+			case tc.entry == "" && err != nil:
+				t.Errorf("%s/%s: %v, want accepted", tc.name, surface, err)
+			case tc.entry != "" && (err == nil || !strings.Contains(err.Error(), tc.entry)):
+				t.Errorf("%s/%s: err = %v, want it to name %s", tc.name, surface, err, tc.entry)
+			}
+		}
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 
 func TestSessionSaveLoadRoundTrip(t *testing.T) {
 	net, truth := videoNet(t)
-	opts := &schemanet.Options{Exact: true, Seed: 21}
+	opts := &schemanet.Options{Inference: "exact", Seed: 21}
 	s, err := schemanet.NewSession(net, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +55,7 @@ func TestSessionSaveLoadRoundTrip(t *testing.T) {
 
 func TestSessionSaveEmpty(t *testing.T) {
 	net, _ := videoNet(t)
-	s, err := schemanet.NewSession(net, &schemanet.Options{Exact: true})
+	s, err := schemanet.NewSession(net, &schemanet.Options{Inference: "exact"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestSessionSaveEmpty(t *testing.T) {
 	if err := s.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := schemanet.LoadSession(net, &schemanet.Options{Exact: true}, strings.NewReader(buf.String()))
+	restored, err := schemanet.LoadSession(net, &schemanet.Options{Inference: "exact"}, strings.NewReader(buf.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestLoadSessionErrors(t *testing.T) {
 			{"from":"EoverI.productionDate","to":"BBC.name","approved":true}]}`,
 	}
 	for name, js := range cases {
-		if _, err := schemanet.LoadSession(net, &schemanet.Options{Exact: true}, strings.NewReader(js)); err == nil {
+		if _, err := schemanet.LoadSession(net, &schemanet.Options{Inference: "exact"}, strings.NewReader(js)); err == nil {
 			t.Errorf("%s: want error", name)
 		}
 	}
@@ -118,7 +118,7 @@ func TestLoadSessionErrorContext(t *testing.T) {
 			[]string{"entry 1", "duplicate", "first at entry 0"}},
 	}
 	for _, tc := range cases {
-		_, err := schemanet.LoadSession(net, &schemanet.Options{Exact: true}, strings.NewReader(tc.in))
+		_, err := schemanet.LoadSession(net, &schemanet.Options{Inference: "exact"}, strings.NewReader(tc.in))
 		if err == nil {
 			t.Errorf("%s: want error", tc.name)
 			continue
@@ -169,7 +169,7 @@ func TestDuplicateSchemaNameRejected(t *testing.T) {
 	// The live mutator rejects a duplicate too, leaving the session
 	// usable.
 	net, _ := videoNet(t)
-	s, err := schemanet.NewSession(net, &schemanet.Options{Exact: true})
+	s, err := schemanet.NewSession(net, &schemanet.Options{Inference: "exact"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,11 +184,11 @@ func TestDuplicateSchemaNameRejected(t *testing.T) {
 
 // TestSessionSaveLoadMultiComponent: the round trip must reproduce
 // identical probabilities on a decomposed (multi-component) session
-// under Options.Exact, including replayed disapprovals that trigger
+// under exact inference, including replayed disapprovals that trigger
 // per-component re-enumeration.
 func TestSessionSaveLoadMultiComponent(t *testing.T) {
 	net, truth := multiVideoNet(t, 3)
-	opts := &schemanet.Options{Exact: true, Seed: 19}
+	opts := &schemanet.Options{Inference: "exact", Seed: 19}
 	s, err := schemanet.NewSession(net, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -102,7 +102,7 @@ func TestLoadSessionBatchRejectsDuplicateHistory(t *testing.T) {
 	js := `{"version":1,"history":[
 		{"from":"BBC.date","to":"DVDizzy.releaseDate","approved":true},
 		{"from":"BBC.date","to":"DVDizzy.releaseDate","approved":false}]}`
-	if _, err := LoadSession(net, &Options{Exact: true}, strings.NewReader(js)); err == nil {
+	if _, err := LoadSession(net, &Options{Inference: "exact"}, strings.NewReader(js)); err == nil {
 		t.Fatal("want error for duplicate history entries")
 	}
 }

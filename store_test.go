@@ -38,7 +38,7 @@ func (lc *logCapture) contains(frag string) bool {
 
 func TestStoreBasicDurability(t *testing.T) {
 	net, truth := videoNet(t)
-	opts := &schemanet.Options{Exact: true, Seed: 11}
+	opts := &schemanet.Options{Inference: "exact", Seed: 11}
 	fsys := wal.NewMemFS()
 	sopts := &schemanet.StoreOptions{Session: opts, FS: fsys, Logf: t.Logf}
 
@@ -188,7 +188,7 @@ func intendedRecords(net *schemanet.Network) []schemanet.AssertionRecord {
 // probabilities bit-identical to a never-crashed session.
 func TestStoreCrashAtEveryOp(t *testing.T) {
 	net, _ := videoNet(t)
-	opts := &schemanet.Options{Exact: true, Seed: 5}
+	opts := &schemanet.Options{Inference: "exact", Seed: 5}
 	intended := intendedRecords(net)
 	// Candidate index per intended record, for the replay check.
 	intendedCands := []int{0, 1, 2, 3, 4}
@@ -275,7 +275,7 @@ func TestStoreCrashAtEveryOp(t *testing.T) {
 // log through a compaction that persists it.
 func TestStoreFailedSyncSelfHeals(t *testing.T) {
 	net, _ := videoNet(t)
-	opts := &schemanet.Options{Exact: true, Seed: 3}
+	opts := &schemanet.Options{Inference: "exact", Seed: 3}
 	fsys := wal.NewMemFS()
 	lc := &logCapture{}
 	st, err := schemanet.OpenStore("store", net, &schemanet.StoreOptions{Session: opts, FS: fsys, Logf: lc.logf})
@@ -346,7 +346,7 @@ func TestStoreFailedSyncSelfHeals(t *testing.T) {
 // acknowledged record.
 func TestStoreShortWriteTornTail(t *testing.T) {
 	net, _ := videoNet(t)
-	opts := &schemanet.Options{Exact: true, Seed: 3}
+	opts := &schemanet.Options{Inference: "exact", Seed: 3}
 	fsys := wal.NewMemFS()
 	st, err := schemanet.OpenStore("store", net, &schemanet.StoreOptions{Session: opts, FS: fsys, Logf: t.Logf})
 	if err != nil {
@@ -402,7 +402,7 @@ func TestStoreShortWriteTornTail(t *testing.T) {
 // transparently with identical state.
 func TestStoreLRUEviction(t *testing.T) {
 	net, truth := videoNet(t)
-	opts := &schemanet.Options{Exact: true, Seed: 9}
+	opts := &schemanet.Options{Inference: "exact", Seed: 9}
 	fsys := wal.NewMemFS()
 	st, err := schemanet.OpenStore("store", net, &schemanet.StoreOptions{
 		Session: opts, FS: fsys, MaxOpen: 2, Logf: t.Logf,
@@ -461,7 +461,7 @@ func TestStoreClosedAndInvalidNames(t *testing.T) {
 	net, _ := videoNet(t)
 	fsys := wal.NewMemFS()
 	st, err := schemanet.OpenStore("store", net, &schemanet.StoreOptions{
-		Session: &schemanet.Options{Exact: true}, FS: fsys, Logf: t.Logf,
+		Session: &schemanet.Options{Inference: "exact"}, FS: fsys, Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -493,7 +493,7 @@ func TestStoreClosedAndInvalidNames(t *testing.T) {
 // memory, not in the WAL, not after a restart.
 func TestStoreBatchAtomicity(t *testing.T) {
 	net, _ := videoNet(t)
-	opts := &schemanet.Options{Exact: true, Seed: 2}
+	opts := &schemanet.Options{Inference: "exact", Seed: 2}
 	fsys := wal.NewMemFS()
 	sopts := &schemanet.StoreOptions{Session: opts, FS: fsys, Logf: t.Logf}
 	st, err := schemanet.OpenStore("store", net, sopts)
@@ -539,7 +539,7 @@ func TestStoreBatchAtomicity(t *testing.T) {
 // and reopen race with use.
 func TestStoreConcurrentSessions(t *testing.T) {
 	net, truth := multiVideoNet(t, 3)
-	opts := &schemanet.Options{Exact: true, Seed: 13}
+	opts := &schemanet.Options{Inference: "exact", Seed: 13}
 	fsys := wal.NewMemFS()
 	st, err := schemanet.OpenStore("store", net, &schemanet.StoreOptions{
 		Session: opts, FS: fsys, MaxOpen: 2, SnapshotEvery: 4, Logf: func(string, ...any) {},
@@ -607,7 +607,7 @@ func TestStoreConcurrentSessions(t *testing.T) {
 // acknowledged assertions, and a clean Close loses nothing.
 func TestStoreSyncPolicyNone(t *testing.T) {
 	net, _ := videoNet(t)
-	opts := &schemanet.Options{Exact: true, Seed: 4}
+	opts := &schemanet.Options{Inference: "exact", Seed: 4}
 	fsys := wal.NewMemFS()
 	sopts := &schemanet.StoreOptions{Session: opts, FS: fsys, Sync: "none", Logf: t.Logf}
 	st, err := schemanet.OpenStore("store", net, sopts)
@@ -760,7 +760,7 @@ func storeTopoScenario(net *schemanet.Network, opts *schemanet.Options, fsys *wa
 // state as a never-crashed run.
 func TestStoreCrashAtEveryTopologyOp(t *testing.T) {
 	net, _ := videoNet(t)
-	opts := &schemanet.Options{Exact: true, Seed: 9}
+	opts := &schemanet.Options{Inference: "exact", Seed: 9}
 	ops := topoScenarioOps(net.NumAttributes(), net.NumCandidates())
 
 	replay := func(p int) *schemanet.Session {

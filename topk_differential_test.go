@@ -1,15 +1,16 @@
 package schemanet_test
 
 // Differential tests for the lazy bound-pruned top-k suggestion
-// ranking: on every session surface (plain, concurrent, durable) the
-// pruned path must produce suggestions, probabilities, and uncertainty
-// bit-identical to Options.ExhaustiveRank — over randomized
-// assert/grow/retire interleavings, since topology changes carry or
-// invalidate the evaluator's cached bounds. This file runs under
-// `go test -race` in CI.
+// ranking: on every session surface (plain, concurrent, durable) each
+// pruned suggestion must lie in the exhaustive tie set of a plain
+// oracle Session fed the same operations, and probabilities must stay
+// bit-identical — over randomized assert/grow/retire interleavings,
+// since topology changes carry or invalidate the evaluator's cached
+// bounds. This file runs under `go test -race` in CI.
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -51,13 +52,18 @@ func growthPair(net *schemanet.Network, cursor *int) (schemanet.Correspondence, 
 
 // driveDifferential runs an identical randomized schedule of
 // suggest/assert steps, candidate arrivals, and retirements against a
-// pruned and an exhaustive session, failing on the first divergence in
-// suggestions; at the end every probability must match bitwise.
-func driveDifferential(t *testing.T, pruned, exhaustive suggester,
-	truth *schemanet.Matching, steps int, seed int64) {
+// pruned surface and a plain oracle Session fed the same operations.
+// Every pruned suggestion must lie in the oracle's exhaustive tie set
+// (ExhaustiveTies), or — once no uncertain candidate remains — be a
+// live, unasserted candidate. prunedTies, when non-nil, exposes the
+// pruned side's full tie set, which must then equal the oracle's
+// exactly, gain included. At the end every probability must match
+// bitwise.
+func driveDifferential(t *testing.T, pruned suggester, prunedTies func() ([]int, float64),
+	oracle *schemanet.Session, truth *schemanet.Matching, steps int, seed int64) {
 	t.Helper()
 	sched := rand.New(rand.NewSource(seed))
-	prCursor, exCursor := 0, 0
+	prCursor, orCursor := 0, 0
 	asserted := map[int]bool{}
 	retired := map[int]bool{}
 	for step := 0; step < steps; step++ {
@@ -65,9 +71,9 @@ func driveDifferential(t *testing.T, pruned, exhaustive suggester,
 		case op == 0:
 			// Grow: the same fresh candidate arrives on both sessions.
 			pc, okA := growthPair(pruned.Network(), &prCursor)
-			ec, okB := growthPair(exhaustive.Network(), &exCursor)
-			if okA != okB || pc != ec {
-				t.Fatalf("step %d: growth pair diverged: %v/%v vs %v/%v", step, pc, okA, ec, okB)
+			oc, okB := growthPair(oracle.Network(), &orCursor)
+			if okA != okB || pc != oc {
+				t.Fatalf("step %d: growth pair diverged: %v/%v vs %v/%v", step, pc, okA, oc, okB)
 			}
 			if !okA {
 				continue
@@ -75,8 +81,8 @@ func driveDifferential(t *testing.T, pruned, exhaustive suggester,
 			if err := pruned.AddCandidates([]schemanet.Correspondence{pc}); err != nil {
 				t.Fatalf("step %d: pruned AddCandidates: %v", step, err)
 			}
-			if err := exhaustive.AddCandidates([]schemanet.Correspondence{ec}); err != nil {
-				t.Fatalf("step %d: exhaustive AddCandidates: %v", step, err)
+			if err := oracle.AddCandidates([]schemanet.Correspondence{oc}); err != nil {
+				t.Fatalf("step %d: oracle AddCandidates: %v", step, err)
 			}
 		case op == 1:
 			// Retire a deterministic live, unasserted candidate (if any).
@@ -88,26 +94,41 @@ func driveDifferential(t *testing.T, pruned, exhaustive suggester,
 			if err := pruned.RetireCandidate(c); err != nil {
 				t.Fatalf("step %d: pruned RetireCandidate(%d): %v", step, c, err)
 			}
-			if err := exhaustive.RetireCandidate(c); err != nil {
-				t.Fatalf("step %d: exhaustive RetireCandidate(%d): %v", step, c, err)
+			if err := oracle.RetireCandidate(c); err != nil {
+				t.Fatalf("step %d: oracle RetireCandidate(%d): %v", step, c, err)
 			}
 			retired[c] = true
 		default:
-			pc, pok := pruned.Suggest()
-			ec, eok := exhaustive.Suggest()
-			if pc != ec || pok != eok {
-				t.Fatalf("step %d: pruned suggests (%d,%v), exhaustive (%d,%v)", step, pc, pok, ec, eok)
+			want, wantGain := schemanet.ExhaustiveTies(oracle)
+			if prunedTies != nil {
+				if got, gotGain := prunedTies(); gotGain != wantGain || !slices.Equal(got, want) {
+					t.Fatalf("step %d: pruned ties %v (gain %v) != exhaustive %v (gain %v)",
+						step, got, gotGain, want, wantGain)
+				}
 			}
-			if !pok {
+			pc, ok := pruned.Suggest()
+			live := pruned.Network().NumCandidates() - len(asserted) - len(retired)
+			switch {
+			case !ok:
+				if live != 0 {
+					t.Fatalf("step %d: pruned drained with %d live unasserted candidates", step, live)
+				}
 				steps = step // drained: finish with the probability sweep
-				break
+				continue
+			case len(want) > 0:
+				if !slices.Contains(want, pc) {
+					t.Fatalf("step %d: pruned suggests %d, outside exhaustive ties %v (gain %v)",
+						step, pc, want, wantGain)
+				}
+			case asserted[pc] || retired[pc]:
+				t.Fatalf("step %d: fallback suggestion %d is asserted or retired", step, pc)
 			}
 			approve := truth.ContainsCorrespondence(pruned.Network().Candidate(pc))
 			if err := pruned.Assert(pc, approve); err != nil {
 				t.Fatalf("step %d: pruned Assert(%d): %v", step, pc, err)
 			}
-			if err := exhaustive.Assert(ec, approve); err != nil {
-				t.Fatalf("step %d: exhaustive Assert(%d): %v", step, ec, err)
+			if err := oracle.Assert(pc, approve); err != nil {
+				t.Fatalf("step %d: oracle Assert(%d): %v", step, pc, err)
 			}
 			asserted[pc] = true
 		}
@@ -117,31 +138,38 @@ func driveDifferential(t *testing.T, pruned, exhaustive suggester,
 		if retired[c] {
 			continue
 		}
-		if pp, ep := mustProb(t, pruned, c), mustProb(t, exhaustive, c); pp != ep {
-			t.Fatalf("p(%d): pruned %v != exhaustive %v", c, pp, ep)
+		if pp, op := mustProb(t, pruned, c), mustProb(t, oracle, c); pp != op {
+			t.Fatalf("p(%d): pruned %v != oracle %v", c, pp, op)
 		}
 	}
 }
 
-func topkOptions(exhaustive bool, workers int) *schemanet.Options {
-	return &schemanet.Options{
-		Seed: 7, Samples: 150, Inference: "sampled",
-		Workers: workers, ExhaustiveRank: exhaustive,
-	}
+func topkOptions(workers int) *schemanet.Options {
+	return &schemanet.Options{Seed: 7, Samples: 150, Inference: "sampled", Workers: workers}
 }
 
-// TestSuggestPrunedMatchesExhaustivePlain: the plain Session surface.
+// newOracle builds the plain reference Session the differential runs
+// feed alongside each pruned surface.
+func newOracle(t *testing.T, d *schemanet.Dataset, workers int) *schemanet.Session {
+	t.Helper()
+	s, err := schemanet.NewSession(d.Network, topkOptions(workers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestSuggestPrunedMatchesExhaustivePlain: the plain Session surface,
+// where the whole pruned tie set is visible and must equal the
+// exhaustive one.
 func TestSuggestPrunedMatchesExhaustivePlain(t *testing.T) {
 	d := benchMultiComponentDataset(t, 240, 4)
-	pr, err := schemanet.NewSession(d.Network, topkOptions(false, 0))
+	pr, err := schemanet.NewSession(d.Network, topkOptions(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := schemanet.NewSession(d.Network, topkOptions(true, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	driveDifferential(t, pr, ex, d.GroundTruth, 160, 3)
+	ties := func() ([]int, float64) { return schemanet.PrunedTies(pr) }
+	driveDifferential(t, pr, ties, newOracle(t, d, 0), d.GroundTruth, 160, 3)
 }
 
 // TestSuggestPrunedMatchesExhaustiveConcurrent: the concurrent surface,
@@ -149,17 +177,14 @@ func TestSuggestPrunedMatchesExhaustivePlain(t *testing.T) {
 // the entropy-ordered component skip.
 func TestSuggestPrunedMatchesExhaustiveConcurrent(t *testing.T) {
 	d := benchMultiComponentDataset(t, 240, 4)
-	pr, err := schemanet.NewConcurrentSession(d.Network, topkOptions(false, 4))
+	pr, err := schemanet.NewConcurrentSession(d.Network, topkOptions(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := schemanet.NewConcurrentSession(d.Network, topkOptions(true, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	driveDifferential(t, pr, ex, d.GroundTruth, 160, 11)
-	if ph, eh := pr.Uncertainty(), ex.Uncertainty(); ph != eh {
-		t.Fatalf("H: pruned %v != exhaustive %v", ph, eh)
+	oracle := newOracle(t, d, 4)
+	driveDifferential(t, pr, nil, oracle, d.GroundTruth, 160, 11)
+	if ph, oh := pr.Uncertainty(), oracle.Uncertainty(); ph != oh {
+		t.Fatalf("H: pruned %v != oracle %v", ph, oh)
 	}
 }
 
@@ -168,23 +193,18 @@ func TestSuggestPrunedMatchesExhaustiveConcurrent(t *testing.T) {
 // lazy path must survive the record/replay plumbing too.
 func TestSuggestPrunedMatchesExhaustiveDurable(t *testing.T) {
 	d := benchMultiComponentDataset(t, 160, 4)
-	open := func(name string, exhaustive bool) *schemanet.DurableSession {
-		st, err := schemanet.OpenStore(name, d.Network, &schemanet.StoreOptions{
-			Session: topkOptions(exhaustive, 2), FS: wal.NewMemFS(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { st.Close() })
-		ds, err := st.Session("diff")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ds
+	st, err := schemanet.OpenStore("pruned", d.Network, &schemanet.StoreOptions{
+		Session: topkOptions(2), FS: wal.NewMemFS(),
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	pr := open("pruned", false)
-	ex := open("exhaustive", true)
-	driveDifferential(t, pr, ex, d.GroundTruth, 120, 19)
+	t.Cleanup(func() { st.Close() })
+	pr, err := st.Session("diff")
+	if err != nil {
+		t.Fatal(err)
+	}
+	driveDifferential(t, pr, nil, newOracle(t, d, 2), d.GroundTruth, 120, 19)
 }
 
 // TestConcurrentPrunedContention hammers a pruned session with
@@ -195,11 +215,11 @@ func TestSuggestPrunedMatchesExhaustiveDurable(t *testing.T) {
 // differential tests above; this test is about the interleavings.
 func TestConcurrentPrunedContention(t *testing.T) {
 	d := benchMultiComponentDataset(t, 240, 4)
-	cs, err := schemanet.NewConcurrentSession(d.Network, topkOptions(false, 4))
+	cs, err := schemanet.NewConcurrentSession(d.Network, topkOptions(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := schemanet.NewSession(d.Network, topkOptions(false, 4))
+	serial, err := schemanet.NewSession(d.Network, topkOptions(4))
 	if err != nil {
 		t.Fatal(err)
 	}
