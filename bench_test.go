@@ -161,7 +161,8 @@ func benchEngines(b *testing.B, run func(b *testing.B, e *constraints.Engine, rn
 	}
 	b.Run("C=512-interpreted", func(b *testing.B) {
 		d, rng := benchDataset(b, 512)
-		run(b, constraints.DefaultInterpreted(d.Network), rng)
+		net := d.Network
+		run(b, constraints.NewInterpreted(net, constraints.NewOneToOne(net), constraints.NewCycle(net, constraints.DefaultMaxCycleLen)), rng)
 	})
 }
 

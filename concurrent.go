@@ -101,9 +101,9 @@ type ConcurrentSession struct {
 	// lock, which lockAll already excludes. Lock order: batchMu, then
 	// component locks ascending, then feedMu.
 	batchMu sync.RWMutex
-	// sugMu guards the suggestion rng only. Suggest still never touches
-	// a component lock — tie-breaking draws are the one bit of shared
-	// state reads need.
+	// sugMu guards the suggestion rng only. The info-gain Suggest still
+	// never touches a component lock — tie-breaking draws are the one
+	// bit of shared state reads need. It is always the last lock taken.
 	sugMu  sync.Mutex
 	sugRng *rand.Rand
 
@@ -268,10 +268,19 @@ func (cs *ConcurrentSession) refreshComponent(k int) *core.ComponentSnapshot {
 // write lock. Ties are broken uniformly at random, as in the serial
 // strategy; once no uncertain candidate remains anywhere it degrades to
 // random among the unasserted rest. ok is false when every candidate
-// has been asserted.
+// has been asserted. A session built with any other Options.Strategy
+// asks that strategy instead, which reads the whole network, so it
+// briefly takes exclusive access as Instantiate does.
 func (cs *ConcurrentSession) Suggest() (c int, ok bool) {
 	cs.topoMu.RLock()
 	defer cs.topoMu.RUnlock()
+	if _, infoGain := cs.s.strategy.(core.InfoGainStrategy); !infoGain {
+		cs.lockAll()
+		defer cs.unlockAll()
+		cs.sugMu.Lock()
+		defer cs.sugMu.Unlock()
+		return cs.s.strategy.Next(cs.pmn, cs.sugRng)
+	}
 	best := -1.0
 	nUnasserted := 0
 	snaps := make([]*core.ComponentSnapshot, len(cs.snaps))

@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"schemanet"
+	"schemanet/internal/wal"
 )
 
 // disjointSchedule groups a subset of candidates by component,
@@ -552,6 +553,88 @@ func TestConcurrentSaveRacingAssertBatch(t *testing.T) {
 		// Every snapshot must itself be loadable.
 		if _, err := schemanet.LoadSession(net, &schemanet.Options{Inference: "exact", Seed: 8}, bytes.NewReader(snap)); err != nil {
 			t.Fatalf("snapshot %d does not load: %v", i, err)
+		}
+	}
+}
+
+// TestStrategyHonouredOnEverySurface drives each non-default
+// Options.Strategy through Session, ConcurrentSession and a store's
+// DurableSession and checks every suggestion against the strategy's own
+// rule: by-confidence follows the serial session exactly (it draws no
+// rng), least-certain picks a candidate closest to ½, and random reaches
+// candidates that are already certain, which the info-gain ranking never
+// suggests while uncertain ones remain.
+func TestStrategyHonouredOnEverySurface(t *testing.T) {
+	d, _ := benchDataset(t, 128)
+	net := d.Network
+	type surface interface {
+		Suggest() (int, bool)
+		Assert(int, bool) error
+		Probability(int) (float64, error)
+	}
+	for _, strategy := range []string{"by-confidence", "least-certain", "random"} {
+		opts := &schemanet.Options{Seed: 3, Strategy: strategy}
+		ref, err := schemanet.NewSession(net, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs, err := schemanet.NewConcurrentSession(net, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := schemanet.OpenStore("store", net, &schemanet.StoreOptions{Session: opts, FS: wal.NewMemFS(), Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds, err := st.Session(strategy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var refSeq []int
+		for i, sf := range []surface{ref, cs, ds} {
+			asserted := map[int]bool{}
+			certainPicks := 0
+			for step := 0; step < 12; step++ {
+				c, ok := sf.Suggest()
+				if !ok {
+					t.Fatalf("%s surface %d step %d: nothing to suggest", strategy, i, step)
+				}
+				dist := func(c int) float64 {
+					p, err := sf.Probability(c)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return math.Abs(p - 0.5)
+				}
+				switch strategy {
+				case "by-confidence":
+					if i == 0 {
+						refSeq = append(refSeq, c)
+					} else if c != refSeq[step] {
+						t.Fatalf("%s surface %d step %d: suggests %d, serial session suggests %d", strategy, i, step, c, refSeq[step])
+					}
+				case "least-certain":
+					for o := 0; o < net.NumCandidates(); o++ {
+						if !asserted[o] && dist(o) < 0.5 && dist(o) < dist(c) {
+							t.Fatalf("%s surface %d step %d: suggests %d (|p-½|=%v) but %d is closer (%v)", strategy, i, step, c, dist(c), o, dist(o))
+						}
+					}
+				case "random":
+					if dist(c) == 0.5 {
+						certainPicks++
+					}
+				}
+				asserted[c] = true
+				if err := sf.Assert(c, d.GroundTruth.ContainsCorrespondence(net.Candidate(c))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if strategy == "random" && certainPicks == 0 {
+				t.Fatalf("random surface %d: 12 suggestions, none of them certain; the surface is not drawing from all unasserted candidates", i)
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

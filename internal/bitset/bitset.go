@@ -271,15 +271,6 @@ func (s *Set) Fingerprint() uint64 {
 	return h
 }
 
-// PopcountWords returns the total population count of a word slice.
-func PopcountWords(ws []uint64) int {
-	c := 0
-	for _, w := range ws {
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
 // AndCountWords returns popcount(a AND b) over the common prefix of the
 // two word slices (missing words count as zero).
 func AndCountWords(a, b []uint64) int {

@@ -1,6 +1,7 @@
 package bitset
 
 import (
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -431,4 +432,13 @@ func TestForEachAnd(t *testing.T) {
 			t.Fatalf("ForEachAnd ignored early stop: %d calls", calls)
 		}
 	}
+}
+
+// PopcountWords returns the total population count of a word slice.
+func PopcountWords(ws []uint64) int {
+	c := 0
+	for _, w := range ws {
+		c += bits.OnesCount64(w)
+	}
+	return c
 }

@@ -74,7 +74,7 @@ func TestComponentsTwoTriangles(t *testing.T) {
 
 func TestComponentsInterpretedTrivial(t *testing.T) {
 	net := twoTriangleNet(t)
-	parts := DefaultInterpreted(net).Components()
+	parts := NewInterpreted(net, NewOneToOne(net), NewCycle(net, DefaultMaxCycleLen)).Components()
 	if !parts.Trivial() {
 		t.Fatal("interpreted engine must fall back to the trivial partition")
 	}

@@ -96,11 +96,6 @@ func Default(net *schema.Network) *Engine {
 	return NewEngine(net, NewOneToOne(net), NewCycle(net, DefaultMaxCycleLen))
 }
 
-// DefaultInterpreted is Default on the interpreted reference path.
-func DefaultInterpreted(net *schema.Network) *Engine {
-	return NewInterpreted(net, NewOneToOne(net), NewCycle(net, DefaultMaxCycleLen))
-}
-
 // Compiled reports whether the engine runs on the compiled conflict
 // index (false only for NewInterpreted).
 func (e *Engine) Compiled() bool { return e.idx != nil }
@@ -115,12 +110,6 @@ func (e *Engine) Constraints() []Constraint { return e.cons }
 // candidate set.
 func (e *Engine) NewInstance() *bitset.Set {
 	return bitset.New(e.net.NumCandidates())
-}
-
-// FromIndicesFor returns an instance over net's candidate universe
-// containing exactly the given candidate indices.
-func FromIndicesFor(net *schema.Network, indices ...int) *bitset.Set {
-	return bitset.FromIndices(net.NumCandidates(), indices...)
 }
 
 // HasConflict reports whether candidate c, treated as selected, would

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"schemanet/internal/bitset"
 	"schemanet/internal/schema"
 )
 
@@ -164,4 +165,10 @@ func TestMutualExclusionNoPairsIsNeutral(t *testing.T) {
 	if !e.Consistent(e.FullInstance()) {
 		t.Fatal("empty exclusion list must not fire")
 	}
+}
+
+// FromIndicesFor returns an instance over net's candidate universe
+// containing exactly the given candidate indices.
+func FromIndicesFor(net *schema.Network, indices ...int) *bitset.Set {
+	return bitset.FromIndices(net.NumCandidates(), indices...)
 }

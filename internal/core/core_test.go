@@ -594,3 +594,15 @@ func TestInformationGainsWorkersAgree(t *testing.T) {
 		t.Fatalf("only %d candidates with positive gain; network too certain for a meaningful multi-worker test", nonzero)
 	}
 }
+
+// BudgetGoal stops after k assertions (the limited effort budget of
+// Problem 1).
+func BudgetGoal(k int) Goal {
+	return func(_ *PMN, step int) bool { return step >= k }
+}
+
+// UncertaintyGoal stops once the network uncertainty drops to h or
+// below.
+func UncertaintyGoal(h float64) Goal {
+	return func(p *PMN, _ int) bool { return p.Entropy() <= h }
+}

@@ -51,8 +51,9 @@ type Config struct {
 	// InferAuto and *unlimited* under InferExact (which then never
 	// overflows).
 	ExactBudget int
-	// Workers bounds the goroutines of the lazy top-k ranker's
-	// intra-component sharding (see topk.go) and of the exhaustive
+	// Workers bounds the goroutines of the lazy top-k ranker's streaming
+	// path — components with more than topkMatrixCap uncertain members;
+	// smaller ones rank serially (see topk.go) — and of the exhaustive
 	// InformationGains pass. 0 means runtime.GOMAXPROCS(0); 1 forces a
 	// sequential pass.
 	Workers int
@@ -104,24 +105,14 @@ type component struct {
 
 	// Lazy top-k ranking state (see topk.go). topTies/topGain cache the
 	// component's maximal-gain tie set; topFresh is its validity bit,
-	// cleared whenever the component's probabilities are recomputed. The drift fields back the
-	// ranker's "previous gain plus delta" upper bound: driftTotal
-	// accumulates a provable per-pair mutual-information drift bound as
-	// assertions reshape the component's sample distribution, and
-	// driftEpoch invalidates wholesale on refill, promotion, or any
-	// other non-incremental store change. evalGain/evalDrift/evalEpoch
-	// record, per column, the gain and drift state at a candidate's last
-	// lazy evaluation. All of it is component-local and maintained under
-	// the same serialization as the rest of the component's state.
+	// cleared whenever the component's probabilities are recomputed.
+	// topScratch holds the ranking buffers. All of it is component-local
+	// and maintained under the same serialization as the rest of the
+	// component's state.
 	topTies    []int
 	topGain    float64
 	topFresh   bool
 	topScratch *topkScratch
-	driftTotal float64
-	driftEpoch uint64
-	evalGain   []float64
-	evalDrift  []float64
-	evalEpoch  []uint64
 }
 
 // store returns the live sample/instance container of the component's
@@ -178,9 +169,6 @@ func newComponent(engine *constraints.Engine, n int) *component {
 		approved:    bitset.New(n),
 		disapproved: bitset.New(n),
 		promoteBar:  -1,
-		// Epoch 1, not 0: zero-valued evalEpoch entries mean "never
-		// evaluated" and must not match a live epoch (see deltaBound).
-		driftEpoch: 1,
 	}
 }
 
@@ -461,42 +449,18 @@ func (p *PMN) ApplyAssertions(k int, as []Assertion) {
 	cp := p.comps[k]
 	needRefill := false
 	for _, a := range as {
-		// Drift accounting for the lazy ranker's delta bound: snapshot
-		// the store geometry around the view maintenance. An exact
-		// disapproval is the one maintenance step that both removes and
-		// adds instances; every other path is a pure compaction, where
-		// the survivor count is simply the new size.
-		st := cp.store()
-		before := st.Size()
-		kept := -1 // -1: pure compaction, kept = size after
-		if !a.Approved && cp.inf.Mode() == InferExact {
-			with, _ := st.Partition(a.Cand)
-			kept = before - with
-		}
 		if p.integrate(cp, a.Cand, a.Approved) {
 			needRefill = true
 		}
-		after := cp.store().Size()
-		if kept < 0 {
-			kept = after
-		}
-		cp.noteDrift(before, after, kept, cp.freeCount(len(p.probs)))
 	}
 	// Promotion runs before the refill decision: if the shrunk component
 	// now enumerates within budget, the exact backend replaces the store
 	// outright and the pending resampling round is never paid — the
 	// "zero sampling resamples in the exact tail" property.
-	infBefore := cp.inf
 	p.maybePromote(k)
-	if cp.inf != infBefore {
-		// Promotion swapped the backend's store wholesale; previous
-		// evaluations no longer bound anything.
-		cp.driftEpoch++
-	}
 	if needRefill && cp.inf.Mode() != InferExact {
 		p.emissions.Add(int64(cp.inf.Refill()))
 		p.resamples.Add(1)
-		cp.driftEpoch++
 	}
 	p.recomputeComp(k)
 }

@@ -19,18 +19,6 @@ type Oracle interface {
 // number of assertions made so far in this run.
 type Goal func(p *PMN, step int) bool
 
-// BudgetGoal stops after k assertions (the limited effort budget of
-// Problem 1).
-func BudgetGoal(k int) Goal {
-	return func(_ *PMN, step int) bool { return step >= k }
-}
-
-// UncertaintyGoal stops once the network uncertainty drops to h or
-// below.
-func UncertaintyGoal(h float64) Goal {
-	return func(p *PMN, _ int) bool { return p.Entropy() <= h }
-}
-
 // FullGoal never stops early; reconciliation runs until no uncertain
 // candidate remains.
 func FullGoal() Goal {

@@ -16,12 +16,7 @@ import (
 // not noise.
 func topkTestPMNs(t testing.TB, seed int64, mutate func(*Config)) (pruned, exhaustive *PMN, d *schema.Dataset) {
 	t.Helper()
-	ds, err := datagen.SyntheticNetwork(datagen.MultiComp(), datagen.SyntheticOpts{
-		TargetCount: 160, Precision: 0.67, ConflictBias: 0.3, StrictCount: true,
-	}, rand.New(rand.NewSource(seed)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds := topkTestDataset(t, seed)
 	cfg := DefaultConfig()
 	cfg.Samples = 200
 	if mutate != nil {
@@ -30,6 +25,19 @@ func topkTestPMNs(t testing.TB, seed int64, mutate func(*Config)) (pruned, exhau
 	pruned = MustNew(constraints.Default(ds.Network), cfg, rand.New(rand.NewSource(seed+1)))
 	exhaustive = MustNew(constraints.Default(ds.Network), cfg, rand.New(rand.NewSource(seed+1)))
 	return pruned, exhaustive, ds
+}
+
+// topkTestDataset is the small multicomp network the ranking tests
+// share.
+func topkTestDataset(t testing.TB, seed int64) *schema.Dataset {
+	t.Helper()
+	d, err := datagen.SyntheticNetwork(datagen.MultiComp(), datagen.SyntheticOpts{
+		TargetCount: 160, Precision: 0.67, ConflictBias: 0.3, StrictCount: true,
+	}, rand.New(rand.NewSource(seed)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }
 
 // exhaustiveTies is the exhaustive ranking oracle: the maximal gain
@@ -87,7 +95,7 @@ func TestTopGainTiesMatchesExhaustive(t *testing.T) {
 			}
 			// Assert a tie member (sometimes the head, sometimes a random
 			// one) so the schedule exercises re-ranking of the hot
-			// component and drift-bound reuse on the rest.
+			// component and cached tie sets on the rest.
 			c := wantTies[schedRng.Intn(len(wantTies))]
 			approve := d.GroundTruth.ContainsCorrespondence(d.Network.Candidate(c))
 			if err := pr.Assert(c, approve); err != nil {
@@ -107,86 +115,82 @@ func TestTopGainTiesMatchesExhaustive(t *testing.T) {
 	}
 }
 
-// TestTopGainsSerialParallelIdentical lowers the parallel threshold so
-// even small components shard across workers and checks the sharded
-// evaluation returns exactly the serial block kernel's results —
-// per-candidate arithmetic must not depend on worker count or
-// schedule.
-func TestTopGainsSerialParallelIdentical(t *testing.T) {
-	oldMin := rankParallelMin
-	rankParallelMin = 2
-	defer func() { rankParallelMin = oldMin }()
+// TestTopGainsStreamingPath lowers topkMatrixCap so every component
+// takes the streaming path (full evaluation above the cap, sharded
+// across workers) and checks at every step of an assertion trajectory
+// that the serial and the 4-worker passes both return exactly the
+// exhaustive oracle's tie set and gain, and exactly what a PMN at the
+// default cap (the co-count matrix path) returns on the same
+// trajectory. The dense fixture's single component spans many
+// topkBlock blocks, so a dropped block or a skewed worker stride shows.
+func TestTopGainsStreamingPath(t *testing.T) {
+	defaultCap := topkMatrixCap
+	defer func() { topkMatrixCap = defaultCap }()
 
-	serial, _, d := topkTestPMNs(t, 5, func(c *Config) { c.Workers = 1 })
-	par, _, _ := topkTestPMNs(t, 5, func(c *Config) { c.Workers = 4 })
-	for step := 0; step < 64; step++ {
-		sTies, sBest := serial.TopGainTies()
-		pTies, pBest := par.TopGainTies()
-		if sBest != pBest || !sameTies(sTies, pTies) {
-			t.Fatalf("step %d: serial (ties=%v gain=%v) != parallel (ties=%v gain=%v)",
-				step, sTies, sBest, pTies, pBest)
-		}
-		if len(sTies) == 0 {
-			break
-		}
-		c := sTies[0]
-		approve := d.GroundTruth.ContainsCorrespondence(d.Network.Candidate(c))
-		if err := serial.Assert(c, approve); err != nil {
+	dense := func(seed int64) *schema.Dataset {
+		d, err := datagen.SyntheticNetwork(datagen.Profile{
+			Name: "streaming", Domain: datagen.BusinessPartner(),
+			NumSchemas: 4, MinAttrs: 10, MaxAttrs: 14, PoolFactor: 1.3,
+			SynonymProb: 0.2, AbbrevProb: 0.15, EdgeProb: 1,
+		}, datagen.SyntheticOpts{
+			TargetCount: 96, Precision: 0.6, ConflictBias: 0.7, StrictCount: true,
+		}, rand.New(rand.NewSource(seed)))
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := par.Assert(c, approve); err != nil {
-			t.Fatal(err)
-		}
+		return d
 	}
-}
-
-// TestDeltaBoundSound checks the chained drift bound the lazy evaluator
-// prunes with: whenever a member holds a valid evaluation record, its
-// current exhaustive gain must not exceed the recorded gain plus the
-// accumulated drift (beyond the strict pruning margin) — otherwise a
-// bound-pruned candidate could secretly hold the maximum.
-func TestDeltaBoundSound(t *testing.T) {
-	pr, ex, d := topkTestPMNs(t, 13, nil)
-	for step := 0; step < 80; step++ {
-		ties, _ := pr.TopGainTies()
-		if len(ties) == 0 {
-			break
+	multicomp := func(seed int64) *schema.Dataset { return topkTestDataset(t, seed) }
+	for _, fx := range []struct {
+		name  string
+		build func(int64) *schema.Dataset
+		seed  int64
+	}{{"dense", dense, 17}, {"dense", dense, 29}, {"multicomp", multicomp, 5}} {
+		d := fx.build(fx.seed)
+		e := constraints.Default(d.Network)
+		pmn := func(workers int) *PMN {
+			cfg := DefaultConfig()
+			cfg.Samples = 200
+			cfg.Workers = workers
+			return MustNew(e, cfg, rand.New(rand.NewSource(fx.seed+1)))
 		}
-		exGains := ex.InformationGains()
-		for k, cp := range pr.comps {
-			if cp.evalGain == nil {
-				continue
-			}
-			check := func(j, c int) {
-				db, ok := cp.deltaBound(j)
-				if !ok {
-					return
-				}
-				if pc := pr.probs[c]; pc <= 0 || pc >= 1 || cp.isAsserted(c) {
-					return
-				}
-				if g := exGains[c]; g > db+PruneMargin(g) {
-					t.Fatalf("step %d comp %d cand %d: gain %v exceeds delta bound %v",
-						step, k, c, g, db)
-				}
-			}
-			if cp.members == nil {
-				for c := range pr.probs {
-					check(c, c)
-				}
-			} else {
-				for j, c := range cp.members {
-					check(j, c)
+		serial, par, matrix, ex := pmn(1), pmn(4), pmn(1), pmn(1)
+		multiBlock := false
+		for step := 0; ; step++ {
+			topkMatrixCap = 0
+			sTies, sBest := serial.TopGainTies()
+			pTies, pBest := par.TopGainTies()
+			topkMatrixCap = defaultCap
+			mTies, mBest := matrix.TopGainTies()
+			wantTies, wantBest := exhaustiveTies(ex)
+			for _, got := range []struct {
+				path string
+				ties []int
+				best float64
+			}{{"streaming/workers=1", sTies, sBest}, {"streaming/workers=4", pTies, pBest}, {"matrix", mTies, mBest}} {
+				if got.best != wantBest || !sameTies(got.ties, wantTies) {
+					t.Fatalf("%s seed %d step %d: %s (ties=%v gain=%v) != exhaustive (ties=%v gain=%v)",
+						fx.name, fx.seed, step, got.path, got.ties, got.best, wantTies, wantBest)
 				}
 			}
+			for _, cp := range serial.comps {
+				if ts := cp.topScratch; ts != nil && len(ts.cand) > 2*topkBlock {
+					multiBlock = true
+				}
+			}
+			if len(wantTies) == 0 {
+				break
+			}
+			c := wantTies[step%len(wantTies)]
+			approve := d.GroundTruth.ContainsCorrespondence(d.Network.Candidate(c))
+			for _, p := range []*PMN{serial, par, matrix, ex} {
+				if err := p.Assert(c, approve); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
-		c := ties[0]
-		approve := d.GroundTruth.ContainsCorrespondence(d.Network.Candidate(c))
-		if err := pr.Assert(c, approve); err != nil {
-			t.Fatal(err)
-		}
-		if err := ex.Assert(c, approve); err != nil {
-			t.Fatal(err)
+		if fx.name == "dense" && !multiBlock {
+			t.Fatalf("%s seed %d: no streaming pass spanned more than two blocks; the fixture no longer exercises block boundaries", fx.name, fx.seed)
 		}
 	}
 }

@@ -16,18 +16,6 @@ func BinaryEntropy(p float64) float64 {
 	return -p*math.Log2(p) - (1-p)*math.Log2(1-p)
 }
 
-// EntropyOf computes the network uncertainty H(C, P) of Equation 3: the
-// sum of binary entropies over all candidates. Certain candidates
-// (p ∈ {0, 1}) contribute nothing, matching the paper's observation that
-// H(C, P) = H({c | 0 < p_c < 1}, P).
-func EntropyOf(probs []float64) float64 {
-	h := 0.0
-	for _, p := range probs {
-		h += BinaryEntropy(p)
-	}
-	return h
-}
-
 // igScratch holds the per-worker buffers of the ranking pass: the
 // batched co-occurrence counts of one candidate (column-indexed within
 // its component's store), a memo table of partition entropies, and the

@@ -112,3 +112,15 @@ func TestQuickInformationGainBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// EntropyOf computes the network uncertainty H(C, P) of Equation 3: the
+// sum of binary entropies over all candidates. Certain candidates
+// (p ∈ {0, 1}) contribute nothing, matching the paper's observation that
+// H(C, P) = H({c | 0 < p_c < 1}, P).
+func EntropyOf(probs []float64) float64 {
+	h := 0.0
+	for _, p := range probs {
+		h += BinaryEntropy(p)
+	}
+	return h
+}

@@ -176,3 +176,38 @@ func TestAUC(t *testing.T) {
 		t.Errorf("single-point AUC = %v, want 0", got)
 	}
 }
+
+// F1 is the harmonic mean of precision and recall (0 when both are 0).
+func F1(prec, rec float64) float64 {
+	if prec+rec == 0 {
+		return 0
+	}
+	return 2 * prec * rec / (prec + rec)
+}
+
+// Effort is the user-effort measure E = |F+ ∪ F−| / |C|.
+func Effort(assertions, numCandidates int) float64 {
+	if numCandidates == 0 {
+		return 0
+	}
+	return float64(assertions) / float64(numCandidates)
+}
+
+// MeanCurves averages multiple runs of the same experiment point-wise.
+// All curves must have the same length and aligned X values (the
+// experiments sample on a fixed effort grid).
+func MeanCurves(curves []Curve) Curve {
+	if len(curves) == 0 {
+		return nil
+	}
+	n := len(curves[0])
+	out := make(Curve, n)
+	for i := 0; i < n; i++ {
+		ys := make([]float64, 0, len(curves))
+		for _, c := range curves {
+			ys = append(ys, c[i].Y)
+		}
+		out[i] = Point{X: curves[0][i].X, Y: MeanStd(ys).Mean}
+	}
+	return out
+}

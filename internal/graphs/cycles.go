@@ -65,18 +65,3 @@ func (g *Graph) SimpleCycles(maxLen int) []Cycle {
 // Triangles returns all 3-cycles. Equivalent to SimpleCycles(3) but kept
 // as a convenience for the common constraint configuration.
 func (g *Graph) Triangles() []Cycle { return g.SimpleCycles(3) }
-
-// CyclesThroughEdge filters cycles to those that traverse edge {u, v}.
-func CyclesThroughEdge(cycles []Cycle, u, v int) []Cycle {
-	var out []Cycle
-	for _, c := range cycles {
-		for i := range c {
-			a, b := c[i], c[(i+1)%len(c)]
-			if (a == u && b == v) || (a == v && b == u) {
-				out = append(out, c)
-				break
-			}
-		}
-	}
-	return out
-}

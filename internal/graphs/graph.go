@@ -151,36 +151,6 @@ func Complete(n int) *Graph {
 	return g
 }
 
-// Ring returns the cycle graph C_n (n >= 3).
-func Ring(n int) *Graph {
-	if n < 3 {
-		panic("graphs: ring needs at least 3 vertices")
-	}
-	g := New(n)
-	for i := 0; i < n; i++ {
-		g.AddEdge(i, (i+1)%n)
-	}
-	return g
-}
-
-// Path returns the path graph P_n.
-func Path(n int) *Graph {
-	g := New(n)
-	for i := 0; i+1 < n; i++ {
-		g.AddEdge(i, i+1)
-	}
-	return g
-}
-
-// Star returns the star graph with vertex 0 as center.
-func Star(n int) *Graph {
-	g := New(n)
-	for i := 1; i < n; i++ {
-		g.AddEdge(0, i)
-	}
-	return g
-}
-
 // ErdosRenyi returns a G(n, p) random graph: each of the n·(n−1)/2
 // possible edges is present independently with probability p. This is
 // the interaction-graph model the paper uses for the Figure 6 settings.

@@ -328,3 +328,48 @@ func TestCyclesThroughEdge(t *testing.T) {
 		t.Fatalf("cycles through {0,1} = %d, want 2", len(through))
 	}
 }
+
+// Ring returns the cycle graph C_n (n >= 3).
+func Ring(n int) *Graph {
+	if n < 3 {
+		panic("graphs: ring needs at least 3 vertices")
+	}
+	g := New(n)
+	for i := 0; i < n; i++ {
+		g.AddEdge(i, (i+1)%n)
+	}
+	return g
+}
+
+// Path returns the path graph P_n.
+func Path(n int) *Graph {
+	g := New(n)
+	for i := 0; i+1 < n; i++ {
+		g.AddEdge(i, i+1)
+	}
+	return g
+}
+
+// Star returns the star graph with vertex 0 as center.
+func Star(n int) *Graph {
+	g := New(n)
+	for i := 1; i < n; i++ {
+		g.AddEdge(0, i)
+	}
+	return g
+}
+
+// CyclesThroughEdge filters cycles to those that traverse edge {u, v}.
+func CyclesThroughEdge(cycles []Cycle, u, v int) []Cycle {
+	var out []Cycle
+	for _, c := range cycles {
+		for i := range c {
+			a, b := c[i], c[(i+1)%len(c)]
+			if (a == u && b == v) || (a == v && b == u) {
+				out = append(out, c)
+				break
+			}
+		}
+	}
+	return out
+}

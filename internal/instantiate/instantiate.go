@@ -247,26 +247,3 @@ func heuristicWithin(e *constraints.Engine, store *sampling.Store, probs []float
 	}
 	return best
 }
-
-// Exact solves the instantiation problem optimally by enumerating all
-// matching instances (exponential; for validating the heuristic on
-// small networks). limit caps enumeration as in sampling.EnumerateAll.
-func Exact(e *constraints.Engine, probs []float64, approved, disapproved *bitset.Set,
-	useLikelihood bool, limit int) (*bitset.Set, error) {
-
-	instances, err := sampling.EnumerateAll(e, approved, disapproved, limit)
-	if err != nil {
-		return nil, err
-	}
-	if len(instances) == 0 {
-		return e.NewInstance(), nil
-	}
-	full := e.FullInstance()
-	best := instances[0]
-	for _, inst := range instances[1:] {
-		if better(best, inst, full, probs, useLikelihood) {
-			best = inst
-		}
-	}
-	return best.Clone(), nil
-}

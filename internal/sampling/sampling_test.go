@@ -396,7 +396,7 @@ func TestSamplerCompiledEngineMatchesInterpreted(t *testing.T) {
 	}
 	for seed := int64(1); seed <= 5; seed++ {
 		a := run(constraints.Default(net), seed)
-		b := run(constraints.DefaultInterpreted(net), seed)
+		b := run(constraints.NewInterpreted(net, constraints.NewOneToOne(net), constraints.NewCycle(net, constraints.DefaultMaxCycleLen)), seed)
 		if len(a) != len(b) {
 			t.Fatalf("seed %d: store sizes differ: %d vs %d", seed, len(a), len(b))
 		}
@@ -477,4 +477,12 @@ func TestSamplerOnLargerRandomNetwork(t *testing.T) {
 			t.Fatalf("p(%d) = %v out of range", c, p)
 		}
 	}
+}
+
+// Partition returns how many instances contain c and how many do not.
+// c must be tracked by this store.
+func (st *Store) Partition(c int) (with, without int) {
+	st.mustTrack(c)
+	with = st.counts[st.columnOf(c)]
+	return with, len(st.instances) - with
 }

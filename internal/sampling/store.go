@@ -423,14 +423,6 @@ func (st *Store) SmoothedProbabilities() []float64 {
 	return out
 }
 
-// Partition returns how many instances contain c and how many do not.
-// c must be tracked by this store.
-func (st *Store) Partition(c int) (with, without int) {
-	st.mustTrack(c)
-	with = st.counts[st.columnOf(c)]
-	return with, len(st.instances) - with
-}
-
 // CoCounts returns, for every tracked candidate (column-indexed; see
 // GlobalID), how many instances contain both c and that candidate
 // (with[j]) and how many contain it but not c (without[j]), together

@@ -196,13 +196,16 @@ type Options struct {
 	InstantiateIterations int
 	// Strategy selects the suggestion ordering: "info-gain" (default,
 	// the paper's heuristic), "random" (no-tool baseline),
-	// "least-certain", or "by-confidence".
+	// "least-certain", or "by-confidence". Every session surface honours
+	// it; on ConcurrentSession and DurableSession a non-default
+	// strategy's Suggest briefly takes exclusive access.
 	Strategy string
-	// Workers bounds the goroutines of the lazy top-k evaluator's
-	// intra-component sharding, the ranking that backs Suggest, and the
-	// worker pool of ConcurrentSession.AssertBatch. 0 uses all CPUs
-	// (GOMAXPROCS); 1 forces a sequential pass. Probabilities and
-	// suggestions do not depend on it.
+	// Workers is the caller's CPU budget: it bounds the goroutines of
+	// the worker pool of ConcurrentSession.AssertBatch and of the
+	// ranking that backs Suggest, which shards only components with more
+	// than 1024 uncertain members (smaller ones rank serially). 0 uses
+	// all CPUs (GOMAXPROCS); 1 forces a sequential pass. Probabilities
+	// and suggestions do not depend on it.
 	Workers int
 	// ExclusivePairs declares attribute pairs that must never be matched
 	// together (a custom MutualExclusion constraint on top of the
