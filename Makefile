@@ -59,7 +59,7 @@ bench:
 # Hot-path benchmark smoke (a superset of the CI bench step): COUNT
 # repetitions at BENCHTIME each, reported as per-benchmark medians.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkInformationGain|BenchmarkSamplePerEmission|BenchmarkSessionAssert|BenchmarkMaximize|BenchmarkRepair' -benchmem -benchtime $(BENCHTIME) -count $(COUNT) . | $(GO) run ./cmd/benchmedian
+	$(GO) test -run '^$$' -bench 'BenchmarkInformationGain|BenchmarkSamplePerEmission|BenchmarkSessionAssert|BenchmarkMaximize|BenchmarkRepair|BenchmarkWalkStep' -benchmem -benchtime $(BENCHTIME) -count $(COUNT) . | $(GO) run ./cmd/benchmedian
 	# The concurrent-serving benchmark measures whole schedules (seconds
 	# per op at C=2048), so the smoke runs only the C=512 case.
 	$(GO) test -run '^$$' -bench 'BenchmarkConcurrentAssertMultiComp/C=512' -benchmem -benchtime $(BENCHTIME) -count $(COUNT) . | $(GO) run ./cmd/benchmedian

@@ -173,6 +173,12 @@ func BenchmarkRepair(b *testing.B) {
 		e.Maximize(inst, nil, rng)
 		n := e.Network().NumCandidates()
 		work := inst.Clone()
+		// Every move once first, so the scratch sits at its high-water
+		// mark and allocs/op reads the steady state even at 1x.
+		for c := 0; c < n; c++ {
+			work.CopyFrom(inst)
+			e.Repair(work, c, nil)
+		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			work.CopyFrom(inst)
@@ -189,6 +195,37 @@ func BenchmarkMaximize(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			inst.Clear()
 			e.Maximize(inst, nil, rng)
+		}
+	})
+}
+
+// BenchmarkWalkStep measures one sampler walk step from a maximal
+// instance: Repair a free move, then Resaturate what the repair removed.
+func BenchmarkWalkStep(b *testing.B) {
+	benchEngines(b, func(b *testing.B, e *constraints.Engine, rng *rand.Rand) {
+		inst := e.NewInstance()
+		e.Maximize(inst, nil, rng)
+		var free []int
+		for c := 0; c < e.Network().NumCandidates(); c++ {
+			if !inst.Has(c) {
+				free = append(free, c)
+			}
+		}
+		work, removed := inst.Clone(), e.NewInstance()
+		step := func(c int) {
+			work.CopyFrom(inst)
+			e.Repair(work, c, nil)
+			removed.CopyFrom(inst)
+			removed.DifferenceWith(work)
+			e.Resaturate(work, nil, removed, nil, rng)
+		}
+		for _, c := range free {
+			step(c) // warm the scratch, as in BenchmarkRepair
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			step(free[rng.Intn(len(free))])
 		}
 	})
 }

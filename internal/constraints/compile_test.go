@@ -322,6 +322,41 @@ func TestCycleCompileGate(t *testing.T) {
 	}
 }
 
+// TestCycleGateMasksSymmetric pins the gate-mask facts Resaturate's
+// touched set relies on, on random networks: d ∈ masks[r] ⟺
+// r ∈ masks[d], and every pair of members of a cycle violation lies in
+// each other's mask, so a candidate a removal unblocked is always in
+// the removed candidate's mask.
+func TestCycleGateMasksSymmetric(t *testing.T) {
+	rng := rand.New(rand.NewSource(606))
+	for trial := 0; trial < 20; trial++ {
+		net := randomNetwork(t, rng, 3+rng.Intn(3), 3, 0.4)
+		n := net.NumCandidates()
+		cc := NewCycle(net, 3+rng.Intn(2))
+		masks := cc.Compile().GateMasks
+		for r := 0; r < n; r++ {
+			if masks[r] == nil {
+				continue
+			}
+			masks[r].ForEach(func(d int) bool {
+				if masks[d] == nil || !masks[d].Has(r) {
+					t.Fatalf("trial %d: %d ∈ masks[%d] but %d ∉ masks[%d]", trial, d, r, r, d)
+				}
+				return true
+			})
+		}
+		for _, v := range cc.Violations(randomInstance(net, rng, 0.7)) {
+			for _, r := range v.Cands {
+				for _, d := range v.Cands {
+					if d != r && (masks[r] == nil || !masks[r].Has(d)) {
+						t.Fatalf("trial %d: violation %v: %d ∉ masks[%d]", trial, v.Cands, d, r)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestOneToOneCompileRowsMatchInterpreted(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	net := randomNetwork(t, rng, 4, 3, 0.5)

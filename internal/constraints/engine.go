@@ -27,9 +27,9 @@ import (
 // ViolationCount, Components) are safe for concurrent use after
 // construction — the network, the constraint set, and the compiled
 // conflict index are all immutable.
-// Maximize and Repair reuse engine-owned scratch and must be externally
-// serialized; callers that need those primitives from several
-// goroutines give each goroutine its own Fork, which shares the
+// Maximize, Resaturate and Repair reuse engine-owned scratch and must
+// be externally serialized; callers that need those primitives from
+// several goroutines give each goroutine its own Fork, which shares the
 // immutable compiled material and owns only the scratch.
 type Engine struct {
 	net   *schema.Network
@@ -38,11 +38,9 @@ type Engine struct {
 	parts *partitionCache // lazily computed partition, shared across forks
 
 	// Scratch reused by the mutating primitives; per fork.
-	order    []int       // Maximize: visit order
-	blocked  *bitset.Set // Maximize: inst ∪ excluded ∪ conflict rows of inst
-	counts   []int32     // Repair: per-candidate violation counts
-	touched  []int       // Repair: candidates with counts[c] > 0
-	chainBuf []int       // Repair: chain buffer for streaming enumeration
+	order   []int          // Maximize: visit order; Resaturate: addable list
+	blocked *bitset.Set    // Maximize: inst ∪ excluded ∪ conflict rows of inst; Resaturate: touched set
+	rep     *repairScratch // Repair: victim accounting, bound once per fork
 }
 
 // partitionCache memoizes Engine.Components per engine family: the
@@ -83,9 +81,9 @@ func NewInterpreted(net *schema.Network, cons ...Constraint) *Engine {
 // Fork returns an engine sharing this engine's network, constraint set,
 // compiled conflict index, and partition cache, with fresh scratch
 // buffers. The shared material is immutable, so distinct forks may run
-// the mutating primitives (Maximize, Repair) concurrently — this is how
-// a decomposed PMN gives every component its own sampler without
-// paying a recompilation per component.
+// the mutating primitives (Maximize, Resaturate, Repair) concurrently —
+// this is how a decomposed PMN gives every component its own sampler
+// without paying a recompilation per component.
 func (e *Engine) Fork() *Engine {
 	return &Engine{net: e.net, cons: e.cons, idx: e.idx, parts: e.parts}
 }
@@ -328,6 +326,211 @@ func (e *Engine) maximizeOrder(inst, excluded *bitset.Set, order []int) {
 	}
 }
 
+// Resaturate restores maximality after a walk step took the candidates
+// in removed out of inst: it collects the currently addable candidates
+// in ascending order, shuffles that list with rng and adds them
+// greedily. Its precondition is that inst was maximal w.r.t. excluded
+// (and members, as in MaximizeWithin) before removed left it, and is
+// consistent now — the state Repair leaves a maximal instance in, with
+// removed = before \ after.
+//
+// Under that precondition the result has exactly the distribution of a
+// full MaximizeWithin pass: a candidate that is not addable now stays
+// unaddable as inst grows (consistency is downward-closed), so the full
+// pass skips it wherever it falls in the order, and a uniform
+// permutation restricted to the addable subset is uniform on that
+// subset. Only the rng stream differs: one draw per addable candidate
+// instead of one per member.
+//
+// The compiled path finds the addable candidates inside the touched set
+// removed ∪ rows[r] ∪ gate masks[r] over every r ∈ removed: a
+// candidate was blocked before the step (inst was maximal), and it is
+// unblocked now only if its blocking violation lost a member, which
+// then lies in removed. Repair's `added` cannot reappear either: when
+// Repair drops it, its violation consists of protected members, which
+// never leave. The interpreted engine — and any engine with residual
+// constraints, which have no masks — scans every member with CanAdd and
+// finds the same ascending list, so both engines agree bit for bit.
+func (e *Engine) Resaturate(inst, excluded, removed *bitset.Set, members []int, rng *rand.Rand) {
+	order := e.addableAfter(inst, excluded, removed, members)
+	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+	e.addInOrder(inst, order)
+}
+
+// addableAfter lists, ascending, the candidates Resaturate may add: not
+// in inst, excluded or retired, and consistent with inst.
+func (e *Engine) addableAfter(inst, excluded, removed *bitset.Set, members []int) []int {
+	order := e.order[:0]
+	if e.idx == nil || len(e.idx.residual) > 0 {
+		var retired *bitset.Set
+		if e.idx != nil {
+			retired = e.idx.retiredMask
+		}
+		probe := func(c int) {
+			if inst.Has(c) || (excluded != nil && excluded.Has(c)) || (retired != nil && retired.Has(c)) {
+				return
+			}
+			if e.CanAdd(inst, c) {
+				order = append(order, c)
+			}
+		}
+		if members == nil {
+			for c := 0; c < e.net.NumCandidates(); c++ {
+				probe(c)
+			}
+		} else {
+			for _, c := range members {
+				probe(c)
+			}
+		}
+		e.order = order
+		return order
+	}
+	n := e.net.NumCandidates()
+	if e.blocked == nil || e.blocked.Len() != n {
+		e.blocked = bitset.New(n)
+	}
+	touched := e.blocked
+	touched.Clear()
+	removed.ForEach(func(r int) bool {
+		touched.Add(r)
+		if row := e.idx.rows[r]; row != nil {
+			touched.UnionWith(row)
+		}
+		for i := range e.idx.gates {
+			if m := e.idx.gates[i].masks[r]; m != nil {
+				touched.UnionWith(m)
+			}
+		}
+		return true
+	})
+	touched.DifferenceWith(inst)
+	if excluded != nil {
+		touched.DifferenceWith(excluded)
+	}
+	if e.idx.retiredMask != nil {
+		touched.DifferenceWith(e.idx.retiredMask)
+	}
+	touched.ForEach(func(c int) bool {
+		if !e.HasConflict(inst, c) {
+			order = append(order, c)
+		}
+		return true
+	})
+	e.order = order
+	return order
+}
+
+// addInOrder adds the candidates of order to inst greedily. Every one of
+// them must have been addable to inst on entry, so only candidates after
+// the first addition need a consistency check.
+func (e *Engine) addInOrder(inst *bitset.Set, order []int) {
+	grew := false
+	for _, c := range order {
+		if grew && e.HasConflict(inst, c) {
+			continue
+		}
+		inst.Add(c)
+		grew = true
+	}
+}
+
+// repairScratch is Repair's per-fork victim accounting: the running
+// per-candidate violation counts and the flags of one repair round.
+// Its two visitors are bound to method values once per fork
+// (Engine.repairState), so handing them to ForEachAnd and to the chain
+// streamers allocates nothing per call.
+type repairScratch struct {
+	idx      *conflictIndex
+	inst     *bitset.Set
+	approved *bitset.Set
+	added    int
+	counts   []int32 // per-candidate violation counts
+	touched  []int   // candidates with counts[c] > 0
+	chainBuf []int   // chain buffer for streaming enumeration
+
+	anyViol, unrepairable bool
+
+	pairFn func(d int) bool         // bound visitPair
+	violFn func(members []int) bool // bound countViol
+}
+
+// repairState returns the fork's repair scratch, bound to one Repair
+// call's arguments and sized for the current universe.
+func (e *Engine) repairState(inst *bitset.Set, added int, approved *bitset.Set) *repairScratch {
+	rs := e.rep
+	if rs == nil {
+		rs = &repairScratch{}
+		rs.pairFn, rs.violFn = rs.visitPair, rs.countViol
+		e.rep = rs
+	}
+	if n := e.net.NumCandidates(); len(rs.counts) < n {
+		rs.counts = make([]int32, n)
+	}
+	rs.idx, rs.inst, rs.added, rs.approved = e.idx, inst, added, approved
+	return rs
+}
+
+// visitPair accounts one pairwise violation {added, d}, weighted by how
+// many pairwise constraints declare it.
+func (rs *repairScratch) visitPair(d int) bool {
+	rs.anyViol = true
+	if rs.approved != nil && rs.approved.Has(d) {
+		rs.unrepairable = true
+		return false
+	}
+	if rs.counts[d] == 0 {
+		rs.touched = append(rs.touched, d)
+	}
+	rs.counts[d] += int32(rs.idx.multiplicity(rs.added, d))
+	return true
+}
+
+// countViol mirrors the per-violation accounting of the interpreted
+// reference for chain (and residual) violations.
+func (rs *repairScratch) countViol(members []int) bool {
+	rs.anyViol = true
+	removable := 0
+	for _, ci := range members {
+		if ci == rs.added || (rs.approved != nil && rs.approved.Has(ci)) {
+			continue
+		}
+		if rs.inst.Has(ci) {
+			if rs.counts[ci] == 0 {
+				rs.touched = append(rs.touched, ci)
+			}
+			rs.counts[ci]++
+			removable++
+		}
+	}
+	if removable == 0 {
+		rs.unrepairable = true
+		return false
+	}
+	return true
+}
+
+// victim returns the candidate with the most counted violations
+// (smallest index on ties) and clears the counts for the next round.
+func (rs *repairScratch) victim() int {
+	victim, best := -1, int32(-1)
+	for _, ci := range rs.touched {
+		if rs.counts[ci] > best || (rs.counts[ci] == best && ci < victim) {
+			victim, best = ci, rs.counts[ci]
+		}
+	}
+	rs.clear()
+	return victim
+}
+
+// clear zeroes the touched counts.
+func (rs *repairScratch) clear() {
+	for _, ci := range rs.touched {
+		rs.counts[ci] = 0
+	}
+	rs.touched = rs.touched[:0]
+}
+
 // Repair implements Algorithm 4: it adds candidate `added` to inst and
 // then greedily removes the non-protected correspondence involved in the
 // most violations until no violation involving `added` remains.
@@ -342,123 +545,65 @@ func (e *Engine) maximizeOrder(inst, excluded *bitset.Set, order []int) {
 //
 // On the compiled path the pairwise violations are read directly off the
 // conflict matrix (inst ∩ rows[added], word-wise) and victim counts
-// accumulate in a reusable indexed scratch with a smallest-index
+// accumulate in the fork's repairScratch with a smallest-index
 // tie-break — the same deterministic result as the interpreted
-// reference, with zero allocations in the loop.
+// reference, with zero allocations once the scratch has warmed up.
 func (e *Engine) Repair(inst *bitset.Set, added int, approved *bitset.Set) {
 	if e.idx == nil {
 		e.repairInterpreted(inst, added, approved)
 		return
 	}
 	inst.Add(added)
-	n := e.net.NumCandidates()
-	if len(e.counts) < n {
-		e.counts = make([]int32, n)
-	}
-	counts := e.counts
-	touched := e.touched[:0]
-	// The accounting closures are hoisted out of the repair loop (and
-	// anyViol/unrepairable with them) so each Repair call allocates at
-	// most their two captures, not two closures per iteration.
-	var anyViol, unrepairable bool
+	rs := e.repairState(inst, added, approved)
 	row := e.idx.rows[added]
-	pairVisit := func(d int) bool {
-		anyViol = true
-		if approved != nil && approved.Has(d) {
-			unrepairable = true
-			return false
-		}
-		if counts[d] == 0 {
-			touched = append(touched, d)
-		}
-		counts[d] += int32(e.idx.multiplicity(added, d))
-		return true
-	}
-	// countViol mirrors the per-violation accounting of the interpreted
-	// reference for chain (and residual) violations.
-	countViol := func(members []int) bool {
-		anyViol = true
-		removable := 0
-		for _, ci := range members {
-			if ci == added || (approved != nil && approved.Has(ci)) {
-				continue
-			}
-			if inst.Has(ci) {
-				if counts[ci] == 0 {
-					touched = append(touched, ci)
-				}
-				counts[ci]++
-				removable++
-			}
-		}
-		if removable == 0 {
-			unrepairable = true
-			return false
-		}
-		return true
-	}
 	for {
-		anyViol, unrepairable = false, false
+		rs.anyViol, rs.unrepairable = false, false
 		if row != nil {
-			inst.ForEachAnd(row, pairVisit)
+			inst.ForEachAnd(row, rs.pairFn)
 		}
-		if !unrepairable {
+		if !rs.unrepairable {
 			for i := range e.idx.gates {
 				g := &e.idx.gates[i]
 				if !g.gatePasses(inst, added) {
 					continue
 				}
 				if g.stream != nil {
-					e.chainBuf = g.stream.ForEachChain(inst, added, e.chainBuf, countViol)
+					rs.chainBuf = g.stream.ForEachChain(inst, added, rs.chainBuf, rs.violFn)
 				} else {
 					for _, v := range g.con.ConflictsWith(inst, added) {
-						if !countViol(v.Cands) {
+						if !rs.countViol(v.Cands) {
 							break
 						}
 					}
 				}
-				if unrepairable {
+				if rs.unrepairable {
 					break
 				}
 			}
 		}
-		if !unrepairable {
+		if !rs.unrepairable {
 			for _, con := range e.idx.residual {
 				for _, v := range con.ConflictsWith(inst, added) {
-					if !countViol(v.Cands) {
+					if !rs.countViol(v.Cands) {
 						break
 					}
 				}
-				if unrepairable {
+				if rs.unrepairable {
 					break
 				}
 			}
 		}
-		if unrepairable {
+		if rs.unrepairable {
 			// Unrepairable without touching protected members: drop the
 			// newly added correspondence.
-			for _, ci := range touched {
-				counts[ci] = 0
-			}
-			e.touched = touched[:0]
+			rs.clear()
 			inst.Remove(added)
 			return
 		}
-		if !anyViol {
-			e.touched = touched[:0]
+		if !rs.anyViol {
 			return
 		}
-		victim, best := -1, int32(-1)
-		for _, ci := range touched {
-			if counts[ci] > best || (counts[ci] == best && ci < victim) {
-				victim, best = ci, counts[ci]
-			}
-		}
-		for _, ci := range touched {
-			counts[ci] = 0
-		}
-		touched = touched[:0]
-		inst.Remove(victim)
+		inst.Remove(rs.victim())
 	}
 }
 

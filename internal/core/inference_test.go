@@ -350,6 +350,69 @@ func TestAutoStreamsAlignWithSampledAcrossComponents(t *testing.T) {
 	}
 }
 
+// TestSurvivorSeededWalkStaysMaximal merges two sampled components
+// with a bridging candidate. The rebuilt component's store is seeded
+// from its predecessors' surviving samples, and its refill walks from
+// the last seeded instance, resaturating only what each step's repair
+// removed. Every stored instance of every sampled component must be
+// maximal within its component under the current feedback — after the
+// merge and after each later assertion.
+func TestSurvivorSeededWalkStaysMaximal(t *testing.T) {
+	// Block 0 has a spare S attribute and block 1 a spare T attribute,
+	// so the bridge between them is addable to some survivor unions and
+	// the seeding must saturate it in.
+	e, attrs, truth := buildBipartiteBlocks(t, [][2]int{{5, 4}, {4, 5}})
+	cfg := DefaultConfig()
+	cfg.Inference = InferSampled
+	p := MustNew(e, cfg, rand.New(rand.NewSource(3)))
+	checkMaximal := func(step string) {
+		t.Helper()
+		n := e.Network().NumCandidates()
+		for k, c := range p.comps {
+			if c.inf.Mode() != InferSampled {
+				continue
+			}
+			_, excl := sampling.FeedbackWithin(n, nil, c.disapproved, c.mask, nil, nil)
+			c.store().ForEachInstance(func(inst *bitset.Set) bool {
+				if !e.Consistent(inst) || !e.MaximalWithin(inst, excl, c.members) {
+					t.Fatalf("%s: component %d holds non-maximal %v", step, k, inst)
+				}
+				return true
+			})
+		}
+	}
+	net := e.Network()
+	// One off-diagonal disapproval per block, so the survivors carry
+	// feedback into the merged component.
+	for _, at := range attrs {
+		if err := p.Assert(net.CandidateIndex(at[0][0], at[1][1]), false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	oldN := net.NumCandidates()
+	bridge := schema.Correspondence{A: attrs[0][0][0], B: attrs[1][1][0], Confidence: 0.5}
+	if _, err := net.AppendCandidates([]schema.Correspondence{bridge}); err != nil {
+		t.Fatal(err)
+	}
+	e.Grow(oldN)
+	if _, err := p.TopologyChanged(oldN, -1); err != nil {
+		t.Fatal(err)
+	}
+	if p.NumComponents() != 1 {
+		t.Fatalf("bridge left %d components, want the two blocks merged", p.NumComponents())
+	}
+	checkMaximal("merge")
+	for _, at := range attrs {
+		for j := 1; j < 4; j++ {
+			c := net.CandidateIndex(at[0][j], at[1][j])
+			if err := p.Assert(c, truth[c]); err != nil {
+				t.Fatal(err)
+			}
+			checkMaximal(net.DescribeCandidate(c))
+		}
+	}
+}
+
 // TestAutoPromotionScript drives the two-star fixture through the full
 // promotion lifecycle: construction attempt overflows (15 > 9) →
 // sampled; a failed retry memoizes the bar; shrinking the component

@@ -11,11 +11,17 @@ func quickCfg() Config { return Config{Quick: true, Seed: 1, Runs: 2} }
 // rendered report.
 func runAndRender(t *testing.T, name string) (Result, string) {
 	t.Helper()
+	return runAndRenderCfg(t, name, quickCfg())
+}
+
+// runAndRenderCfg is runAndRender under an explicit configuration.
+func runAndRenderCfg(t *testing.T, name string, cfg Config) (Result, string) {
+	t.Helper()
 	runner := Lookup(name)
 	if runner == nil {
 		t.Fatalf("unknown experiment %q", name)
 	}
-	res, err := runner(quickCfg())
+	res, err := runner(cfg)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -255,7 +261,12 @@ func TestRobustShape(t *testing.T) {
 }
 
 func TestAblationShape(t *testing.T) {
-	res, _ := runAndRender(t, "ablation")
+	// Info-gain and least-certain AUCs sit within ~0.01 of each other,
+	// so quickCfg's 2-run average picks a winner by seed; 20 runs
+	// separate them.
+	cfg := quickCfg()
+	cfg.Runs = 20
+	res, _ := runAndRenderCfg(t, "ablation", cfg)
 	r := res.(*AblationResult)
 	if len(r.UncertaintyAUC) != 4 {
 		t.Fatalf("strategy AUCs = %d, want 4", len(r.UncertaintyAUC))

@@ -218,6 +218,7 @@ func heuristicWithin(e *constraints.Engine, store *sampling.Store, probs []float
 	tabu := newTabuQueue(cfg.TabuSize, n)
 	pool := make([]int, 0, n)
 	free := bitset.New(n)
+	removed := bitset.New(n)
 	for i := 0; i < cfg.Iterations; i++ {
 		if within != nil {
 			free.CopyFrom(within)
@@ -239,8 +240,13 @@ func heuristicWithin(e *constraints.Engine, store *sampling.Store, probs []float
 			break
 		}
 		tabu.add(c)
+		// cur is maximal (a stored instance or a saturated seed, then
+		// each step's output), so only what the repair removed can have
+		// unblocked anything.
+		removed.CopyFrom(cur)
 		e.Repair(cur, c, apr)
-		e.MaximizeWithin(cur, excluded, members, rng)
+		removed.DifferenceWith(cur)
+		e.Resaturate(cur, excluded, removed, members, rng)
 		if better(best, cur, full, probs, cfg.UseLikelihood) {
 			best.CopyFrom(cur)
 		}

@@ -67,6 +67,7 @@ type Sampler struct {
 	freeMask *bitset.Set // scratch: eligible-move mask, reused across walk steps
 	exclMask *bitset.Set // scratch: ¬within ∪ F− for component-restricted walks
 	aprMask  *bitset.Set // scratch: F+ ∩ within for component-restricted walks
+	remMask  *bitset.Set // scratch: cur \ next, what a walk step's repair removed
 }
 
 // NewSampler builds a sampler. rng must not be nil.
@@ -87,7 +88,7 @@ func (s *Sampler) Config() Config { return s.cfg }
 // next walk re-derives them from the engine at the current universe
 // size. Callers must invoke it after the candidate universe grows.
 func (s *Sampler) ResetScratch() {
-	s.freeMask, s.exclMask, s.aprMask = nil, nil, nil
+	s.freeMask, s.exclMask, s.aprMask, s.remMask = nil, nil, nil, nil
 }
 
 // FeedbackWithin derives the component-restricted form of the feedback
@@ -200,6 +201,9 @@ func (s *Sampler) SampleWithin(store *Store, approved, disapproved, within *bits
 	}
 
 	next := cur.Clone()
+	if s.cfg.Maximize && s.remMask == nil {
+		s.remMask = s.engine.NewInstance()
+	}
 	stale := 0
 	for i := 0; i < n; i++ {
 		if i > 0 && s.rng.Float64() < s.cfg.RestartProb {
@@ -215,7 +219,13 @@ func (s *Sampler) SampleWithin(store *Store, approved, disapproved, within *bits
 			next.CopyFrom(cur)
 			s.engine.Repair(next, c, apr)
 			if s.cfg.Maximize {
-				s.engine.MaximizeWithin(next, excluded, members, s.rng)
+				// cur is maximal (a fresh saturation, an accepted step,
+				// or a stored instance, all maximal under the current
+				// feedback), so only what the repair removed can have
+				// unblocked anything.
+				s.remMask.CopyFrom(cur)
+				s.remMask.DifferenceWith(next)
+				s.engine.Resaturate(next, excluded, s.remMask, members, s.rng)
 			}
 			delta := cur.SymmetricDiffCount(next)
 			accept := true

@@ -201,6 +201,91 @@ func TestSampleWithinStaysInComponent(t *testing.T) {
 	}
 }
 
+// TestSampleWithinEmitsMaximalFromFilledStores drives the restricted
+// walk from stores filled each way a component store is filled — by an
+// earlier walk and by exact enumeration — across assertions that
+// shrink the store by view maintenance. The walk resaturates only what
+// a step's repair removed, which is sound only if it starts from a
+// maximal instance, so every instance the store holds afterwards must
+// still be maximal within the component under the current feedback.
+func TestSampleWithinEmitsMaximalFromFilledStores(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	checked := map[string]int{}
+	for _, size := range []int{16, 36} {
+		d, err := datagen.SyntheticNetwork(datagen.Profile{
+			Name: "walk", Domain: datagen.PurchaseOrder(),
+			NumSchemas: 5, MinAttrs: 5, MaxAttrs: 7, PoolFactor: 1.3,
+			SynonymProb: 0.2, AbbrevProb: 0.15, EdgeProb: 0.6,
+		}, datagen.SyntheticOpts{
+			TargetCount: size, Precision: 0.67, ConflictBias: 0.7, StrictCount: true,
+		}, rand.New(rand.NewSource(61)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := constraints.Default(d.Network)
+		parts := e.Components()
+		n := e.Network().NumCandidates()
+		local := make([]int32, n)
+		for k := 0; k < parts.NumComponents(); k++ {
+			for j, c := range parts.Members(k) {
+				local[c] = int32(j)
+			}
+		}
+		smp := NewSampler(e, DefaultConfig(), rng)
+		for k := 0; k < parts.NumComponents(); k++ {
+			members := parts.Members(k)
+			if len(members) < 4 {
+				continue
+			}
+			mask := bitset.FromIndices(n, members...)
+			for _, fill := range []string{"walk", "exact"} {
+				st := NewComponentStore(n, 20, members, local)
+				apr, dis := bitset.New(n), bitset.New(n)
+				switch {
+				case fill == "walk":
+					smp.SampleWithin(st, apr, dis, mask, 30)
+				case len(members) <= 20:
+					all, err := EnumerateWithin(e, apr, dis, mask, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, inst := range all {
+						st.Add(inst)
+					}
+				default:
+					continue
+				}
+				for step := 0; step < 4; step++ {
+					c := members[rng.Intn(len(members))]
+					if apr.Has(c) || dis.Has(c) || e.HasConflict(apr, c) {
+						continue
+					}
+					approve := rng.Intn(2) == 0
+					if approve {
+						apr.Add(c)
+					} else {
+						dis.Add(c)
+					}
+					st.ApplyAssertion(c, approve)
+					smp.SampleWithin(st, apr, dis, mask, 30)
+					_, excl := FeedbackWithin(n, apr, dis, mask, nil, nil)
+					st.ForEachInstance(func(inst *bitset.Set) bool {
+						if !e.Consistent(inst) || !e.MaximalWithin(inst, excl, members) {
+							t.Fatalf("C=%d component %d, %s-filled store, step %d: %v is not a maximal instance",
+								size, k, fill, step, inst)
+						}
+						checked[fill]++
+						return true
+					})
+				}
+			}
+		}
+	}
+	if checked["walk"] == 0 || checked["exact"] == 0 {
+		t.Fatalf("instances checked per fill: %v; both fills must be exercised", checked)
+	}
+}
+
 // TestEnumerateWithinFactorizes: the per-component enumerations of a
 // multi-component network multiply out to the global enumeration — the
 // instance-space product structure the decomposed PMN relies on — and
