@@ -63,7 +63,7 @@ bench-smoke:
 	# The concurrent-serving benchmark measures whole schedules (seconds
 	# per op at C=2048), so the smoke runs only the C=512 case.
 	$(GO) test -run '^$$' -bench 'BenchmarkConcurrentAssertMultiComp/C=512' -benchmem -benchtime $(BENCHTIME) -count $(COUNT) . | $(GO) run ./cmd/benchmedian
-	# Adaptive-vs-fixed refill budgets on the multicomp assert schedule.
+	# Default chunked refill vs a pinned single-chunk budget (multicomp, dense).
 	$(GO) test -run '^$$' -bench 'BenchmarkSessionAssertBudget' -benchmem -benchtime $(BENCHTIME) -count $(COUNT) . | $(GO) run ./cmd/benchmedian
 	# Incremental topology cost: one late schema / one component-merging
 	# candidate batch on a live session vs recompiling the world.

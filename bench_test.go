@@ -635,14 +635,14 @@ func BenchmarkThroughputSuggest(b *testing.B) {
 	}
 }
 
-// BenchmarkSessionAssertBudget: the adaptive refill budget against the
-// fixed one on the multicomp workload (the acceptance head-to-head;
-// accuracy parity is proven by the differential tests in
-// adaptive_test.go). Both variants report walk emissions per op — the
-// sampling-effort unit the adaptive loop economizes. suggest+assert is
-// the end-to-end step (where the gain re-rank, untouched by the budget,
-// dominates wall clock); assert-only isolates the refill path the
-// budget governs.
+// BenchmarkSessionAssertBudget: the default chunked refill loop against
+// a pinned single-chunk budget (MinSamples = the 500 cap, one
+// SampleWithin call per round) on the multicomp and dense workloads;
+// accuracy against exact inference is the sampled ≈ exact harness's
+// job (sampled_exact_test.go). Both variants report walk emissions per
+// op — the sampling-effort unit the early stop economizes.
+// suggest+assert is the end-to-end step; assert-only isolates the
+// refill path the budget governs.
 func BenchmarkSessionAssertBudget(b *testing.B) {
 	multi := benchMultiCompDataset(b)
 	dense, _ := benchDataset(b, 512)
@@ -654,8 +654,8 @@ func BenchmarkSessionAssertBudget(b *testing.B) {
 			name string
 			opts schemanet.Options
 		}{
-			{"fixed", schemanet.Options{Inference: "sampled"}},
-			{"adaptive", schemanet.Options{Inference: "sampled", MinSamples: 100, Convergence: 0.01}},
+			{"single-chunk", schemanet.Options{Inference: "sampled", MinSamples: 500}},
+			{"default", schemanet.Options{Inference: "sampled"}},
 		} {
 			b.Run(ds.name+"/C=512/suggest+assert/"+mode.name, func(b *testing.B) {
 				benchBudgetSuggestAssert(b, ds.d, mode.opts)

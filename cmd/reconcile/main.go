@@ -203,9 +203,9 @@ func main() {
 		seed        = flag.Int64("seed", 1, "random seed")
 		inference   = flag.String("inference", "", `per-component inference: "auto" (default), "sampled", or "exact"`)
 		exactBudget = flag.Int("exact-budget", 0, "per-component instance budget for exact inference (0 = mode default)")
-		minSamples  = flag.Int("min-samples", 0, "adaptive sampling: chunk size / budget floor (0 = fixed budget)")
-		maxSamples  = flag.Int("max-samples", 0, "adaptive sampling: per-refill emission cap (0 = fixed budget)")
-		convergence = flag.Float64("convergence", 0, "adaptive sampling: marginal-delta stop threshold in [0,1] (0 = fixed budget)")
+		minSamples  = flag.Int("min-samples", 0, "sampling refill chunk size (Options.MinSamples; 0 = 100)")
+		maxSamples  = flag.Int("max-samples", 0, "sampling refill per-round emission cap (Options.Samples; 0 = 500)")
+		convergence = flag.Float64("convergence", 0, "sampling refill marginal-delta stop threshold in [0,1] (Options.Convergence; 0 = 0.01)")
 		resume      = flag.String("resume", "", "resume from a saved session file")
 		save        = flag.String("save", "", "save the session to this file when done")
 		storeDir    = flag.String("store", "", "durable session store directory (WAL + snapshot persistence)")
@@ -255,7 +255,7 @@ func main() {
 
 	opts := &schemanet.Options{
 		Seed: *seed, Inference: *inference, ExactBudget: *exactBudget,
-		MinSamples: *minSamples, MaxSamples: *maxSamples, Convergence: *convergence,
+		Samples: *maxSamples, MinSamples: *minSamples, Convergence: *convergence,
 	}
 	var (
 		sess  session

@@ -50,3 +50,9 @@ func ExhaustiveTies(s *Session) ([]int, float64) {
 // the set Suggest draws from. It consumes no rng state, so calling it
 // before Suggest leaves the suggestion unchanged.
 func PrunedTies(s *Session) ([]int, float64) { return s.pmn.TopGainTies() }
+
+// InformationGains returns every candidate's information gain under the
+// session's current estimates (one full pass; asserted and certain
+// candidates read 0). The sampled ≈ exact harness scores a sampled
+// session's pick by its gain on an exact twin.
+func InformationGains(s *Session) []float64 { return s.pmn.InformationGains() }

@@ -1,9 +1,9 @@
 package core
 
-// White-box tests for the adaptive refill budget: resolution of the
-// Config knobs into a budgetPlan, and the survivor-reuse property —
-// deficit-aware resampling must uphold exactly the store invariants the
-// discard-and-full-refill path upholds (deduped instance set, feedback
+// White-box tests for the refill budget: resolution of the Config knobs
+// into a budgetPlan, and the survivor-reuse property — chunked,
+// deficit-aware resampling must uphold exactly the store invariants a
+// single-chunk round upholds (deduped instance set, feedback
 // consistency, refilled-or-complete), while requesting fewer emissions.
 
 import (
@@ -16,24 +16,26 @@ import (
 )
 
 func TestResolveBudget(t *testing.T) {
-	base := Config{Samples: 500}
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 		want budgetPlan
 	}{
-		{"all-zero-legacy", base, budgetPlan{min: 500, max: 500}},
+		{"defaults", Config{Samples: 500},
+			budgetPlan{min: DefaultMinSamples, max: 500, conv: DefaultConvergence}},
 		{"min-only", Config{Samples: 500, MinSamples: 50},
 			budgetPlan{min: 50, max: 500, conv: DefaultConvergence}},
-		{"min-above-samples", Config{Samples: 500, MinSamples: 800},
-			budgetPlan{min: 800, max: 800, conv: DefaultConvergence}},
-		{"max-only", Config{Samples: 500, MaxSamples: 2000},
+		{"single-chunk", Config{Samples: 500, MinSamples: 500},
+			budgetPlan{min: 500, max: 500, conv: DefaultConvergence}},
+		{"min-above-cap", Config{Samples: 500, MinSamples: 800},
+			budgetPlan{min: 500, max: 500, conv: DefaultConvergence}},
+		{"cap-only", Config{Samples: 2000},
 			budgetPlan{min: DefaultMinSamples, max: 2000, conv: DefaultConvergence}},
-		{"max-below-default-min", Config{Samples: 500, MaxSamples: 60},
+		{"cap-below-default-min", Config{Samples: 60},
 			budgetPlan{min: 60, max: 60, conv: DefaultConvergence}},
 		{"conv-only", Config{Samples: 500, Convergence: 0.05},
 			budgetPlan{min: DefaultMinSamples, max: 500, conv: 0.05}},
-		{"all-set", Config{Samples: 500, MinSamples: 40, MaxSamples: 900, Convergence: 0.02},
+		{"all-set", Config{Samples: 900, MinSamples: 40, Convergence: 0.02},
 			budgetPlan{min: 40, max: 900, conv: 0.02}},
 	} {
 		if got := resolveBudget(tc.cfg); got != tc.want {
@@ -87,12 +89,13 @@ func checkStoreInvariants(t *testing.T, p *PMN, k int) {
 }
 
 // TestAdaptiveRefillSurvivorReuse drives the same deterministic
-// assertion schedule through a fixed-budget PMN and an adaptive one and
+// assertion schedule through a single-chunk PMN (MinSamples = Samples,
+// one SampleWithin call per round) and a chunked one and
 // checks, after every assertion, that both uphold the identical store
-// invariants — and that the adaptive run's surviving samples really are
+// invariants — and that the chunked run's surviving samples really are
 // reused: every pre-assertion instance consistent with the assertion is
 // still present afterwards, and the total emissions requested are
-// strictly below the fixed budget's.
+// strictly below the single-chunk run's.
 func TestAdaptiveRefillSurvivorReuse(t *testing.T) {
 	d, err := datagen.SyntheticNetwork(datagen.MultiComp(), datagen.SyntheticOpts{
 		TargetCount: 192, Precision: 0.67, ConflictBias: 0.3, StrictCount: true,
@@ -105,10 +108,10 @@ func TestAdaptiveRefillSurvivorReuse(t *testing.T) {
 	// exact backend mid-run and refills stay real.
 	fixedCfg := DefaultConfig()
 	fixedCfg.Samples = 400
+	fixedCfg.MinSamples = 400
 	fixedCfg.Inference = InferSampled
 	adCfg := fixedCfg
 	adCfg.MinSamples = 50
-	adCfg.Convergence = 0.01
 
 	pf := MustNew(constraints.Default(d.Network), fixedCfg, rand.New(rand.NewSource(21)))
 	pa := MustNew(e, adCfg, rand.New(rand.NewSource(21)))
@@ -142,11 +145,11 @@ func TestAdaptiveRefillSurvivorReuse(t *testing.T) {
 				return !found
 			})
 			if !found {
-				t.Fatalf("candidate %d: a surviving sample was discarded by the adaptive refill", c)
+				t.Fatalf("candidate %d: a surviving sample was discarded by the chunked refill", c)
 			}
 		}
 	}
 	if fe, ae := pf.Emissions(), pa.Emissions(); ae >= fe {
-		t.Errorf("adaptive requested %d emissions, fixed %d — adaptive must be cheaper", ae, fe)
+		t.Errorf("chunked requested %d emissions, single-chunk %d — chunked must be cheaper", ae, fe)
 	}
 }

@@ -168,11 +168,7 @@ func (p *PMN) TopologyChanged(oldN, retiredCand int) (map[int]int, error) {
 				c.disapproved.Add(m)
 			}
 		}
-		scfg := p.cfg.Sampler
-		if scfg.StagnationLimit == 0 {
-			scfg.StagnationLimit = 8*len(members) + 128
-		}
-		inf, err := p.newInference(k, c, scfg, stream{seed: p.contentSeed(members)})
+		inf, err := p.newInference(k, c, stream{seed: p.contentSeed(members)})
 		if err != nil {
 			return nil, err
 		}

@@ -96,14 +96,14 @@ type Inference interface {
 	Grow(n int, local []int32)
 }
 
-// DefaultMinSamples is the emission chunk size of the adaptive refill
-// loop when Config.MinSamples is unset: small enough that a
-// near-resolved component stops after a fraction of the fixed budget,
-// large enough that one chunk's marginal movement is a meaningful
-// convergence signal at the default n_min.
+// DefaultMinSamples is the emission chunk size of the refill loop when
+// Config.MinSamples is unset: small enough that a near-resolved
+// component stops after a fraction of the per-round cap, large enough
+// that one chunk's marginal movement is a meaningful convergence signal
+// at the default n_min.
 const DefaultMinSamples = 100
 
-// DefaultConvergence is the adaptive stopping threshold ε when
+// DefaultConvergence is the stopping threshold ε when
 // Config.Convergence is unset: a refill round ends once no tracked
 // marginal moved by more than ε across one chunk.
 const DefaultConvergence = 0.01
@@ -112,42 +112,30 @@ const DefaultConvergence = 0.01
 // components: emissions come in chunks of min (the first chunk raised
 // to the store's n_min deficit), capped at max per round, with an
 // early stop once the store's marginals move by at most conv across a
-// chunk. min == max degenerates to the legacy fixed budget — a single
-// SampleWithin(max) call per round, bit-identical rng consumption to
-// the pre-adaptive implementation.
+// chunk. min == max is a single-chunk round: one SampleWithin(max)
+// call.
 type budgetPlan struct {
 	min, max int
 	conv     float64
 }
 
-// resolveBudget turns Config's budget knobs into a plan. The adaptive
-// loop engages only when at least one of MinSamples/MaxSamples/
-// Convergence is set; a Config using only the legacy Samples knob keeps
-// the fixed one-chunk refill (and its exact rng stream). cfg.Samples
-// must already be defaulted (see New).
+// resolveBudget turns Config's budget knobs into a plan: Samples is the
+// per-round cap, MinSamples (default DefaultMinSamples, clamped to the
+// cap) the chunk size, Convergence (default DefaultConvergence) the
+// stopping threshold. cfg.Samples must already be defaulted (see New).
 func resolveBudget(cfg Config) budgetPlan {
-	if cfg.MinSamples == 0 && cfg.MaxSamples == 0 && cfg.Convergence == 0 {
-		return budgetPlan{min: cfg.Samples, max: cfg.Samples}
-	}
 	min := cfg.MinSamples
 	if min <= 0 {
 		min = DefaultMinSamples
 	}
-	max := cfg.MaxSamples
-	if max <= 0 {
-		max = cfg.Samples
-		if min > max {
-			max = min
-		}
-	}
-	if min > max {
-		min = max
+	if min > cfg.Samples {
+		min = cfg.Samples
 	}
 	conv := cfg.Convergence
 	if conv <= 0 {
 		conv = DefaultConvergence
 	}
-	return budgetPlan{min: min, max: max, conv: conv}
+	return budgetPlan{min: min, max: cfg.Samples, conv: conv}
 }
 
 // sampledInference is the paper's sampling path (§III-B), moved behind
@@ -162,9 +150,9 @@ type sampledInference struct {
 	// mask nil means the whole universe.
 	approved, disapproved, mask *bitset.Set
 	// prev/cur are marginal-vector scratch (column space, length
-	// TrackedCount) for the adaptive convergence test; nil until the
-	// first chunked round. Owned by the component like the rest of the
-	// backend state.
+	// TrackedCount) for the convergence test; nil until the first round
+	// of more than one chunk. Owned by the component like the rest of
+	// the backend state.
 	prev, cur []float64
 }
 
@@ -184,7 +172,7 @@ func (s *sampledInference) Refill() int {
 	if s.store.NeedsResample() {
 		// Two consecutive rounds could not reach n_min: the actual
 		// number of matching instances is below n_min and the store
-		// holds all of them. The adaptive loop preserves the premise —
+		// holds all of them. The chunk loop preserves the premise —
 		// every round's first chunk covers at least the n_min deficit,
 		// so a round that ends below n_min genuinely failed to find the
 		// missing instances rather than never asking for them.
@@ -193,28 +181,17 @@ func (s *sampledInference) Refill() int {
 	return total
 }
 
-// refillRound emits one resampling round's walk samples and returns the
-// emissions requested. The fixed budget (plan.min == plan.max) is a
-// single SampleWithin call — bit-identical rng consumption to the
-// pre-adaptive implementation, since chunk boundaries change where the
-// walk's restart draw is skipped (SampleWithin's i > 0 guard). The
-// adaptive loop samples in chunks and stops once no tracked marginal
-// moved by more than plan.conv across a chunk; a chunk that discovered
-// no new distinct instance has delta 0 and stops likewise, which
-// subsumes cross-chunk stagnation. The stop decision is a pure function
-// of the store state and the component's rng stream, so serial
+// refillRound emits one resampling round's walk samples in chunks and
+// returns the emissions requested. The round stops at the cap, or once
+// no tracked marginal moved by more than plan.conv across a chunk; a
+// chunk that discovered no new distinct instance has delta 0 and stops
+// likewise. The marginals after one chunk are the baseline of the next,
+// so each chunk costs one marginal pass. The stop decision is a pure
+// function of the store state and the component's rng stream, so serial
 // execution, batch replay, and concurrent component-disjoint
 // interleavings reconstruct identical stores.
 func (s *sampledInference) refillRound() int {
 	st := s.store
-	if s.plan.min >= s.plan.max {
-		s.sampler.SampleWithin(st, s.approved, s.disapproved, s.mask, s.plan.max)
-		return s.plan.max
-	}
-	if s.prev == nil {
-		s.prev = make([]float64, st.TrackedCount())
-		s.cur = make([]float64, st.TrackedCount())
-	}
 	emitted := 0
 	for emitted < s.plan.max {
 		chunk := s.plan.min
@@ -229,16 +206,24 @@ func (s *sampledInference) refillRound() int {
 		if rem := s.plan.max - emitted; chunk > rem {
 			chunk = rem
 		}
-		st.MarginalsInto(s.prev)
+		last := emitted+chunk >= s.plan.max
+		if emitted == 0 && !last {
+			if s.prev == nil {
+				s.prev = make([]float64, st.TrackedCount())
+				s.cur = make([]float64, st.TrackedCount())
+			}
+			st.MarginalsInto(s.prev)
+		}
 		s.sampler.SampleWithin(st, s.approved, s.disapproved, s.mask, chunk)
 		emitted += chunk
-		if emitted >= s.plan.max {
+		if last {
 			break
 		}
 		st.MarginalsInto(s.cur)
 		if maxAbsDelta(s.prev, s.cur) <= s.plan.conv {
 			break
 		}
+		s.prev, s.cur = s.cur, s.prev
 	}
 	return emitted
 }
@@ -400,7 +385,8 @@ func (s stream) rand() *rand.Rand {
 // samples. st is the component's sampler stream; it is built and
 // consumed only by the sampled backend, so mode selection never
 // perturbs it.
-func (p *PMN) newInference(k int, c *component, scfg sampling.Config, st stream) (Inference, error) {
+func (p *PMN) newInference(k int, c *component, st stream) (Inference, error) {
+	scfg := p.cfg.Sampler
 	nmin := scfg.NMin
 	if nmin <= 0 {
 		nmin = sampling.DefaultConfig().NMin

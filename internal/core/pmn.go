@@ -16,25 +16,20 @@ import (
 type Config struct {
 	// Sampler configures the non-uniform sampler (§III-B).
 	Sampler sampling.Config
-	// Samples is the number of walk emissions per (re)sampling round.
-	// In a decomposed PMN each component gets a full round of its own.
+	// Samples caps the walk emissions of one (re)sampling round. In a
+	// decomposed PMN each component gets rounds of its own.
 	Samples int
-	// MinSamples, MaxSamples, and Convergence configure the *adaptive*
-	// refill budget: emissions come in chunks of MinSamples (the first
-	// chunk raised to the store's n_min deficit, so survivors kept by
-	// view maintenance count toward the target), capped at MaxSamples
-	// per round, stopping early once no tracked marginal moved by more
-	// than Convergence across a chunk. The loop engages when at least
-	// one of the three is set; unset members default to DefaultMinSamples,
-	// max(Samples, MinSamples), and DefaultConvergence. All three zero
-	// keeps the legacy fixed refill — one Samples-sized chunk per round,
-	// bit-identical rng consumption to the pre-adaptive implementation
-	// (as does MinSamples == MaxSamples == Samples). The stop decision
-	// is a pure function of component state and the component's rng
-	// stream, so adaptive budgets preserve replay and concurrent
+	// MinSamples and Convergence shape the refill loop: emissions come in
+	// chunks of MinSamples (the first chunk raised to the store's n_min
+	// deficit, so survivors kept by view maintenance count toward the
+	// target), and a round stops early once no tracked marginal moved by
+	// more than Convergence across a chunk. Zero selects
+	// DefaultMinSamples and DefaultConvergence; MinSamples is clamped to
+	// Samples, and MinSamples == Samples makes every round one chunk.
+	// The stop decision is a pure function of component state and the
+	// component's rng stream, so it preserves replay and concurrent
 	// bit-reproducibility. See DESIGN.md, "Adaptive sampling".
 	MinSamples  int
-	MaxSamples  int
 	Convergence float64
 	// Inference selects the per-component estimation backend: InferSampled
 	// (the zero value — the paper's sampler everywhere), InferExact
@@ -189,14 +184,13 @@ func New(engine *constraints.Engine, cfg Config, rng *rand.Rand) (*PMN, error) {
 		probs:    make([]float64, n),
 	}
 
-	// Per-component sampler configs and stream seeds: the backend choice
-	// is made after the components are wired, but the seeds must be
-	// drawn in component order regardless of mode, so an exact component
-	// does not shift its neighbors' seeds (mode is derived state —
-	// replay and differential runs depend on stable streams). Only the
-	// seed is kept; newInference builds the stream for sampled backends
-	// alone, since exact components never draw from it.
-	var scfgs []sampling.Config
+	// Per-component stream seeds: the backend choice is made after the
+	// components are wired, but the seeds must be drawn in component
+	// order regardless of mode, so an exact component does not shift its
+	// neighbors' seeds (mode is derived state — replay and differential
+	// runs depend on stable streams). Only the seed is kept; newInference
+	// builds the stream for sampled backends alone, since exact
+	// components never draw from it.
 	var streams []stream
 
 	parts := engine.Components()
@@ -209,13 +203,11 @@ func New(engine *constraints.Engine, cfg Config, rng *rand.Rand) (*PMN, error) {
 		p.compOf = make([]int, n)
 		p.localIdx = nil
 		p.maxComp = n
-		scfgs = []sampling.Config{cfg.Sampler}
 		streams = []stream{{shared: rng}}
 	} else {
 		p.compOf = make([]int, n)
 		p.localIdx = make([]int32, n)
 		p.comps = make([]*component, parts.NumComponents())
-		scfgs = make([]sampling.Config, parts.NumComponents())
 		streams = make([]stream, parts.NumComponents())
 		for k := 0; k < parts.NumComponents(); k++ {
 			members := parts.Members(k)
@@ -232,15 +224,6 @@ func New(engine *constraints.Engine, cfg Config, rng *rand.Rand) (*PMN, error) {
 			// bit-for-bit, which is what makes concurrent serving
 			// reproducible.
 			streams[k] = stream{seed: rng.Int63()}
-			scfg := cfg.Sampler
-			if scfg.StagnationLimit == 0 {
-				// Unset: a small component's instance space saturates in a
-				// few dozen emissions; cap the duplicates a round may burn
-				// before concluding the round is done. Negative keeps early
-				// stopping disabled (see sampling.Config.StagnationLimit).
-				scfg.StagnationLimit = 8*len(members) + 128
-			}
-			scfgs[k] = scfg
 			c := newComponent(engine, n)
 			c.members = members
 			c.mask = bitset.FromIndices(n, members...)
@@ -249,7 +232,7 @@ func New(engine *constraints.Engine, cfg Config, rng *rand.Rand) (*PMN, error) {
 	}
 
 	for k, c := range p.comps {
-		inf, err := p.newInference(k, c, scfgs[k], streams[k])
+		inf, err := p.newInference(k, c, streams[k])
 		if err != nil {
 			return nil, err
 		}
@@ -339,9 +322,8 @@ func (p *PMN) Resamples() int { return int(p.resamples.Load()) }
 
 // Emissions returns the total number of walk emissions requested from
 // the samplers, including the initial fill — the sampling-effort unit
-// the adaptive budget (Config.MinSamples et al.) economizes. A round
-// the sampler ends early on stagnation still counts its requested
-// emissions. Atomic for the same reason as Resamples.
+// the refill loop's early stop (Config.MinSamples, Convergence)
+// economizes. Atomic for the same reason as Resamples.
 func (p *PMN) Emissions() int { return int(p.emissions.Load()) }
 
 // LocalIndex returns candidate c's column index inside its component's

@@ -98,7 +98,12 @@ func TestTableIIIShape(t *testing.T) {
 }
 
 func TestFig6Shape(t *testing.T) {
-	res, _ := runAndRender(t, "fig6")
+	// Fig6 reads cfg.Runs as its per-size sample count, and quickCfg's
+	// Runs: 2 would time only two emissions per size, too few to order
+	// C=128 against C=512 reliably. Run at quick mode's own 60 samples.
+	cfg := quickCfg()
+	cfg.Runs = 0
+	res, _ := runAndRenderCfg(t, "fig6", cfg)
 	r := res.(*Fig6Result)
 	if len(r.Rows) < 3 {
 		t.Fatalf("Fig6 rows = %d", len(r.Rows))

@@ -35,17 +35,6 @@ type Config struct {
 	// that raises instance-space coverage — the quantity that governs
 	// the quality of the Equation 2 estimate (see DESIGN.md).
 	RestartProb float64
-	// StagnationLimit ends a sampling round early after this many
-	// consecutive emissions that discovered no new distinct instance.
-	// 0 means unset: the sampler never stops early, but the decomposed
-	// PMN substitutes a component-scaled default for its component
-	// samplers. Negative disables early stopping unconditionally. A
-	// saturated round ends "below n_min" just as a full round would, so
-	// the §III-B completeness conclusion is unchanged — the limit only
-	// stops paying for emissions that demonstrably cannot add coverage
-	// (a small component's entire instance space saturates within a few
-	// dozen emissions).
-	StagnationLimit int
 }
 
 // DefaultConfig returns the configuration used by the experiments.
@@ -204,7 +193,6 @@ func (s *Sampler) SampleWithin(store *Store, approved, disapproved, within *bits
 	if s.cfg.Maximize && s.remMask == nil {
 		s.remMask = s.engine.NewInstance()
 	}
-	stale := 0
 	for i := 0; i < n; i++ {
 		if i > 0 && s.rng.Float64() < s.cfg.RestartProb {
 			cur = fresh()
@@ -236,11 +224,7 @@ func (s *Sampler) SampleWithin(store *Store, approved, disapproved, within *bits
 				cur, next = next, cur
 			}
 		}
-		if store.Add(cur) {
-			stale = 0
-		} else if stale++; s.cfg.StagnationLimit > 0 && stale >= s.cfg.StagnationLimit {
-			return
-		}
+		store.Add(cur)
 	}
 }
 

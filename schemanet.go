@@ -136,37 +136,26 @@ type Options struct {
 	DisableCycle bool
 	// DisableOneToOne drops the one-to-one constraint.
 	DisableOneToOne bool
-	// Samples per (re)sampling round (default 500).
+	// Samples caps the walk emissions of one sampling refill round per
+	// touched component (default 500).
 	Samples int
-	// MinSamples, MaxSamples, and Convergence enable the *adaptive*
-	// refill budget: instead of one fixed Samples-sized refill per
-	// touched component, emissions come in chunks of MinSamples (the
-	// first chunk sized to the store's n_min deficit, so samples that
-	// survived view maintenance count toward the target), capped at
-	// MaxSamples per round, stopping as soon as no marginal probability
-	// of the component moved by more than Convergence across a chunk —
-	// small or near-resolved components stop early, hubs keep their
-	// budget. Setting any one of the three enables the loop; the others
-	// default (MinSamples 100, MaxSamples max(Samples, MinSamples),
-	// Convergence 0.01). All three zero keeps the fixed budget, whose
-	// sampling streams are bit-identical to previous releases. The
-	// adaptive stop is a pure function of component state and the
-	// component's rng stream, so determinism under Seed — including
-	// serial/concurrent equality on component-disjoint schedules — is
-	// unchanged. MinSamples > MaxSamples (both set) is rejected;
-	// Convergence must lie in [0,1]. See DESIGN.md, "Adaptive sampling
-	// and sample reuse".
+	// MinSamples and Convergence shape the refill loop: emissions come
+	// in chunks of MinSamples (default 100; the first chunk sized to the
+	// store's n_min deficit, so samples that survived view maintenance
+	// count toward the target), and a round stops as soon as no marginal
+	// probability of the component moved by more than Convergence
+	// (default 0.01) across a chunk — small or near-resolved components
+	// stop early, hubs run to the Samples cap. MinSamples equal to the
+	// cap makes every round a single chunk. The stop is a pure function
+	// of component state and the component's rng stream, so determinism
+	// under Seed — including serial/concurrent equality on
+	// component-disjoint schedules — is unchanged. MinSamples above the
+	// cap is rejected; Convergence must lie in [0,1]. See DESIGN.md,
+	// "Adaptive sampling and sample reuse".
 	MinSamples int
-	// MaxSamples caps total emissions per adaptive refill round; see
+	// Convergence is the refill loop's early-stop threshold ε; see
 	// MinSamples.
-	MaxSamples int
-	// Convergence is the adaptive early-stop threshold ε; see MinSamples.
 	Convergence float64
-	// StagnationLimit ends a component's sampling round early after this
-	// many consecutive emissions that discovered no new distinct
-	// instance. 0 selects a component-scaled default; negative values
-	// are rejected by NewSession.
-	StagnationLimit int
 	// Inference selects the per-component estimation backend:
 	//
 	//   - "auto" (the default): exact enumeration for every component
@@ -244,8 +233,6 @@ func (o *Options) validate() error {
 		{"MaxCycleLen", o.MaxCycleLen},
 		{"Samples", o.Samples},
 		{"MinSamples", o.MinSamples},
-		{"MaxSamples", o.MaxSamples},
-		{"StagnationLimit", o.StagnationLimit},
 		{"InstantiateIterations", o.InstantiateIterations},
 		{"Workers", o.Workers},
 		{"ExactBudget", o.ExactBudget},
@@ -258,11 +245,20 @@ func (o *Options) validate() error {
 	if !(o.Convergence >= 0 && o.Convergence <= 1) {
 		return fmt.Errorf("schemanet: Options.Convergence must be in [0,1], got %v", o.Convergence)
 	}
-	if o.MaxSamples > 0 && o.MinSamples > o.MaxSamples {
-		return fmt.Errorf("schemanet: Options.MinSamples (%d) must not exceed Options.MaxSamples (%d)",
-			o.MinSamples, o.MaxSamples)
+	if limit := o.samplesCap(); o.MinSamples > limit {
+		return fmt.Errorf("schemanet: Options.MinSamples (%d) must not exceed the Samples cap (%d)",
+			o.MinSamples, limit)
 	}
 	return nil
+}
+
+// samplesCap is the per-round emission cap: Samples, or the core
+// default when unset.
+func (o *Options) samplesCap() int {
+	if o.Samples > 0 {
+		return o.Samples
+	}
+	return core.DefaultConfig().Samples
 }
 
 // inferenceMode resolves the Inference string into the core mode.
@@ -402,15 +398,9 @@ func newSession(net *Network, opts *Options,
 
 	cfg := core.DefaultConfig()
 	cfg.Sampler = sampling.DefaultConfig()
-	if o.Samples > 0 {
-		cfg.Samples = o.Samples
-	}
+	cfg.Samples = o.samplesCap()
 	cfg.MinSamples = o.MinSamples
-	cfg.MaxSamples = o.MaxSamples
 	cfg.Convergence = o.Convergence
-	if o.StagnationLimit > 0 {
-		cfg.Sampler.StagnationLimit = o.StagnationLimit
-	}
 	mode, err := o.inferenceMode()
 	if err != nil {
 		return nil, err
@@ -473,8 +463,8 @@ func (s *Session) Uncertainty() float64 { return s.pmn.Entropy() }
 
 // SamplingEmissions returns the total number of random-walk emissions
 // requested from the samplers so far, including the initial fill — the
-// sampling-effort unit the adaptive budget (Options.MinSamples,
-// MaxSamples, Convergence) economizes. Exact components contribute
+// sampling-effort unit the refill loop's early stop (Options.MinSamples,
+// Convergence) economizes. Exact components contribute
 // nothing. Use it to compare the cost of budget configurations.
 func (s *Session) SamplingEmissions() int { return s.pmn.Emissions() }
 

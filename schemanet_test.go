@@ -160,7 +160,6 @@ func TestSessionRejectsInvalidOptions(t *testing.T) {
 	}{
 		{"Samples", schemanet.Options{Samples: -1}},
 		{"Workers", schemanet.Options{Workers: -2}},
-		{"StagnationLimit", schemanet.Options{StagnationLimit: -3}},
 		{"MaxCycleLen", schemanet.Options{MaxCycleLen: -1}},
 		{"InstantiateIterations", schemanet.Options{InstantiateIterations: -10}},
 	}
@@ -180,7 +179,7 @@ func TestSessionRejectsInvalidOptions(t *testing.T) {
 	}
 	// Valid positive values still pass.
 	if _, err := schemanet.NewSession(net, &schemanet.Options{
-		Samples: 50, Workers: 2, StagnationLimit: 64, Inference: "exact",
+		Samples: 50, Workers: 2, Inference: "exact",
 	}); err != nil {
 		t.Fatalf("valid options rejected: %v", err)
 	}
