@@ -74,7 +74,8 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSuggestHot' -benchmem -benchtime $(BENCHTIME) -count $(COUNT) . | $(GO) run ./cmd/benchmedian
 	$(GO) test -run '^$$' -bench 'BenchmarkTopGainPass' -benchmem -benchtime $(BENCHTIME) -count $(COUNT) ./internal/core | $(GO) run ./cmd/benchmedian
 	# Session setup and reopen: construction (per-component backends)
-	# and LoadSession's batch replay, which no step benchmark measures.
+	# and LoadSession's construction under a saved history, which no
+	# step benchmark measures.
 	$(GO) test -run '^$$' -bench 'BenchmarkNewSession|BenchmarkLoadSession' -benchmem -benchtime $(BENCHTIME) -count $(COUNT) . | $(GO) run ./cmd/benchmedian
 
 # Multi-core throughput rig: the Throughput benchmarks at each GOMAXPROCS

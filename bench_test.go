@@ -832,37 +832,45 @@ func BenchmarkNewSession(b *testing.B) {
 }
 
 // BenchmarkLoadSession measures reopening a saved session: construction
-// plus the batch replay of a 64-assertion history on the multicomp
-// profile, where replay promotes and re-filters many small components.
+// under the restored feedback of a history driven to the paper's goal
+// (uncertainty at most a tenth of its initial value), on one sampled
+// dense component and on the multicomp profile, where most components
+// restore exactly.
 func BenchmarkLoadSession(b *testing.B) {
-	d := benchMultiCompDataset(b)
-	net := d.Network
-	opts := schemanet.Options{Seed: 1}
-	s, err := schemanet.NewSession(net, &opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 64; i++ {
-		c, ok := s.Suggest()
-		if !ok {
-			break
-		}
-		if err := s.Assert(c, d.GroundTruth.ContainsCorrespondence(net.Candidate(c))); err != nil {
+	dense, _ := benchDataset(b, 512)
+	for _, w := range []struct {
+		name string
+		d    *schemanet.Dataset
+	}{{"dense", dense}, {"multicomp", benchMultiCompDataset(b)}} {
+		net := w.d.Network
+		opts := schemanet.Options{Seed: 1}
+		s, err := schemanet.NewSession(net, &opts)
+		if err != nil {
 			b.Fatal(err)
 		}
-	}
-	var saved bytes.Buffer
-	if err := s.Save(&saved); err != nil {
-		b.Fatal(err)
-	}
-	b.Run("multicomp", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := schemanet.LoadSession(net, &opts, bytes.NewReader(saved.Bytes())); err != nil {
+		goal := 0.1 * s.Uncertainty()
+		for s.Uncertainty() > goal {
+			c, ok := s.Suggest()
+			if !ok {
+				break
+			}
+			if err := s.Assert(c, w.d.GroundTruth.ContainsCorrespondence(net.Candidate(c))); err != nil {
 				b.Fatal(err)
 			}
 		}
-	})
+		var saved bytes.Buffer
+		if err := s.Save(&saved); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(w.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := schemanet.LoadSession(net, &opts, bytes.NewReader(saved.Bytes())); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkSessionAssertBP is the same step cost on a matcher-produced

@@ -1,6 +1,10 @@
 package schemanet
 
-import "schemanet/internal/constraints"
+import (
+	"io"
+
+	"schemanet/internal/constraints"
+)
 
 // Test-only reference surfaces. Production builds every session on the
 // compiled conflict index, decomposes it into constraint-connected
@@ -15,7 +19,7 @@ import "schemanet/internal/constraints"
 // component decomposition, and the compiled ≡ interpreted reference at
 // the session level.
 func NewMonolithicSession(net *Network, opts *Options) (*Session, error) {
-	return newSession(net, opts, constraints.NewInterpreted)
+	return newSession(net, opts, constraints.NewInterpreted, nil)
 }
 
 // ExhaustiveTies is the exhaustive ranking oracle: one full
@@ -56,3 +60,42 @@ func PrunedTies(s *Session) ([]int, float64) { return s.pmn.TopGainTies() }
 // candidates read 0). The sampled ≈ exact harness scores a sampled
 // session's pick by its gain on an exact twin.
 func InformationGains(s *Session) []float64 { return s.pmn.InformationGains() }
+
+// LoadSessionByFiltering is the restore LoadSession used before the
+// leading history was folded into construction, kept as the oracle of
+// TestRestoreUnderFeedback: NewSession fills every component from the
+// unconditioned network, then the whole saved stream — its leading
+// assertions included — is batch-applied, filtering that fill and
+// refilling what fell below n_min.
+func LoadSessionByFiltering(net *Network, opts *Options, r io.Reader) (*Session, error) {
+	ops, err := decodeSessionOps(r)
+	if err != nil {
+		return nil, err
+	}
+	s, err := NewSession(net, opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.replayOps(ops, 0); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Resamples returns the session's post-construction refill rounds.
+func Resamples(s *Session) int { return s.pmn.Resamples() }
+
+// SameComponentStore reports whether component k of a and b holds the
+// same instances in the same order under the same completeness flag.
+func SameComponentStore(a, b *Session, k int) bool {
+	x, y := a.pmn.ComponentStore(k), b.pmn.ComponentStore(k)
+	if x.Size() != y.Size() || x.Complete() != y.Complete() {
+		return false
+	}
+	for i := 0; i < x.Size(); i++ {
+		if !x.Instance(i).Equal(y.Instance(i)) {
+			return false
+		}
+	}
+	return true
+}

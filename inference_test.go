@@ -140,8 +140,8 @@ func TestInferenceOptionValidation(t *testing.T) {
 // TestAutoSaveLoadRoundTripWithPromotion: a session that promoted a
 // component mid-flight must round-trip through Save/LoadSession onto
 // bit-identical probabilities AND the same per-component modes — the
-// mode is derived state the batch replay reconstructs, not persisted
-// state.
+// mode is derived state the restore reconstructs from the saved
+// feedback, not persisted state.
 func TestAutoSaveLoadRoundTripWithPromotion(t *testing.T) {
 	net, idx := twoStarsNet(t)
 	opts := twoStarsOpts()

@@ -235,6 +235,60 @@ func TestAssertBatchValidation(t *testing.T) {
 	}
 }
 
+// TestNewWithHistoryMatchesAssertBatchExact: under InferExact, building
+// the PMN under a history enumerates exactly the instance set that
+// filtering the unconditioned enumeration with AssertBatch leaves, so
+// every probability, the entropy and the feedback agree bit for bit —
+// with no refill on either side.
+func TestNewWithHistoryMatchesAssertBatchExact(t *testing.T) {
+	e, idx := buildTwoTriangles(t)
+	history := []Assertion{
+		{Cand: idx["Ac2"], Approved: true},
+		{Cand: idx["Bc1"], Approved: false},
+		{Cand: idx["Ac5"], Approved: false},
+		{Cand: idx["Bc4"], Approved: true},
+	}
+	filtered := exactPMN(t, e, 1)
+	if err := filtered.AssertBatch(history); err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Inference = InferExact
+	built, err := NewWithHistory(e, cfg, rand.New(rand.NewSource(1)), history)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := 0; c < e.Network().NumCandidates(); c++ {
+		if f, b := filtered.Probability(c), built.Probability(c); f != b {
+			t.Fatalf("p(%d): filtered %v, built under history %v", c, f, b)
+		}
+	}
+	if f, b := filtered.Entropy(), built.Entropy(); f != b {
+		t.Fatalf("H: filtered %v, built under history %v", f, b)
+	}
+	if got := built.Feedback().History(); len(got) != len(history) {
+		t.Fatalf("history length %d, want %d", len(got), len(history))
+	}
+	if built.Resamples() != 0 {
+		t.Fatalf("construction under history counted %d resamples", built.Resamples())
+	}
+}
+
+// TestNewWithHistoryValidation: an invalid initial history fails
+// construction with AssertBatch's validation errors.
+func TestNewWithHistoryValidation(t *testing.T) {
+	e, idx := buildTwoTriangles(t)
+	cases := map[string][]Assertion{
+		"duplicate":    {{Cand: idx["Bc1"], Approved: true}, {Cand: idx["Bc1"], Approved: false}},
+		"out of range": {{Cand: 99, Approved: true}},
+	}
+	for name, history := range cases {
+		if _, err := NewWithHistory(e, DefaultConfig(), rand.New(rand.NewSource(1)), history); err == nil {
+			t.Errorf("%s: want error", name)
+		}
+	}
+}
+
 // TestDecomposedSampledAgreesWithExactOnRandomNet: on a generated
 // multi-component network whose components are small enough to
 // complete, the decomposed sampled probabilities equal the exact

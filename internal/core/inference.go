@@ -338,7 +338,8 @@ func (p *PMN) exactBudget() int {
 // nothing — the dominant cost of a naive "attempt whenever free <
 // budget" rule on networks with one big component. Purity matters for
 // more than cost: the attempt decision must depend only on the current
-// feedback state so that serial execution, batch replay, and concurrent
+// feedback state so that serial execution, a restore built under the
+// saved feedback (NewWithHistory), batch replay, and concurrent
 // interleavings all reconstruct the same mode (enumeration success is
 // monotone along an assertion path — instances and search work only
 // shrink — so "attempted and succeeded at any visited state" and
@@ -379,10 +380,10 @@ func (s stream) rand() *rand.Rand {
 
 // newInference builds component c's initial backend per Config.Inference:
 // InferExact enumerates (propagating overflow as ErrExactBudgetExceeded),
-// InferAuto tries exact within budget — gated on the member count, so
-// construction never burns enumeration work on components that are
-// obviously too large — and falls back to sampling, InferSampled always
-// samples. st is the component's sampler stream; it is built and
+// InferAuto tries exact within budget — gated on the free-candidate
+// count (members minus the component's feedback), so construction never
+// burns enumeration work on components that are obviously too large —
+// and falls back to sampling, InferSampled always samples. st is the component's sampler stream; it is built and
 // consumed only by the sampled backend, so mode selection never
 // perturbs it.
 func (p *PMN) newInference(k int, c *component, st stream) (Inference, error) {

@@ -114,6 +114,16 @@ type component struct {
 // current backend.
 func (c *component) store() *sampling.Store { return c.inf.Store() }
 
+// mirror records an assertion on member cand into the component's
+// feedback masks.
+func (c *component) mirror(cand int, approve bool) {
+	if approve {
+		c.approved.Add(cand)
+	} else {
+		c.disapproved.Add(cand)
+	}
+}
+
 // isAsserted reports whether member c has been asserted either way.
 func (c *component) isAsserted(cand int) bool {
 	return c.approved.Has(cand) || c.disapproved.Has(cand)
@@ -172,6 +182,22 @@ func newComponent(engine *constraints.Engine, n int) *component {
 // Config.Inference = InferExact with a non-zero ExactBudget some
 // component's enumeration overflows (ErrExactBudgetExceeded).
 func New(engine *constraints.Engine, cfg Config, rng *rand.Rand) (*PMN, error) {
+	return NewWithHistory(engine, cfg, rng, nil)
+}
+
+// NewWithHistory builds a probabilistic matching network whose feedback
+// starts as history, in order — the restore path of a saved session.
+// The history is validated like an AssertBatch (ValidateBatch; on error
+// nothing is built) and recorded into F and every component's feedback
+// masks before any component is filled, so the initial fill enumerates
+// or samples the conditioned space directly (Algorithm 3 seeds from F+
+// and excludes F−) instead of filling the unconditioned network and
+// filtering it. The per-component streams are drawn exactly as New
+// draws them, so a component the history never touches gets New's
+// initial fill bit for bit; an exact component's instance list is the
+// filtered enumeration; Resamples stays 0. Under forced InferExact the
+// budget applies to the conditioned enumeration.
+func NewWithHistory(engine *constraints.Engine, cfg Config, rng *rand.Rand, history []Assertion) (*PMN, error) {
 	if cfg.Samples <= 0 {
 		cfg.Samples = DefaultConfig().Samples
 	}
@@ -182,6 +208,9 @@ func New(engine *constraints.Engine, cfg Config, rng *rand.Rand) (*PMN, error) {
 		rng:      rng,
 		feedback: NewFeedback(n),
 		probs:    make([]float64, n),
+	}
+	if err := p.recordBatch(history); err != nil {
+		return nil, err
 	}
 
 	// Per-component stream seeds: the backend choice is made after the
@@ -231,13 +260,17 @@ func New(engine *constraints.Engine, cfg Config, rng *rand.Rand) (*PMN, error) {
 		}
 	}
 
+	for _, a := range history {
+		p.comps[p.compOf[a.Cand]].mirror(a.Cand, a.Approved)
+	}
 	for k, c := range p.comps {
 		inf, err := p.newInference(k, c, streams[k])
 		if err != nil {
 			return nil, err
 		}
 		c.inf = inf
-		// Initial fill; no-op for exact components.
+		// Initial fill under the component's feedback; no-op for exact
+		// components.
 		p.emissions.Add(int64(c.inf.Refill()))
 		p.recomputeComp(k)
 	}
@@ -314,10 +347,11 @@ func (p *PMN) Feedback() *Feedback { return p.feedback }
 
 // Resamples returns the number of post-construction refill rounds
 // (component-scoped; one batch assertion triggers at most one per
-// touched component). Tests and diagnostics use it to verify that
-// session replay does not resample per history entry. The counter is
-// atomic so concurrent component maintenance can bump it without a
-// lock.
+// touched component). A session restored through NewWithHistory reads
+// 0 — its history conditions the initial fill rather than triggering
+// refills — and tests use that to verify restores never resample. The
+// counter is atomic so concurrent component maintenance can bump it
+// without a lock.
 func (p *PMN) Resamples() int { return int(p.resamples.Load()) }
 
 // Emissions returns the total number of walk emissions requested from
@@ -391,11 +425,7 @@ func (p *PMN) Probability(c int) float64 { return p.probs[c] }
 // probability recomputation are left to the caller so a batch of
 // assertions pays for them once per touched component.
 func (p *PMN) integrate(cp *component, c int, approve bool) (needRefill bool) {
-	if approve {
-		cp.approved.Add(c)
-	} else {
-		cp.disapproved.Add(c)
-	}
+	cp.mirror(c, approve)
 	return cp.inf.Apply(c, approve)
 }
 
@@ -464,11 +494,28 @@ func (p *PMN) Assert(c int, approve bool) error {
 // recorded and view-maintained first, and each touched component is
 // refilled and recomputed exactly once at the end — at most one
 // resampling round per touched component regardless of the batch size.
-// Session replay (LoadSession) uses this to avoid the
+// Session replay uses this for the assertions that follow a topology
+// mutation in a saved operation stream (the leading assertions are
+// folded into construction, see NewWithHistory), avoiding the
 // refill-per-history-entry cost of replaying through Assert. The batch
 // is validated up front (duplicate or already-asserted candidates
 // reject the whole batch with no state change).
 func (p *PMN) AssertBatch(assertions []Assertion) error {
+	if err := p.recordBatch(assertions); err != nil {
+		return err
+	}
+	groups := p.GroupByComponent(assertions)
+	for k := 0; k < len(p.comps); k++ {
+		if as := groups[k]; as != nil {
+			p.ApplyAssertions(k, as)
+		}
+	}
+	return nil
+}
+
+// recordBatch validates a batch (ValidateBatch) and records it in the
+// PMN-global feedback, without any component maintenance.
+func (p *PMN) recordBatch(assertions []Assertion) error {
 	if err := p.ValidateBatch(assertions); err != nil {
 		return err
 	}
@@ -476,12 +523,6 @@ func (p *PMN) AssertBatch(assertions []Assertion) error {
 		if err := p.feedback.assert(a.Cand, a.Approved); err != nil {
 			// Unreachable after validation; surface loudly if it happens.
 			panic(err)
-		}
-	}
-	groups := p.GroupByComponent(assertions)
-	for k := 0; k < len(p.comps); k++ {
-		if as := groups[k]; as != nil {
-			p.ApplyAssertions(k, as)
 		}
 	}
 	return nil

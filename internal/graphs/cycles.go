@@ -18,12 +18,18 @@ func (g *Graph) SimpleCycles(maxLen int) []Cycle {
 	var out []Cycle
 	path := make([]int, 0, maxLen)
 	inPath := make([]bool, g.n)
+	// The DFS revisits each vertex once per path through it; sorting its
+	// adjacency once up front keeps the visits allocation-free.
+	adj := make([][]int, g.n)
+	for v := range adj {
+		adj[v] = g.Neighbors(v)
+	}
 
 	var dfs func(start, v int)
 	dfs = func(start, v int) {
 		path = append(path, v)
 		inPath[v] = true
-		for _, u := range g.Neighbors(v) {
+		for _, u := range adj[v] {
 			if u == start && len(path) >= 3 {
 				// Canonical: start is the minimum (guaranteed since we
 				// only visit vertices > start), and orientation fixed by

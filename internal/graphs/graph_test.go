@@ -1,6 +1,7 @@
 package graphs
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -249,13 +250,13 @@ func TestSimpleCyclesNoDuplicates(t *testing.T) {
 	}
 }
 
-// bruteCycles counts simple cycles of length 3..maxLen by enumerating
-// every vertex subset and counting the Hamiltonian cycles of that
+// bruteCycles lists simple cycles of length 3..maxLen by enumerating
+// every vertex subset and collecting the Hamiltonian cycles of that
 // subset (each undirected cycle once: smallest vertex first, canonical
 // direction). Chords in the induced subgraph do not disqualify a cycle.
-func bruteCycles(g *Graph, maxLen int) int {
+func bruteCycles(g *Graph, maxLen int) []Cycle {
 	n := g.NumVertices()
-	count := 0
+	var out []Cycle
 	for mask := 0; mask < 1<<uint(n); mask++ {
 		var vs []int
 		for v := 0; v < n; v++ {
@@ -285,7 +286,7 @@ func bruteCycles(g *Graph, maxLen int) int {
 					prev = v
 				}
 				if g.HasEdge(prev, vs[0]) {
-					count++
+					out = append(out, append(Cycle{vs[0]}, perm...))
 				}
 				return
 			}
@@ -301,7 +302,7 @@ func bruteCycles(g *Graph, maxLen int) int {
 		}
 		permute(make([]bool, len(rest)), 0)
 	}
-	return count
+	return out
 }
 
 func TestSimpleCyclesMatchesBruteForce(t *testing.T) {
@@ -310,11 +311,23 @@ func TestSimpleCyclesMatchesBruteForce(t *testing.T) {
 		n := 4 + rng.Intn(3)
 		g := ErdosRenyi(n, 0.5, rng)
 		for _, maxLen := range []int{3, 4, n} {
-			got := len(g.SimpleCycles(maxLen))
+			got := g.SimpleCycles(maxLen)
 			want := bruteCycles(g, maxLen)
-			if got != want {
+			if len(got) != len(want) {
 				t.Fatalf("trial %d n=%d maxLen=%d: SimpleCycles=%d brute=%d",
-					trial, n, maxLen, got, want)
+					trial, n, maxLen, len(got), len(want))
+			}
+			// Equal counts and every listed cycle in the brute-force set
+			// (neither list repeats a cycle) means the same cycles.
+			seen := make(map[string]bool, len(want))
+			for _, c := range want {
+				seen[fmt.Sprint(c)] = true
+			}
+			for i, c := range got {
+				if !seen[fmt.Sprint(c)] {
+					t.Fatalf("trial %d n=%d maxLen=%d: cycle %d = %v not in the brute-force list",
+						trial, n, maxLen, i, c)
+				}
 			}
 		}
 	}

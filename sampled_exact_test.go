@@ -198,57 +198,78 @@ func harnessRun(t *testing.T, d *schemanet.Dataset, schedule []int, opts scheman
 	return cells, worstStep, total / float64(steps)
 }
 
+// harnessProfile is one profile of the sampled ≈ exact contract with
+// its stated bounds.
+type harnessProfile struct {
+	name  string
+	data  func(testing.TB) *schemanet.Dataset
+	steps int
+	// stepMAD bounds the per-step MAD over all candidates; it must be
+	// no looser than the 0.05 absolute limit the sampler has always
+	// been held to.
+	stepMAD float64
+	bounds  map[string]bound
+}
+
+// harnessProfiles are the contract's profiles. TestRestoreUnderFeedback
+// holds restored sessions to the same per-bucket bounds.
+var harnessProfiles = []harnessProfile{
+	{
+		// 256 candidates in 115 components of 1–15 members: the
+		// small-component regime. Components of up to five members
+		// saturate and read exactly. In a few larger ones Algorithm 3
+		// reaches some instances so rarely that a 100-emission chunk
+		// finds none and the round stops without them (a 12-member
+		// component reads p = 1 for a candidate that is in half its
+		// instances). More samples shrink that error slowly: overall
+		// MAD 0.0114 at the default, 0.0076 at 4x the cap, 0.0039 at
+		// 16x, with a 0.25 error left in the 6-12 bucket.
+		name: "multicomp", data: adaptiveNet, steps: 40, stepMAD: 0.025,
+		bounds: map[string]bound{
+			"1-2":  {exceed: 0.01},
+			"3-5":  {stepMAD: 0.02, maxErr: 0.1, regret: 0.25, exceed: 0.01},
+			"6-12": {stepMAD: 0.1, maxErr: 0.6, regret: 1, exceed: 0.25},
+			"13+":  {stepMAD: 0.06, maxErr: 0.5, regret: 1.5, exceed: 0.2},
+		},
+	},
+	{
+		// One-component networks whose store saturates: 12 members
+		// (within the default ExactBudget) and 18 members. They must
+		// read exactly.
+		name: "dense-12", data: func(t testing.TB) *schemanet.Dataset { return smallDenseNet(t, 12, 1) },
+		steps: 6, stepMAD: 0,
+		bounds: map[string]bound{"6-12": {exceed: 0.02}},
+	},
+	{
+		name: "dense-18", data: func(t testing.TB) *schemanet.Dataset { return smallDenseNet(t, 18, 1) },
+		steps: 9, stepMAD: 0.01,
+		bounds: map[string]bound{"13+": {stepMAD: 0.01, maxErr: 0.05, regret: 0.1, exceed: 0.01}},
+	},
+	{
+		// One 22-member component whose instance space outgrows a
+		// refill round: the store is partial, so the error is the
+		// budget's, and a larger cap removes it.
+		name: "dense-22", data: func(t testing.TB) *schemanet.Dataset { return smallDenseNet(t, 22, 4) },
+		steps: 11, stepMAD: 0.05,
+		bounds: map[string]bound{"13+": {stepMAD: 0.05, maxErr: 0.35, regret: 1, exceed: 0.1}},
+	},
+}
+
+// harnessBounds returns the stated per-bucket bounds of the named
+// profile.
+func harnessBounds(t *testing.T, name string) map[string]bound {
+	t.Helper()
+	for _, p := range harnessProfiles {
+		if p.name == name {
+			return p.bounds
+		}
+	}
+	t.Fatalf("no harness profile %q", name)
+	return nil
+}
+
 func TestSampledMatchesExact(t *testing.T) {
-	for _, p := range []struct {
-		name  string
-		data  func(testing.TB) *schemanet.Dataset
-		steps int
-		// stepMAD bounds the per-step MAD over all candidates; it must be
-		// no looser than the 0.05 absolute limit the sampler has always
-		// been held to.
-		stepMAD float64
-		bounds  map[string]bound
-	}{
-		{
-			// 256 candidates in 115 components of 1–15 members: the
-			// small-component regime. Components of up to five members
-			// saturate and read exactly. In a few larger ones Algorithm 3
-			// reaches some instances so rarely that a 100-emission chunk
-			// finds none and the round stops without them (a 12-member
-			// component reads p = 1 for a candidate that is in half its
-			// instances). More samples shrink that error slowly: overall
-			// MAD 0.0114 at the default, 0.0076 at 4x the cap, 0.0039 at
-			// 16x, with a 0.25 error left in the 6-12 bucket.
-			name: "multicomp", data: adaptiveNet, steps: 40, stepMAD: 0.025,
-			bounds: map[string]bound{
-				"1-2":  {exceed: 0.01},
-				"3-5":  {stepMAD: 0.02, maxErr: 0.1, regret: 0.25, exceed: 0.01},
-				"6-12": {stepMAD: 0.1, maxErr: 0.6, regret: 1, exceed: 0.25},
-				"13+":  {stepMAD: 0.06, maxErr: 0.5, regret: 1.5, exceed: 0.2},
-			},
-		},
-		{
-			// One-component networks whose store saturates: 12 members
-			// (within the default ExactBudget) and 18 members. They must
-			// read exactly.
-			name: "dense-12", data: func(t testing.TB) *schemanet.Dataset { return smallDenseNet(t, 12, 1) },
-			steps: 6, stepMAD: 0,
-			bounds: map[string]bound{"6-12": {exceed: 0.02}},
-		},
-		{
-			name: "dense-18", data: func(t testing.TB) *schemanet.Dataset { return smallDenseNet(t, 18, 1) },
-			steps: 9, stepMAD: 0.01,
-			bounds: map[string]bound{"13+": {stepMAD: 0.01, maxErr: 0.05, regret: 0.1, exceed: 0.01}},
-		},
-		{
-			// One 22-member component whose instance space outgrows a
-			// refill round: the store is partial, so the error is the
-			// budget's, and a larger cap removes it.
-			name: "dense-22", data: func(t testing.TB) *schemanet.Dataset { return smallDenseNet(t, 22, 4) },
-			steps: 11, stepMAD: 0.05,
-			bounds: map[string]bound{"13+": {stepMAD: 0.05, maxErr: 0.35, regret: 1, exceed: 0.1}},
-		},
-	} {
+	for _, p := range harnessProfiles {
 		t.Run(p.name, func(t *testing.T) {
 			d := p.data(t)
 			n := d.Network.NumCandidates()

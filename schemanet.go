@@ -340,14 +340,19 @@ func (s *Session) checkCandidate(c int) error {
 // correspondences and computes the initial probabilities. The returned
 // Session must be confined to one goroutine; see Session.
 func NewSession(net *Network, opts *Options) (*Session, error) {
-	return newSession(net, opts, constraints.NewEngine)
+	return newSession(net, opts, constraints.NewEngine, nil)
 }
 
-// newSession is NewSession over a chosen constraint engine constructor.
-// Production always compiles the conflict index (constraints.NewEngine);
-// the tests build reference sessions on constraints.NewInterpreted.
+// newSession is NewSession over a chosen constraint engine constructor
+// and an initial saved history. Production always compiles the conflict
+// index (constraints.NewEngine); the tests build reference sessions on
+// constraints.NewInterpreted. A non-empty history is resolved against
+// net once the options are validated and becomes the PMN's initial
+// feedback (core.NewWithHistory): every component is filled under it
+// directly — the restore path of LoadSession and store recovery.
 func newSession(net *Network, opts *Options,
-	newEngine func(*Network, ...constraints.Constraint) *constraints.Engine) (*Session, error) {
+	newEngine func(*Network, ...constraints.Constraint) *constraints.Engine,
+	history []savedAssertion) (*Session, error) {
 	if net.NumCandidates() == 0 {
 		return nil, fmt.Errorf("schemanet: network has no candidate correspondences; run Match first")
 	}
@@ -409,9 +414,16 @@ func newSession(net *Network, opts *Options,
 	cfg.ExactBudget = o.ExactBudget
 	cfg.Workers = o.Workers
 
-	rng := rand.New(rand.NewSource(o.Seed))
-	pmn, err := core.New(engine, cfg, rng)
+	batch, err := resolveHistory(net, history)
 	if err != nil {
+		return nil, fmt.Errorf("schemanet: %w", err)
+	}
+	rng := rand.New(rand.NewSource(o.Seed))
+	pmn, err := core.NewWithHistory(engine, cfg, rng, batch)
+	if err != nil {
+		if len(batch) > 0 {
+			return nil, fmt.Errorf("schemanet: replaying session history: %w", err)
+		}
 		return nil, fmt.Errorf("schemanet: %w", err)
 	}
 	pmn.SetTopoSeed(o.Seed)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 
+	"schemanet/internal/constraints"
 	"schemanet/internal/core"
 )
 
@@ -47,6 +48,11 @@ type savedOp struct {
 	Schema    string      `json:"schema,omitempty"` // add-schema
 	Attrs     []string    `json:"attrs,omitempty"`  // add-schema
 	Cands     []savedCand `json:"cands,omitempty"`  // add-candidates
+}
+
+// assertion returns an "assert" op in history-entry form.
+func (op savedOp) assertion() savedAssertion {
+	return savedAssertion{From: op.From, To: op.To, Approved: op.Approved, Annotator: op.Annotator}
 }
 
 // savedAssertion references a correspondence by its attribute names so
@@ -204,6 +210,9 @@ func resolveSaved(net *Network, idx map[string]AttrID, i int, sa savedAssertion)
 // resolveHistory resolves a full saved history, rejecting duplicates
 // with both positions named.
 func resolveHistory(net *Network, hist []savedAssertion) ([]core.Assertion, error) {
+	if len(hist) == 0 {
+		return nil, nil
+	}
 	idx := attrIndex(net)
 	batch := make([]core.Assertion, 0, len(hist))
 	first := make(map[int]int, len(hist))
@@ -220,29 +229,6 @@ func resolveHistory(net *Network, hist []savedAssertion) ([]core.Assertion, erro
 		batch = append(batch, a)
 	}
 	return batch, nil
-}
-
-// replaySession builds a fresh session for net and batch-applies a
-// resolved history: the whole history is view-maintained first and
-// each touched component is refilled and recomputed once at the end —
-// at most one resampling round per touched component. LoadSession and
-// the SessionStore's WAL recovery both restore through this one path.
-func replaySession(net *Network, opts *Options, hist []savedAssertion) (*Session, error) {
-	s, err := NewSession(net, opts)
-	if err != nil {
-		return nil, err
-	}
-	batch, err := resolveHistory(net, hist)
-	if err != nil {
-		return nil, fmt.Errorf("schemanet: %w", err)
-	}
-	if len(batch) == 0 {
-		return s, nil
-	}
-	if err := s.pmn.AssertBatch(batch); err != nil {
-		return nil, fmt.Errorf("schemanet: replaying session history: %w", err)
-	}
-	return s, nil
 }
 
 // resolveSavedCands resolves an add-candidates op's name-form
@@ -264,18 +250,52 @@ func resolveSavedCands(net *Network, i int, scs []savedCand) ([]Correspondence, 
 	return out, nil
 }
 
-// replaySessionOps restores a Version 2 session: topology mutations are
-// applied through the same public mutators a live session uses, and the
-// assertions between two mutations are batch-applied against the
-// network state of that moment. Under exact inference the result is
-// bit-identical to the live session (assertion filtering is
-// order-independent within a segment); rebuilt components draw their
-// content-derived sampler streams exactly as the live mutation did.
+// historyOps renders a Version 1 history as the equivalent all-assert
+// operation stream.
+func historyOps(hist []savedAssertion) []savedOp {
+	ops := make([]savedOp, len(hist))
+	for i, sa := range hist {
+		ops[i] = savedOp{Kind: "assert", From: sa.From, To: sa.To, Approved: sa.Approved, Annotator: sa.Annotator}
+	}
+	return ops
+}
+
+// replaySessionOps restores a session from its operation stream — the
+// one replay path of LoadSession (a Version 1 history is an all-assert
+// stream) and of the SessionStore's WAL recovery. The leading run of
+// assertions is folded into construction: it becomes the session's
+// initial feedback, and every component is enumerated or sampled under
+// it directly (core.NewWithHistory) instead of being filled from the
+// unconditioned network and filtered. The rest of the stream goes
+// through replayOps.
 func replaySessionOps(net *Network, opts *Options, ops []savedOp) (*Session, error) {
-	s, err := NewSession(net, opts)
+	lead := 0
+	for lead < len(ops) && ops[lead].Kind == "assert" {
+		lead++
+	}
+	hist := make([]savedAssertion, lead)
+	for i, op := range ops[:lead] {
+		hist[i] = op.assertion()
+	}
+	s, err := newSession(net, opts, constraints.NewEngine, hist)
 	if err != nil {
 		return nil, err
 	}
+	if err := s.replayOps(ops[lead:], lead); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// replayOps applies a saved operation stream to a live session; base is
+// the index of ops[0] in the whole stream, for error context. Topology
+// mutations go through the same public mutators a live session uses,
+// and the assertions between two mutations are batch-applied against
+// the network state of that moment. Under exact inference the result is
+// bit-identical to the live session (assertion filtering is
+// order-independent within a segment); rebuilt components draw their
+// content-derived sampler streams exactly as the live mutation did.
+func (s *Session) replayOps(ops []savedOp, base int) error {
 	var pending []savedAssertion
 	flush := func() error {
 		if len(pending) == 0 {
@@ -291,54 +311,52 @@ func replaySessionOps(net *Network, opts *Options, ops []savedOp) (*Session, err
 		}
 		return nil
 	}
-	for i, op := range ops {
+	for j, op := range ops {
+		i := base + j
 		switch op.Kind {
 		case "assert":
-			pending = append(pending, savedAssertion{From: op.From, To: op.To, Approved: op.Approved, Annotator: op.Annotator})
+			pending = append(pending, op.assertion())
 		case "add-schema":
 			if err := flush(); err != nil {
-				return nil, err
+				return err
 			}
 			if err := s.AddSchema(op.Schema, op.Attrs...); err != nil {
-				return nil, fmt.Errorf("schemanet: session op %d: %w", i, err)
+				return fmt.Errorf("schemanet: session op %d: %w", i, err)
 			}
 		case "add-candidates":
 			if err := flush(); err != nil {
-				return nil, err
+				return err
 			}
 			cs, err := resolveSavedCands(s.Network(), i, op.Cands)
 			if err != nil {
-				return nil, fmt.Errorf("schemanet: %w", err)
+				return fmt.Errorf("schemanet: %w", err)
 			}
 			if err := s.AddCandidates(cs); err != nil {
-				return nil, fmt.Errorf("schemanet: session op %d: %w", i, err)
+				return fmt.Errorf("schemanet: session op %d: %w", i, err)
 			}
 		case "retire":
 			if err := flush(); err != nil {
-				return nil, err
+				return err
 			}
 			cur := s.Network()
 			idx := attrIndex(cur)
 			a, oka := idx[op.From]
 			b, okb := idx[op.To]
 			if !oka || !okb {
-				return nil, fmt.Errorf("schemanet: session op %d: unknown attribute in retire %q ↔ %q", i, op.From, op.To)
+				return fmt.Errorf("schemanet: session op %d: unknown attribute in retire %q ↔ %q", i, op.From, op.To)
 			}
 			c := cur.CandidateIndex(a, b)
 			if c < 0 {
-				return nil, fmt.Errorf("schemanet: session op %d: retire target %s ↔ %s is not a live candidate", i, op.From, op.To)
+				return fmt.Errorf("schemanet: session op %d: retire target %s ↔ %s is not a live candidate", i, op.From, op.To)
 			}
 			if err := s.RetireCandidate(c); err != nil {
-				return nil, fmt.Errorf("schemanet: session op %d: %w", i, err)
+				return fmt.Errorf("schemanet: session op %d: %w", i, err)
 			}
 		default:
-			return nil, fmt.Errorf("schemanet: session op %d: unknown kind %q", i, op.Kind)
+			return fmt.Errorf("schemanet: session op %d: unknown kind %q", i, op.Kind)
 		}
 	}
-	if err := flush(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return flush()
 }
 
 // decodeSessionState parses a saved session, annotating JSON-level
@@ -368,41 +386,59 @@ func decodeSessionState(r io.Reader) (sessionState, error) {
 // previously written by Save. The network must contain every asserted
 // correspondence (same or compatible candidate set).
 //
-// The replayed assertions are batch-applied: the whole history is
-// view-maintained first and each touched component is refilled and
-// recomputed once at the end, instead of paying a full
-// view-maintain + resample + recompute round per history entry as
-// replaying through Session.Assert would. Under exact inference the
-// result is identical to a step-by-step replay; with sampled
-// probabilities it is statistically equivalent (the estimates come
-// from fresh samples either way).
+// The saved history is not replayed assertion by assertion: it becomes
+// the new session's initial feedback, and every constraint-connected
+// component is built under it directly — an exact component enumerates
+// the instances consistent with the history, a sampled one draws its
+// initial samples seeded from the approvals and excluding the
+// disapprovals (Algorithm 3). No resampling round is paid and nothing
+// is filtered away. Exact components come out bit-identical to the
+// saved session's; sampled estimates are statistically equivalent (they
+// come from fresh samples either way). Components the history never
+// touched are filled exactly as NewSession fills them.
 //
 // Per-component inference modes are derived state and are not
-// persisted: the batch replay reconstructs them deterministically.
-// Under Options.Inference = "auto", whether a component serves exact
+// persisted: construction reconstructs them deterministically. Under
+// Options.Inference = "auto", whether a component serves exact
 // probabilities depends only on its accumulated feedback and the
 // budget — free-candidate counts only ever shrink and the budgeted
 // enumeration probe is deterministic — so the final mode (and, for
 // exact components, the bit-exact probabilities) of the restored
 // session match the saved one even when promotions happened mid-session
-// rather than at replay time.
+// rather than at restore time. Under Options.Inference = "exact" with
+// an ExactBudget, the budget applies to the restored state: a history
+// that shrinks every component within budget loads even where
+// NewSession on the same network fails with ErrExactBudgetExceeded.
 //
 // A Version 2 file (written by a session that mutated its topology)
 // replays against the network the session STARTED from: pass the same
-// base network, and the recorded AddSchema / AddCandidates /
-// RetireCandidate operations re-grow it — interleaved with the
-// assertions in arrival order — to reconstruct the final session.
+// base network. Its leading assertions are folded into construction as
+// above; the recorded AddSchema / AddCandidates / RetireCandidate
+// operations then re-grow the network — interleaved with the later
+// assertions, which are batch-applied in arrival order — to reconstruct
+// the final session.
 //
-// Decoder errors carry positional context: the byte offset for JSON
-// syntax and type failures, the history index and field for records
-// that do not resolve against net.
+// Option errors are reported before history errors. Decoder errors
+// carry positional context: the byte offset for JSON syntax and type
+// failures, the history index and field for records that do not
+// resolve against net.
 func LoadSession(net *Network, opts *Options, r io.Reader) (*Session, error) {
+	ops, err := decodeSessionOps(r)
+	if err != nil {
+		return nil, err
+	}
+	return replaySessionOps(net, opts, ops)
+}
+
+// decodeSessionOps parses a saved session into its operation stream; a
+// Version 1 history is the equivalent all-assert stream.
+func decodeSessionOps(r io.Reader) ([]savedOp, error) {
 	st, err := decodeSessionState(r)
 	if err != nil {
 		return nil, err
 	}
-	if st.Version == 2 {
-		return replaySessionOps(net, opts, st.Ops)
+	if st.Version == 1 {
+		return historyOps(st.History), nil
 	}
-	return replaySession(net, opts, st.History)
+	return st.Ops, nil
 }

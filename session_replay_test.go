@@ -32,9 +32,9 @@ func replayNet(t *testing.T) *Network {
 // TestLoadSessionReplaysAtMostOneResampleRound is the regression test
 // for the replay-cost bug: LoadSession used to push every saved
 // assertion through Session.Assert, paying a full view-maintain +
-// resample + recompute round per history entry. The batch path refills
-// each touched component at most once — on this single-component
-// network, at most one resampling round for the whole history.
+// resample + recompute round per history entry. The restore now builds
+// the component under the whole history, so it pays no resampling
+// round at all.
 func TestLoadSessionReplaysAtMostOneResampleRound(t *testing.T) {
 	net := replayNet(t)
 	// Pinned to sampled inference: refills are real there, while the
@@ -73,8 +73,8 @@ func TestLoadSessionReplaysAtMostOneResampleRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := restored.pmn.Resamples(); got > 1 {
-		t.Fatalf("replay did %d resampling rounds, want ≤ 1 (batched)", got)
+	if got := restored.pmn.Resamples(); got != 0 {
+		t.Fatalf("restore did %d resampling rounds, want 0", got)
 	}
 	if got, want := restored.pmn.Feedback().Count(), len(history); got != want {
 		t.Fatalf("replayed feedback count = %d, want %d", got, want)
