@@ -27,12 +27,17 @@ SUGGESTTIME ?= 200x
 # fuzz knob: how long `make fuzz` mutates each target.
 FUZZTIME ?= 20s
 
-.PHONY: all vet lint build test bench bench-smoke bench-suggest bench-throughput race examples fuzz
+.PHONY: all vet fmt-check lint build test bench bench-smoke bench-suggest bench-throughput race examples fuzz
 
-all: vet lint build test
+all: vet fmt-check lint build test
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: lists every file gofmt would change, across the whole
+# tree (perfbench/ included), and fails if there is any.
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # Custom invariant analyzers (lockorder, determinism, snapshotsafe,
 # fsseam — see DESIGN.md, "Invariant enforcement"). Standalone mode

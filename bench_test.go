@@ -148,9 +148,7 @@ func BenchmarkSamplePerEmission(b *testing.B) {
 
 func benchName(size int) string { return fmt.Sprintf("C=%d", size) }
 
-// benchEngines yields the compiled engine for every size plus the
-// interpreted reference at C=512, so one bench run shows the compiled
-// conflict index against its baseline on the same commit.
+// benchEngines yields the compiled engine for every size.
 func benchEngines(b *testing.B, run func(b *testing.B, e *constraints.Engine, rng *rand.Rand)) {
 	b.Helper()
 	for _, size := range []int{128, 512, 2048} {
@@ -159,11 +157,6 @@ func benchEngines(b *testing.B, run func(b *testing.B, e *constraints.Engine, rn
 			run(b, e, rng)
 		})
 	}
-	b.Run("C=512-interpreted", func(b *testing.B) {
-		d, rng := benchDataset(b, 512)
-		net := d.Network
-		run(b, constraints.NewInterpreted(net, constraints.NewOneToOne(net), constraints.NewCycle(net, constraints.DefaultMaxCycleLen)), rng)
-	})
 }
 
 // BenchmarkRepair measures Algorithm 4 on a maximal instance.

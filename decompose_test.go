@@ -46,8 +46,8 @@ func multiVideoNet(t testing.TB, groups int) (*schemanet.Network, *schemanet.Mat
 // guarantee of the component decomposition: on a multi-component
 // network under exact inference, the decomposed PMN computes
 // *identical* probabilities to the monolithic single-sample-space
-// reference (NewMonolithicSession, whose interpreted engine yields a
-// trivial partition), after every assertion of a full reconciliation —
+// reference (NewMonolithicSession, whose Whole engine keeps a trivial
+// partition), after every assertion of a full reconciliation —
 // including disapprovals, which trigger per-component re-enumeration on
 // one side and global re-enumeration on the other.
 func TestDecomposedMatchesMonolithicExact(t *testing.T) {

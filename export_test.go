@@ -12,14 +12,14 @@ import (
 // the oracles below are what the differential tests hold those paths
 // to.
 
-// NewMonolithicSession builds a session on the interpreted reference
-// constraint engine (constraints.NewInterpreted). The interpreted
-// engine derives no conflict index, so its partition is trivial and the
+// NewMonolithicSession builds a session on a Whole fork of the compiled
+// engine: its partition is the trivial one-component partition, so the
 // PMN keeps one global sample space — the monolithic reference for the
-// component decomposition, and the compiled ≡ interpreted reference at
-// the session level.
+// component decomposition.
 func NewMonolithicSession(net *Network, opts *Options) (*Session, error) {
-	return newSession(net, opts, constraints.NewInterpreted, nil)
+	return newSession(net, opts, func(n *Network, cons ...constraints.Constraint) *constraints.Engine {
+		return constraints.NewEngine(n, cons...).Whole()
+	}, nil)
 }
 
 // ExhaustiveTies is the exhaustive ranking oracle: one full

@@ -19,9 +19,9 @@ func TestScope(t *testing.T) {
 		}
 	}
 	for _, p := range []string{
-		"schemanet",                  // serving layer: wall-clock logging is legal
-		"schemanet/internal/wal",     // durability: fsseam's territory
-		"schemanet/cmd/reconcile",    // tools print timestamps deliberately
+		"schemanet",               // serving layer: wall-clock logging is legal
+		"schemanet/internal/wal",  // durability: fsseam's territory
+		"schemanet/cmd/reconcile", // tools print timestamps deliberately
 		"schemanet/internal/analysis",
 	} {
 		if Analyzer.Match(p) {

@@ -1,6 +1,8 @@
 package constraints
 
 import (
+	"fmt"
+
 	"schemanet/internal/bitset"
 	"schemanet/internal/schema"
 )
@@ -13,9 +15,8 @@ import (
 // The pairwise constraints collapse into one shared conflict matrix:
 // rows[c] is the union of every pairwise constraint's conflict row for
 // c, making the pairwise part of HasConflict a single AndCount. Gated
-// constraints keep their interpreted evaluators behind a word-wise
-// participation-mask early-out; residual constraints (a compilation that
-// is neither pairwise nor gated) stay fully interpreted.
+// constraints keep their own HasConflict behind a word-wise
+// participation-mask early-out and stream their violations to Repair.
 type conflictIndex struct {
 	rows []*bitset.Set // merged conflict matrix; rows[c] nil = empty row
 	// extra holds multiplicity layers for Repair's victim counting:
@@ -23,11 +24,10 @@ type conflictIndex struct {
 	// declare {c, d} conflicting. Layers are nested (extra[k+1][c] ⊆
 	// extra[k][c]) and virtually always absent — they only exist when
 	// distinct pairwise constraints overlap on the same pair, in which
-	// case the interpreted engine reports one violation per constraint
-	// and the compiled victim counts must match.
-	extra    [][]*bitset.Set
-	gates    []gatedConstraint
-	residual []Constraint
+	// case ConflictsWith reports one violation per constraint and
+	// Repair's victim counts must match.
+	extra [][]*bitset.Set
+	gates []gatedConstraint
 
 	// retiredMask marks candidates withdrawn through Engine.Retire; they
 	// are blocked from Maximize/Maximal so no instance ever re-acquires
@@ -35,24 +35,30 @@ type conflictIndex struct {
 	retiredMask *bitset.Set
 }
 
-// chainStreamer is an optional fast path for gated constraints: it
-// streams each violation's members through fn without materializing
-// Violation values, reusing scratch across calls. The enumerated
-// violations must be exactly those ConflictsWith would return.
-type chainStreamer interface {
+// chainConstraint is a gated constraint as the index runs it. Repair
+// enumerates its violations with ForEachChain, which streams each
+// violation's members through fn without materializing Violation
+// values, reusing scratch across calls. The enumerated violations must
+// be exactly those ConflictsWith would return.
+type chainConstraint interface {
+	Constraint
 	ForEachChain(inst *bitset.Set, c int, scratch []int, fn func(members []int) bool) []int
 }
 
 // gatedConstraint pairs a non-pairwise constraint with its compiled
 // participation masks.
 type gatedConstraint struct {
-	con    Constraint
-	stream chainStreamer // non-nil when con supports streaming enumeration
-	masks  []*bitset.Set
-	min    []int
+	con   chainConstraint
+	masks []*bitset.Set
+	min   []int
 }
 
-// compileAll runs the compile phase over Γ and merges the results.
+// compileAll runs the compile phase over Γ and merges the results. It
+// accepts the two shapes the index runs and panics, naming the
+// constraint, on any other: a pairwise constraint must be Growable (Grow
+// compiles only the new candidates' rows), and a gated one must stream
+// its chains (Repair's victim accounting) and be Rebuildable (Grow and
+// Retire refresh its masks from a rebuilt index).
 func compileAll(net *schema.Network, cons []Constraint) *conflictIndex {
 	n := net.NumCandidates()
 	idx := &conflictIndex{rows: make([]*bitset.Set, n)}
@@ -60,13 +66,22 @@ func compileAll(net *schema.Network, cons []Constraint) *conflictIndex {
 		comp := con.Compile()
 		switch {
 		case comp.Pairwise():
+			if _, ok := con.(Growable); !ok {
+				panic(fmt.Sprintf("constraints: pairwise constraint %q does not implement Growable", con.Name()))
+			}
 			symmetrize(comp.ConflictRows)
 			idx.merge(n, comp.ConflictRows)
 		case comp.Gated():
-			stream, _ := con.(chainStreamer)
-			idx.gates = append(idx.gates, gatedConstraint{con: con, stream: stream, masks: comp.GateMasks, min: comp.GateMin})
+			chains, ok := con.(chainConstraint)
+			if !ok {
+				panic(fmt.Sprintf("constraints: gated constraint %q does not implement ForEachChain", con.Name()))
+			}
+			if _, ok := con.(Rebuildable); !ok {
+				panic(fmt.Sprintf("constraints: gated constraint %q does not implement Rebuildable", con.Name()))
+			}
+			idx.gates = append(idx.gates, gatedConstraint{con: chains, masks: comp.GateMasks, min: comp.GateMin})
 		default:
-			idx.residual = append(idx.residual, con)
+			panic(fmt.Sprintf("constraints: constraint %q compiles to neither a pairwise nor a gated form", con.Name()))
 		}
 	}
 	return idx
@@ -145,17 +160,12 @@ func (g *gatedConstraint) gatePasses(inst *bitset.Set, c int) bool {
 	return g.masks[c] != nil && inst.AndCount(g.masks[c]) >= g.min[c]
 }
 
-// slowConflict evaluates the non-pairwise part of HasConflict: gated
-// constraints behind their early-out, then residual constraints.
+// slowConflict evaluates the non-pairwise part of HasConflict: each gated
+// constraint's own check behind its early-out.
 func (idx *conflictIndex) slowConflict(inst *bitset.Set, c int) bool {
 	for i := range idx.gates {
 		g := &idx.gates[i]
 		if g.gatePasses(inst, c) && g.con.HasConflict(inst, c) {
-			return true
-		}
-	}
-	for _, con := range idx.residual {
-		if con.HasConflict(inst, c) {
 			return true
 		}
 	}

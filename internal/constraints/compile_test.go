@@ -30,7 +30,7 @@ func randomExclusivePairs(net *schema.Network, rng *rand.Rand, count int) [][2]s
 
 // enginePair builds a compiled engine and its interpreted reference over
 // the same Γ = {one-to-one, cycle, mutex} on one random network.
-func enginePair(t testing.TB, net *schema.Network, rng *rand.Rand, maxCycleLen int) (compiled, interpreted *Engine) {
+func enginePair(t testing.TB, net *schema.Network, rng *rand.Rand, maxCycleLen int) (*Engine, *interpreted) {
 	t.Helper()
 	pairs := randomExclusivePairs(net, rng, 4)
 	gamma := func() []Constraint {
@@ -40,7 +40,7 @@ func enginePair(t testing.TB, net *schema.Network, rng *rand.Rand, maxCycleLen i
 		}
 		return cons
 	}
-	return NewEngine(net, gamma()...), NewInterpreted(net, gamma()...)
+	return NewEngine(net, gamma()...), newInterpreted(net, gamma()...)
 }
 
 func randomInstance(net *schema.Network, rng *rand.Rand, density float64) *bitset.Set {
@@ -62,9 +62,6 @@ func TestCompiledHasConflictMatchesInterpreted(t *testing.T) {
 			continue
 		}
 		eng, ref := enginePair(t, net, rng, 3+rng.Intn(2))
-		if !eng.Compiled() || ref.Compiled() {
-			t.Fatal("engine pair mislabeled")
-		}
 		for rep := 0; rep < 4; rep++ {
 			inst := randomInstance(net, rng, rng.Float64())
 			for c := 0; c < n; c++ {
@@ -75,6 +72,9 @@ func TestCompiledHasConflictMatchesInterpreted(t *testing.T) {
 			}
 			if got, want := eng.Consistent(inst), ref.Consistent(inst); got != want {
 				t.Fatalf("trial %d: Consistent compiled=%v interpreted=%v", trial, got, want)
+			}
+			if got, want := eng.Maximal(inst, nil), ref.Maximal(inst, nil); got != want {
+				t.Fatalf("trial %d: Maximal compiled=%v interpreted=%v", trial, got, want)
 			}
 		}
 	}
@@ -157,7 +157,7 @@ func TestCompiledRepairCountsOverlappingConstraints(t *testing.T) {
 		return []Constraint{NewOneToOne(v.net), NewCycle(v.net, 3), NewMutualExclusion(v.net, pairs)}
 	}
 	eng := NewEngine(v.net, gamma()...)
-	ref := NewInterpreted(v.net, gamma()...)
+	ref := newInterpreted(v.net, gamma()...)
 	if got := eng.idx.multiplicity(v.c2, v.c4); got != 2 {
 		t.Fatalf("multiplicity(c2, c4) = %d, want 2 (one-to-one + mutex)", got)
 	}

@@ -35,7 +35,7 @@ func (p *Partition) Members(k int) []int { return p.comps[k] }
 func (p *Partition) ComponentOf(c int) int { return p.compOf[c] }
 
 // Trivial reports whether the partition is one single component (no
-// decomposition is possible or the engine could not analyze Γ).
+// decomposition is possible, or the engine is a Whole fork).
 func (p *Partition) Trivial() bool { return len(p.comps) <= 1 }
 
 // singlePartition is the trivial one-component partition.
@@ -95,10 +95,7 @@ func (uf *unionFind) union(a, b int) {
 // true violation-connectivity classes, never finer, which is exactly
 // the safety direction the decomposed PMN needs.
 //
-// The interpreted engine (NewInterpreted) and engines carrying residual
-// constraints — compilations that are neither pairwise nor gated, whose
-// violation structure the index cannot see — return the trivial
-// one-component partition.
+// A Whole fork returns the trivial one-component partition instead.
 //
 // The partition is computed lazily per engine family (forks share the
 // cache) and the same immutable value is returned on every call until a
@@ -111,14 +108,14 @@ func (e *Engine) Components() *Partition {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	if pc.p == nil {
-		pc.p, pc.uf = e.computeComponents()
+		pc.p, pc.uf = e.computeComponents(pc.whole)
 	}
 	return pc.p
 }
 
-func (e *Engine) computeComponents() (*Partition, *unionFind) {
+func (e *Engine) computeComponents(whole bool) (*Partition, *unionFind) {
 	n := e.net.NumCandidates()
-	if e.idx == nil || len(e.idx.residual) > 0 {
+	if whole {
 		return singlePartition(n), nil
 	}
 	uf := newUnionFind(n)

@@ -2,8 +2,10 @@ package constraints
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
+	"schemanet/internal/bitset"
 	"schemanet/internal/datagen"
 	"schemanet/internal/schema"
 )
@@ -72,26 +74,83 @@ func TestComponentsTwoTriangles(t *testing.T) {
 	}
 }
 
-func TestComponentsInterpretedTrivial(t *testing.T) {
+// TestComponentsWholeTrivial pins the monolithic reference: a Whole fork
+// of an engine whose Γ decomposes keeps the one-component partition,
+// across Retire and Grow too, while the engine it forked from splits.
+func TestComponentsWholeTrivial(t *testing.T) {
 	net := twoTriangleNet(t)
-	parts := NewInterpreted(net, NewOneToOne(net), NewCycle(net, DefaultMaxCycleLen)).Components()
-	if !parts.Trivial() {
-		t.Fatal("interpreted engine must fall back to the trivial partition")
+	e := Default(net)
+	whole := e.Whole()
+	if !whole.Components().Trivial() {
+		t.Fatal("a Whole fork must report the trivial partition")
+	}
+	if e.Components().Trivial() {
+		t.Fatal("Whole must not change the partition of the engine it forked from")
+	}
+	if got := whole.Fork().Components(); got != whole.Components() {
+		t.Fatal("forks of a Whole fork must share its partition")
+	}
+	n := net.NumCandidates()
+	net.RetireCandidate(0)
+	whole.Retire(0)
+	if p := whole.Components(); !p.Trivial() || p.NumCandidates() != n {
+		t.Fatalf("after Retire: %d components over %d candidates, want 1 over %d",
+			p.NumComponents(), p.NumCandidates(), n)
+	}
+	whole.Grow(n)
+	if p := whole.Components(); !p.Trivial() || p.NumCandidates() != n {
+		t.Fatalf("after Grow: %d components over %d candidates, want 1 over %d",
+			p.NumComponents(), p.NumCandidates(), n)
 	}
 }
 
-// residualConstraint compiles to neither shape, forcing the residual
-// path of the conflict index.
-type residualConstraint struct{ Constraint }
+// The constraint shapes NewEngine rejects. Each wraps a shipped
+// constraint and hides or replaces what the index needs from it.
+type (
+	// shapeless compiles to neither a pairwise nor a gated form.
+	shapeless struct{ Constraint }
+	// bare has only the Constraint methods: no ForEachChain, and neither
+	// Growable nor Rebuildable.
+	bare struct{ Constraint }
+	// stuckCycle is gated and streams chains but implements neither
+	// Growable nor Rebuildable.
+	stuckCycle struct {
+		Constraint
+		chains *Cycle
+	}
+)
 
-func (residualConstraint) Compile() Compiled { return Compiled{} }
+func (shapeless) Compile() Compiled { return Compiled{} }
 
-func TestComponentsResidualTrivial(t *testing.T) {
+func (s stuckCycle) ForEachChain(inst *bitset.Set, c int, scratch []int, fn func(members []int) bool) []int {
+	return s.chains.ForEachChain(inst, c, scratch, fn)
+}
+
+// TestNewEngineRejectsUnsupportedShapes: every constraint the compiled
+// index cannot run is refused at construction, with a panic naming it.
+func TestNewEngineRejectsUnsupportedShapes(t *testing.T) {
 	net := twoTriangleNet(t)
-	e := NewEngine(net, NewOneToOne(net), residualConstraint{NewCycle(net, DefaultMaxCycleLen)})
-	parts := e.Components()
-	if !parts.Trivial() {
-		t.Fatal("residual constraints must force the trivial partition")
+	cycle := NewCycle(net, DefaultMaxCycleLen)
+	cases := []struct {
+		name string
+		con  Constraint
+	}{
+		{"neither shape", shapeless{NewCycle(net, DefaultMaxCycleLen)}},
+		{"gated without ForEachChain", bare{NewCycle(net, DefaultMaxCycleLen)}},
+		{"pairwise, neither Growable nor Rebuildable", bare{NewOneToOne(net)}},
+		{"gated, neither Growable nor Rebuildable", stuckCycle{cycle, cycle}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				r := recover()
+				msg, _ := r.(string)
+				if r == nil || !strings.Contains(msg, tc.con.Name()) {
+					t.Fatalf("NewEngine panicked with %v, want a panic naming %q", r, tc.con.Name())
+				}
+			}()
+			NewEngine(net, NewOneToOne(net), tc.con)
+		})
 	}
 }
 

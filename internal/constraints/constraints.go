@@ -94,24 +94,28 @@ type Constraint interface {
 	Violations(inst *bitset.Set) []Violation
 	// Compile emits the constraint's compiled form, evaluated once per
 	// network at engine construction (see DESIGN.md, "Compiled conflict
-	// index"). The zero value keeps the constraint fully interpreted.
+	// index"). It must pick one of the two shapes of Compiled; NewEngine
+	// rejects a constraint whose compilation has neither.
 	Compile() Compiled
 }
 
 // Compiled is the output of a constraint's compile phase. A constraint
-// picks exactly one of the two shapes (or neither):
+// picks exactly one of the two shapes:
 //
 //   - Pairwise: ConflictRows[c] is the exact, symmetric set of candidates
 //     that can never coexist with c — every violation of the constraint is
 //     a pair {c, d} with d ∈ ConflictRows[c]. The engine folds the rows of
 //     all pairwise constraints into one shared conflict matrix and never
-//     dispatches to the interpreted methods on the hot path.
+//     dispatches to the constraint's methods on the hot path. The
+//     constraint must also implement Growable.
 //
 //   - Gated: GateMasks[c] over-approximates the candidates other than c
 //     that can participate in a violation involving c, and GateMin[c] is
 //     the minimum |inst ∩ GateMasks[c]| any such violation requires. The
 //     engine runs one word-wise AndCount as an early-out before the
-//     interpreted check; a nil mask means c can never be in violation.
+//     constraint's own HasConflict; a nil mask means c can never be in
+//     violation. The constraint must also implement Rebuildable and
+//     stream its violations through ForEachChain (as Cycle does).
 type Compiled struct {
 	ConflictRows []*bitset.Set
 	GateMasks    []*bitset.Set
@@ -122,6 +126,6 @@ type Compiled struct {
 // conflict relation.
 func (c Compiled) Pairwise() bool { return c.ConflictRows != nil }
 
-// Gated reports whether the compilation is an early-out gate over an
-// interpreted check.
+// Gated reports whether the compilation is an early-out gate over the
+// constraint's own check.
 func (c Compiled) Gated() bool { return c.GateMasks != nil }

@@ -38,16 +38,8 @@ type Rebuildable interface {
 // candidates: every candidate index in [oldN, NumCandidates()) is new.
 // Rows and cycle-participation masks of pre-existing candidates are kept
 // (widened in place, so forks sharing the index see the change) and only
-// the new candidates' conflict pairs are compiled and folded in. If any
-// constraint supports neither Growable nor Rebuildable the engine falls
-// back to a full recompile — still in place, still visible to forks.
+// the new candidates' conflict pairs are compiled and folded in.
 func (e *Engine) Grow(oldN int) {
-	if e.idx == nil {
-		// Interpreted path: constraints read the live network, nothing is
-		// compiled; only the memoized partition is stale.
-		e.invalidatePartition()
-		return
-	}
 	// No early-out on n == oldN: growing can add candidates, but it can
 	// also add a schema with no candidates yet — the cycle index still
 	// needs a rebuild (new interaction-graph vertices change its plans),
@@ -61,11 +53,6 @@ func (e *Engine) Grow(oldN int) {
 		if rb, ok := con.(Rebuildable); ok {
 			rb.RebuildIndex()
 		}
-	}
-
-	if !e.allIncremental() {
-		e.recompileInPlace()
-		return
 	}
 
 	// Count, per conflict pair, how many pairwise constraints declare it.
@@ -123,10 +110,6 @@ func (e *Engine) Grow(oldN int) {
 // retired mask blocking Maximize/Maximal from ever re-acquiring it, and
 // the cycle index is rebuilt so no chain plan passes through it.
 func (e *Engine) Retire(c int) {
-	if e.idx == nil {
-		e.invalidatePartition()
-		return
-	}
 	n := e.net.NumCandidates()
 	if e.idx.retiredMask == nil {
 		e.idx.retiredMask = bitset.New(n)
@@ -137,11 +120,6 @@ func (e *Engine) Retire(c int) {
 		if rb, ok := con.(Rebuildable); ok {
 			rb.RebuildIndex()
 		}
-	}
-
-	if !e.allIncremental() {
-		e.recompileInPlace()
-		return
 	}
 
 	if r := e.idx.rows[c]; r != nil {
@@ -167,29 +145,9 @@ func (e *Engine) Retire(c int) {
 }
 
 // RetiredMask returns the mask of candidates withdrawn through Retire
-// (nil when none were ever retired, or on the interpreted path). The
-// returned set must not be mutated.
-func (e *Engine) RetiredMask() *bitset.Set {
-	if e.idx == nil {
-		return nil
-	}
-	return e.idx.retiredMask
-}
-
-// allIncremental reports whether every constraint supports one of the
-// incremental protocols; otherwise Grow/Retire must fully recompile.
-func (e *Engine) allIncremental() bool {
-	for _, con := range e.cons {
-		if _, ok := con.(Growable); ok {
-			continue
-		}
-		if _, ok := con.(Rebuildable); ok {
-			continue
-		}
-		return false
-	}
-	return true
-}
+// (nil when none were ever retired). The returned set must not be
+// mutated.
+func (e *Engine) RetiredMask() *bitset.Set { return e.idx.retiredMask }
 
 // widenIndex resizes the compiled index to n candidates in place: row
 // slices gain nil slots, existing bitsets grow (preserving pointer
@@ -264,22 +222,6 @@ func (e *Engine) reEmitGates() {
 	}
 }
 
-// recompileInPlace rebuilds the whole conflict index from scratch and
-// installs it through the shared pointer so existing forks observe it.
-func (e *Engine) recompileInPlace() {
-	ridx := compileAll(e.net, e.cons)
-	ridx.retiredMask = e.idx.retiredMask
-	*e.idx = *ridx
-	e.invalidatePartition()
-}
-
-func (e *Engine) invalidatePartition() {
-	pc := e.parts
-	pc.mu.Lock()
-	pc.p, pc.uf = nil, nil
-	pc.mu.Unlock()
-}
-
 // growPartition extends the memoized partition after Grow: the
 // persistent union-find gains the new candidates, their conflict rows
 // are unioned in, and the gate-mask pass is re-run (idempotent — and
@@ -291,14 +233,9 @@ func (e *Engine) growPartition(oldN int) {
 	pc := e.parts
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	if pc.p == nil {
-		// Never computed (or invalidated): recompute lazily on demand.
-		pc.uf = nil
-		return
-	}
 	if pc.uf == nil {
-		// Computed on a path without a forest (trivial partition, or after
-		// a Retire): drop it and recompute lazily.
+		// Never computed, computed without a forest (a whole cache), or
+		// computed before a Retire: drop it and recompute lazily.
 		pc.p = nil
 		return
 	}
@@ -326,13 +263,14 @@ func (e *Engine) growPartition(oldN int) {
 // so the touched component's members (minus c) are re-clustered locally
 // against the already-updated rows and gate masks while every other
 // component is carried unchanged. The persistent forest is dropped — the
-// next Grow recomputes the partition from scratch.
+// next Grow recomputes the partition from scratch. A whole cache keeps
+// its one component, the retiree included.
 func (e *Engine) retirePartition(c int) {
 	pc := e.parts
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	pc.uf = nil
-	if pc.p == nil {
+	if pc.p == nil || pc.whole {
 		return
 	}
 	old := pc.p

@@ -2,7 +2,6 @@ package constraints
 
 import (
 	"math/rand"
-	"sort"
 	"sync"
 
 	"schemanet/internal/bitset"
@@ -18,9 +17,8 @@ import (
 // conflict index"): the pairwise constraints become one shared conflict
 // matrix and the non-pairwise ones get word-wise early-out gates, so the
 // per-walk-step primitives run as word operations over masks instead of
-// per-candidate interface dispatch. NewInterpreted skips compilation and
-// is the reference implementation the differential tests compare
-// against.
+// per-candidate interface dispatch. The differential tests hold it to a
+// naive evaluator over the Constraint interface, kept in test code.
 //
 // Concurrency: the query methods (HasConflict, ConflictsWith,
 // Violations, Consistent, CanAdd, Maximal, MaximalWithin,
@@ -34,7 +32,7 @@ import (
 type Engine struct {
 	net   *schema.Network
 	cons  []Constraint
-	idx   *conflictIndex  // nil on the interpreted reference path
+	idx   *conflictIndex
 	parts *partitionCache // lazily computed partition, shared across forks
 
 	// Scratch reused by the mutating primitives; per fork.
@@ -54,28 +52,22 @@ type Engine struct {
 type partitionCache struct {
 	mu sync.Mutex
 	p  *Partition
-	// uf is the persistent disjoint-set forest behind p on the compiled
-	// path. It is nil when p was computed on a residual/interpreted
-	// engine (trivial partition) and after a Retire (splits cannot be
-	// expressed in a union-find; the next Grow rebuilds it).
+	// uf is the persistent disjoint-set forest behind p. It is nil for a
+	// whole cache and after a Retire (splits cannot be expressed in a
+	// union-find; the next Grow rebuilds it).
 	uf *unionFind
+	// whole pins p to the trivial one-component partition (see
+	// Engine.Whole).
+	whole bool
 }
 
 // NewEngine binds the constraints to the network and compiles them. The
 // standard paper configuration is NewEngine(net, NewOneToOne(net),
-// NewCycle(net, DefaultMaxCycleLen)); see Default.
+// NewCycle(net, DefaultMaxCycleLen)); see Default. It panics, naming the
+// constraint, when a constraint has a shape the index cannot run (see
+// compileAll).
 func NewEngine(net *schema.Network, cons ...Constraint) *Engine {
-	e := NewInterpreted(net, cons...)
-	e.idx = compileAll(net, cons)
-	return e
-}
-
-// NewInterpreted binds the constraints without compiling them: every
-// query dispatches through the Constraint interface. This is the
-// reference implementation kept for differential testing and debugging
-// (the CondCounts pattern); production callers want NewEngine.
-func NewInterpreted(net *schema.Network, cons ...Constraint) *Engine {
-	return &Engine{net: net, cons: cons, parts: &partitionCache{}}
+	return &Engine{net: net, cons: cons, idx: compileAll(net, cons), parts: &partitionCache{}}
 }
 
 // Fork returns an engine sharing this engine's network, constraint set,
@@ -88,15 +80,23 @@ func (e *Engine) Fork() *Engine {
 	return &Engine{net: e.net, cons: e.cons, idx: e.idx, parts: e.parts}
 }
 
+// Whole returns a fork whose partition is always the trivial
+// one-component partition, across Grow and Retire too: a PMN built on
+// it keeps one global sample space. This is the monolithic reference the
+// component decomposition is tested against. The fork gets its own
+// partition cache (its own forks share it); everything else is shared
+// as in Fork.
+func (e *Engine) Whole() *Engine {
+	f := e.Fork()
+	f.parts = &partitionCache{whole: true}
+	return f
+}
+
 // Default returns the compiled engine with the paper's constraint set
 // Γ = {one-to-one, cycle}.
 func Default(net *schema.Network) *Engine {
 	return NewEngine(net, NewOneToOne(net), NewCycle(net, DefaultMaxCycleLen))
 }
-
-// Compiled reports whether the engine runs on the compiled conflict
-// index (false only for NewInterpreted).
-func (e *Engine) Compiled() bool { return e.idx != nil }
 
 // Network returns the bound network.
 func (e *Engine) Network() *schema.Network { return e.net }
@@ -113,14 +113,6 @@ func (e *Engine) NewInstance() *bitset.Set {
 // HasConflict reports whether candidate c, treated as selected, would
 // participate in any violation given the other members of inst.
 func (e *Engine) HasConflict(inst *bitset.Set, c int) bool {
-	if e.idx == nil {
-		for _, con := range e.cons {
-			if con.HasConflict(inst, c) {
-				return true
-			}
-		}
-		return false
-	}
 	if r := e.idx.rows[c]; r != nil && inst.AndCount(r) > 0 {
 		return true
 	}
@@ -169,10 +161,7 @@ func (e *Engine) CanAdd(inst *bitset.Set, c int) bool {
 // without violating a constraint. Retired candidates are never
 // addable, so they cannot disqualify maximality.
 func (e *Engine) Maximal(inst, excluded *bitset.Set) bool {
-	var retired *bitset.Set
-	if e.idx != nil {
-		retired = e.idx.retiredMask
-	}
+	retired := e.idx.retiredMask
 	for c := 0; c < e.net.NumCandidates(); c++ {
 		if inst.Has(c) || (excluded != nil && excluded.Has(c)) {
 			continue
@@ -199,10 +188,7 @@ func (e *Engine) MaximalWithin(inst, excluded *bitset.Set, members []int) bool {
 	if members == nil {
 		return e.Maximal(inst, excluded)
 	}
-	var retired *bitset.Set
-	if e.idx != nil {
-		retired = e.idx.retiredMask
-	}
+	retired := e.idx.retiredMask
 	for _, c := range members {
 		if inst.Has(c) || (excluded != nil && excluded.Has(c)) {
 			continue
@@ -257,11 +243,10 @@ func (e *Engine) memberOrder(members []int, rng *rand.Rand) []int {
 // nil) and added whenever consistent. Since the constraints are
 // anti-monotone, one pass yields a maximal instance.
 //
-// On the compiled path the pass maintains an incremental blocked mask —
-// inst ∪ excluded ∪ the conflict rows of every member — so the pairwise
-// admissibility test is one bit probe and adding c is one word-wise OR
-// of its conflict row; only gate-passing candidates reach an interpreted
-// check.
+// The pass maintains an incremental blocked mask — inst ∪ excluded ∪
+// the conflict rows of every member — so the pairwise admissibility test
+// is one bit probe and adding c is one word-wise OR of its conflict row;
+// only gate-passing candidates reach a constraint's own check.
 func (e *Engine) Maximize(inst, excluded *bitset.Set, rng *rand.Rand) {
 	e.maximizeOrder(inst, excluded, e.visitOrder(rng))
 }
@@ -282,17 +267,6 @@ func (e *Engine) MaximizeWithin(inst, excluded *bitset.Set, members []int, rng *
 }
 
 func (e *Engine) maximizeOrder(inst, excluded *bitset.Set, order []int) {
-	if e.idx == nil {
-		for _, c := range order {
-			if inst.Has(c) || (excluded != nil && excluded.Has(c)) {
-				continue
-			}
-			if e.CanAdd(inst, c) {
-				inst.Add(c)
-			}
-		}
-		return
-	}
 	n := e.net.NumCandidates()
 	if e.blocked == nil || e.blocked.Len() != n {
 		e.blocked = bitset.New(n)
@@ -342,15 +316,13 @@ func (e *Engine) maximizeOrder(inst, excluded *bitset.Set, order []int) {
 // subset. Only the rng stream differs: one draw per addable candidate
 // instead of one per member.
 //
-// The compiled path finds the addable candidates inside the touched set
-// removed ∪ rows[r] ∪ gate masks[r] over every r ∈ removed: a
-// candidate was blocked before the step (inst was maximal), and it is
-// unblocked now only if its blocking violation lost a member, which
-// then lies in removed. Repair's `added` cannot reappear either: when
-// Repair drops it, its violation consists of protected members, which
-// never leave. The interpreted engine — and any engine with residual
-// constraints, which have no masks — scans every member with CanAdd and
-// finds the same ascending list, so both engines agree bit for bit.
+// The addable candidates are found inside the touched set removed ∪
+// rows[r] ∪ gate masks[r] over every r ∈ removed: a candidate was
+// blocked before the step (inst was maximal), and it is unblocked now
+// only if its blocking violation lost a member, which then lies in
+// removed. Repair's `added` cannot reappear either: when Repair drops
+// it, its violation consists of protected members, which never leave.
+// A scan of every member with CanAdd finds the same ascending list.
 func (e *Engine) Resaturate(inst, excluded, removed *bitset.Set, members []int, rng *rand.Rand) {
 	order := e.addableAfter(inst, excluded, removed, members)
 	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
@@ -361,31 +333,6 @@ func (e *Engine) Resaturate(inst, excluded, removed *bitset.Set, members []int, 
 // in inst, excluded or retired, and consistent with inst.
 func (e *Engine) addableAfter(inst, excluded, removed *bitset.Set, members []int) []int {
 	order := e.order[:0]
-	if e.idx == nil || len(e.idx.residual) > 0 {
-		var retired *bitset.Set
-		if e.idx != nil {
-			retired = e.idx.retiredMask
-		}
-		probe := func(c int) {
-			if inst.Has(c) || (excluded != nil && excluded.Has(c)) || (retired != nil && retired.Has(c)) {
-				return
-			}
-			if e.CanAdd(inst, c) {
-				order = append(order, c)
-			}
-		}
-		if members == nil {
-			for c := 0; c < e.net.NumCandidates(); c++ {
-				probe(c)
-			}
-		} else {
-			for _, c := range members {
-				probe(c)
-			}
-		}
-		e.order = order
-		return order
-	}
 	n := e.net.NumCandidates()
 	if e.blocked == nil || e.blocked.Len() != n {
 		e.blocked = bitset.New(n)
@@ -486,8 +433,8 @@ func (rs *repairScratch) visitPair(d int) bool {
 	return true
 }
 
-// countViol mirrors the per-violation accounting of the interpreted
-// reference for chain (and residual) violations.
+// countViol accounts one chain violation: every removable member (in
+// inst, neither added nor approved) gains one count.
 func (rs *repairScratch) countViol(members []int) bool {
 	rs.anyViol = true
 	removable := 0
@@ -543,16 +490,12 @@ func (rs *repairScratch) clear() {
 // before the call; then every violation involves `added` and the loop
 // terminates with a consistent instance.
 //
-// On the compiled path the pairwise violations are read directly off the
-// conflict matrix (inst ∩ rows[added], word-wise) and victim counts
-// accumulate in the fork's repairScratch with a smallest-index
-// tie-break — the same deterministic result as the interpreted
-// reference, with zero allocations once the scratch has warmed up.
+// The pairwise violations are read directly off the conflict matrix
+// (inst ∩ rows[added], word-wise), the chain violations are streamed,
+// and victim counts accumulate in the fork's repairScratch with a
+// smallest-index tie-break — deterministic, with zero allocations once
+// the scratch has warmed up.
 func (e *Engine) Repair(inst *bitset.Set, added int, approved *bitset.Set) {
-	if e.idx == nil {
-		e.repairInterpreted(inst, added, approved)
-		return
-	}
 	inst.Add(added)
 	rs := e.repairState(inst, added, approved)
 	row := e.idx.rows[added]
@@ -567,27 +510,7 @@ func (e *Engine) Repair(inst *bitset.Set, added int, approved *bitset.Set) {
 				if !g.gatePasses(inst, added) {
 					continue
 				}
-				if g.stream != nil {
-					rs.chainBuf = g.stream.ForEachChain(inst, added, rs.chainBuf, rs.violFn)
-				} else {
-					for _, v := range g.con.ConflictsWith(inst, added) {
-						if !rs.countViol(v.Cands) {
-							break
-						}
-					}
-				}
-				if rs.unrepairable {
-					break
-				}
-			}
-		}
-		if !rs.unrepairable {
-			for _, con := range e.idx.residual {
-				for _, v := range con.ConflictsWith(inst, added) {
-					if !rs.countViol(v.Cands) {
-						break
-					}
-				}
+				rs.chainBuf = g.con.ForEachChain(inst, added, rs.chainBuf, rs.violFn)
 				if rs.unrepairable {
 					break
 				}
@@ -604,52 +527,6 @@ func (e *Engine) Repair(inst *bitset.Set, added int, approved *bitset.Set) {
 			return
 		}
 		inst.Remove(rs.victim())
-	}
-}
-
-// repairInterpreted is the reference Repair over the Constraint
-// interface, kept deliberately naive (per-iteration map + sort) so the
-// differential tests compare the compiled path against an
-// obviously-correct baseline.
-func (e *Engine) repairInterpreted(inst *bitset.Set, added int, approved *bitset.Set) {
-	inst.Add(added)
-	for {
-		viols := e.ConflictsWith(inst, added)
-		if len(viols) == 0 {
-			return
-		}
-		counts := make(map[int]int)
-		for _, v := range viols {
-			removable := 0
-			for _, ci := range v.Cands {
-				if ci == added || (approved != nil && approved.Has(ci)) {
-					continue
-				}
-				if inst.Has(ci) {
-					counts[ci]++
-					removable++
-				}
-			}
-			if removable == 0 {
-				inst.Remove(added)
-				return
-			}
-		}
-		victim, best := -1, -1
-		// Deterministic tie-break on the smallest index keeps the repair
-		// reproducible under a fixed seed.
-		keys := make([]int, 0, len(counts))
-		//lint:sorted keys are collected and sorted (sort.Ints below) before the deterministic scan
-		for ci := range counts {
-			keys = append(keys, ci)
-		}
-		sort.Ints(keys)
-		for _, ci := range keys {
-			if counts[ci] > best {
-				victim, best = ci, counts[ci]
-			}
-		}
-		inst.Remove(victim)
 	}
 }
 

@@ -1,6 +1,7 @@
 package constraints
 
 import (
+	"fmt"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -161,38 +162,54 @@ func TestResaturateExactDistribution(t *testing.T) {
 
 // TestResaturateMatchesInterpreted runs the same walk on the compiled
 // engine and the interpreted reference: Repair a random free move, then
-// Resaturate with identically seeded rngs. The instances must agree
-// bit for bit after every step, and stay consistent and maximal. Half
-// the walks are restricted to one component (excluded ⊇ ¬members).
+// Resaturate with identically seeded rngs. The instances and the next
+// draw of both rngs must agree after every step, and the instance must
+// stay consistent and maximal. Half the walks are restricted to one
+// component (excluded ⊇ ¬members).
 func TestResaturateMatchesInterpreted(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	for trial := 0; trial < 25; trial++ {
 		net := randomNetwork(t, rng, 3+rng.Intn(2), 3, 0.4)
-		n := net.NumCandidates()
-		if n == 0 {
-			continue
-		}
-		eng, ref := enginePair(t, net, rng, 3+rng.Intn(2))
-		resaturateAgree(t, trial, net, eng, ref, rng)
-	}
-}
-
-// TestResaturateResidualMatchesInterpreted covers the full-scan path a
-// residual constraint forces on a compiled engine.
-func TestResaturateResidualMatchesInterpreted(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 10; trial++ {
-		net := randomNetwork(t, rng, 3, 3, 0.4)
 		if net.NumCandidates() == 0 {
 			continue
 		}
-		eng := NewEngine(net, NewOneToOne(net), residualConstraint{NewCycle(net, DefaultMaxCycleLen)})
-		ref := NewInterpreted(net, NewOneToOne(net), NewCycle(net, DefaultMaxCycleLen))
-		resaturateAgree(t, trial, net, eng, ref, rng)
+		eng, ref := enginePair(t, net, rng, 3+rng.Intn(2))
+		resaturateAgree(t, trial, net, eng, ref, rng, 0)
 	}
 }
 
-func resaturateAgree(t *testing.T, trial int, net *schema.Network, eng, ref *Engine, rng *rand.Rand) {
+// TestWalkMatchesInterpreted pins the sampler's walk (Algorithm 3) at
+// the primitive level. The walk calls only MaximizeWithin, Repair and
+// Resaturate, and draws its restarts and moves from the same rng, as
+// the sampler does. Under one seed the compiled engine and the
+// interpreted reference must leave the same instance and the same rng
+// stream after every step, through mid-walk restarts and under
+// approved and disapproved feedback.
+func TestWalkMatchesInterpreted(t *testing.T) {
+	v := buildVideoNet(t)
+	n := v.net.NumCandidates()
+	eng := Default(v.net)
+	ref := newInterpreted(v.net, NewOneToOne(v.net), NewCycle(v.net, DefaultMaxCycleLen))
+	approved := bitset.FromIndices(n, v.c1)
+	disapproved := bitset.FromIndices(n, v.c4)
+	for seed := int64(1); seed <= 5; seed++ {
+		walkAgree(t, fmt.Sprintf("video seed %d", seed), eng, ref, approved, disapproved, nil, seed, 80, 0.2)
+	}
+	rng := rand.New(rand.NewSource(1212))
+	for trial := 0; trial < 25; trial++ {
+		net := randomNetwork(t, rng, 3+rng.Intn(2), 3, 0.4)
+		if net.NumCandidates() == 0 {
+			continue
+		}
+		eng, ref := enginePair(t, net, rng, 3+rng.Intn(2))
+		resaturateAgree(t, trial, net, eng, ref, rng, 0.2)
+	}
+}
+
+// resaturateAgree draws disapproved feedback, an optional component
+// restriction and approved feedback consistent with both, then runs
+// walkAgree over them.
+func resaturateAgree(t *testing.T, trial int, net *schema.Network, eng *Engine, ref *interpreted, rng *rand.Rand, restartProb float64) {
 	t.Helper()
 	n := net.NumCandidates()
 	excluded := randomInstance(net, rng, 0.15)
@@ -206,26 +223,63 @@ func resaturateAgree(t *testing.T, trial int, net *schema.Network, eng, ref *Eng
 		notWithin.DifferenceWith(within)
 		excluded.UnionWith(notWithin)
 	}
-	seed := rng.Int63()
-	a, b := bitset.New(n), bitset.New(n)
-	eng.MaximizeWithin(a, excluded, members, rand.New(rand.NewSource(seed)))
-	ref.MaximizeWithin(b, excluded, members, rand.New(rand.NewSource(seed)))
-	if !a.Equal(b) {
-		t.Fatalf("trial %d: starting saturation diverged", trial)
-	}
+	base := bitset.New(n)
+	eng.MaximizeWithin(base, excluded, members, rng)
 	approved := randomInstance(net, rng, 0.3)
-	approved.IntersectWith(a)
-	ra, rb := rand.New(rand.NewSource(seed+1)), rand.New(rand.NewSource(seed+1))
-	removed := bitset.New(n)
-	for step := 0; step < 20; step++ {
-		free := bitset.New(n)
+	approved.IntersectWith(base)
+	walkAgree(t, fmt.Sprintf("trial %d", trial), eng, ref, approved, excluded, members, rng.Int63(), 20, restartProb)
+}
+
+// walkAgree runs the sampler's walk on eng and ref from rngs seeded
+// alike: a fresh start is approved ∪ MaximizeWithin; each step first
+// restarts with probability restartProb (after the first step), then
+// moves a uniformly drawn free candidate in with Repair and restores
+// maximality with Resaturate. It fails on the first step where the
+// moves, the instances or the next draws of the two rngs differ.
+func walkAgree(t *testing.T, label string, eng *Engine, ref *interpreted,
+	approved, excluded *bitset.Set, members []int, seed int64, steps int, restartProb float64) {
+	t.Helper()
+	n := eng.Network().NumCandidates()
+	ra, rb := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+	a, b := bitset.New(n), bitset.New(n)
+	fresh := func() {
+		a.CopyFrom(approved)
+		b.CopyFrom(approved)
+		eng.MaximizeWithin(a, excluded, members, ra)
+		ref.MaximizeWithin(b, excluded, members, rb)
+	}
+	draw := func(f func(r *rand.Rand) int64, what string, step int) int64 {
+		x, y := f(ra), f(rb)
+		if x != y {
+			t.Fatalf("%s step %d: %s draws diverged: compiled %d, interpreted %d", label, step, what, x, y)
+		}
+		return x
+	}
+	fresh()
+	if !a.Equal(b) {
+		t.Fatalf("%s: starting saturation diverged\ncompiled    %v\ninterpreted %v", label, a, b)
+	}
+	removed, free := bitset.New(n), bitset.New(n)
+	for step := 0; step < steps; step++ {
+		if step > 0 && restartProb > 0 {
+			restart := draw(func(r *rand.Rand) int64 {
+				if r.Float64() < restartProb {
+					return 1
+				}
+				return 0
+			}, "restart", step)
+			if restart == 1 {
+				fresh()
+			}
+		}
 		free.SetAll()
 		free.DifferenceWith(a)
 		free.DifferenceWith(excluded)
 		if free.Empty() {
 			return
 		}
-		c := free.NthMember(rng.Intn(free.Count()))
+		nFree := int64(free.Count())
+		c := free.NthMember(int(draw(func(r *rand.Rand) int64 { return r.Int63n(nFree) }, "move", step)))
 		removed.CopyFrom(a)
 		eng.Repair(a, c, approved)
 		ref.Repair(b, c, approved)
@@ -233,11 +287,12 @@ func resaturateAgree(t *testing.T, trial int, net *schema.Network, eng, ref *Eng
 		eng.Resaturate(a, excluded, removed, members, ra)
 		ref.Resaturate(b, excluded, removed, members, rb)
 		if !a.Equal(b) {
-			t.Fatalf("trial %d step %d: Resaturate diverged after move %d\ncompiled    %v\ninterpreted %v",
-				trial, step, c, a, b)
+			t.Fatalf("%s step %d: walk diverged after move %d\ncompiled    %v\ninterpreted %v",
+				label, step, c, a, b)
 		}
-		if !eng.Consistent(a) || !eng.MaximalWithin(a, excluded, members) {
-			t.Fatalf("trial %d step %d: walk left a non-instance %v", trial, step, a)
+		draw((*rand.Rand).Int63, "next", step)
+		if !ref.Consistent(a) || !ref.MaximalWithin(a, excluded, members) || !eng.MaximalWithin(a, excluded, members) {
+			t.Fatalf("%s step %d: walk left a non-instance %v", label, step, a)
 		}
 	}
 }

@@ -213,48 +213,3 @@ func (g *Graph) IsIndependentSet(vs []int) bool {
 	}
 	return true
 }
-
-// UnionFind is a disjoint-set forest with path compression and union by
-// size.
-type UnionFind struct {
-	parent []int
-	size   []int
-	sets   int
-}
-
-// NewUnionFind returns a UnionFind over n singleton sets.
-func NewUnionFind(n int) *UnionFind {
-	uf := &UnionFind{parent: make([]int, n), size: make([]int, n), sets: n}
-	for i := range uf.parent {
-		uf.parent[i] = i
-		uf.size[i] = 1
-	}
-	return uf
-}
-
-// Find returns the representative of x's set.
-func (uf *UnionFind) Find(x int) int {
-	for uf.parent[x] != x {
-		uf.parent[x] = uf.parent[uf.parent[x]]
-		x = uf.parent[x]
-	}
-	return x
-}
-
-// Union merges the sets of a and b; it reports whether a merge happened.
-func (uf *UnionFind) Union(a, b int) bool {
-	ra, rb := uf.Find(a), uf.Find(b)
-	if ra == rb {
-		return false
-	}
-	if uf.size[ra] < uf.size[rb] {
-		ra, rb = rb, ra
-	}
-	uf.parent[rb] = ra
-	uf.size[ra] += uf.size[rb]
-	uf.sets--
-	return true
-}
-
-// Sets returns the current number of disjoint sets.
-func (uf *UnionFind) Sets() int { return uf.sets }

@@ -135,27 +135,3 @@ func TestGreedyNeverBeatsExact(t *testing.T) {
 		}
 	}
 }
-
-func TestUnionFind(t *testing.T) {
-	uf := NewUnionFind(6)
-	if uf.Sets() != 6 {
-		t.Fatalf("Sets() = %d, want 6", uf.Sets())
-	}
-	if !uf.Union(0, 1) {
-		t.Fatal("union of distinct sets should report true")
-	}
-	if uf.Union(0, 1) {
-		t.Fatal("repeated union should report false")
-	}
-	uf.Union(1, 2)
-	uf.Union(4, 5)
-	if uf.Sets() != 3 {
-		t.Fatalf("Sets() = %d, want 3", uf.Sets())
-	}
-	if uf.Find(0) != uf.Find(2) {
-		t.Fatal("0 and 2 should share a representative")
-	}
-	if uf.Find(3) == uf.Find(0) {
-		t.Fatal("3 should be its own set")
-	}
-}

@@ -7,6 +7,7 @@ import (
 
 	"schemanet/internal/datagen"
 	"schemanet/internal/schema"
+	"schemanet/internal/similarity"
 )
 
 func TestMatrixBasics(t *testing.T) {
@@ -54,9 +55,6 @@ func TestAggregators(t *testing.T) {
 	if got := MaxAgg(scores, nil); got != 0.6 {
 		t.Errorf("MaxAgg = %v", got)
 	}
-	if got := MinAgg(scores, nil); got != 0.2 {
-		t.Errorf("MinAgg = %v", got)
-	}
 	w := []float64{0, 0, 1}
 	if got := WeightedAgg(scores, w); got != 0.6 {
 		t.Errorf("WeightedAgg = %v", got)
@@ -67,18 +65,8 @@ func TestAggregators(t *testing.T) {
 	if got := WeightedAgg(scores, []float64{0, 0, 0}); math.Abs(got-0.4) > 1e-9 {
 		t.Errorf("WeightedAgg zero weights = %v", got)
 	}
-	h := HarmonicAgg([]float64{0.5, 0.5}, nil)
-	if math.Abs(h-0.5) > 1e-9 {
-		t.Errorf("HarmonicAgg = %v", h)
-	}
-	if got := HarmonicAgg([]float64{0.5, 0}, nil); got != 0 {
-		t.Errorf("HarmonicAgg with zero = %v", got)
-	}
 	if got := AverageAgg(nil, nil); got != 0 {
 		t.Errorf("AverageAgg empty = %v", got)
-	}
-	if got := MinAgg(nil, nil); got != 0 {
-		t.Errorf("MinAgg empty = %v", got)
 	}
 }
 
@@ -287,6 +275,11 @@ func TestMatchRespectsInteractionGraph(t *testing.T) {
 	}
 }
 
+// plainLeaf wraps a measure that ignores the corpus as a process leaf.
+func plainLeaf(name string, fn func(a, b string) float64) *Leaf {
+	return CorpusLeaf(name, func(*similarity.Corpus) func(a, b string) float64 { return fn })
+}
+
 func TestProcessOperators(t *testing.T) {
 	b := schema.NewBuilder()
 	b.AddSchema("l", "alpha", "beta")
@@ -297,7 +290,7 @@ func TestProcessOperators(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	exact := NewLeaf("exact", func(a, b string) float64 {
+	exact := plainLeaf("exact", func(a, b string) float64 {
 		if a == b {
 			return 1
 		}
@@ -332,7 +325,7 @@ func TestProcessOperators(t *testing.T) {
 		}
 	})
 	t.Run("combine with max", func(t *testing.T) {
-		zero := NewLeaf("zero", func(a, b string) float64 { return 0 })
+		zero := plainLeaf("zero", func(a, b string) float64 { return 0 })
 		p := NewProcess("p", &Combine{Agg: MaxAgg, Children: []Node{zero, exact}}, Threshold{T: 0.9})
 		cands := p.Match(net)
 		if len(cands) != 1 {

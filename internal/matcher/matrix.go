@@ -147,32 +147,3 @@ func MaxAgg(scores, _ []float64) float64 {
 	}
 	return best
 }
-
-// MinAgg is the minimum score (0 for empty input).
-func MinAgg(scores, _ []float64) float64 {
-	if len(scores) == 0 {
-		return 0
-	}
-	best := scores[0]
-	for _, v := range scores[1:] {
-		if v < best {
-			best = v
-		}
-	}
-	return best
-}
-
-// HarmonicAgg is the harmonic mean; any zero score yields 0.
-func HarmonicAgg(scores, _ []float64) float64 {
-	if len(scores) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, v := range scores {
-		if v == 0 {
-			return 0
-		}
-		s += 1 / v
-	}
-	return float64(len(scores)) / s
-}

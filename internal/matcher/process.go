@@ -22,18 +22,13 @@ type evalCtx struct {
 	cols   []schema.AttrID
 }
 
-// Leaf evaluates one measure over all attribute pairs. Use NewLeaf, or
-// CorpusLeaf for corpus-backed measures.
+// Leaf evaluates one measure over all attribute pairs. Build it with
+// CorpusLeaf.
 type Leaf struct {
 	name string
-	fn   func(a, b string) float64
-	// corpusFn, when set, receives the corpus at evaluation time.
+	// corpusFn receives the corpus at evaluation time and returns the
+	// measure.
 	corpusFn func(c *similarity.Corpus) func(a, b string) float64
-}
-
-// NewLeaf wraps a plain string measure as a process leaf.
-func NewLeaf(name string, fn func(a, b string) float64) *Leaf {
-	return &Leaf{name: name, fn: fn}
 }
 
 // CorpusLeaf wraps a corpus-backed measure as a process leaf.
@@ -42,10 +37,7 @@ func CorpusLeaf(name string, fn func(c *similarity.Corpus) func(a, b string) flo
 }
 
 func (l *Leaf) eval(ctx *evalCtx) *Matrix {
-	fn := l.fn
-	if l.corpusFn != nil {
-		fn = l.corpusFn(ctx.corpus)
-	}
+	fn := l.corpusFn(ctx.corpus)
 	m := NewMatrix(ctx.rows, ctx.cols)
 	for i, ra := range ctx.rows {
 		for j, cb := range ctx.cols {

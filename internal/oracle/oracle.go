@@ -69,11 +69,10 @@ func (o *Noisy) Assert(c schema.Correspondence) bool {
 	return ans
 }
 
-// Counting wraps another oracle and counts assertions; experiments use
-// it to verify effort accounting. Like Noisy, Assert is safe for
-// concurrent use when the base oracle is (the counter is guarded), so
-// the usual composition NewNoisy(NewCounting(truth), …) can be shared
-// across fanned-out goroutines.
+// Counting wraps another oracle and counts its assertions. Like Noisy,
+// Assert is safe for concurrent use when the base oracle is (the counter
+// is guarded), so NewNoisy(NewCounting(truth), …) can be shared across
+// fanned-out goroutines.
 type Counting struct {
 	base interface {
 		Assert(schema.Correspondence) bool

@@ -374,40 +374,6 @@ func TestSamplerDeterministicUnderSeed(t *testing.T) {
 	}
 }
 
-// TestSamplerCompiledEngineMatchesInterpreted is the end-to-end
-// differential over Algorithm 3: under the same seed, the walk driven by
-// the compiled conflict index must emit bit-for-bit the same sample
-// stream as the interpreted reference engine.
-func TestSamplerCompiledEngineMatchesInterpreted(t *testing.T) {
-	_, idx := buildVideoNet(t)
-	e, _ := buildVideoNet(t)
-	net := e.Network()
-	run := func(eng *constraints.Engine, seed int64) []*bitset.Set {
-		s := NewSampler(eng, DefaultConfig(), rand.New(rand.NewSource(seed)))
-		approved := bitset.FromIndices(net.NumCandidates(), idx["c1"])
-		disapproved := bitset.FromIndices(net.NumCandidates(), idx["c4"])
-		store := s.Sample(approved, disapproved, 80)
-		var out []*bitset.Set
-		store.ForEachInstance(func(inst *bitset.Set) bool {
-			out = append(out, inst.Clone())
-			return true
-		})
-		return out
-	}
-	for seed := int64(1); seed <= 5; seed++ {
-		a := run(constraints.Default(net), seed)
-		b := run(constraints.NewInterpreted(net, constraints.NewOneToOne(net), constraints.NewCycle(net, constraints.DefaultMaxCycleLen)), seed)
-		if len(a) != len(b) {
-			t.Fatalf("seed %d: store sizes differ: %d vs %d", seed, len(a), len(b))
-		}
-		for i := range a {
-			if !a[i].Equal(b[i]) {
-				t.Fatalf("seed %d: instance %d diverged: %v vs %v", seed, i, a[i], b[i])
-			}
-		}
-	}
-}
-
 func TestSamplerWithoutMaximize(t *testing.T) {
 	// Even without the maximality saturation the samples stay consistent
 	// (the ablation configuration must not crash or emit garbage).

@@ -14,16 +14,6 @@ func NewMatching() *Matching {
 	return &Matching{pairs: make(map[[2]AttrID]bool)}
 }
 
-// MatchingFromPairs builds a matching from attribute pairs (order within
-// each pair does not matter).
-func MatchingFromPairs(pairs [][2]AttrID) *Matching {
-	m := NewMatching()
-	for _, p := range pairs {
-		m.Add(p[0], p[1])
-	}
-	return m
-}
-
 // Add inserts the pair {a, b}.
 func (m *Matching) Add(a, b AttrID) {
 	m.pairs[Correspondence{A: a, B: b}.Pair()] = true

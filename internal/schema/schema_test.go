@@ -230,8 +230,18 @@ func TestMatchingBasics(t *testing.T) {
 	}
 }
 
+// matchingOf builds a matching from attribute pairs (order within each
+// pair does not matter).
+func matchingOf(pairs [][2]AttrID) *Matching {
+	m := NewMatching()
+	for _, p := range pairs {
+		m.Add(p[0], p[1])
+	}
+	return m
+}
+
 func TestMatchingPairsSorted(t *testing.T) {
-	m := MatchingFromPairs([][2]AttrID{{5, 2}, {1, 0}, {4, 3}})
+	m := matchingOf([][2]AttrID{{5, 2}, {1, 0}, {4, 3}})
 	pairs := m.Pairs()
 	want := [][2]AttrID{{0, 1}, {2, 5}, {3, 4}}
 	for i := range want {
@@ -242,8 +252,8 @@ func TestMatchingPairsSorted(t *testing.T) {
 }
 
 func TestMatchingIntersectionAndClone(t *testing.T) {
-	a := MatchingFromPairs([][2]AttrID{{0, 1}, {2, 3}, {4, 5}})
-	b := MatchingFromPairs([][2]AttrID{{1, 0}, {4, 5}, {6, 7}})
+	a := matchingOf([][2]AttrID{{0, 1}, {2, 3}, {4, 5}})
+	b := matchingOf([][2]AttrID{{1, 0}, {4, 5}, {6, 7}})
 	if got := a.IntersectionSize(b); got != 2 {
 		t.Fatalf("IntersectionSize = %d, want 2", got)
 	}

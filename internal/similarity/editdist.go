@@ -80,19 +80,6 @@ func DamerauLevenshtein(a, b string) int {
 	return d[la][lb]
 }
 
-// DamerauSimilarity normalizes DamerauLevenshtein into [0, 1].
-func DamerauSimilarity(a, b string) float64 {
-	la, lb := len([]rune(a)), len([]rune(b))
-	m := la
-	if lb > m {
-		m = lb
-	}
-	if m == 0 {
-		return 1
-	}
-	return 1 - float64(DamerauLevenshtein(a, b))/float64(m)
-}
-
 // LCSLength returns the length of the longest common subsequence.
 func LCSLength(a, b string) int {
 	ra, rb := []rune(a), []rune(b)
@@ -115,16 +102,6 @@ func LCSLength(a, b string) int {
 		}
 	}
 	return prev[lb]
-}
-
-// LCSSimilarity is 2·LCS / (|a| + |b|), in [0, 1]. Two empty strings have
-// similarity 1.
-func LCSSimilarity(a, b string) float64 {
-	la, lb := len([]rune(a)), len([]rune(b))
-	if la+lb == 0 {
-		return 1
-	}
-	return 2 * float64(LCSLength(a, b)) / float64(la+lb)
 }
 
 // LongestCommonSubstring returns the length of the longest contiguous

@@ -37,18 +37,6 @@ func gramOverlap(a, b map[string]int) (overlap, sizeA, sizeB int) {
 	return overlap, sizeA, sizeB
 }
 
-// QGramJaccard is the Jaccard coefficient over q-gram multisets:
-// |A ∩ B| / |A ∪ B| with multiset semantics.
-func QGramJaccard(a, b string, q int) float64 {
-	ga, gb := QGrams(a, q), QGrams(b, q)
-	overlap, sa, sb := gramOverlap(ga, gb)
-	union := sa + sb - overlap
-	if union == 0 {
-		return 1 // both strings empty of grams
-	}
-	return float64(overlap) / float64(union)
-}
-
 // QGramDice is the Dice coefficient 2·|A ∩ B| / (|A| + |B|) over q-gram
 // multisets.
 func QGramDice(a, b string, q int) float64 {
@@ -58,23 +46,6 @@ func QGramDice(a, b string, q int) float64 {
 		return 1
 	}
 	return 2 * float64(overlap) / float64(sa+sb)
-}
-
-// OverlapCoefficient is |A ∩ B| / min(|A|, |B|) over q-gram multisets.
-func OverlapCoefficient(a, b string, q int) float64 {
-	ga, gb := QGrams(a, q), QGrams(b, q)
-	overlap, sa, sb := gramOverlap(ga, gb)
-	m := sa
-	if sb < m {
-		m = sb
-	}
-	if m == 0 {
-		if sa == 0 && sb == 0 {
-			return 1
-		}
-		return 0
-	}
-	return float64(overlap) / float64(m)
 }
 
 // TokenJaccard is the Jaccard coefficient over the token *sets* of the

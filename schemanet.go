@@ -344,9 +344,9 @@ func NewSession(net *Network, opts *Options) (*Session, error) {
 }
 
 // newSession is NewSession over a chosen constraint engine constructor
-// and an initial saved history. Production always compiles the conflict
-// index (constraints.NewEngine); the tests build reference sessions on
-// constraints.NewInterpreted. A non-empty history is resolved against
+// and an initial saved history. Production always passes
+// constraints.NewEngine; the tests build the monolithic reference on a
+// Whole fork of it. A non-empty history is resolved against
 // net once the options are validated and becomes the PMN's initial
 // feedback (core.NewWithHistory): every component is filled under it
 // directly — the restore path of LoadSession and store recovery.
