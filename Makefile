@@ -27,7 +27,7 @@ SUGGESTTIME ?= 200x
 # fuzz knob: how long `make fuzz` mutates each target.
 FUZZTIME ?= 20s
 
-.PHONY: all vet fmt-check lint build test bench bench-smoke bench-suggest bench-throughput race examples fuzz
+.PHONY: all vet fmt-check lint build test bench bench-smoke bench-suggest bench-throughput race examples cli-smoke fuzz
 
 all: vet fmt-check lint build test
 
@@ -102,6 +102,26 @@ bench-suggest:
 # surface the examples exercise keeps working end to end.
 examples:
 	@set -e; for d in examples/*/; do echo "== $$d"; $(GO) run "./$$d" > /dev/null; done; echo "examples OK"
+
+# End-to-end smoke of cmd/reconcile's persistence paths, in a throwaway
+# directory: -save then -resume, -store twice (the second run must
+# resume the first run's 10 assertions), and -grow with
+# cmd/reconcile/testdata/grow.json in plain and -store mode.
+cli-smoke:
+	@set -e; tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/datagen" ./cmd/datagen; \
+	$(GO) build -o "$$tmp/reconcile" ./cmd/reconcile; \
+	"$$tmp/datagen" -profile bp -scale 0.3 -seed 1 -out "$$tmp/bp.json" 2> /dev/null; \
+	run() { want="$$1"; shift; echo "== reconcile $$*"; \
+		"$$tmp/reconcile" -in "$$tmp/bp.json" -oracle -budget 10 "$$@" > "$$tmp/out.txt" || { cat "$$tmp/out.txt"; exit 1; }; \
+		grep -qF "$$want" "$$tmp/out.txt" || { cat "$$tmp/out.txt"; echo "missing: $$want"; exit 1; }; }; \
+	run "session saved to" -save "$$tmp/saved.json"; \
+	run "resumed session: " -resume "$$tmp/saved.json"; \
+	run "precision" -store "$$tmp/store"; \
+	run 'resumed session "default": 10 assertions on record' -store "$$tmp/store"; \
+	run "grew network: now 3 schemas, 20 candidates (1 retired)" -grow cmd/reconcile/testdata/grow.json; \
+	run "grew network: now 3 schemas, 20 candidates (1 retired)" -grow cmd/reconcile/testdata/grow.json -store "$$tmp/grown"; \
+	echo "cli-smoke OK"
 
 # Native-fuzz smoke over the two decoders that consume externally
 # produced bytes — the session_io decoder (LoadSession) and the WAL

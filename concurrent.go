@@ -87,9 +87,11 @@ type ConcurrentSession struct {
 	// so a reader that observes dirty[k] == false is guaranteed to load
 	// a snapshot at least as fresh as the clearing writer's.
 	dirty []atomic.Bool
-	// feedMu guards the PMN-global feedback (history + F±): recording
-	// is cheap and strictly serialized, while the expensive
-	// component maintenance reads only component-local feedback masks.
+	// feedMu guards the PMN-global feedback (history + F±) and the
+	// session's operation log, appended in the same critical section so
+	// the two stay in one order: recording is cheap and strictly
+	// serialized, while the expensive component maintenance reads only
+	// component-local feedback masks.
 	feedMu sync.Mutex
 	// batchMu closes AssertBatch's record→apply window against the
 	// whole-network operations: a batch holds the read side from before
@@ -391,6 +393,11 @@ func (cs *ConcurrentSession) intn(n int) int {
 // ErrUnknownCandidate (wrapped) for an out-of-universe c and an error
 // when c was already asserted (no state changes).
 func (cs *ConcurrentSession) Assert(c int, correct bool) error {
+	return cs.assertAs("", c, correct)
+}
+
+// assertAs is Assert with the annotator its log record carries.
+func (cs *ConcurrentSession) assertAs(annotator string, c int, correct bool) error {
 	cs.topoMu.RLock()
 	defer cs.topoMu.RUnlock()
 	if err := cs.s.checkCandidate(c); err != nil {
@@ -399,8 +406,12 @@ func (cs *ConcurrentSession) Assert(c int, correct bool) error {
 	k := cs.pmn.ComponentOf(c)
 	cs.locks[k].Lock()
 	defer cs.locks[k].Unlock()
+	rec := cs.s.assertRecord(annotator, c, correct)
 	cs.feedMu.Lock()
 	err := cs.pmn.RecordAssertion(c, correct)
+	if err == nil {
+		cs.s.logOps(rec)
+	}
 	cs.feedMu.Unlock()
 	if err != nil {
 		return err
@@ -424,6 +435,11 @@ func (cs *ConcurrentSession) Assert(c int, correct bool) error {
 // per-component rng streams keep the result identical to applying the
 // same batch serially.
 func (cs *ConcurrentSession) AssertBatch(assertions []Assertion) error {
+	return cs.assertBatchAs("", assertions)
+}
+
+// assertBatchAs is AssertBatch with the annotator its log records carry.
+func (cs *ConcurrentSession) assertBatchAs(annotator string, assertions []Assertion) error {
 	if len(assertions) == 0 {
 		return nil
 	}
@@ -446,6 +462,7 @@ func (cs *ConcurrentSession) AssertBatch(assertions []Assertion) error {
 			// Unreachable after validation; surface loudly if it happens.
 			panic(err)
 		}
+		cs.s.logOps(cs.s.assertRecord(annotator, a.Cand, a.Approved))
 	}
 	cs.feedMu.Unlock()
 

@@ -517,6 +517,12 @@ func TestConcurrentSaveRacingAssertBatch(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+	// A final save, after every batch landed, must hold all of them.
+	var final bytes.Buffer
+	if err := conc.Save(&final); err != nil {
+		t.Fatal(err)
+	}
+	snapshots = append(snapshots, final.Bytes())
 
 	for i, snap := range snapshots {
 		var st struct {
@@ -530,6 +536,9 @@ func TestConcurrentSaveRacingAssertBatch(t *testing.T) {
 		}
 		if len(st.History)%batchSize != 0 {
 			t.Fatalf("snapshot %d holds %d records: a batch of %d was torn", i, len(st.History), batchSize)
+		}
+		if i == len(snapshots)-1 && len(st.History) != len(batches)*batchSize {
+			t.Fatalf("final snapshot holds %d records, want all %d", len(st.History), len(batches)*batchSize)
 		}
 		// Whole batches, each contiguous.
 		seen := make(map[int]bool)

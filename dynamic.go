@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"schemanet/internal/core"
+	"schemanet/internal/wal"
 )
 
 // Dynamic networks: a live session accepts new schemas, new candidate
@@ -21,35 +22,6 @@ import (
 // index but have probability 0, are never suggested, and accept no
 // feedback.
 var ErrCandidateRetired = core.ErrCandidateRetired
-
-// topoKind discriminates the entries of the session's topology log.
-type topoKind int
-
-const (
-	topoAddSchema topoKind = iota + 1
-	topoAddCandidates
-	topoRetire
-)
-
-// savedCand is one appended candidate in name form (full attribute
-// names survive serialization and replay; indices do not).
-type savedCand struct {
-	From string  `json:"from"`
-	To   string  `json:"to"`
-	Conf float64 `json:"conf"`
-}
-
-// topoOp is one topology mutation, positioned relative to the
-// assertion history (at = number of assertions recorded before the op).
-type topoOp struct {
-	kind   topoKind
-	at     int
-	schema string   // add-schema
-	attrs  []string // add-schema
-	cands  []savedCand
-	from   string // retire
-	to     string // retire
-}
 
 // AddSchema registers a new schema on the live session. The schema is
 // auto-connected to every existing schema in the interaction graph; it
@@ -72,10 +44,7 @@ func (s *Session) addSchema(name string, attrs []string) (map[int]int, error) {
 	if err != nil {
 		return nil, fmt.Errorf("schemanet: %w", err)
 	}
-	s.topoOps = append(s.topoOps, topoOp{
-		kind: topoAddSchema, at: s.pmn.Feedback().Count(),
-		schema: name, attrs: append([]string(nil), attrs...),
-	})
+	s.logOps(wal.Record{Kind: wal.KindAddSchema, Schema: name, Attrs: append([]string(nil), attrs...)})
 	return carried, nil
 }
 
@@ -112,14 +81,12 @@ func (s *Session) addCandidates(cs []Correspondence) (map[int]int, error) {
 	if err != nil {
 		return nil, fmt.Errorf("schemanet: %w", err)
 	}
-	saved := make([]savedCand, len(cs))
+	rec := wal.Record{Kind: wal.KindAddCandidates, Cands: make([]wal.CandRecord, len(cs))}
 	for i, c := range cs {
 		cc := c.Canonical()
-		saved[i] = savedCand{From: net.FullName(cc.A), To: net.FullName(cc.B), Conf: cc.Confidence}
+		rec.Cands[i] = wal.CandRecord{From: net.FullName(cc.A), To: net.FullName(cc.B), Conf: cc.Confidence}
 	}
-	s.topoOps = append(s.topoOps, topoOp{
-		kind: topoAddCandidates, at: s.pmn.Feedback().Count(), cands: saved,
-	})
+	s.logOps(rec)
 	return carried, nil
 }
 
@@ -147,8 +114,6 @@ func (s *Session) retireCandidate(c int) (map[int]int, error) {
 	if s.pmn.Feedback().IsAsserted(c) {
 		return nil, fmt.Errorf("schemanet: candidate %d: cannot retire an asserted candidate", c)
 	}
-	cand := net.Candidate(c)
-	from, to := net.FullName(cand.A), net.FullName(cand.B)
 	oldN := net.NumCandidates()
 	if err := net.RetireCandidate(c); err != nil {
 		return nil, fmt.Errorf("schemanet: %w", err)
@@ -158,8 +123,6 @@ func (s *Session) retireCandidate(c int) (map[int]int, error) {
 	if err != nil {
 		return nil, fmt.Errorf("schemanet: %w", err)
 	}
-	s.topoOps = append(s.topoOps, topoOp{
-		kind: topoRetire, at: s.pmn.Feedback().Count(), from: from, to: to,
-	})
+	s.logOps(s.pairRecord(wal.KindRetire, c))
 	return carried, nil
 }

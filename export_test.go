@@ -68,7 +68,7 @@ func InformationGains(s *Session) []float64 { return s.pmn.InformationGains() }
 // assertions included — is batch-applied, filtering that fill and
 // refilling what fell below n_min.
 func LoadSessionByFiltering(net *Network, opts *Options, r io.Reader) (*Session, error) {
-	ops, err := decodeSessionOps(r)
+	log, _, err := decodeSession(r)
 	if err != nil {
 		return nil, err
 	}
@@ -76,7 +76,7 @@ func LoadSessionByFiltering(net *Network, opts *Options, r io.Reader) (*Session,
 	if err != nil {
 		return nil, err
 	}
-	if err := s.replayOps(ops, 0); err != nil {
+	if err := s.replayOps(log, 0); err != nil {
 		return nil, err
 	}
 	return s, nil

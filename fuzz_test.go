@@ -5,11 +5,14 @@ package schemanet_test
 // versions), so arbitrary bytes must produce an error or a working
 // session — never a panic, and never a session whose invariants are
 // broken. Run continuously with `make fuzz`; the seed corpus mirrors
-// the handwritten decoder test cases plus a genuine Save output.
+// the handwritten decoder test cases plus genuine Save and store
+// snapshot output.
 
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -52,6 +55,16 @@ func FuzzLoadSession(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add([]byte(saved.String()))
+	// The decoder also serves store recovery: seed a genuine Version 2
+	// save and snapshot-shaped files (seq and annotators, both versions)
+	// from the persisted-format goldens.
+	for _, name := range []string{"save_v2.json", "store_v1_snapshot_after.json", "store_v2_snapshot_after.json"} {
+		data, err := os.ReadFile(filepath.Join("testdata", "golden", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
 
 	opts := &schemanet.Options{Seed: 7}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -37,6 +37,7 @@ import (
 	"schemanet/internal/matcher"
 	"schemanet/internal/sampling"
 	"schemanet/internal/schema"
+	"schemanet/internal/wal"
 )
 
 // Re-exported model types; see the schema package for details.
@@ -300,11 +301,13 @@ type Session struct {
 	workers  int   // Options.Workers, for the concurrent wrapper's pool
 	seed     int64 // Options.Seed, for derived deterministic streams
 
-	// topoOps logs the session's topology mutations interleaved with the
-	// assertion history (each op records the history length at the time
-	// it was applied), so Save can serialize and LoadSession replay the
-	// exact grow/assert interleaving. See session_io.go.
-	topoOps []topoOp
+	// log is the session's history: every assertion and topology
+	// mutation in the order it was applied, Seq = position, assertions
+	// in feedback-history order. It is the one record Save encodes,
+	// LoadSession and store recovery rebuild, and a durable session's
+	// WAL and compaction write. ConcurrentSession appends to it under
+	// feedMu or the topology write lock.
+	log []wal.Record
 }
 
 // ErrUnknownCandidate reports a candidate index outside the network's
@@ -344,15 +347,16 @@ func NewSession(net *Network, opts *Options) (*Session, error) {
 }
 
 // newSession is NewSession over a chosen constraint engine constructor
-// and an initial saved history. Production always passes
+// and an initial logged history of assertions. Production always passes
 // constraints.NewEngine; the tests build the monolithic reference on a
 // Whole fork of it. A non-empty history is resolved against
 // net once the options are validated and becomes the PMN's initial
 // feedback (core.NewWithHistory): every component is filled under it
-// directly — the restore path of LoadSession and store recovery.
+// directly — the restore path of LoadSession and store recovery. The
+// history, annotators included, opens the session's log.
 func newSession(net *Network, opts *Options,
 	newEngine func(*Network, ...constraints.Constraint) *constraints.Engine,
-	history []savedAssertion) (*Session, error) {
+	history []wal.Record) (*Session, error) {
 	if net.NumCandidates() == 0 {
 		return nil, fmt.Errorf("schemanet: network has no candidate correspondences; run Match first")
 	}
@@ -437,7 +441,32 @@ func newSession(net *Network, opts *Options,
 		seed:     o.Seed,
 	}
 	s.instCfg.Iterations = o.InstantiateIterations
+	s.logOps(history...)
 	return s, nil
+}
+
+// logOps appends operation records to the session's log, numbering
+// each with its position.
+func (s *Session) logOps(recs ...wal.Record) {
+	for _, r := range recs {
+		r.Seq = uint64(len(s.log)) + 1
+		s.log = append(s.log, r)
+	}
+}
+
+// pairRecord renders an operation on candidate c — an assertion or a
+// retire — as a log record naming the candidate's attributes.
+func (s *Session) pairRecord(kind wal.RecordKind, c int) wal.Record {
+	net := s.Network()
+	cand := net.Candidate(c)
+	return wal.Record{Kind: kind, From: net.FullName(cand.A), To: net.FullName(cand.B)}
+}
+
+// assertRecord renders annotator's assertion on candidate c.
+func (s *Session) assertRecord(annotator string, c int, approved bool) wal.Record {
+	rec := s.pairRecord(wal.KindAssert, c)
+	rec.Annotator, rec.Approved = annotator, approved
+	return rec
 }
 
 // Network returns the session's network.
@@ -457,7 +486,11 @@ func (s *Session) Assert(c int, correct bool) error {
 	if err := s.checkCandidate(c); err != nil {
 		return err
 	}
-	return s.pmn.Assert(c, correct)
+	if err := s.pmn.Assert(c, correct); err != nil {
+		return err
+	}
+	s.logOps(s.assertRecord("", c, correct))
+	return nil
 }
 
 // Probability returns the current probability of candidate c, or

@@ -5,26 +5,28 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"schemanet/internal/constraints"
 	"schemanet/internal/core"
+	"schemanet/internal/wal"
 )
 
-// sessionState is the serialized form of a session. Version 1 is the
-// assertion history in order; Version 2 — written whenever the session
-// mutated its topology (AddSchema, AddCandidates, RetireCandidate) —
-// is the full interleaved operation stream, so replay reconstructs the
-// network growth between the assertions exactly as it happened.
-// Probabilities are not persisted — they are recomputed
+// sessionState is the serialized form of a session's operation log.
+// Version 1 is the assertion history in order; Version 2 — written
+// whenever the log holds a topology mutation (AddSchema, AddCandidates,
+// RetireCandidate) — is the full interleaved operation stream, so
+// replay reconstructs the network growth between the assertions exactly
+// as it happened. Probabilities are not persisted — they are recomputed
 // deterministically from the network, the options, and the replayed
 // operations. A session that never changed topology still writes
 // Version 1, so files stay readable by older loaders.
 //
 // The same format doubles as the SessionStore's snapshot file: there,
 // Seq records the WAL sequence number the snapshot covers (recovery
-// drops WAL records at or below it), and each entry may carry the
-// asserting annotator. Plain Session.Save leaves both zero — a
-// snapshot is always also a loadable saved session.
+// drops WAL records at or below it). Plain Session.Save leaves it zero
+// — a snapshot is always also a loadable saved session. Entries carry
+// the asserting annotator wherever the log has one.
 type sessionState struct {
 	Version    int              `json:"version"`
 	Seq        uint64           `json:"seq,omitempty"`
@@ -50,9 +52,12 @@ type savedOp struct {
 	Cands     []savedCand `json:"cands,omitempty"`  // add-candidates
 }
 
-// assertion returns an "assert" op in history-entry form.
-func (op savedOp) assertion() savedAssertion {
-	return savedAssertion{From: op.From, To: op.To, Approved: op.Approved, Annotator: op.Annotator}
+// savedCand is one appended candidate in name form (full attribute
+// names survive serialization and replay; indices do not).
+type savedCand struct {
+	From string  `json:"from"`
+	To   string  `json:"to"`
+	Conf float64 `json:"conf"`
 }
 
 // savedAssertion references a correspondence by its attribute names so
@@ -64,93 +69,39 @@ type savedAssertion struct {
 	Annotator string `json:"annotator,omitempty"`
 }
 
-// Save writes the session's feedback so reconciliation can resume later
-// (see LoadSession). The pay-as-you-go workflow spans days in practice;
-// the expert's assertions are the only state worth keeping.
+// opKinds names each record kind in a Version 2 stream.
+var opKinds = [...]string{
+	wal.KindAssert:        "assert",
+	wal.KindAddSchema:     "add-schema",
+	wal.KindAddCandidates: "add-candidates",
+	wal.KindRetire:        "retire",
+}
+
+// Save writes the session's operation log so reconciliation can resume
+// later (see LoadSession). The pay-as-you-go workflow spans days in
+// practice; the expert's assertions are the only state worth keeping.
+// A session restored from an annotated history (a store snapshot)
+// keeps its annotators.
 //
-// Save validates before writing: every history entry must resolve from
-// its attribute names back to the asserted candidate (an ambiguous
-// FullName — two attributes sharing a printed name — would make the
-// file unloadable). On any error nothing is written to w: the state is
-// marshaled in memory and emitted with a single Write, so a failed
-// Save can never leave a half-written session file behind.
+// Save validates before writing: every asserted candidate must resolve
+// from its attribute names back to itself (an ambiguous FullName — two
+// attributes sharing a printed name — would make the file unloadable).
+// On any error nothing is written to w: the state is marshaled in
+// memory and emitted with a single Write, so a failed Save can never
+// leave a half-written session file behind.
 func (s *Session) Save(w io.Writer) error {
-	st, err := s.sessionState()
-	if err != nil {
-		return err
-	}
-	return writeSessionState(w, st)
-}
-
-// sessionState snapshots the assertion history (and, for sessions that
-// mutated their topology, the interleaved operation stream) in
-// saveable, validated form.
-func (s *Session) sessionState() (sessionState, error) {
+	// Names resolve against the final network even for assertions
+	// recorded before later growth: attributes are never removed, and an
+	// asserted candidate can never be retired, so its pair lookup stays
+	// stable.
 	net := s.Network()
-	hist := s.pmn.Feedback().History()
-	rendered := make([]savedAssertion, len(hist))
-	for i, a := range hist {
-		c := net.Candidate(a.Cand)
-		rendered[i] = savedAssertion{
-			From:     net.FullName(c.A),
-			To:       net.FullName(c.B),
-			Approved: a.Approved,
-		}
-	}
-	// Rendered names resolve against the final network even for
-	// assertions recorded before later growth: attributes are never
-	// removed, and an asserted candidate can never be retired, so its
-	// pair lookup stays stable.
-	if err := validateSaveable(net, rendered, hist); err != nil {
-		return sessionState{}, err
-	}
-	if len(s.topoOps) == 0 {
-		return sessionState{Version: 1, Candidates: net.NumCandidates(), History: rendered}, nil
-	}
-	st := sessionState{Version: 2, Candidates: net.NumCandidates()}
-	hi := 0
-	emitAsserts := func(upto int) {
-		for ; hi < upto && hi < len(rendered); hi++ {
-			sa := rendered[hi]
-			st.Ops = append(st.Ops, savedOp{Kind: "assert", From: sa.From, To: sa.To, Approved: sa.Approved})
-		}
-	}
-	for _, op := range s.topoOps {
-		emitAsserts(op.at)
-		switch op.kind {
-		case topoAddSchema:
-			st.Ops = append(st.Ops, savedOp{Kind: "add-schema", Schema: op.schema, Attrs: op.attrs})
-		case topoAddCandidates:
-			st.Ops = append(st.Ops, savedOp{Kind: "add-candidates", Cands: op.cands})
-		case topoRetire:
-			st.Ops = append(st.Ops, savedOp{Kind: "retire", From: op.from, To: op.to})
-		}
-	}
-	emitAsserts(len(rendered))
-	return st, nil
-}
-
-// validateSaveable proves each rendered history entry resolves back to
-// the candidate it was rendered from, so the file LoadSession sees is
-// guaranteed loadable.
-func validateSaveable(net *Network, hist []savedAssertion, src []core.Assertion) error {
 	idx := attrIndex(net)
-	for i, sa := range hist {
-		a, err := resolveSaved(net, idx, i, sa)
-		if err != nil {
+	for _, a := range s.pmn.Feedback().History() {
+		if err := resolvesBack(net, idx, a.Cand); err != nil {
 			return fmt.Errorf("schemanet: save: %w", err)
 		}
-		if a.Cand != src[i].Cand {
-			return fmt.Errorf("schemanet: save: history entry %d: %q ↔ %q resolves to candidate %d, not the asserted %d (ambiguous attribute name)",
-				i, sa.From, sa.To, a.Cand, src[i].Cand)
-		}
 	}
-	return nil
-}
-
-// writeSessionState marshals st and emits it with one Write.
-func writeSessionState(w io.Writer, st sessionState) error {
-	buf, err := marshalSessionState(st)
+	buf, err := encodeSession(s.log, net.NumCandidates(), 0)
 	if err != nil {
 		return err
 	}
@@ -158,12 +109,97 @@ func writeSessionState(w io.Writer, st sessionState) error {
 	return err
 }
 
-func marshalSessionState(st sessionState) ([]byte, error) {
+// resolvesBack proves candidate c's attribute full names resolve back
+// to c. Every named record passes it before it is written — Save for
+// each asserted candidate, the store before a durable write is applied
+// — because LoadSession and recovery find candidates by name.
+func resolvesBack(net *Network, idx map[string]AttrID, c int) error {
+	cand := net.Candidate(c)
+	from, to := net.FullName(cand.A), net.FullName(cand.B)
+	a, okA := idx[from]
+	b, okB := idx[to]
+	if !okA || !okB || net.CandidateIndex(a, b) != c {
+		return fmt.Errorf("candidate %d (%s ↔ %s) does not resolve back by name (ambiguous attribute name)", c, from, to)
+	}
+	return nil
+}
+
+// encodeSession renders an operation log as a saved session: Version 1
+// when the log holds only assertions, Version 2 otherwise. seq is the
+// sequence number a store snapshot covers (0 for a plain Save).
+func encodeSession(log []wal.Record, candidates int, seq uint64) ([]byte, error) {
+	st := sessionState{Version: 1, Seq: seq, Candidates: candidates}
+	for _, r := range log {
+		if r.Kind != wal.KindAssert {
+			st.Version = 2
+			break
+		}
+	}
+	for _, r := range log {
+		if st.Version == 1 {
+			st.History = append(st.History, savedAssertion{From: r.From, To: r.To, Approved: r.Approved, Annotator: r.Annotator})
+			continue
+		}
+		op := savedOp{Kind: opKinds[r.Kind], From: r.From, To: r.To, Approved: r.Approved,
+			Annotator: r.Annotator, Schema: r.Schema, Attrs: r.Attrs}
+		for _, c := range r.Cands {
+			op.Cands = append(op.Cands, savedCand{From: c.From, To: c.To, Conf: c.Conf})
+		}
+		st.Ops = append(st.Ops, op)
+	}
 	buf, err := json.MarshalIndent(st, "", "  ")
 	if err != nil {
 		return nil, fmt.Errorf("schemanet: encoding session: %w", err)
 	}
 	return append(buf, '\n'), nil
+}
+
+// decodeSession parses a saved session or store snapshot into its
+// operation log (Seq = position) and the sequence number it covers: its
+// Seq field, or the log's length when that is unset. JSON-level
+// failures carry their byte offset.
+func decodeSession(r io.Reader) ([]wal.Record, uint64, error) {
+	var st sessionState
+	if err := json.NewDecoder(r).Decode(&st); err != nil {
+		var syn *json.SyntaxError
+		var typ *json.UnmarshalTypeError
+		switch {
+		case errors.As(err, &syn):
+			return nil, 0, fmt.Errorf("schemanet: decoding session at byte offset %d: %w", syn.Offset, err)
+		case errors.As(err, &typ):
+			return nil, 0, fmt.Errorf("schemanet: decoding session at byte offset %d, field %q: %w", typ.Offset, typ.Field, err)
+		default:
+			return nil, 0, fmt.Errorf("schemanet: decoding session: %w", err)
+		}
+	}
+	var log []wal.Record
+	switch st.Version {
+	case 1:
+		log = make([]wal.Record, len(st.History))
+		for i, sa := range st.History {
+			log[i] = wal.Record{Seq: uint64(i + 1), Annotator: sa.Annotator, From: sa.From, To: sa.To, Approved: sa.Approved}
+		}
+	case 2:
+		log = make([]wal.Record, len(st.Ops))
+		for i, op := range st.Ops {
+			kind := slices.Index(opKinds[:], op.Kind)
+			if kind < 0 {
+				return nil, 0, fmt.Errorf("schemanet: session op %d: unknown kind %q", i, op.Kind)
+			}
+			rec := wal.Record{Seq: uint64(i + 1), Kind: wal.RecordKind(kind), Annotator: op.Annotator,
+				From: op.From, To: op.To, Approved: op.Approved, Schema: op.Schema, Attrs: op.Attrs}
+			for _, c := range op.Cands {
+				rec.Cands = append(rec.Cands, wal.CandRecord{From: c.From, To: c.To, Conf: c.Conf})
+			}
+			log[i] = rec
+		}
+	default:
+		return nil, 0, fmt.Errorf("schemanet: unsupported session version %d", st.Version)
+	}
+	if st.Seq == 0 {
+		st.Seq = uint64(len(log))
+	}
+	return log, st.Seq, nil
 }
 
 // attrIndex maps every attribute's full name to its id.
@@ -177,10 +213,10 @@ func attrIndex(net *Network) map[string]AttrID {
 	return idx
 }
 
-// resolveSaved resolves one saved history entry to a core assertion.
+// resolveSaved resolves one logged assertion to a core assertion.
 // Errors carry the history index and the offending field, so a corrupt
 // record in a large file is diagnosable without a hex dump.
-func resolveSaved(net *Network, idx map[string]AttrID, i int, sa savedAssertion) (core.Assertion, error) {
+func resolveSaved(net *Network, idx map[string]AttrID, i int, rec wal.Record) (core.Assertion, error) {
 	resolve := func(field, name string) (AttrID, error) {
 		if name == "" {
 			return 0, fmt.Errorf("session entry %d, field %q: empty attribute name", i, field)
@@ -191,39 +227,39 @@ func resolveSaved(net *Network, idx map[string]AttrID, i int, sa savedAssertion)
 		}
 		return a, nil
 	}
-	a, err := resolve("from", sa.From)
+	a, err := resolve("from", rec.From)
 	if err != nil {
 		return core.Assertion{}, err
 	}
-	b, err := resolve("to", sa.To)
+	b, err := resolve("to", rec.To)
 	if err != nil {
 		return core.Assertion{}, err
 	}
 	c := net.CandidateIndex(a, b)
 	if c < 0 {
 		return core.Assertion{}, fmt.Errorf("session entry %d: %s ↔ %s is not a candidate correspondence",
-			i, sa.From, sa.To)
+			i, rec.From, rec.To)
 	}
-	return core.Assertion{Cand: c, Approved: sa.Approved}, nil
+	return core.Assertion{Cand: c, Approved: rec.Approved}, nil
 }
 
-// resolveHistory resolves a full saved history, rejecting duplicates
-// with both positions named.
-func resolveHistory(net *Network, hist []savedAssertion) ([]core.Assertion, error) {
+// resolveHistory resolves a run of logged assertions, rejecting
+// duplicates with both positions named.
+func resolveHistory(net *Network, hist []wal.Record) ([]core.Assertion, error) {
 	if len(hist) == 0 {
 		return nil, nil
 	}
 	idx := attrIndex(net)
 	batch := make([]core.Assertion, 0, len(hist))
 	first := make(map[int]int, len(hist))
-	for i, sa := range hist {
-		a, err := resolveSaved(net, idx, i, sa)
+	for i, rec := range hist {
+		a, err := resolveSaved(net, idx, i, rec)
 		if err != nil {
 			return nil, err
 		}
 		if j, dup := first[a.Cand]; dup {
 			return nil, fmt.Errorf("session entry %d: duplicate assertion for %s ↔ %s (first at entry %d)",
-				i, sa.From, sa.To, j)
+				i, rec.From, rec.To, j)
 		}
 		first[a.Cand] = i
 		batch = append(batch, a)
@@ -231,72 +267,58 @@ func resolveHistory(net *Network, hist []savedAssertion) ([]core.Assertion, erro
 	return batch, nil
 }
 
-// resolveSavedCands resolves an add-candidates op's name-form
+// resolveCands resolves an add-candidates record's name-form
 // correspondences against the (current, mid-replay) network.
-func resolveSavedCands(net *Network, i int, scs []savedCand) ([]Correspondence, error) {
+func resolveCands(net *Network, i int, crs []wal.CandRecord) ([]Correspondence, error) {
 	idx := attrIndex(net)
-	out := make([]Correspondence, len(scs))
-	for j, sc := range scs {
-		a, ok := idx[sc.From]
+	out := make([]Correspondence, len(crs))
+	for j, cr := range crs {
+		a, ok := idx[cr.From]
 		if !ok {
-			return nil, fmt.Errorf("session op %d, candidate %d: unknown attribute %q", i, j, sc.From)
+			return nil, fmt.Errorf("session op %d, candidate %d: unknown attribute %q", i, j, cr.From)
 		}
-		b, ok := idx[sc.To]
+		b, ok := idx[cr.To]
 		if !ok {
-			return nil, fmt.Errorf("session op %d, candidate %d: unknown attribute %q", i, j, sc.To)
+			return nil, fmt.Errorf("session op %d, candidate %d: unknown attribute %q", i, j, cr.To)
 		}
-		out[j] = Correspondence{A: a, B: b, Confidence: sc.Conf}
+		out[j] = Correspondence{A: a, B: b, Confidence: cr.Conf}
 	}
 	return out, nil
 }
 
-// historyOps renders a Version 1 history as the equivalent all-assert
-// operation stream.
-func historyOps(hist []savedAssertion) []savedOp {
-	ops := make([]savedOp, len(hist))
-	for i, sa := range hist {
-		ops[i] = savedOp{Kind: "assert", From: sa.From, To: sa.To, Approved: sa.Approved, Annotator: sa.Annotator}
-	}
-	return ops
-}
-
-// replaySessionOps restores a session from its operation stream — the
-// one replay path of LoadSession (a Version 1 history is an all-assert
-// stream) and of the SessionStore's WAL recovery. The leading run of
-// assertions is folded into construction: it becomes the session's
-// initial feedback, and every component is enumerated or sampled under
-// it directly (core.NewWithHistory) instead of being filled from the
-// unconditioned network and filtered. The rest of the stream goes
-// through replayOps.
-func replaySessionOps(net *Network, opts *Options, ops []savedOp) (*Session, error) {
+// replaySessionOps restores a session from its operation log — the one
+// replay path of LoadSession and of the SessionStore's recovery. The
+// leading run of assertions is folded into construction: it becomes the
+// session's initial feedback, and every component is enumerated or
+// sampled under it directly (core.NewWithHistory) instead of being
+// filled from the unconditioned network and filtered. The rest of the
+// log goes through replayOps.
+func replaySessionOps(net *Network, opts *Options, log []wal.Record) (*Session, error) {
 	lead := 0
-	for lead < len(ops) && ops[lead].Kind == "assert" {
+	for lead < len(log) && log[lead].Kind == wal.KindAssert {
 		lead++
 	}
-	hist := make([]savedAssertion, lead)
-	for i, op := range ops[:lead] {
-		hist[i] = op.assertion()
-	}
-	s, err := newSession(net, opts, constraints.NewEngine, hist)
+	s, err := newSession(net, opts, constraints.NewEngine, log[:lead])
 	if err != nil {
 		return nil, err
 	}
-	if err := s.replayOps(ops[lead:], lead); err != nil {
+	if err := s.replayOps(log[lead:], lead); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// replayOps applies a saved operation stream to a live session; base is
-// the index of ops[0] in the whole stream, for error context. Topology
-// mutations go through the same public mutators a live session uses,
+// replayOps applies a logged operation stream to a live session; base
+// is the index of log[0] in the whole stream, for error context.
+// Topology mutations go through the same mutators a live session uses,
 // and the assertions between two mutations are batch-applied against
-// the network state of that moment. Under exact inference the result is
-// bit-identical to the live session (assertion filtering is
+// the network state of that moment. Every applied record lands in the
+// session's own log, annotators included. Under exact inference the
+// result is bit-identical to the live session (assertion filtering is
 // order-independent within a segment); rebuilt components draw their
 // content-derived sampler streams exactly as the live mutation did.
-func (s *Session) replayOps(ops []savedOp, base int) error {
-	var pending []savedAssertion
+func (s *Session) replayOps(log []wal.Record, base int) error {
+	var pending []wal.Record
 	flush := func() error {
 		if len(pending) == 0 {
 			return nil
@@ -305,81 +327,53 @@ func (s *Session) replayOps(ops []savedOp, base int) error {
 		if err != nil {
 			return fmt.Errorf("schemanet: %w", err)
 		}
-		pending = pending[:0]
 		if err := s.pmn.AssertBatch(batch); err != nil {
 			return fmt.Errorf("schemanet: replaying session history: %w", err)
 		}
+		s.logOps(pending...)
+		pending = pending[:0]
 		return nil
 	}
-	for j, op := range ops {
+	for j, rec := range log {
 		i := base + j
-		switch op.Kind {
-		case "assert":
-			pending = append(pending, op.assertion())
-		case "add-schema":
-			if err := flush(); err != nil {
-				return err
-			}
-			if err := s.AddSchema(op.Schema, op.Attrs...); err != nil {
-				return fmt.Errorf("schemanet: session op %d: %w", i, err)
-			}
-		case "add-candidates":
-			if err := flush(); err != nil {
-				return err
-			}
-			cs, err := resolveSavedCands(s.Network(), i, op.Cands)
-			if err != nil {
+		if rec.Kind == wal.KindAssert {
+			pending = append(pending, rec)
+			continue
+		}
+		if err := flush(); err != nil {
+			return err
+		}
+		var err error
+		switch rec.Kind {
+		case wal.KindAddSchema:
+			err = s.AddSchema(rec.Schema, rec.Attrs...)
+		case wal.KindAddCandidates:
+			var cs []Correspondence
+			if cs, err = resolveCands(s.Network(), i, rec.Cands); err != nil {
 				return fmt.Errorf("schemanet: %w", err)
 			}
-			if err := s.AddCandidates(cs); err != nil {
-				return fmt.Errorf("schemanet: session op %d: %w", i, err)
-			}
-		case "retire":
-			if err := flush(); err != nil {
-				return err
-			}
+			err = s.AddCandidates(cs)
+		case wal.KindRetire:
 			cur := s.Network()
 			idx := attrIndex(cur)
-			a, oka := idx[op.From]
-			b, okb := idx[op.To]
+			a, oka := idx[rec.From]
+			b, okb := idx[rec.To]
 			if !oka || !okb {
-				return fmt.Errorf("schemanet: session op %d: unknown attribute in retire %q ↔ %q", i, op.From, op.To)
+				return fmt.Errorf("schemanet: session op %d: unknown attribute in retire %q ↔ %q", i, rec.From, rec.To)
 			}
 			c := cur.CandidateIndex(a, b)
 			if c < 0 {
-				return fmt.Errorf("schemanet: session op %d: retire target %s ↔ %s is not a live candidate", i, op.From, op.To)
+				return fmt.Errorf("schemanet: session op %d: retire target %s ↔ %s is not a live candidate", i, rec.From, rec.To)
 			}
-			if err := s.RetireCandidate(c); err != nil {
-				return fmt.Errorf("schemanet: session op %d: %w", i, err)
-			}
+			err = s.RetireCandidate(c)
 		default:
-			return fmt.Errorf("schemanet: session op %d: unknown kind %q", i, op.Kind)
+			return fmt.Errorf("schemanet: session op %d: unknown kind %d", i, rec.Kind)
+		}
+		if err != nil {
+			return fmt.Errorf("schemanet: session op %d: %w", i, err)
 		}
 	}
 	return flush()
-}
-
-// decodeSessionState parses a saved session, annotating JSON-level
-// failures with their byte offset.
-func decodeSessionState(r io.Reader) (sessionState, error) {
-	var st sessionState
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&st); err != nil {
-		var syn *json.SyntaxError
-		var typ *json.UnmarshalTypeError
-		switch {
-		case errors.As(err, &syn):
-			return st, fmt.Errorf("schemanet: decoding session at byte offset %d: %w", syn.Offset, err)
-		case errors.As(err, &typ):
-			return st, fmt.Errorf("schemanet: decoding session at byte offset %d, field %q: %w", typ.Offset, typ.Field, err)
-		default:
-			return st, fmt.Errorf("schemanet: decoding session: %w", err)
-		}
-	}
-	if st.Version != 1 && st.Version != 2 {
-		return st, fmt.Errorf("schemanet: unsupported session version %d", st.Version)
-	}
-	return st, nil
 }
 
 // LoadSession builds a fresh session for net and replays the feedback
@@ -423,22 +417,9 @@ func decodeSessionState(r io.Reader) (sessionState, error) {
 // failures, the history index and field for records that do not
 // resolve against net.
 func LoadSession(net *Network, opts *Options, r io.Reader) (*Session, error) {
-	ops, err := decodeSessionOps(r)
+	log, _, err := decodeSession(r)
 	if err != nil {
 		return nil, err
 	}
-	return replaySessionOps(net, opts, ops)
-}
-
-// decodeSessionOps parses a saved session into its operation stream; a
-// Version 1 history is the equivalent all-assert stream.
-func decodeSessionOps(r io.Reader) ([]savedOp, error) {
-	st, err := decodeSessionState(r)
-	if err != nil {
-		return nil, err
-	}
-	if st.Version == 1 {
-		return historyOps(st.History), nil
-	}
-	return st.Ops, nil
+	return replaySessionOps(net, opts, log)
 }

@@ -1,7 +1,11 @@
 package schemanet_test
 
 import (
+	"bytes"
 	"math"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -49,6 +53,32 @@ func TestSessionSaveLoadRoundTrip(t *testing.T) {
 	if c, ok := restored.Suggest(); ok {
 		if err := restored.Assert(c, truth.ContainsCorrespondence(net.Candidate(c))); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestSaveKeepsRestoredAnnotators: a session restored from a store
+// snapshot (an annotated history, Version 1 or 2) saves that history
+// back with its annotators — the file Save writes is the snapshot minus
+// its covered seq. The snapshots are the persisted-format goldens.
+func TestSaveKeepsRestoredAnnotators(t *testing.T) {
+	net, _ := videoNet(t)
+	seqLine := regexp.MustCompile(`(?m)^  "seq": [0-9]+,\n`)
+	for _, name := range []string{"store_v1_snapshot_after.json", "store_v2_snapshot_after.json"} {
+		snap, err := os.ReadFile(filepath.Join("testdata", "golden", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := schemanet.LoadSession(net, &schemanet.Options{Inference: "exact"}, bytes.NewReader(snap))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var buf bytes.Buffer
+		if err := s.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if want := seqLine.ReplaceAll(snap, nil); !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("%s: Save after restore:\n%s\nwant:\n%s", name, buf.Bytes(), want)
 		}
 	}
 }

@@ -109,10 +109,12 @@ type SessionStore struct {
 }
 
 // liveSession is one resident session: the in-memory ConcurrentSession
-// plus its WAL handle and full logical history. walMu serializes every
-// mutation (memory apply + WAL append + compaction); reads go straight
-// to the ConcurrentSession's lock-free snapshots. Lock order:
-// SessionStore.mu may be held while taking walMu, never the reverse.
+// plus its WAL handle; the session's own operation log is the full
+// logical history. walMu serializes every mutation — the in-memory
+// apply (which appends to that log), the WAL append, and compaction —
+// so the log is read under walMu; other reads go straight to the
+// ConcurrentSession's lock-free snapshots. Lock order: SessionStore.mu
+// may be held while taking walMu, never the reverse.
 type liveSession struct {
 	store   *SessionStore
 	name    string
@@ -121,11 +123,10 @@ type liveSession struct {
 	attrIdx map[string]AttrID
 
 	walMu     sync.Mutex
-	log       *wal.Log
-	recs      []wal.Record // full history; recs[i].Seq == i+1
-	snapCount int          // prefix of recs covered by the on-disk snapshot
-	broken    bool         // a WAL append failed; heal (compact) before appending more
-	retired   bool         // files closed; entry no longer usable
+	wal       *wal.Log
+	snapCount int  // prefix of the session's log covered by the on-disk snapshot
+	broken    bool // a WAL append failed; heal (compact) before appending more
+	retired   bool // files closed; entry no longer usable
 
 	refs    int    // in-flight operations, guarded by store.mu
 	lastUse uint64 // LRU stamp, guarded by store.mu
@@ -341,38 +342,19 @@ func (st *SessionStore) openLocked(name string) (*liveSession, error) {
 
 	// Snapshot, if any. Its Seq is the WAL sequence number it covers; a
 	// plain Session.Save dropped in as snapshot.json (Seq 0) counts as
-	// covering its own history — the supported migration path. A
-	// Version 2 snapshot (a session that mutated its topology) carries
-	// the interleaved operation stream; both forms normalize to records.
-	var snapRecs []wal.Record
+	// covering its own history — the supported migration path.
+	var recs []wal.Record
 	snapSeq := uint64(0)
 	data, err := st.fs.ReadFile(filepath.Join(dir, snapshotFile))
 	switch {
 	case err == nil:
-		snap, derr := decodeSessionState(bytes.NewReader(data))
-		if derr != nil {
+		var derr error
+		if recs, snapSeq, derr = decodeSession(bytes.NewReader(data)); derr != nil {
 			return nil, fmt.Errorf("schemanet: store: session %q: corrupt snapshot: %w", name, derr)
 		}
-		if snap.Version == 2 {
-			snapRecs, derr = opsToRecords(snap.Ops)
-			if derr != nil {
-				return nil, fmt.Errorf("schemanet: store: session %q: corrupt snapshot: %w", name, derr)
-			}
-		} else {
-			for i, sa := range snap.History {
-				snapRecs = append(snapRecs, wal.Record{
-					Seq: uint64(i + 1), Annotator: sa.Annotator,
-					From: sa.From, To: sa.To, Approved: sa.Approved,
-				})
-			}
-		}
-		snapSeq = snap.Seq
-		if snapSeq == 0 {
-			snapSeq = uint64(len(snapRecs))
-		}
-		if snapSeq != uint64(len(snapRecs)) {
+		if snapSeq != uint64(len(recs)) {
 			return nil, fmt.Errorf("schemanet: store: session %q: snapshot covers seq %d but holds %d entries",
-				name, snapSeq, len(snapRecs))
+				name, snapSeq, len(recs))
 		}
 	case os.IsNotExist(err):
 	default:
@@ -392,23 +374,22 @@ func (st *SessionStore) openLocked(name string) (*liveSession, error) {
 	// dropped (a crash between snapshot write and WAL truncation leaves
 	// that overlap); a sequence gap means records that were never
 	// acknowledged durable — everything from the gap on is dropped.
-	recs := snapRecs
 	dirty := false // on-disk state needs a normalizing compaction
-	for _, r := range walRecs {
+	for i, r := range walRecs {
 		if r.Seq <= snapSeq {
 			dirty = true
 			continue
 		}
 		if r.Seq != uint64(len(recs))+1 {
 			st.logf("schemanet: store: session %q: dropping %d WAL record(s) after sequence gap (%d after %d) — never acknowledged durable",
-				name, len(walRecs), r.Seq, uint64(len(recs)))
+				name, len(walRecs)-i, r.Seq, uint64(len(recs)))
 			dirty = true
 			break
 		}
 		recs = append(recs, r)
 	}
 
-	s, err := replaySessionOps(st.net, st.sopts, recordsToOps(recs))
+	s, err := replaySessionOps(st.net, st.sopts, recs)
 	if err != nil {
 		l.Close()
 		return nil, fmt.Errorf("schemanet: store: session %q: %w", name, err)
@@ -419,7 +400,7 @@ func (st *SessionStore) openLocked(name string) (*liveSession, error) {
 		// attrIdx reflects the session's own (possibly grown) network,
 		// not the store's base network.
 		cs: s.Concurrent(), attrIdx: attrIndex(s.Network()),
-		log: l, recs: recs, snapCount: min(int(snapSeq), len(recs)),
+		wal: l, snapCount: int(snapSeq),
 	}
 	if dirty {
 		// Normalize now: snapshot the stitched history and truncate the
@@ -431,108 +412,6 @@ func (st *SessionStore) openLocked(name string) (*liveSession, error) {
 		}
 	}
 	return ls, nil
-}
-
-// toSaved renders WAL records in saved-session form.
-func toSaved(recs []wal.Record) []savedAssertion {
-	if len(recs) == 0 {
-		return nil
-	}
-	out := make([]savedAssertion, len(recs))
-	for i, r := range recs {
-		out[i] = savedAssertion{From: r.From, To: r.To, Approved: r.Approved, Annotator: r.Annotator}
-	}
-	return out
-}
-
-// recordsToOps renders the unified record history as a Version 2
-// operation stream for replay.
-func recordsToOps(recs []wal.Record) []savedOp {
-	out := make([]savedOp, len(recs))
-	for i, r := range recs {
-		switch r.Kind {
-		case wal.KindAddSchema:
-			out[i] = savedOp{Kind: "add-schema", Schema: r.Schema, Attrs: r.Attrs}
-		case wal.KindAddCandidates:
-			cands := make([]savedCand, len(r.Cands))
-			for j, c := range r.Cands {
-				cands[j] = savedCand{From: c.From, To: c.To, Conf: c.Conf}
-			}
-			out[i] = savedOp{Kind: "add-candidates", Cands: cands}
-		case wal.KindRetire:
-			out[i] = savedOp{Kind: "retire", From: r.From, To: r.To}
-		default:
-			out[i] = savedOp{Kind: "assert", From: r.From, To: r.To, Approved: r.Approved, Annotator: r.Annotator}
-		}
-	}
-	return out
-}
-
-// opsToRecords inverts recordsToOps for a Version 2 snapshot's
-// operation stream, re-numbering from sequence 1.
-func opsToRecords(ops []savedOp) ([]wal.Record, error) {
-	if len(ops) == 0 {
-		return nil, nil
-	}
-	out := make([]wal.Record, len(ops))
-	for i, op := range ops {
-		rec := wal.Record{Seq: uint64(i + 1)}
-		switch op.Kind {
-		case "assert":
-			rec.From, rec.To, rec.Approved, rec.Annotator = op.From, op.To, op.Approved, op.Annotator
-		case "add-schema":
-			rec.Kind, rec.Schema, rec.Attrs = wal.KindAddSchema, op.Schema, op.Attrs
-		case "add-candidates":
-			rec.Kind = wal.KindAddCandidates
-			rec.Cands = make([]wal.CandRecord, len(op.Cands))
-			for j, c := range op.Cands {
-				rec.Cands[j] = wal.CandRecord{From: c.From, To: c.To, Conf: c.Conf}
-			}
-		case "retire":
-			rec.Kind, rec.From, rec.To = wal.KindRetire, op.From, op.To
-		default:
-			return nil, fmt.Errorf("snapshot op %d: unknown kind %q", i, op.Kind)
-		}
-		out[i] = rec
-	}
-	return out, nil
-}
-
-// hasTopology reports whether the history holds any topology record —
-// the trigger for Version 2 snapshots.
-func hasTopology(recs []wal.Record) bool {
-	for _, r := range recs {
-		if r.Kind != wal.KindAssert {
-			return true
-		}
-	}
-	return false
-}
-
-// record renders candidate c as the next WAL record and proves it will
-// resolve back on recovery (same guard Save applies).
-func (ls *liveSession) record(annotator string, c int, approved bool) (wal.Record, error) {
-	net := ls.cs.Network()
-	if net.Retired(c) {
-		// Checked before the resolve-back guard: a retired candidate no
-		// longer resolves by name at all.
-		return wal.Record{}, fmt.Errorf("schemanet: candidate %d: %w", c, ErrCandidateRetired)
-	}
-	cand := net.Candidate(c)
-	rec := wal.Record{
-		Seq:       uint64(len(ls.recs)) + 1,
-		Annotator: annotator,
-		From:      net.FullName(cand.A),
-		To:        net.FullName(cand.B),
-		Approved:  approved,
-	}
-	a, okA := ls.attrIdx[rec.From]
-	b, okB := ls.attrIdx[rec.To]
-	if !okA || !okB || net.CandidateIndex(a, b) != c {
-		return rec, fmt.Errorf("schemanet: store: session %q: candidate %d (%s ↔ %s) does not resolve back by name (ambiguous attribute name); refusing unrecoverable assertion",
-			ls.name, c, rec.From, rec.To)
-	}
-	return rec, nil
 }
 
 // healLocked is the gate after a failed WAL append: no further records
@@ -551,182 +430,25 @@ func (ls *liveSession) healLocked() error {
 	return nil
 }
 
-// assert applies one assertion in memory, then appends it durably.
-func (ls *liveSession) assert(annotator string, c int, approved bool) error {
-	ls.walMu.Lock()
-	defer ls.walMu.Unlock()
-	if ls.retired {
-		return ErrStoreClosed
-	}
-	if err := ls.healLocked(); err != nil {
-		return err
-	}
-	if err := ls.cs.s.checkCandidate(c); err != nil {
-		return err
-	}
-	rec, err := ls.record(annotator, c, approved)
-	if err != nil {
-		return err
-	}
-	if err := ls.cs.Assert(c, approved); err != nil {
-		return err
-	}
-	ls.recs = append(ls.recs, rec)
-	if err := ls.log.Append(rec); err != nil {
-		ls.broken = true
-		return fmt.Errorf("schemanet: store: session %q: assertion applied but not durably logged (will persist via next successful compaction): %w",
-			ls.name, err)
-	}
-	ls.maybeCompactLocked()
-	return nil
-}
-
-// assertBatch applies a batch atomically in memory (all-or-nothing, as
-// ConcurrentSession.AssertBatch guarantees), then appends all its
-// records with one sync under the "batch" policy.
-func (ls *liveSession) assertBatch(annotator string, as []Assertion) error {
-	if len(as) == 0 {
-		return nil
-	}
-	ls.walMu.Lock()
-	defer ls.walMu.Unlock()
-	if ls.retired {
-		return ErrStoreClosed
-	}
-	if err := ls.healLocked(); err != nil {
-		return err
-	}
-	recs := make([]wal.Record, len(as))
-	for i, a := range as {
-		if err := ls.cs.s.checkCandidate(a.Cand); err != nil {
-			return fmt.Errorf("assertion %d: %w", i, err)
-		}
-		rec, err := ls.record(annotator, a.Cand, a.Approved)
-		if err != nil {
-			return err
-		}
-		rec.Seq += uint64(i)
-		recs[i] = rec
-	}
-	if err := ls.cs.AssertBatch(as); err != nil {
-		return err
-	}
-	ls.recs = append(ls.recs, recs...)
-	if err := ls.log.Append(recs...); err != nil {
-		ls.broken = true
-		return fmt.Errorf("schemanet: store: session %q: batch applied but not durably logged (will persist via next successful compaction): %w",
-			ls.name, err)
-	}
-	ls.maybeCompactLocked()
-	return nil
-}
-
-// appendTopo durably logs one already-applied topology record. The
-// mutation is live in memory either way; a failed append trips the
-// heal gate so the next successful compaction persists it.
-func (ls *liveSession) appendTopo(rec wal.Record) error {
-	ls.recs = append(ls.recs, rec)
-	if err := ls.log.Append(rec); err != nil {
-		ls.broken = true
-		return fmt.Errorf("schemanet: store: session %q: topology change applied but not durably logged (will persist via next successful compaction): %w",
-			ls.name, err)
-	}
-	ls.maybeCompactLocked()
-	return nil
-}
-
-// addSchema registers a new schema on the durable session: applied in
-// memory, then appended to the WAL as a KindAddSchema record.
-func (ls *liveSession) addSchema(name string, attrs []string) error {
-	ls.walMu.Lock()
-	defer ls.walMu.Unlock()
-	if ls.retired {
-		return ErrStoreClosed
-	}
-	if err := ls.healLocked(); err != nil {
-		return err
-	}
-	// Reject attribute names that would render ambiguously before
-	// anything is applied — recovery resolves by full name.
-	seen := make(map[string]bool, len(attrs))
-	for _, a := range attrs {
-		if seen[a] {
-			return fmt.Errorf("schemanet: store: session %q: duplicate attribute name %q in new schema %q; refusing unrecoverable schema",
-				ls.name, a, name)
-		}
-		seen[a] = true
-	}
-	rec := wal.Record{
-		Seq: uint64(len(ls.recs)) + 1, Kind: wal.KindAddSchema,
-		Schema: name, Attrs: append([]string(nil), attrs...),
-	}
-	if err := ls.cs.AddSchema(name, attrs...); err != nil {
-		return err
-	}
-	ls.attrIdx = attrIndex(ls.cs.s.Network())
-	return ls.appendTopo(rec)
-}
-
-// addCandidates appends candidate correspondences to the durable
-// session: applied in memory, then logged as one KindAddCandidates
-// record (names resolve against the already-grown network).
-func (ls *liveSession) addCandidates(cs []Correspondence) error {
-	ls.walMu.Lock()
-	defer ls.walMu.Unlock()
-	if ls.retired {
-		return ErrStoreClosed
-	}
-	if err := ls.healLocked(); err != nil {
-		return err
-	}
-	rec := wal.Record{Seq: uint64(len(ls.recs)) + 1, Kind: wal.KindAddCandidates}
-	if err := ls.cs.AddCandidates(cs); err != nil {
-		return err
-	}
-	net := ls.cs.s.Network()
-	rec.Cands = make([]wal.CandRecord, len(cs))
-	for i, c := range cs {
-		cc := c.Canonical()
-		rec.Cands[i] = wal.CandRecord{From: net.FullName(cc.A), To: net.FullName(cc.B), Conf: cc.Confidence}
-	}
-	return ls.appendTopo(rec)
-}
-
-// retireCandidate withdraws candidate c from the durable session:
-// applied in memory, then logged as a KindRetire record. The pair names
-// are captured (and proven resolvable) before the tombstone lands.
-func (ls *liveSession) retireCandidate(c int) error {
-	ls.walMu.Lock()
-	defer ls.walMu.Unlock()
-	if ls.retired {
-		return ErrStoreClosed
-	}
-	if err := ls.healLocked(); err != nil {
-		return err
-	}
+// loggable is the guard every durable write on candidate c passes
+// before it is applied: c is in the universe, live, and resolves back
+// by name, so recovery can replay the record.
+func (ls *liveSession) loggable(c int) error {
 	if err := ls.cs.s.checkCandidate(c); err != nil {
 		return err
 	}
 	net := ls.cs.s.Network()
-	cand := net.Candidate(c)
-	rec := wal.Record{
-		Seq: uint64(len(ls.recs)) + 1, Kind: wal.KindRetire,
-		From: net.FullName(cand.A), To: net.FullName(cand.B),
+	if net.Retired(c) {
+		return fmt.Errorf("schemanet: candidate %d: %w", c, ErrCandidateRetired)
 	}
-	a, okA := ls.attrIdx[rec.From]
-	b, okB := ls.attrIdx[rec.To]
-	if !okA || !okB || net.CandidateIndex(a, b) != c {
-		return fmt.Errorf("schemanet: store: session %q: candidate %d (%s ↔ %s) does not resolve back by name (ambiguous attribute name); refusing unrecoverable retire",
-			ls.name, c, rec.From, rec.To)
+	if err := resolvesBack(net, ls.attrIdx, c); err != nil {
+		return fmt.Errorf("schemanet: store: session %q: %w; refusing unrecoverable record", ls.name, err)
 	}
-	if err := ls.cs.RetireCandidate(c); err != nil {
-		return err
-	}
-	return ls.appendTopo(rec)
+	return nil
 }
 
 func (ls *liveSession) maybeCompactLocked() {
-	if len(ls.recs)-ls.snapCount < ls.store.snapEvery {
+	if len(ls.cs.s.log)-ls.snapCount < ls.store.snapEvery {
 		return
 	}
 	// The triggering assertion is already durable in the WAL; a failed
@@ -743,25 +465,16 @@ func (ls *liveSession) maybeCompactLocked() {
 // drops the overlap by sequence number. No committed assertion is ever
 // lost.
 func (ls *liveSession) compactLocked() error {
-	st := ls.store
-	state := sessionState{
-		Version:    1,
-		Seq:        uint64(len(ls.recs)),
-		Candidates: ls.cs.s.Network().NumCandidates(),
-		History:    toSaved(ls.recs),
-	}
-	if hasTopology(ls.recs) {
-		state.Version, state.History, state.Ops = 2, nil, recordsToOps(ls.recs)
-	}
-	buf, err := marshalSessionState(state)
+	log := ls.cs.s.log
+	buf, err := encodeSession(log, ls.cs.s.Network().NumCandidates(), uint64(len(log)))
 	if err != nil {
 		return err
 	}
-	if err := wal.AtomicWriteFile(st.fs, ls.dir, filepath.Join(ls.dir, snapshotFile), buf); err != nil {
+	if err := wal.AtomicWriteFile(ls.store.fs, ls.dir, filepath.Join(ls.dir, snapshotFile), buf); err != nil {
 		return fmt.Errorf("schemanet: store: session %q: writing snapshot: %w", ls.name, err)
 	}
-	ls.snapCount = len(ls.recs)
-	if err := ls.log.Reset(uint64(len(ls.recs))); err != nil {
+	ls.snapCount = len(log)
+	if err := ls.wal.Reset(uint64(len(log))); err != nil {
 		// Snapshot is durable; the stale WAL only costs recovery a
 		// dedup pass. Appends will fail until a Reset lands, tripping
 		// the heal gate.
@@ -787,13 +500,13 @@ func (ls *liveSession) retire() error {
 	} else if err := ls.compactLocked(); err != nil {
 		// Everything acknowledged is in the WAL; make sure it is
 		// physically down before letting go of the memory copy.
-		if serr := ls.log.Sync(); serr != nil {
+		if serr := ls.wal.Sync(); serr != nil {
 			return fmt.Errorf("schemanet: store: session %q: cannot retire safely: compaction failed (%v) and WAL sync failed: %w",
 				ls.name, err, serr)
 		}
 		ls.store.logf("schemanet: store: session %q: retiring with stale snapshot (compaction failed: %v); WAL is synced", ls.name, err)
 	}
-	if err := ls.log.Close(); err != nil {
+	if err := ls.wal.Close(); err != nil {
 		ls.store.logf("schemanet: store: session %q: closing WAL: %v", ls.name, err)
 	}
 	ls.retired = true
@@ -824,7 +537,9 @@ func (ds *DurableSession) Name() string { return ds.name }
 
 // Network returns the session's network — the store's base network plus
 // any schemas and candidates this session added (each durable session
-// owns a private copy that its topology mutations grow).
+// owns a private copy that its topology mutations grow). When the
+// session cannot be reopened (a closed store, an unreadable directory)
+// it falls back to the store's base network.
 func (ds *DurableSession) Network() *Network {
 	net := ds.store.net
 	_ = ds.with(func(ls *liveSession) error {
@@ -844,6 +559,36 @@ func (ds *DurableSession) with(fn func(*liveSession) error) error {
 	return fn(ls)
 }
 
+// write is the one durable write path. On the resident session, under
+// walMu, it refuses a retired entry and heals a broken WAL, runs apply
+// — which guards and then mutates the in-memory session — and appends
+// to the WAL exactly the records apply added to the session's log. A
+// failed append leaves the mutation live in memory and trips the heal
+// gate, so the next successful compaction persists it.
+func (ds *DurableSession) write(what string, apply func(*liveSession) error) error {
+	return ds.with(func(ls *liveSession) error {
+		ls.walMu.Lock()
+		defer ls.walMu.Unlock()
+		if ls.retired {
+			return ErrStoreClosed
+		}
+		if err := ls.healLocked(); err != nil {
+			return err
+		}
+		n := len(ls.cs.s.log)
+		if err := apply(ls); err != nil {
+			return err
+		}
+		if err := ls.wal.Append(ls.cs.s.log[n:]...); err != nil {
+			ls.broken = true
+			return fmt.Errorf("schemanet: store: session %q: %s applied but not durably logged (will persist via next successful compaction): %w",
+				ls.name, what, err)
+		}
+		ls.maybeCompactLocked()
+		return nil
+	})
+}
+
 // Assert durably integrates an expert statement about candidate c,
 // with no annotator attribution. See AssertAs.
 func (ds *DurableSession) Assert(c int, correct bool) error {
@@ -859,7 +604,12 @@ func (ds *DurableSession) Assert(c int, correct bool) error {
 // assertion log quality-aware matching learns from) and does not
 // affect inference.
 func (ds *DurableSession) AssertAs(annotator string, c int, correct bool) error {
-	return ds.with(func(ls *liveSession) error { return ls.assert(annotator, c, correct) })
+	return ds.write("assertion", func(ls *liveSession) error {
+		if err := ls.loggable(c); err != nil {
+			return err
+		}
+		return ls.cs.assertAs(annotator, c, correct)
+	})
 }
 
 // AssertBatch durably integrates many assertions at once with no
@@ -874,7 +624,17 @@ func (ds *DurableSession) AssertBatch(as []Assertion) error {
 // to the WAL as consecutive records — one fsync for the whole batch
 // under the default "batch" policy.
 func (ds *DurableSession) AssertBatchAs(annotator string, as []Assertion) error {
-	return ds.with(func(ls *liveSession) error { return ls.assertBatch(annotator, as) })
+	if len(as) == 0 {
+		return nil
+	}
+	return ds.write("batch", func(ls *liveSession) error {
+		for i, a := range as {
+			if err := ls.loggable(a.Cand); err != nil {
+				return fmt.Errorf("assertion %d: %w", i, err)
+			}
+		}
+		return ls.cs.assertBatchAs(annotator, as)
+	})
 }
 
 // AddSchema registers a new schema on the durable session (see
@@ -882,24 +642,39 @@ func (ds *DurableSession) AssertBatchAs(annotator string, as []Assertion) error 
 // to the WAL as a topology record, so recovery re-grows the network at
 // exactly this point of the history.
 func (ds *DurableSession) AddSchema(name string, attrs ...string) error {
-	return ds.with(func(ls *liveSession) error { return ls.addSchema(name, attrs) })
+	return ds.write("topology change", func(ls *liveSession) error {
+		if err := ls.cs.AddSchema(name, attrs...); err != nil {
+			return err
+		}
+		ls.attrIdx = attrIndex(ls.cs.s.Network())
+		return nil
+	})
 }
 
 // AddCandidates appends candidate correspondences to the durable
 // session (see Session.AddCandidates), durably logged as one topology
 // record.
 func (ds *DurableSession) AddCandidates(correspondences []Correspondence) error {
-	return ds.with(func(ls *liveSession) error { return ls.addCandidates(correspondences) })
+	return ds.write("topology change", func(ls *liveSession) error {
+		return ls.cs.AddCandidates(correspondences)
+	})
 }
 
 // RetireCandidate withdraws candidate c from the durable session (see
 // Session.RetireCandidate), durably logged as a topology record.
 func (ds *DurableSession) RetireCandidate(c int) error {
-	return ds.with(func(ls *liveSession) error { return ls.retireCandidate(c) })
+	return ds.write("topology change", func(ls *liveSession) error {
+		if err := ls.loggable(c); err != nil {
+			return err
+		}
+		return ls.cs.RetireCandidate(c)
+	})
 }
 
 // Suggest returns the most informative unasserted candidate, from the
-// resident session's published snapshots.
+// resident session's published snapshots. ok is false when every
+// candidate has been asserted, and also when the session cannot be
+// reopened (a closed store, an unreadable directory).
 func (ds *DurableSession) Suggest() (c int, ok bool) {
 	var gc int
 	var gok bool
@@ -974,27 +749,29 @@ func (ds *DurableSession) Instantiate() (*Matching, error) {
 	return m, err
 }
 
-// History returns the session's durable assertion history in order —
-// the per-annotator audit log. The slice is a copy.
+// History returns the session's durable history in order — assertions
+// with their annotators (the per-annotator audit log) interleaved with
+// its topology records, Seq = position. The slice is a copy of the
+// session's operation log.
 func (ds *DurableSession) History() ([]AssertionRecord, error) {
 	var out []AssertionRecord
 	err := ds.with(func(ls *liveSession) error {
 		ls.walMu.Lock()
 		defer ls.walMu.Unlock()
-		out = append(out, ls.recs...)
+		out = append(out, ls.cs.s.log...)
 		return nil
 	})
 	return out, err
 }
 
-// Seq returns the sequence number of the last recorded assertion (0
+// Seq returns the sequence number of the last recorded operation (0
 // for a fresh session).
 func (ds *DurableSession) Seq() (uint64, error) {
 	var seq uint64
 	err := ds.with(func(ls *liveSession) error {
 		ls.walMu.Lock()
 		defer ls.walMu.Unlock()
-		seq = uint64(len(ls.recs))
+		seq = uint64(len(ls.cs.s.log))
 		return nil
 	})
 	return seq, err
@@ -1025,6 +802,6 @@ func (ds *DurableSession) Sync() error {
 		if ls.retired {
 			return ErrStoreClosed
 		}
-		return ls.log.Sync()
+		return ls.wal.Sync()
 	})
 }

@@ -1,6 +1,7 @@
 package schemanet_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -397,6 +398,78 @@ func TestStoreShortWriteTornTail(t *testing.T) {
 	}
 }
 
+// TestStoreSequenceGapDropsTail: WAL records past a sequence gap were
+// never acknowledged durable. Recovery keeps the snapshot plus the
+// contiguous records, warns with the number of records dropped from
+// the gap on (not the WAL's length, which also counts the overlap the
+// snapshot covers), and normalizes the files so a second reopen has
+// nothing left to warn about.
+func TestStoreSequenceGapDropsTail(t *testing.T) {
+	net, _ := videoNet(t)
+	opts := &schemanet.Options{Inference: "exact", Seed: 4}
+	rec := func(seq uint64, c int, ok bool) wal.Record {
+		cand := net.Candidate(c)
+		return wal.Record{Seq: seq, From: net.FullName(cand.A), To: net.FullName(cand.B), Approved: ok}
+	}
+	fsys := wal.NewMemFS()
+	dir := filepath.Join("store", "alpha")
+	if err := fsys.MkdirAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	r1, r2 := rec(1, 0, true), rec(2, 3, false)
+	snap := fmt.Sprintf(`{"version":1,"seq":2,"candidates":%d,"history":[
+		{"from":%q,"to":%q,"approved":true},{"from":%q,"to":%q,"approved":false}]}`,
+		net.NumCandidates(), r1.From, r1.To, r2.From, r2.To)
+	if err := wal.AtomicWriteFile(fsys, dir, filepath.Join(dir, "snapshot.json"), []byte(snap)); err != nil {
+		t.Fatal(err)
+	}
+	log := wal.EncodeLog([]wal.Record{r1, r2, rec(4, 1, true), rec(5, 2, true)})
+	if err := wal.AtomicWriteFile(fsys, dir, filepath.Join(dir, "wal.log"), log); err != nil {
+		t.Fatal(err)
+	}
+
+	reopen := func(lc *logCapture) (*schemanet.SessionStore, *schemanet.DurableSession) {
+		t.Helper()
+		st, err := schemanet.OpenStore("store", net, &schemanet.StoreOptions{Session: opts, FS: fsys, Logf: lc.logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds, err := st.Session("alpha")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st, ds
+	}
+	lc := &logCapture{}
+	st, ds := reopen(lc)
+	if seq, err := ds.Seq(); err != nil || seq != 2 {
+		t.Fatalf("Seq() = %d, %v; want 2", seq, err)
+	}
+	if !lc.contains("dropping 2 WAL record(s) after sequence gap (4 after 2)") {
+		t.Fatalf("gap warning does not count the dropped tail; warnings: %v", lc.lines)
+	}
+	data, err := fsys.ReadFile(filepath.Join(dir, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recs, res := wal.Recover(data); len(recs) != 0 || !res.Clean() {
+		t.Fatalf("WAL after the normalizing compaction holds %d records (clean %v), want none", len(recs), res.Clean())
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	lc2 := &logCapture{}
+	st2, ds2 := reopen(lc2)
+	defer st2.Close()
+	if seq, err := ds2.Seq(); err != nil || seq != 2 {
+		t.Fatalf("second reopen: Seq() = %d, %v; want 2", seq, err)
+	}
+	if len(lc2.lines) != 0 {
+		t.Fatalf("second reopen logged %v, want nothing", lc2.lines)
+	}
+}
+
 // TestStoreLRUEviction: the pool bound holds, the least-recently-used
 // session is the one evicted, and an evicted session reopens
 // transparently with identical state.
@@ -489,8 +562,8 @@ func TestStoreClosedAndInvalidNames(t *testing.T) {
 	}
 }
 
-// TestStoreBatchAtomicity: a rejected batch leaves no trace — not in
-// memory, not in the WAL, not after a restart.
+// TestStoreBatchAtomicity: a rejected batch or schema leaves no trace —
+// not in memory, not in the WAL, not after a restart.
 func TestStoreBatchAtomicity(t *testing.T) {
 	net, _ := videoNet(t)
 	opts := &schemanet.Options{Inference: "exact", Seed: 2}
@@ -515,6 +588,22 @@ func TestStoreBatchAtomicity(t *testing.T) {
 		if seq, _ := ds.Seq(); seq != 0 {
 			t.Fatalf("rejected batch %+v advanced seq to %d", batch, seq)
 		}
+	}
+	// A schema with a repeated attribute name is rejected by the network
+	// before anything is applied or logged.
+	walPath := filepath.Join("store", "alpha", "wal.log")
+	before, err := fsys.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.AddSchema("X", "a", "a"); err == nil {
+		t.Fatal(`AddSchema("X", "a", "a"): want error`)
+	}
+	if seq, _ := ds.Seq(); seq != 0 {
+		t.Fatalf("rejected schema advanced seq to %d", seq)
+	}
+	if after, err := fsys.ReadFile(walPath); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("rejected schema changed the WAL (%v): %q -> %q", err, before, after)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
