@@ -68,6 +68,8 @@ bench-smoke:
 	# The concurrent-serving benchmark measures whole schedules (seconds
 	# per op at C=2048), so the smoke runs only the C=512 case.
 	$(GO) test -run '^$$' -bench 'BenchmarkConcurrentAssertMultiComp/C=512' -benchmem -benchtime $(BENCHTIME) -count $(COUNT) . | $(GO) run ./cmd/benchmedian
+	# Re-partition cost per assertion along a goal-driven dense-512 history.
+	$(GO) test -run '^$$' -bench 'BenchmarkPieceSplit' -benchmem -benchtime $(BENCHTIME) -count $(COUNT) ./internal/core | $(GO) run ./cmd/benchmedian
 	# Default chunked refill vs a pinned single-chunk budget (multicomp, dense).
 	$(GO) test -run '^$$' -bench 'BenchmarkSessionAssertBudget' -benchmem -benchtime $(BENCHTIME) -count $(COUNT) . | $(GO) run ./cmd/benchmedian
 	# Incremental topology cost: one late schema / one component-merging
@@ -121,6 +123,7 @@ cli-smoke:
 	run 'resumed session "default": 10 assertions on record' -store "$$tmp/store"; \
 	run "grew network: now 3 schemas, 20 candidates (1 retired)" -grow cmd/reconcile/testdata/grow.json; \
 	run "grew network: now 3 schemas, 20 candidates (1 retired)" -grow cmd/reconcile/testdata/grow.json -store "$$tmp/grown"; \
+	run 'resumed session "default": 10 assertions on record' -store "$$tmp/grown"; \
 	echo "cli-smoke OK"
 
 # Native-fuzz smoke over the two decoders that consume externally

@@ -79,17 +79,20 @@ func TestFixedBudgetBitReproducible(t *testing.T) {
 		residual float64
 	}{
 		{"default-sampled", schemanet.Options{Inference: "sampled", Seed: 7},
-			0x9748557375f16319, 32.441939614863635},
+			0xdacf078268461d02, 38.37878369322667},
 		{"pinned-min-max", schemanet.Options{Inference: "sampled", Samples: 500, MinSamples: 100, Convergence: 0.01, Seed: 7},
-			0x9748557375f16319, 32.441939614863635},
+			0xdacf078268461d02, 38.37878369322667},
 		{"single-chunk-500", schemanet.Options{Inference: "sampled", MinSamples: 500, Seed: 7},
-			0x96cb222990cc6d42, 26.59553893066623},
+			0xc78b5308ad0c7ab2, 38.37878369322667},
 		{"fixed-200", schemanet.Options{Inference: "sampled", Samples: 200, Seed: 11},
-			0x3552205d3001d926, 38.177796593901654},
+			0x96c70bc736bc8c15, 37.225716662038465},
 		{"pinned-200", schemanet.Options{Inference: "sampled", Samples: 200, MinSamples: 100, Convergence: 0.01, Seed: 11},
-			0x3552205d3001d926, 38.177796593901654},
+			0x96c70bc736bc8c15, 37.225716662038465},
+		// At a 200 cap every walked piece of this profile saturates
+		// whatever the chunking, so the single-chunk run lands on the
+		// same stores as the chunked one.
 		{"single-chunk-200", schemanet.Options{Inference: "sampled", Samples: 200, MinSamples: 200, Seed: 11},
-			0x7591e511737d5490, 35.6238961910632},
+			0x96c70bc736bc8c15, 37.225716662038465},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := tc.opts

@@ -43,6 +43,7 @@ import (
 	"strings"
 
 	"schemanet"
+	"schemanet/internal/wal"
 )
 
 // session is the slice of the API the reconciliation loop needs,
@@ -280,10 +281,20 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if seq, err := ds.Seq(); err != nil {
+		hist, err := ds.History()
+		if err != nil {
 			fatal(err)
-		} else if seq > 0 {
-			fmt.Printf("resumed session %q: %d assertions on record\n", name, seq)
+		}
+		if len(hist) > 0 {
+			// The history interleaves topology records with the
+			// assertions; count the assertions alone.
+			asserts := 0
+			for _, r := range hist {
+				if r.Kind == wal.KindAssert {
+					asserts++
+				}
+			}
+			fmt.Printf("resumed session %q: %d assertions on record\n", name, asserts)
 		}
 		sess = durable{ds: ds, annotator: *annotator}
 	case *resume != "":

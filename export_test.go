@@ -85,17 +85,28 @@ func LoadSessionByFiltering(net *Network, opts *Options, r io.Reader) (*Session,
 // Resamples returns the session's post-construction refill rounds.
 func Resamples(s *Session) int { return s.pmn.Resamples() }
 
-// SameComponentStore reports whether component k of a and b holds the
-// same instances in the same order under the same completeness flag.
+// SameComponentStore reports whether component k of a and b is served
+// by the same stores holding the same instances in the same order under
+// the same completeness flags.
 func SameComponentStore(a, b *Session, k int) bool {
-	x, y := a.pmn.ComponentStore(k), b.pmn.ComponentStore(k)
-	if x.Size() != y.Size() || x.Complete() != y.Complete() {
+	xs, ys := a.pmn.UnitStores(k), b.pmn.UnitStores(k)
+	if len(xs) != len(ys) {
 		return false
 	}
-	for i := 0; i < x.Size(); i++ {
-		if !x.Instance(i).Equal(y.Instance(i)) {
+	for u, x := range xs {
+		y := ys[u]
+		if x.Size() != y.Size() || x.Complete() != y.Complete() {
 			return false
+		}
+		for i := 0; i < x.Size(); i++ {
+			if !x.Instance(i).Equal(y.Instance(i)) {
+				return false
+			}
 		}
 	}
 	return true
 }
+
+// PieceCounts reports component k's live pieces and how many of them
+// are served exactly (core.PMN.PieceCounts).
+func PieceCounts(s *Session, k int) (pieces, exact int) { return s.pmn.PieceCounts(k) }

@@ -95,6 +95,16 @@ func (uf *unionFind) union(a, b int) {
 // true violation-connectivity classes, never finer, which is exactly
 // the safety direction the decomposed PMN needs.
 //
+// The gate masks are the whole of the coarsening. A pairwise conflict
+// is itself a violation, so a conflict-matrix link never joins two
+// violation classes; a cycle mask holds every candidate on a schema
+// pair of some cycle through c, whether or not a violating chain
+// exists. On dense-256 (seeds 1–3) the compiled partition has 1, 1 and
+// 16 components against 26, 28 and 31 zero-feedback violation classes
+// (LivePieces), and every one of the 1796–2926 compiled links that
+// join two classes comes from a gate mask, none from a conflict row
+// (TestPiecesRefineComponents).
+//
 // A Whole fork returns the trivial one-component partition instead.
 //
 // The partition is computed lazily per engine family (forks share the

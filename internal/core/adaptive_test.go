@@ -45,47 +45,40 @@ func TestResolveBudget(t *testing.T) {
 }
 
 // checkStoreInvariants verifies the §III-B view-maintenance contract on
-// component k's store: every held instance is distinct (fingerprint +
-// Equal dedup), consistent with the component's feedback (contains all
-// approved members, none of the disapproved), and the store is never
-// left in a needs-resample state after maintenance.
+// every unit store of component k: every held instance is distinct
+// (fingerprint + Equal dedup), lies inside its unit, and together with
+// F+ is a matching instance of the unit under the component's feedback
+// (consistent, none of the disapproved, maximal over the unit's
+// members), and no store is left in a needs-resample state after
+// maintenance.
 func checkStoreInvariants(t *testing.T, p *PMN, k int) {
 	t.Helper()
 	cp := p.comps[k]
-	st := cp.store()
-	if st.NeedsResample() {
-		t.Fatalf("component %d left below n_min and not complete after maintenance", k)
+	for _, u := range cp.inf.Units() {
+		st := u.store
+		if st.NeedsResample() {
+			t.Fatalf("component %d: a unit left below n_min and not complete after maintenance", k)
+		}
+		seen := map[uint64][]*bitset.Set{}
+		st.ForEachInstance(func(inst *bitset.Set) bool {
+			fp := inst.Fingerprint()
+			for _, prev := range seen[fp] {
+				if prev.Equal(inst) {
+					t.Fatalf("component %d: duplicate instance in store", k)
+				}
+			}
+			seen[fp] = append(seen[fp], inst)
+			full := inst.Clone()
+			full.UnionWith(cp.approved)
+			if full.Intersects(cp.disapproved) {
+				t.Fatalf("component %d: instance contains a disapproved candidate", k)
+			}
+			if !cp.engine.Consistent(full) || !cp.engine.MaximalWithin(full, cp.disapproved, u.members) {
+				t.Fatalf("component %d: instance %v with F+ is not a maximal consistent set of its unit", k, inst)
+			}
+			return true
+		})
 	}
-	seen := map[uint64][]*bitset.Set{}
-	st.ForEachInstance(func(inst *bitset.Set) bool {
-		fp := inst.Fingerprint()
-		for _, prev := range seen[fp] {
-			if prev.Equal(inst) {
-				t.Fatalf("component %d: duplicate instance in store", k)
-			}
-		}
-		seen[fp] = append(seen[fp], inst)
-		ok := true
-		cp.approved.ForEach(func(c int) bool {
-			if !inst.Has(c) {
-				ok = false
-			}
-			return ok
-		})
-		if !ok {
-			t.Fatalf("component %d: instance missing an approved candidate", k)
-		}
-		cp.disapproved.ForEach(func(c int) bool {
-			if inst.Has(c) {
-				ok = false
-			}
-			return ok
-		})
-		if !ok {
-			t.Fatalf("component %d: instance contains a disapproved candidate", k)
-		}
-		return true
-	})
 }
 
 // TestAdaptiveRefillSurvivorReuse drives the same deterministic
@@ -93,9 +86,10 @@ func checkStoreInvariants(t *testing.T, p *PMN, k int) {
 // one SampleWithin call per round) and a chunked one and
 // checks, after every assertion, that both uphold the identical store
 // invariants — and that the chunked run's surviving samples really are
-// reused: every pre-assertion instance consistent with the assertion is
-// still present afterwards, and the total emissions requested are
-// strictly below the single-chunk run's.
+// reused: the projection of every pre-assertion instance of the
+// asserted piece that is consistent with the assertion is present in
+// the piece it lands in afterwards, and the total emissions requested
+// are strictly below the single-chunk run's.
 func TestAdaptiveRefillSurvivorReuse(t *testing.T) {
 	d, err := datagen.SyntheticNetwork(datagen.MultiComp(), datagen.SyntheticOpts{
 		TargetCount: 192, Precision: 0.67, ConflictBias: 0.3, StrictCount: true,
@@ -121,12 +115,14 @@ func TestAdaptiveRefillSurvivorReuse(t *testing.T) {
 		approve := d.GroundTruth.ContainsCorrespondence(d.Network.Candidate(c))
 		k := pa.ComponentOf(c)
 		var survivors []*bitset.Set
-		pa.ComponentStore(k).ForEachInstance(func(inst *bitset.Set) bool {
-			if inst.Has(c) == approve {
-				survivors = append(survivors, inst.Clone())
-			}
-			return true
-		})
+		if u := pa.comps[k].inf.UnitOf(c); u != nil {
+			u.store.ForEachInstance(func(inst *bitset.Set) bool {
+				if inst.Has(c) == approve {
+					survivors = append(survivors, inst.Clone())
+				}
+				return true
+			})
+		}
 		if err := pf.Assert(c, approve); err != nil {
 			t.Fatal(err)
 		}
@@ -135,17 +131,22 @@ func TestAdaptiveRefillSurvivorReuse(t *testing.T) {
 		}
 		checkStoreInvariants(t, pf, pf.ComponentOf(c))
 		checkStoreInvariants(t, pa, k)
-		st := pa.ComponentStore(k)
-		for _, sv := range survivors {
-			found := false
-			st.ForEachInstance(func(inst *bitset.Set) bool {
-				if inst.Equal(sv) {
-					found = true
+		for _, u := range pa.comps[k].inf.Units() {
+			mask := bitset.FromIndices(n, u.members...)
+			for _, sv := range survivors {
+				proj := sv.Clone()
+				proj.IntersectWith(mask)
+				if proj.Empty() {
+					continue // sv never reached this piece
 				}
-				return !found
-			})
-			if !found {
-				t.Fatalf("candidate %d: a surviving sample was discarded by the chunked refill", c)
+				found := false
+				u.store.ForEachInstance(func(inst *bitset.Set) bool {
+					found = inst.Equal(proj)
+					return !found
+				})
+				if !found {
+					t.Fatalf("candidate %d: a surviving sample was discarded by the chunked refill", c)
+				}
 			}
 		}
 	}

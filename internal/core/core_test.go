@@ -8,6 +8,7 @@ import (
 
 	"schemanet/internal/constraints"
 	"schemanet/internal/datagen"
+	"schemanet/internal/sampling"
 	"schemanet/internal/schema"
 )
 
@@ -158,7 +159,7 @@ func TestDisapprovalReenumeratesExact(t *testing.T) {
 	}
 	// After disapproving c1 the instance set is re-enumerated: four
 	// 2-member instances; every remaining candidate at ½.
-	if got := p.Store().Size(); got != 4 {
+	if got := soleStore(t, p, 0).Size(); got != 4 {
 		t.Fatalf("store size = %d, want 4 (re-enumeration after disapproval)", got)
 	}
 	for _, name := range []string{"c2", "c3", "c4", "c5"} {
@@ -269,8 +270,14 @@ func TestSmallNetworkMarksComplete(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Samples = 50
 	p := MustNew(e, cfg, rand.New(rand.NewSource(3)))
-	if !p.Store().Complete() {
-		t.Fatal("store not marked complete despite exhausting all instances")
+	stores := p.UnitStores(0)
+	if len(stores) == 0 {
+		t.Fatal("no piece store: the video net's five candidates conflict")
+	}
+	for _, st := range stores {
+		if !st.Complete() {
+			t.Fatal("store not marked complete despite exhausting all instances")
+		}
 	}
 }
 
@@ -411,8 +418,14 @@ func TestPMNSampledFallbackWhenExactOverflows(t *testing.T) {
 	if got := p.ComponentInference(0); got != InferSampled {
 		t.Fatalf("over-budget component serves %v, want sampled fallback", got)
 	}
-	if p.Store().Size() == 0 {
-		t.Fatal("fallback sampling produced no instances")
+	stores := p.UnitStores(0)
+	if len(stores) == 0 {
+		t.Fatal("fallback sampling produced no piece store")
+	}
+	for _, st := range stores {
+		if st.Size() == 0 {
+			t.Fatal("fallback sampling produced no instances")
+		}
 	}
 	for c := 0; c < e.Network().NumCandidates(); c++ {
 		if pr := p.Probability(c); pr < 0 || pr > 1 {
@@ -444,7 +457,7 @@ func TestPMNForcedExactOverflowErrors(t *testing.T) {
 	// Budget 0 under forced exact means unlimited: construction succeeds.
 	cfg.ExactBudget = 0
 	p := MustNew(e, cfg, rand.New(rand.NewSource(11)))
-	if got := p.Store().Size(); got != 4 {
+	if got := soleStore(t, p, 0).Size(); got != 4 {
 		t.Fatalf("unbounded exact store size = %d, want 4", got)
 	}
 }
@@ -465,7 +478,7 @@ func TestContradictoryApprovalsGraceful(t *testing.T) {
 	if err := p.Assert(idx["c5"], true); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Store().Size(); got != 0 {
+	if got := soleStore(t, p, 0).Size(); got != 0 {
 		t.Fatalf("store size = %d, want 0 (no instance satisfies both)", got)
 	}
 	if p.Probability(idx["c3"]) != 1 || p.Probability(idx["c5"]) != 1 {
@@ -509,12 +522,12 @@ func TestResamplingKeepsStoreUsable(t *testing.T) {
 	}
 	steps := Reconcile(p, o, InfoGainStrategy{}, FullGoal(),
 		rand.New(rand.NewSource(57)), func(s StepInfo) {
-			// The invariant is per component now: while a component has
-			// uncertain members, its store must hold instances.
+			// The invariant is per unit: while a unit has uncertain
+			// members, its store must hold instances.
 			for _, c := range p.Uncertain() {
-				if p.ComponentStore(p.ComponentOf(c)).Size() == 0 {
-					t.Fatalf("step %d: component %d store empty while candidate %d uncertain",
-						s.Step, p.ComponentOf(c), c)
+				u := p.comps[p.ComponentOf(c)].inf.UnitOf(c)
+				if u == nil || u.store.Size() == 0 {
+					t.Fatalf("step %d: candidate %d uncertain but its unit store is missing or empty", s.Step, c)
 				}
 			}
 		})
@@ -605,4 +618,15 @@ func BudgetGoal(k int) Goal {
 // below.
 func UncertaintyGoal(h float64) Goal {
 	return func(p *PMN, _ int) bool { return p.Entropy() <= h }
+}
+
+// soleStore returns the store of component k, failing unless exactly
+// one unit serves the component (an exact-served component always is).
+func soleStore(t testing.TB, p *PMN, k int) *sampling.Store {
+	t.Helper()
+	stores := p.UnitStores(k)
+	if len(stores) != 1 {
+		t.Fatalf("component %d is served by %d stores, want 1", k, len(stores))
+	}
+	return stores[0]
 }

@@ -57,13 +57,13 @@ func TestAssertTouchesOnlyOwnComponent(t *testing.T) {
 		t.Fatalf("components = %d, want 2", p.NumComponents())
 	}
 	otherK := p.ComponentOf(idx["Bc1"])
-	otherStore := p.ComponentStore(otherK)
+	otherStore := soleStore(t, p, otherK)
 	otherSize := otherStore.Size()
 
 	if err := p.Assert(idx["Ac2"], true); err != nil {
 		t.Fatal(err)
 	}
-	if p.ComponentStore(otherK) != otherStore || otherStore.Size() != otherSize {
+	if soleStore(t, p, otherK) != otherStore || otherStore.Size() != otherSize {
 		t.Fatal("assertion in component A rebuilt component B's store")
 	}
 	for _, name := range []string{"Bc1", "Bc2", "Bc3", "Bc4", "Bc5"} {
@@ -108,34 +108,40 @@ func TestInformationGainComponentLocal(t *testing.T) {
 
 // TestPMNRecoversFromEmptiedCompleteStore is the PMN half of the
 // dead-end regression: a sampled (non-exact) PMN whose store completed
-// (all 4 triangle instances < n_min) and is then emptied by assertions
-// must refill instead of freezing with NeedsResample() == false.
+// (all 4 triangle instances < n_min) is then driven into contradictory
+// approvals — c3 and c5 both map productionDate into DVDizzy, so no
+// instance holds both. The piece backend recognizes that Ω is empty
+// (c5 conflicts with the approved c3, so it is not live) instead of
+// emptying a store and sampling for instances that do not exist: every
+// unasserted candidate reads 0, the approved ones stay at 1, the
+// uncertainty is 0, and further assertions keep working. A piece whose
+// store is emptied by an approval refills instead (TestSampledPieceRefillsEmptiedStore).
 func TestPMNRecoversFromEmptiedCompleteStore(t *testing.T) {
 	e, idx := buildVideoNet(t)
 	cfg := DefaultConfig()
 	cfg.Samples = 100
 	p := MustNew(e, cfg, rand.New(rand.NewSource(3)))
-	if !p.Store().Complete() {
-		t.Fatal("precondition: store must have completed")
+	for _, st := range p.UnitStores(0) {
+		if !st.Complete() {
+			t.Fatal("precondition: store must have completed")
+		}
 	}
-	// c3 and c5 conflict (both map productionDate into DVDizzy), so
-	// approving both empties the store: no sampled instance contains
-	// both.
 	if err := p.Assert(idx["c3"], true); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Assert(idx["c5"], true); err != nil {
 		t.Fatal(err)
 	}
-	if p.Resamples() == 0 {
-		t.Fatal("emptied complete store must trigger a refill")
-	}
-	if p.Store().Size() == 0 && !p.Store().Complete() {
-		t.Fatal("store left empty and incomplete: the session would be a dead end")
-	}
-	// Approved candidates stay certain either way.
 	if p.Probability(idx["c3"]) != 1 || p.Probability(idx["c5"]) != 1 {
 		t.Fatal("approved candidates must stay at probability 1")
+	}
+	for _, name := range []string{"c1", "c2", "c4"} {
+		if got := p.Probability(idx[name]); got != 0 {
+			t.Errorf("p(%s) = %v, want 0: no instance satisfies both approvals", name, got)
+		}
+	}
+	if h := p.Entropy(); h != 0 {
+		t.Errorf("H = %v, want 0", h)
 	}
 	// Further assertions keep working.
 	if err := p.Assert(idx["c1"], false); err != nil {
@@ -311,8 +317,8 @@ func TestDecomposedSampledAgreesWithExactOnRandomNet(t *testing.T) {
 	sampled := MustNew(e, cfg, rand.New(rand.NewSource(2)))
 	for c := 0; c < d.Network.NumCandidates(); c++ {
 		k := sampled.ComponentOf(c)
-		if !sampled.ComponentStore(k).Complete() {
-			continue // component too large to complete; estimate, not exact
+		if u := sampled.comps[k].inf.UnitOf(c); u != nil && !u.store.Complete() {
+			continue // piece too large to complete; estimate, not exact
 		}
 		if math.Abs(exact.Probability(c)-sampled.Probability(c)) > 1e-9 {
 			t.Errorf("p(%d): exact %v, decomposed complete-store %v", c,

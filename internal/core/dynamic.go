@@ -5,17 +5,15 @@ import (
 	"strconv"
 
 	"schemanet/internal/bitset"
-	"schemanet/internal/sampling"
 )
 
 // Dynamic-network support: TopologyChanged relays the PMN's component
 // layout after the engine's compiled constraint index grew (schema or
 // candidate arrival) or retired a candidate. Components whose member
-// list is unchanged are carried — store, sampler stream, cached entropy
-// and tie set survive in place — while touched components (merged by a
+// list is unchanged are carried — pieces, stores, cached entropy and
+// tie sets survive in place — while touched components (merged by a
 // bridging candidate, split or emptied by a retire) are rebuilt under
-// the accumulated feedback, seeded from their predecessors' surviving
-// samples where possible.
+// the accumulated feedback with fresh pieces.
 
 // ErrCandidateRetired reports an assertion against a candidate that was
 // withdrawn through Session.RetireCandidate. Retired candidates keep
@@ -33,24 +31,25 @@ func (p *PMN) SetTopoSeed(seed int64) { p.topoSeed = seed }
 // any path that reaches the same network by the same op sequence
 // rebuilds the same component with the same stream.
 func (p *PMN) contentSeed(members []int) int64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime64
-			v >>= 8
-		}
-	}
-	mix(uint64(p.topoSeed))
-	mix(p.topoGen)
+	h := fnvMix(fnvMix(fnvOffset, uint64(p.topoSeed)), p.topoGen)
 	for _, m := range members {
-		mix(uint64(m))
+		h = fnvMix(h, uint64(m))
 	}
 	return int64(h)
+}
+
+// fnvOffset is the FNV-1a 64-bit offset basis.
+const fnvOffset = 14695981039346656037
+
+// fnvMix folds the eight bytes of v into the FNV-1a state h.
+func fnvMix(h, v uint64) uint64 {
+	const prime64 = 1099511628211
+	for i := 0; i < 8; i++ {
+		h ^= v & 0xff
+		h *= prime64
+		v >>= 8
+	}
+	return h
 }
 
 // memberKey canonically names a component by its ascending member list;
@@ -78,14 +77,13 @@ func memberKey(members []int, universe int) string {
 // retiredCand the candidate withdrawn by a retire (-1 for growth).
 //
 // Components whose member list is unchanged are carried in place (their
-// stores widen to the new universe; probabilities, entropy, and the
-// cached tie set stay verbatim). Every other component is rebuilt under the
-// accumulated feedback with a content-derived sampler stream; rebuilt
-// sampled components are first seeded with the consistent union of
-// their predecessors' surviving samples, so the following refill only
-// pays for the n_min deficit. The component containing a retired
-// candidate is always rebuilt, which is what drives its probability
-// to 0 (retired candidates cannot join any instance).
+// stores widen to the new universe; pieces, probabilities, entropy, and
+// the cached tie sets stay verbatim). Every other component is rebuilt
+// under the accumulated feedback with a content-derived base seed: its
+// pieces are computed afresh and filled from scratch. The component
+// containing a retired candidate is always rebuilt, which is what
+// drives its probability to 0 (retired candidates cannot join any
+// instance).
 //
 // The returned map sends each carried new component index to its old
 // index, so a serving layer can republish old snapshots for untouched
@@ -100,6 +98,8 @@ func (p *PMN) TopologyChanged(oldN, retiredCand int) (map[int]int, error) {
 	p.feedback.Grow(n)
 	for len(p.probs) < n {
 		p.probs = append(p.probs, 0)
+		p.pieceOf = append(p.pieceOf, notLive)
+		p.pieceCol = append(p.pieceCol, 0)
 	}
 
 	oldComps := p.comps
@@ -178,17 +178,8 @@ func (p *PMN) TopologyChanged(oldN, retiredCand int) (map[int]int, error) {
 	}
 	p.comps = newComps
 
-	carriedOld := make(map[int]bool, len(carried))
-	//lint:sorted builds a membership set; insertion order cannot affect it
-	for _, k0 := range carried {
-		carriedOld[k0] = true
-	}
 	for _, k := range rebuilt {
-		c := p.comps[k]
-		if c.inf.Mode() == InferSampled {
-			p.seedSurvivors(c, oldComps, carriedOld, oldN)
-		}
-		p.emissions.Add(int64(c.inf.Refill()))
+		p.emissions.Add(int64(p.comps[k].inf.Refill()))
 		p.recomputeComp(k)
 	}
 	return carried, nil
@@ -201,81 +192,4 @@ func memberOf(cp *component, c, universe int) bool {
 		return c < universe
 	}
 	return cp.mask.Has(c)
-}
-
-// seedSurvivors seeds a rebuilt sampled component's empty store with
-// instances derived from its predecessors' surviving samples: each
-// round unions one projected instance from every overlapping retired-
-// from-service old component, re-validates consistency member by member
-// (projections of consistent instances are consistent, and on growth
-// old candidates never acquire new conflicts among themselves — the
-// check is a cheap guard, not a correctness crutch), completes the
-// union to maximality deterministically, and adds it. The following
-// Refill then only pays for the n_min deficit (survivor-reuse chunk).
-func (p *PMN) seedSurvivors(c *component, oldComps []*component, carriedOld map[int]bool, oldN int) {
-	n := len(p.probs)
-	var pools [][]*bitset.Set
-	for k0, o := range oldComps {
-		if carriedOld[k0] {
-			continue
-		}
-		overlap := false
-		if o.members == nil {
-			overlap = true
-		} else {
-			for _, m := range o.members {
-				if c.mask.Has(m) {
-					overlap = true
-					break
-				}
-			}
-		}
-		if !overlap {
-			continue
-		}
-		var insts []*bitset.Set
-		o.store().ForEachInstance(func(inst *bitset.Set) bool {
-			proj := inst.Clone()
-			proj.Grow(n)
-			proj.IntersectWith(c.mask)
-			insts = append(insts, proj)
-			return true
-		})
-		if len(insts) > 0 {
-			pools = append(pools, insts)
-		}
-	}
-	if len(pools) == 0 {
-		return
-	}
-	st := c.store()
-	rounds := st.NMin()
-	maxPool := 0
-	for _, pool := range pools {
-		if len(pool) > maxPool {
-			maxPool = len(pool)
-		}
-	}
-	if rounds > maxPool {
-		rounds = maxPool
-	}
-	eng := c.engine
-	_, excl := sampling.FeedbackWithin(n, nil, c.disapproved, c.mask, nil, nil)
-	for i := 0; i < rounds; i++ {
-		inst := eng.NewInstance()
-		// Approved members first: every stored instance must contain
-		// F+ ∩ members (they are mutually consistent by assertion-time
-		// validation).
-		inst.UnionWith(c.approved)
-		for _, pool := range pools {
-			pool[i%len(pool)].ForEach(func(d int) bool {
-				if !inst.Has(d) && !eng.HasConflict(inst, d) {
-					inst.Add(d)
-				}
-				return true
-			})
-		}
-		eng.MaximizeWithin(inst, excl, c.members, nil)
-		st.Add(inst)
-	}
 }

@@ -60,40 +60,78 @@ var ErrExactBudgetExceeded = errors.New("core: exact inference budget exceeded")
 
 // Inference is the estimation seam of one component: everything the
 // probabilistic matching network needs from a probability backend —
-// estimates into the shared store representation (probabilities,
-// entropy, and the conditional counts of the information-gain ranking
-// all read the store's columnar counts), view maintenance on assertion,
-// and refills. Implementations are component-local: all their state is
-// owned by the component (or shared immutably), so a concurrent serving
-// layer drives one backend per component lock.
+// view maintenance on assertion, refills, the probabilities and entropy
+// of the component's members, and the units the information-gain
+// ranking and the instantiation heuristic read. Implementations are
+// component-local: all their state is owned by the component (or
+// shared immutably, or component-disjoint entries of PMN-wide slices),
+// so a concurrent serving layer drives one backend per component lock.
 type Inference interface {
 	// Mode reports the backend actually serving the component — never
-	// InferAuto.
+	// InferAuto. A piece-served component reports InferSampled even when
+	// some or all of its pieces are enumerated.
 	Mode() InferenceMode
-	// Store returns the live instance container Ω*_k. For the exact
-	// backend it is complete at all times (Ω*_k = Ω_k); probabilities,
-	// closed-form entropy/IG counts, snapshots, and instantiation all
-	// read it.
-	Store() *sampling.Store
 	// Apply view-maintains one assertion that has already been mirrored
-	// into the component's feedback masks, and reports whether Refill
-	// must run before estimates are read again. The exact backend never
-	// needs a refill: its assertion update is a single masked compaction
-	// pass that preserves completeness.
-	Apply(c int, approve bool) (needRefill bool)
-	// Refill re-establishes estimates after Apply requested it: the
-	// sampled backend resamples the store toward n_min (concluding
-	// completeness after two short rounds, §III-B); the exact backend's
-	// Refill is a no-op. It returns the number of walk emissions
-	// requested from the sampler (0 for exact backends), the effort unit
-	// the PMN's emission counter aggregates.
+	// into the component's feedback masks.
+	Apply(c int, approve bool)
+	// Refill re-establishes estimates after Apply: the piece backend
+	// enumerates or resamples the pieces the assertions created; the
+	// exact backend's Refill is a no-op. It returns the number of walk
+	// emissions requested from the sampler (0 when nothing was walked),
+	// the effort unit the PMN's emission counter aggregates.
 	Refill() int
+	// Refresh writes every member's probability into probs at its
+	// global position (asserted members read 1 or 0) and returns the
+	// component's entropy term H_k, summed over the members in order.
+	// Units whose estimates changed since the last Refresh lose their
+	// cached tie sets.
+	Refresh(probs []float64) float64
+	// Units returns the independent factors of the component's
+	// distribution. The slice must not be mutated and is valid until
+	// the next Apply.
+	Units() []*unit
+	// UnitOf returns the unit that estimates member c, or nil when c's
+	// probability is certain without one.
+	UnitOf(c int) *unit
 	// Grow widens the backend to an n-candidate universe after a
 	// topology change that left this component's membership unchanged:
-	// the store's instance bitsets widen in place and any universe-sized
-	// scratch is dropped. local is the PMN's new global→column index
-	// slice (nil for a full-universe store).
+	// stores and masks widen in place and any universe-sized scratch is
+	// dropped. local is the PMN's new global→column index slice (nil for
+	// a full-universe store).
 	Grow(n int, local []int32)
+}
+
+// unit is one independent factor of a component's distribution: a
+// store whose columns are members, with the cached entropy of those
+// members and the lazy ranker's cached tie set. An exact-served
+// component is one unit; a piece-served component has one unit per
+// piece of more than one live member. Asserting a member changes
+// marginals only inside its unit, so its information gain is the unit's
+// H_U − E[H_U | c] (see topk.go).
+type unit struct {
+	store   *sampling.Store
+	members []int   // the store's columns as global ids; nil = whole universe
+	entropy float64 // Σ H(p_c) over members
+	// ties/gain cache the unit's maximal-gain tie set (ascending ids)
+	// and gain (-1 when no member is uncertain); fresh is the validity
+	// bit, cleared whenever the unit's estimates change.
+	ties  []int
+	gain  float64
+	fresh bool
+}
+
+// termAt applies the feedback override to probs[c] and returns its
+// binary-entropy contribution.
+func termAt(probs []float64, approved, disapproved *bitset.Set, c int) float64 {
+	if approved.Has(c) {
+		probs[c] = 1
+		return 0
+	}
+	if disapproved.Has(c) {
+		probs[c] = 0
+		return 0
+	}
+	return BinaryEntropy(probs[c])
 }
 
 // DefaultMinSamples is the emission chunk size of the refill loop when
@@ -138,103 +176,6 @@ func resolveBudget(cfg Config) budgetPlan {
 	return budgetPlan{min: min, max: cfg.Samples, conv: conv}
 }
 
-// sampledInference is the paper's sampling path (§III-B), moved behind
-// the Inference seam: a store refilled by the component's confined
-// sampler walk, with view maintenance by plain compaction.
-type sampledInference struct {
-	sampler *sampling.Sampler
-	store   *sampling.Store
-	plan    budgetPlan
-	// approved/disapproved/mask are the component's feedback masks and
-	// member mask, shared with (and written by) the owning component;
-	// mask nil means the whole universe.
-	approved, disapproved, mask *bitset.Set
-	// prev/cur are marginal-vector scratch (column space, length
-	// TrackedCount) for the convergence test; nil until the first round
-	// of more than one chunk. Owned by the component like the rest of
-	// the backend state.
-	prev, cur []float64
-}
-
-func (s *sampledInference) Mode() InferenceMode    { return InferSampled }
-func (s *sampledInference) Store() *sampling.Store { return s.store }
-
-func (s *sampledInference) Apply(c int, approve bool) bool {
-	s.store.ApplyAssertion(c, approve)
-	return s.store.NeedsResample()
-}
-
-func (s *sampledInference) Refill() int {
-	total := 0
-	for round := 0; round < 2 && s.store.NeedsResample(); round++ {
-		total += s.refillRound()
-	}
-	if s.store.NeedsResample() {
-		// Two consecutive rounds could not reach n_min: the actual
-		// number of matching instances is below n_min and the store
-		// holds all of them. The chunk loop preserves the premise —
-		// every round's first chunk covers at least the n_min deficit,
-		// so a round that ends below n_min genuinely failed to find the
-		// missing instances rather than never asking for them.
-		s.store.MarkComplete()
-	}
-	return total
-}
-
-// refillRound emits one resampling round's walk samples in chunks and
-// returns the emissions requested. The round stops at the cap, or once
-// no tracked marginal moved by more than plan.conv across a chunk; a
-// chunk that discovered no new distinct instance has delta 0 and stops
-// likewise. The marginals after one chunk are the baseline of the next,
-// so each chunk costs one marginal pass. The stop decision is a pure
-// function of the store state and the component's rng stream, so serial
-// execution, batch replay, and concurrent component-disjoint
-// interleavings reconstruct identical stores.
-func (s *sampledInference) refillRound() int {
-	st := s.store
-	emitted := 0
-	for emitted < s.plan.max {
-		chunk := s.plan.min
-		if emitted == 0 {
-			// Survivor reuse: instances kept by view maintenance count
-			// toward the target, so the first chunk covers only the n_min
-			// deficit (never less than one convergence-testable chunk).
-			if d := st.NMin() - st.Size(); d > chunk {
-				chunk = d
-			}
-		}
-		if rem := s.plan.max - emitted; chunk > rem {
-			chunk = rem
-		}
-		last := emitted+chunk >= s.plan.max
-		if emitted == 0 && !last {
-			if s.prev == nil {
-				s.prev = make([]float64, st.TrackedCount())
-				s.cur = make([]float64, st.TrackedCount())
-			}
-			st.MarginalsInto(s.prev)
-		}
-		s.sampler.SampleWithin(st, s.approved, s.disapproved, s.mask, chunk)
-		emitted += chunk
-		if last {
-			break
-		}
-		st.MarginalsInto(s.cur)
-		if maxAbsDelta(s.prev, s.cur) <= s.plan.conv {
-			break
-		}
-		s.prev, s.cur = s.cur, s.prev
-	}
-	return emitted
-}
-
-func (s *sampledInference) Grow(n int, local []int32) {
-	s.store.GrowUniverse(n, local)
-	// The walk's instance/blocked scratch is universe-sized; drop it so
-	// the next SampleWithin reallocates at the new width.
-	s.sampler.ResetScratch()
-}
-
 // maxAbsDelta returns max_j |a[j] − b[j]| over equal-length vectors.
 func maxAbsDelta(a, b []float64) float64 {
 	d := 0.0
@@ -250,21 +191,22 @@ func maxAbsDelta(a, b []float64) float64 {
 	return d
 }
 
-// exactInference materializes the component's instance list once
+// exactInference materializes the whole component's instance list once
 // (bounded by the exact budget) and then *incrementally filters* it on
 // each assertion instead of re-enumerating: approvals and disapprovals
 // are a single masked compaction pass (Store.ApplyAssertionExact over
 // the FilterInstances kernel), entropy and information gain are
-// closed-form counts over the surviving list, and NeedsResample is
-// always false — the store stays complete by construction.
+// closed-form counts over the surviving list, and the store stays
+// complete by construction. The component is its one unit.
 type exactInference struct {
 	engine *constraints.Engine
-	store  *sampling.Store
-	// disapproved and members are shared with the owning component
-	// (members nil = whole universe); the disapproval maximality probe
-	// reads them.
-	disapproved *bitset.Set
-	members     []int
+	u      unit
+	// approved, disapproved and members are shared with the owning
+	// component (members nil = whole universe); the disapproval
+	// maximality probe and the probability override read them.
+	approved, disapproved *bitset.Set
+	members               []int
+	units                 []*unit
 }
 
 // newExactInference enumerates the component's matching instances under
@@ -288,36 +230,56 @@ func newExactInference(engine *constraints.Engine, approved, disapproved, mask *
 		store.Add(inst)
 	}
 	store.MarkComplete()
-	return &exactInference{engine: engine, store: store, disapproved: disapproved, members: members}, nil
+	x := &exactInference{engine: engine, approved: approved, disapproved: disapproved, members: members}
+	x.u = unit{store: store, members: members}
+	x.units = []*unit{&x.u}
+	return x, nil
 }
 
 func (x *exactInference) Mode() InferenceMode    { return InferExact }
-func (x *exactInference) Store() *sampling.Store { return x.store }
+func (x *exactInference) Units() []*unit         { return x.units }
+func (x *exactInference) UnitOf(c int) *unit     { return &x.u }
+func (x *exactInference) Refill() int            { return 0 }
+func (x *exactInference) store() *sampling.Store { return x.u.store }
 
-func (x *exactInference) Apply(c int, approve bool) bool {
+func (x *exactInference) Apply(c int, approve bool) {
+	st := x.u.store
 	if approve {
-		x.store.ApplyAssertion(c, true)
+		st.ApplyAssertion(c, true)
 	} else {
 		// The caller mirrored c into the disapproved mask already, so the
 		// maximality probe — over the members outside the instance, F−,
 		// and the retired set — sees the updated exclusions. Constraints
 		// never couple members to non-members, so probing the members is
 		// the universe-wide check with ¬members excluded.
-		x.store.ApplyAssertionExact(c, false, func(inst *bitset.Set) bool {
+		st.ApplyAssertionExact(c, false, func(inst *bitset.Set) bool {
 			return x.engine.MaximalWithin(inst, x.disapproved, x.members)
 		})
 	}
 	// Both directions preserve exactness (see FilterInstances): an
 	// emptied list means Ω is genuinely empty (contradictory approvals),
 	// not lost coverage — re-mark what the plain compaction revoked.
-	x.store.MarkComplete()
-	return false
+	st.MarkComplete()
 }
 
-func (x *exactInference) Refill() int { return 0 }
+func (x *exactInference) Refresh(probs []float64) float64 {
+	x.u.store.ProbabilitiesInto(probs)
+	h := 0.0
+	if x.members == nil {
+		for c := range probs {
+			h += termAt(probs, x.approved, x.disapproved, c)
+		}
+	} else {
+		for _, c := range x.members {
+			h += termAt(probs, x.approved, x.disapproved, c)
+		}
+	}
+	x.u.entropy, x.u.fresh = h, false
+	return h
+}
 
 func (x *exactInference) Grow(n int, local []int32) {
-	x.store.GrowUniverse(n, local)
+	x.u.store.GrowUniverse(n, local)
 }
 
 // exactBudget resolves Config.ExactBudget: under InferAuto, zero means
@@ -331,12 +293,12 @@ func (p *PMN) exactBudget() int {
 }
 
 // maxAttemptFree bounds the free-candidate count at which an InferAuto
-// enumeration probe is worth attempting, as a pure function of the
-// budget: a component with many free candidates almost certainly
-// overflows (instance counts grow combinatorially in the free set), so
-// probing it on every assertion would burn the budgeted work cap for
-// nothing — the dominant cost of a naive "attempt whenever free <
-// budget" rule on networks with one big component. Purity matters for
+// enumeration probe of a whole component is worth attempting, as a pure
+// function of the budget: a component with many free candidates almost
+// certainly overflows (instance counts grow combinatorially in the free
+// set), so probing it on every assertion would burn the budgeted work
+// cap for nothing — the dominant cost of a naive "attempt whenever free
+// < budget" rule on networks with one big component. Purity matters for
 // more than cost: the attempt decision must depend only on the current
 // feedback state so that serial execution, a restore built under the
 // saved feedback (NewWithHistory), batch replay, and concurrent
@@ -360,44 +322,42 @@ func (c *component) freeCount(universe int) int {
 	return n - c.approved.Count() - c.disapproved.Count()
 }
 
-// stream is a component's sampler stream, built lazily: a decomposed
-// PMN draws one seed per component (in component order, or from the
-// member content on a topology rebuild) but seeds a rand.Rand — a
-// few KB and microseconds each — only for components that sample.
-// shared non-nil is an already-built stream used as is (the trivial
-// partition's session rng).
+// stream is a component's base sampler seed: a decomposed PMN draws one
+// seed per component (in component order, or from the member content
+// on a topology rebuild), and each piece of a piece-served component
+// walks a stream derived from it and the piece's members (pieceSeed).
+// shared non-nil is the session rng of a trivial partition, which the
+// piece backend draws the base seed from.
 type stream struct {
 	shared *rand.Rand
 	seed   int64
 }
 
-func (s stream) rand() *rand.Rand {
-	if s.shared != nil {
-		return s.shared
+// nmin resolves the sampler's n_min.
+func (p *PMN) nmin() int {
+	if n := p.cfg.Sampler.NMin; n > 0 {
+		return n
 	}
-	return rand.New(rand.NewSource(s.seed))
+	return sampling.DefaultConfig().NMin
 }
 
 // newInference builds component c's initial backend per Config.Inference:
-// InferExact enumerates (propagating overflow as ErrExactBudgetExceeded),
-// InferAuto tries exact within budget — gated on the free-candidate
-// count (members minus the component's feedback), so construction never
-// burns enumeration work on components that are obviously too large —
-// and falls back to sampling, InferSampled always samples. st is the component's sampler stream; it is built and
-// consumed only by the sampled backend, so mode selection never
-// perturbs it.
+// InferExact enumerates the whole component (propagating overflow as
+// ErrExactBudgetExceeded), InferAuto tries that within budget — gated
+// on the free-candidate count (members minus the component's feedback),
+// so construction never burns enumeration work on components that are
+// obviously too large — and otherwise serves the component piece by
+// piece, InferSampled always serves it piece by piece. st is the
+// component's base stream; only the piece backend consumes it, so mode
+// selection never perturbs it. The piece backend's pieces are left for
+// the caller's Refill to fill.
 func (p *PMN) newInference(k int, c *component, st stream) (Inference, error) {
-	scfg := p.cfg.Sampler
-	nmin := scfg.NMin
-	if nmin <= 0 {
-		nmin = sampling.DefaultConfig().NMin
-	}
 	budget := p.exactBudget()
 	free := c.freeCount(len(p.probs))
 	if p.cfg.Inference == InferExact ||
 		(p.cfg.Inference == InferAuto && free < budget && free <= maxAttemptFree(budget)) {
 		ex, err := newExactInference(c.engine, c.approved, c.disapproved, c.mask,
-			c.members, p.localIdx, nmin, budget)
+			c.members, p.localIdx, p.nmin(), budget)
 		if err == nil {
 			return ex, nil
 		}
@@ -410,31 +370,26 @@ func (p *PMN) newInference(k int, c *component, st stream) (Inference, error) {
 				k, size, ErrExactBudgetExceeded, err)
 		}
 	}
-	sampler := sampling.NewSampler(c.engine, scfg, st.rand())
-	var store *sampling.Store
-	if c.members == nil {
-		store = sampling.NewStore(len(p.probs), sampler.Config().NMin)
-	} else {
-		store = sampling.NewComponentStore(len(p.probs), sampler.Config().NMin, c.members, p.localIdx)
+	seed := st.seed
+	if st.shared != nil {
+		seed = st.shared.Int63()
 	}
-	return &sampledInference{
-		sampler: sampler, store: store, plan: resolveBudget(p.cfg),
-		approved: c.approved, disapproved: c.disapproved, mask: c.mask,
-	}, nil
+	return p.newPieceInference(c, seed), nil
 }
 
-// maybePromote upgrades an InferAuto component from sampled to exact
-// once assertions have shrunk its free-candidate count below the exact
-// budget. The attempt is deterministic in (component feedback, budget) —
-// enumeration consumes no randomness and its work is budget-bounded —
-// so a replayed or concurrently-executed session reconstructs the same
-// mode: free counts only ever decrease, every component assertion below
-// the bar retries, and the final attempt on both paths sees the same
-// final feedback. A failed attempt memoizes the free count and retries
-// only after it shrinks further (no repeated burn at the same state); a
-// promoted component never demotes — filtering only shrinks its list.
-// Callers must hold the component's maintenance lock (concurrent
-// serving) or be the single session goroutine.
+// maybePromote upgrades an InferAuto component from piece-served to
+// whole-component exact once assertions have shrunk its free-candidate
+// count below the exact budget. The attempt is deterministic in
+// (component feedback, budget) — enumeration consumes no randomness and
+// its work is budget-bounded — so a replayed or concurrently-executed
+// session reconstructs the same mode: free counts only ever decrease,
+// every component assertion below the bar retries, and the final
+// attempt on both paths sees the same final feedback. A failed attempt
+// memoizes the free count and retries only after it shrinks further (no
+// repeated burn at the same state); a promoted component never demotes
+// — filtering only shrinks its list. Callers must hold the component's
+// maintenance lock (concurrent serving) or be the single session
+// goroutine.
 func (p *PMN) maybePromote(k int) {
 	if p.cfg.Inference != InferAuto {
 		return
@@ -449,12 +404,11 @@ func (p *PMN) maybePromote(k int) {
 		(cp.promoteBar >= 0 && free >= cp.promoteBar) {
 		return
 	}
-	nmin := cp.inf.Store().NMin()
 	ex, err := newExactInference(cp.engine, cp.approved, cp.disapproved, cp.mask,
-		cp.members, p.localIdx, nmin, budget)
+		cp.members, p.localIdx, p.nmin(), budget)
 	if err != nil {
-		// Over budget at this feedback state: stay sampled, remember the
-		// state so the next attempt waits for more assertions.
+		// Over budget at this feedback state: stay piece-served, remember
+		// the state so the next attempt waits for more assertions.
 		cp.promoteBar = free
 		return
 	}

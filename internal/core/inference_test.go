@@ -119,7 +119,7 @@ func TestAutoServesSmallComponentsExactly(t *testing.T) {
 		if got := p.ComponentInference(k); got != InferExact {
 			t.Fatalf("component %d serves %v, want exact under auto", k, got)
 		}
-		if !p.ComponentStore(k).Complete() {
+		if !soleStore(t, p, k).Complete() {
 			t.Fatalf("component %d: exact store not complete", k)
 		}
 	}
@@ -351,39 +351,32 @@ func TestAutoStreamsAlignWithSampledAcrossComponents(t *testing.T) {
 }
 
 // TestSurvivorSeededWalkStaysMaximal merges two sampled components
-// with a bridging candidate. The rebuilt component's store is seeded
-// from its predecessors' surviving samples, and its refill walks from
-// the last seeded instance, resaturating only what each step's repair
-// removed. Every stored instance of every sampled component must be
-// maximal within its component under the current feedback — after the
+// with a bridging candidate. The rebuilt component gets fresh pieces
+// under the accumulated feedback, and each refill walks a piece from its
+// last stored instance plus F+, resaturating only what each step's
+// repair removed. Every stored instance of every piece must, with F+,
+// be maximal within its piece under the current feedback — after the
 // merge and after each later assertion.
 func TestSurvivorSeededWalkStaysMaximal(t *testing.T) {
 	// Block 0 has a spare S attribute and block 1 a spare T attribute,
-	// so the bridge between them is addable to some survivor unions and
-	// the seeding must saturate it in.
+	// so the bridge between them is addable to some instances and the
+	// walk must saturate it in.
 	e, attrs, truth := buildBipartiteBlocks(t, [][2]int{{5, 4}, {4, 5}})
 	cfg := DefaultConfig()
 	cfg.Inference = InferSampled
 	p := MustNew(e, cfg, rand.New(rand.NewSource(3)))
 	checkMaximal := func(step string) {
 		t.Helper()
-		n := e.Network().NumCandidates()
-		for k, c := range p.comps {
-			if c.inf.Mode() != InferSampled {
-				continue
-			}
-			_, excl := sampling.FeedbackWithin(n, nil, c.disapproved, c.mask, nil, nil)
-			c.store().ForEachInstance(func(inst *bitset.Set) bool {
-				if !e.Consistent(inst) || !e.MaximalWithin(inst, excl, c.members) {
-					t.Fatalf("%s: component %d holds non-maximal %v", step, k, inst)
-				}
-				return true
-			})
+		for k := range p.comps {
+			checkStoreInvariants(t, p, k)
+		}
+		if t.Failed() {
+			t.Fatalf("after %s", step)
 		}
 	}
 	net := e.Network()
-	// One off-diagonal disapproval per block, so the survivors carry
-	// feedback into the merged component.
+	// One off-diagonal disapproval per block, so the merged component is
+	// rebuilt under feedback.
 	for _, at := range attrs {
 		if err := p.Assert(net.CandidateIndex(at[0][0], at[1][1]), false); err != nil {
 			t.Fatal(err)
@@ -442,7 +435,7 @@ func TestAutoPromotionScript(t *testing.T) {
 	if got := p.ComponentInference(0); got != InferExact {
 		t.Fatalf("after 2 disapprovals: serves %v, want exact (8 ≤ 9)", got)
 	}
-	if got := p.ComponentStore(0).Size(); got != 8 {
+	if got := soleStore(t, p, 0).Size(); got != 8 {
 		t.Fatalf("promoted store holds %d instances, want 8", got)
 	}
 	assertExactMatchesReference(t, p, e, "promoted")
@@ -489,7 +482,7 @@ func TestPromotionOnAssertionThatEmptiesComponent(t *testing.T) {
 		if got := p.ComponentInference(0); got != InferExact {
 			t.Fatalf("after emptying the component: serves %v, want exact", got)
 		}
-		if got := p.ComponentStore(0).Size(); got != 1 {
+		if got := soleStore(t, p, 0).Size(); got != 1 {
 			t.Fatalf("store holds %d instances, want 1", got)
 		}
 		if p.Entropy() != 0 {
@@ -516,7 +509,7 @@ func TestPromotionOnAssertionThatEmptiesComponent(t *testing.T) {
 		if got := p.ComponentInference(0); got != InferExact {
 			t.Fatalf("serves %v, want exact (empty space enumerates trivially)", got)
 		}
-		if got := p.ComponentStore(0).Size(); got != 0 {
+		if got := soleStore(t, p, 0).Size(); got != 0 {
 			t.Fatalf("store holds %d instances, want 0 (contradictory approvals)", got)
 		}
 		if p.Probability(idx["c3"]) != 1 || p.Probability(idx["c5"]) != 1 {
@@ -529,39 +522,48 @@ func TestPromotionOnAssertionThatEmptiesComponent(t *testing.T) {
 }
 
 // TestFailedPromotionLeavesSampledStateIntact: an over-budget promotion
-// attempt must be a pure no-op on the component — same store object,
-// same samples, same probabilities, still resampling when needed — with
-// only the retry bar recorded.
+// attempt must be a pure no-op on the component — the piece stores hold
+// exactly what a piece-served run that never attempts promotion holds
+// (forced sampled, same seed; the 11-instance piece also overflows the
+// piece budget, so both walk it) — with only the retry bar recorded.
 func TestFailedPromotionLeavesSampledStateIntact(t *testing.T) {
 	e, idx := buildTwoStarsNet(t)
-	cfg := DefaultConfig()
-	cfg.Samples = 80
-	cfg.Sampler.NMin = 10
-	cfg.Inference = InferAuto
-	cfg.ExactBudget = 9
-	p := MustNew(e, cfg, rand.New(rand.NewSource(13)))
-	st := p.ComponentStore(0)
-	size := st.Size()
-	probs := p.Probabilities()
+	mk := func(mode InferenceMode) *PMN {
+		cfg := DefaultConfig()
+		cfg.Samples = 80
+		cfg.Sampler.NMin = 10
+		cfg.Inference = mode
+		cfg.ExactBudget = 9
+		return MustNew(e, cfg, rand.New(rand.NewSource(13)))
+	}
+	p, twin := mk(InferAuto), mk(InferSampled)
 	// This assertion triggers a failing promotion attempt (11 > 9).
-	if err := p.Assert(idx["ab4"], false); err != nil {
-		t.Fatal(err)
-	}
-	if p.ComponentStore(0) != st {
-		t.Fatal("failed promotion replaced the sampled store")
-	}
-	if st.Size() > size {
-		t.Fatalf("failed promotion grew the store: %d → %d", size, st.Size())
-	}
-	// The view-maintained estimates must be exactly what a pure sampled
-	// run (same seed) produces — covered bit-for-bit by
-	// TestAutoIdenticalToSampledWhileUnpromoted; here guard the basics.
-	for c, pr := range p.Probabilities() {
-		if pr < 0 || pr > 1 {
-			t.Fatalf("p(%d) = %v out of range after failed promotion", c, pr)
+	for _, q := range []*PMN{p, twin} {
+		if err := q.Assert(idx["ab4"], false); err != nil {
+			t.Fatal(err)
 		}
 	}
-	_ = probs
+	if got := p.ComponentInference(0); got != InferSampled {
+		t.Fatalf("failed promotion serves %v, want sampled", got)
+	}
+	if p.comps[0].promoteBar != 7 {
+		t.Fatalf("retry bar %d, want the free count 7", p.comps[0].promoteBar)
+	}
+	got, want := p.UnitStores(0), twin.UnitStores(0)
+	if len(got) != len(want) {
+		t.Fatalf("%d piece stores, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i].Size() != want[i].Size() || got[i].Complete() != want[i].Complete() {
+			t.Fatalf("piece %d: %d instances (complete %v), want %d (%v)",
+				i, got[i].Size(), got[i].Complete(), want[i].Size(), want[i].Complete())
+		}
+		for j := 0; j < got[i].Size(); j++ {
+			if !got[i].Instance(j).Equal(want[i].Instance(j)) {
+				t.Fatalf("piece %d instance %d differs from the never-promoting run", i, j)
+			}
+		}
+	}
 	// The session keeps working end to end.
 	for _, name := range []string{"cd4", "ab1", "cd2", "ab2", "cd1", "ab3", "cd3"} {
 		if err := p.Assert(idx[name], name == "ab1" || name == "cd2"); err != nil {

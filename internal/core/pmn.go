@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync/atomic"
 
 	"schemanet/internal/bitset"
@@ -61,8 +62,8 @@ func DefaultConfig() Config {
 }
 
 // component is one constraint-connected component of the PMN: its own
-// sample space Ω_k, engine fork, sampler, component-scoped feedback
-// masks, and cached entropy term. Constraints never couple candidates
+// sample space Ω_k, engine fork, estimation backend, component-scoped
+// feedback masks, and cached entropy term. Constraints never couple candidates
 // across components, so probabilities and entropies factorize —
 // H(C, P) = Σ_k H_k — and an assertion view-maintains and resamples
 // only its own component (see DESIGN.md, "Component decomposition").
@@ -78,10 +79,10 @@ type component struct {
 	members []int       // global candidate ids, ascending; nil = whole universe
 	mask    *bitset.Set // members as a mask; nil = whole universe
 	engine  *constraints.Engine
-	// inf is the component's estimation backend (sampled or exact, see
-	// Inference). Under InferAuto it can be swapped from sampled to exact
-	// mid-session (maybePromote); the swap happens under the same
-	// serialization as the rest of the component's maintenance.
+	// inf is the component's estimation backend (piece-served or exact,
+	// see Inference). Under InferAuto it can be swapped from piece-served
+	// to exact mid-session (maybePromote); the swap happens under the
+	// same serialization as the rest of the component's maintenance.
 	inf Inference
 	// approved/disapproved are F+ ∩ members and F− ∩ members (global
 	// indexing). Component maintenance reads only these — never the
@@ -99,20 +100,16 @@ type component struct {
 	promoteBar int
 
 	// Lazy top-k ranking state (see topk.go). topTies/topGain cache the
-	// component's maximal-gain tie set; topFresh is its validity bit,
-	// cleared whenever the component's probabilities are recomputed.
-	// topScratch holds the ranking buffers. All of it is component-local
-	// and maintained under the same serialization as the rest of the
-	// component's state.
+	// component's maximal-gain tie set — the best over its units' cached
+	// tie sets; topFresh is its validity bit, cleared whenever the
+	// component's probabilities are recomputed. topScratch holds the
+	// ranking buffers. All of it is component-local and maintained under
+	// the same serialization as the rest of the component's state.
 	topTies    []int
 	topGain    float64
 	topFresh   bool
 	topScratch *topkScratch
 }
-
-// store returns the live sample/instance container of the component's
-// current backend.
-func (c *component) store() *sampling.Store { return c.inf.Store() }
 
 // mirror records an assertion on member cand into the component's
 // feedback masks.
@@ -143,17 +140,22 @@ func (c *component) isAsserted(cand int) bool {
 // candidate (a trivial partition) is one whole-universe component: the
 // paper's single global sample space.
 type PMN struct {
-	engine    *constraints.Engine
-	cfg       Config
-	rng       *rand.Rand
-	feedback  *Feedback
-	comps     []*component
-	compOf    []int   // candidate -> index into comps
-	localIdx  []int32 // candidate -> column index inside its component's store
-	probs     []float64
-	maxComp   int          // size of the largest component (scratch sizing)
-	resamples atomic.Int64 // post-construction refill rounds (observability)
-	emissions atomic.Int64 // walk emissions requested, incl. initial fill
+	engine   *constraints.Engine
+	cfg      Config
+	rng      *rand.Rand
+	feedback *Feedback
+	comps    []*component
+	compOf   []int   // candidate -> index into comps
+	localIdx []int32 // candidate -> column index inside its component's store
+	probs    []float64
+	maxComp  int // size of the largest component (scratch sizing)
+	// pieceOf/pieceCol place every member of a piece-served component:
+	// the slot of its piece in the component's backend (or notLive /
+	// singleLive) and its column in that piece's store. Components write
+	// only their own members' entries.
+	pieceOf, pieceCol []int32
+	resamples         atomic.Int64 // post-construction refill rounds (observability)
+	emissions         atomic.Int64 // walk emissions requested, incl. initial fill
 
 	// topoSeed/topoGen derive the deterministic sampler streams of
 	// components rebuilt by topology changes (see TopologyChanged):
@@ -208,26 +210,26 @@ func NewWithHistory(engine *constraints.Engine, cfg Config, rng *rand.Rand, hist
 		rng:      rng,
 		feedback: NewFeedback(n),
 		probs:    make([]float64, n),
+		pieceOf:  make([]int32, n),
+		pieceCol: make([]int32, n),
 	}
 	if err := p.recordBatch(history); err != nil {
 		return nil, err
 	}
 
-	// Per-component stream seeds: the backend choice is made after the
+	// Per-component base seeds: the backend choice is made after the
 	// components are wired, but the seeds must be drawn in component
 	// order regardless of mode, so an exact component does not shift its
 	// neighbors' seeds (mode is derived state — replay and differential
-	// runs depend on stable streams). Only the seed is kept; newInference
-	// builds the stream for sampled backends alone, since exact
-	// components never draw from it.
+	// runs depend on stable streams). Only piece-served components derive
+	// their pieces' streams from it.
 	var streams []stream
 
 	parts := engine.Components()
 	if parts.Trivial() {
 		// One component covering the whole universe: nil members/mask
-		// select the unrestricted code paths everywhere, and the shared
-		// session rng keeps the sampling stream identical to the
-		// pre-decomposition implementation.
+		// select the unrestricted code paths everywhere; a piece-served
+		// backend draws its base seed from the session rng.
 		p.comps = []*component{newComponent(engine, n)}
 		p.compOf = make([]int, n)
 		p.localIdx = nil
@@ -269,8 +271,8 @@ func NewWithHistory(engine *constraints.Engine, cfg Config, rng *rand.Rand, hist
 			return nil, err
 		}
 		c.inf = inf
-		// Initial fill under the component's feedback; no-op for exact
-		// components.
+		// Initial fill of every piece under the component's feedback;
+		// no-op for exact components.
 		p.emissions.Add(int64(c.inf.Refill()))
 		p.recomputeComp(k)
 	}
@@ -301,53 +303,73 @@ func (p *PMN) NumComponents() int { return len(p.comps) }
 // ComponentOf returns the component index of candidate c.
 func (p *PMN) ComponentOf(c int) int { return p.compOf[c] }
 
-// ComponentStore returns component k's sample set Ω*_k.
-func (p *PMN) ComponentStore(k int) *sampling.Store { return p.comps[k].store() }
-
 // ComponentInference reports which estimation backend currently serves
 // component k (InferSampled or InferExact — never InferAuto). Under
 // Config.Inference = InferAuto the answer can flip from sampled to
 // exact as assertions shrink the component (see maybePromote); it never
-// flips back.
+// flips back. A piece-served component reports InferSampled even when
+// every one of its pieces is enumerated.
 func (p *PMN) ComponentInference(k int) InferenceMode { return p.comps[k].inf.Mode() }
 
-// ComponentStores returns the per-component sample sets in component
-// order. The slice is freshly allocated; the stores are live.
-func (p *PMN) ComponentStores() []*sampling.Store {
-	out := make([]*sampling.Store, len(p.comps))
-	for k, c := range p.comps {
-		out[k] = c.store()
+// UnitStores returns the stores serving component k: the one complete
+// store of an exact component, or one store per piece of two or more
+// live members of a piece-served component, ordered by smallest member.
+// The stores are live.
+func (p *PMN) UnitStores(k int) []*sampling.Store {
+	var out []*sampling.Store
+	for _, u := range sortedUnits(p.comps[k].inf.Units()) {
+		out = append(out, u.store)
 	}
 	return out
 }
 
-// ComponentMasks returns the per-component member masks in component
-// order; a nil entry means the component covers the whole universe.
-// The masks must not be mutated.
-func (p *PMN) ComponentMasks() []*bitset.Set {
-	out := make([]*bitset.Set, len(p.comps))
-	for k, c := range p.comps {
-		out[k] = c.mask
-	}
+// sortedUnits returns the units ordered by smallest member.
+func sortedUnits(units []*unit) []*unit {
+	out := append([]*unit(nil), units...)
+	sort.Slice(out, func(a, b int) bool {
+		if out[a].members == nil || out[b].members == nil {
+			return out[a].members == nil && out[b].members != nil
+		}
+		return out[a].members[0] < out[b].members[0]
+	})
 	return out
 }
 
-// Store returns the sample set Ω* when the PMN consists of a single
-// component (always true for a trivial partition) and nil otherwise —
-// a decomposed PMN has one store per component; use ComponentStores.
-func (p *PMN) Store() *sampling.Store {
-	if len(p.comps) == 1 {
-		return p.comps[0].store()
+// PieceCounts reports component k's live pieces and how many of them
+// are served exactly (a single live member, an enumerated piece, or a
+// piece split from one); both are 0 for an exact-served component.
+func (p *PMN) PieceCounts(k int) (pieces, exact int) {
+	if inf, ok := p.comps[k].inf.(*pieceInference); ok {
+		return inf.pieceCounts()
 	}
-	return nil
+	return 0, 0
+}
+
+// InstantiationUnits returns the independent (store, mask) units the
+// instantiation heuristic searches, component by component: an exact
+// component's store with its member mask (nil = whole universe), and
+// for a piece-served component each piece's store with mask piece ∪ F+,
+// plus its single live members as one store-less unit (singles ∪ F+).
+// The objective is a sum over these units, so their per-unit optima
+// union to a global optimum (instantiate.HeuristicDecomposed). The
+// masks are fresh; the stores are live.
+func (p *PMN) InstantiationUnits() (stores []*sampling.Store, masks []*bitset.Set) {
+	for _, c := range p.comps {
+		if inf, ok := c.inf.(*pieceInference); ok {
+			stores, masks = inf.instantiationUnits(stores, masks)
+			continue
+		}
+		stores, masks = append(stores, c.inf.Units()[0].store), append(masks, c.mask)
+	}
+	return stores, masks
 }
 
 // Feedback returns the user input collected so far.
 func (p *PMN) Feedback() *Feedback { return p.feedback }
 
-// Resamples returns the number of post-construction refill rounds
-// (component-scoped; one batch assertion triggers at most one per
-// touched component). A session restored through NewWithHistory reads
+// Resamples returns the number of post-construction refills that
+// walked (component-scoped; one batch assertion counts at most one per
+// touched component, however many of its pieces walked). A session restored through NewWithHistory reads
 // 0 — its history conditions the initial fill rather than triggering
 // refills — and tests use that to verify restores never resample. The
 // counter is atomic so concurrent component maintenance can bump it
@@ -371,41 +393,14 @@ func (p *PMN) LocalIndex(c int) int {
 	return int(p.localIdx[c])
 }
 
-// recomputeComp refreshes component k's slice of P from its store,
-// overriding asserted candidates with 1/0 (assertions are always right,
-// §II-B), refreshes the cached entropy term H_k, and invalidates the
+// recomputeComp refreshes component k's slice of P from its backend
+// (asserted candidates read 1/0 — assertions are always right, §II-B),
+// refreshes the cached entropy term H_k, and invalidates the
 // component's cached top-k tie set.
 func (p *PMN) recomputeComp(k int) {
 	c := p.comps[k]
 	c.topFresh = false
-	c.store().ProbabilitiesInto(p.probs)
-	h := 0.0
-	if c.members == nil {
-		for cand := range p.probs {
-			h += p.entropyTermAt(c, cand)
-		}
-	} else {
-		for _, cand := range c.members {
-			h += p.entropyTermAt(c, cand)
-		}
-	}
-	c.entropy = h
-}
-
-// entropyTermAt applies the feedback override to p.probs[cand] and
-// returns its binary-entropy contribution. The override reads the
-// component-scoped masks (cand is always a member of c), keeping the
-// recomputation free of PMN-global reads.
-func (p *PMN) entropyTermAt(c *component, cand int) float64 {
-	if c.approved.Has(cand) {
-		p.probs[cand] = 1
-		return 0
-	}
-	if c.disapproved.Has(cand) {
-		p.probs[cand] = 0
-		return 0
-	}
-	return BinaryEntropy(p.probs[cand])
+	c.entropy = c.inf.Refresh(p.probs)
 }
 
 // Probabilities returns a copy of P.
@@ -420,13 +415,13 @@ func (p *PMN) Probability(c int) float64 { return p.probs[c] }
 
 // integrate performs the component-scoped view maintenance for one
 // recorded assertion: mirror the assertion into the component's feedback
-// masks (the backend's maintenance reads them), view-maintain the
-// backend, and report whether it needs a refill. The refill and
-// probability recomputation are left to the caller so a batch of
-// assertions pays for them once per touched component.
-func (p *PMN) integrate(cp *component, c int, approve bool) (needRefill bool) {
+// masks (the backend's maintenance reads them) and view-maintain the
+// backend. The refill and probability recomputation are left to the
+// caller so a batch of assertions pays for them once per touched
+// component.
+func (p *PMN) integrate(cp *component, c int, approve bool) {
 	cp.mirror(c, approve)
-	return cp.inf.Apply(c, approve)
+	cp.inf.Apply(c, approve)
 }
 
 // RecordAssertion validates one expert assertion and records it in the
@@ -449,9 +444,9 @@ func (p *PMN) RecordAssertion(c int, approve bool) error {
 // ApplyAssertions performs component k's maintenance for assertions
 // already recorded with RecordAssertion: each assertion is mirrored
 // into the component's feedback masks and view-maintained in order, the
-// store is refilled at most once if any step left it below n_min, and
-// the component's probabilities, entropy term, and cached tie set are
-// refreshed. Every candidate must belong to component k.
+// pieces the batch created are refilled once, and the component's
+// probabilities, entropy term, and cached tie set are refreshed. Every
+// candidate must belong to component k.
 //
 // ApplyAssertions touches only component k's state (plus the
 // component-disjoint entries of the probability vector), so
@@ -459,19 +454,16 @@ func (p *PMN) RecordAssertion(c int, approve bool) error {
 // same component must be serialized by the caller.
 func (p *PMN) ApplyAssertions(k int, as []Assertion) {
 	cp := p.comps[k]
-	needRefill := false
 	for _, a := range as {
-		if p.integrate(cp, a.Cand, a.Approved) {
-			needRefill = true
-		}
+		p.integrate(cp, a.Cand, a.Approved)
 	}
-	// Promotion runs before the refill decision: if the shrunk component
-	// now enumerates within budget, the exact backend replaces the store
-	// outright and the pending resampling round is never paid — the
-	// "zero sampling resamples in the exact tail" property.
+	// Promotion runs before the refill: if the shrunk component now
+	// enumerates within budget, the exact backend replaces the pieces
+	// outright and the pending resampling is never paid — the "zero
+	// sampling resamples in the exact tail" property.
 	p.maybePromote(k)
-	if needRefill && cp.inf.Mode() != InferExact {
-		p.emissions.Add(int64(cp.inf.Refill()))
+	if e := cp.inf.Refill(); e > 0 {
+		p.emissions.Add(int64(e))
 		p.resamples.Add(1)
 	}
 	p.recomputeComp(k)

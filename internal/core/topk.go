@@ -10,16 +10,23 @@ import (
 // Lazy bound-pruned top-k suggestion ranking.
 //
 // The suggest hot path needs the maximal-gain candidate (and its exact
-// tie set), not the full gain vector. Because an unasserted candidate's
-// probability is exactly its empirical marginal counts_c/n over the
-// component's store — the same distribution condEntropyComp partitions —
-// the component-local gain decomposes into a sum of empirical pairwise
-// mutual-information terms over the uncertain, unasserted members U:
+// tie set), not the full gain vector. A component's distribution is a
+// product of independent units (see Inference: the whole component when
+// it is exact-served, one per piece otherwise), and asserting c changes
+// marginals only inside c's unit, so IG(c) = H_U − E[H_U | c] over the
+// unit's store. Because an unasserted candidate's probability is
+// exactly its empirical marginal counts_c/n over that store — the same
+// distribution condEntropyUnit partitions — the gain decomposes into a
+// sum of empirical pairwise mutual-information terms over the unit's
+// uncertain, unasserted members U:
 //
 //	IG(c) = Σ_{d ∈ U} I(c; d),  0 ≤ I(c; d) ≤ min(H(p_c), H(p_d))
 //
 // (asserted members are skipped by the partition entropy; certain
-// members contribute an exactly-zero term).
+// members contribute an exactly-zero term). The ranking below runs per
+// unit, and a component's tie set is the best over its units; an
+// assertion invalidates only the cached tie sets of the units it
+// changed.
 //
 // Up to topkMatrixCap members, one serial pass counts the symmetric
 // co-count matrix of U (upper triangle only — half the popcount work).
@@ -40,8 +47,9 @@ import (
 // is evaluated with the streaming block kernels — the one place the
 // ranker shards across Config.Workers.
 //
-// Components whose cached entropy term H_k cannot reach the
-// network-wide best are skipped wholesale by TopGainTies.
+// Units whose cached entropy H_U cannot reach the component's running
+// best, and components whose cached entropy term H_k cannot reach the
+// network-wide best, are skipped wholesale.
 // InformationGains is the exhaustive reference the tests hold this
 // ranker to.
 
@@ -59,16 +67,17 @@ const topkBlock = 8
 var topkMatrixCap = 1024
 
 // topkScratch holds the reusable buffers of one component's lazy
-// ranking pass; owned by the component and used only under the same
-// serialization as the rest of its maintenance.
+// ranking passes (one unit at a time); owned by the component and used
+// only under the same serialization as the rest of its maintenance.
 type topkScratch struct {
+	stale []*unit   // units awaiting a ranking, entropy descending
+	u     *unit     // the unit being ranked
 	cand  []int     // uncertain unasserted members, ascending global id
 	ucols []int     // their store columns, same order
 	h     []float64 // their binary entropies H(p_c)
 	ub    []float64 // per-candidate χ² upper bound, aligned with cand
 	gain  []float64 // evaluated gains, aligned with cand
 	ord   []int     // indices into cand, upper bound descending
-	ties  []int     // result accumulator
 
 	// Block-kernel scratch: topkBlock count rows plus the candidates'
 	// column vectors.
@@ -128,14 +137,68 @@ func (p *PMN) TopGains(k int) ([]int, float64) {
 	return p.computeTopGains(k)
 }
 
-// computeTopGains ranks one stale component (see the package comment
-// above): collect U, then either bound every member from the co-count
-// matrix and evaluate members in descending-bound order until the
-// running best strictly dominates the remaining bounds, or — above the
-// matrix cap — evaluate every member.
+// computeTopGains ranks one stale component: units with fresh cached
+// tie sets contribute for free, stale units are ranked in descending
+// entropy order, and a stale unit whose entropy H_U — an upper bound on
+// any member's gain — cannot reach the running best is skipped.
 func (p *PMN) computeTopGains(k int) ([]int, float64) {
 	cp := p.comps[k]
 	ts := cp.ensureTopScratch()
+	units := cp.inf.Units()
+	best := -1.0
+	ts.stale = ts.stale[:0]
+	for _, u := range units {
+		if !u.fresh {
+			ts.stale = append(ts.stale, u)
+		} else if u.gain > best {
+			best = u.gain
+		}
+	}
+	sort.Slice(ts.stale, func(a, b int) bool {
+		ua, ub := ts.stale[a], ts.stale[b]
+		if ua.entropy != ub.entropy {
+			return ua.entropy > ub.entropy
+		}
+		return firstMember(ua) < firstMember(ub)
+	})
+	for _, u := range ts.stale {
+		if u.entropy < best-PruneMargin(best) {
+			continue // IG ≤ H_U: no member can reach the best, ties included
+		}
+		if g := p.rankUnit(cp, u); g > best {
+			best = g
+		}
+	}
+	ties := cp.topTies[:0]
+	if best >= 0 {
+		for _, u := range units {
+			if u.fresh && u.gain == best {
+				ties = append(ties, u.ties...)
+			}
+		}
+		sort.Ints(ties)
+	}
+	cp.topTies, cp.topGain, cp.topFresh = ties, best, true
+	return ties, best
+}
+
+// firstMember returns a unit's smallest member (0 for the whole
+// universe).
+func firstMember(u *unit) int {
+	if u.members == nil {
+		return 0
+	}
+	return u.members[0]
+}
+
+// rankUnit ranks one stale unit (see the package comment above):
+// collect U, then either bound every member from the co-count matrix
+// and evaluate members in descending-bound order until the running best
+// strictly dominates the remaining bounds, or — above the matrix cap —
+// evaluate every member. It caches and returns the unit's best gain.
+func (p *PMN) rankUnit(cp *component, u *unit) float64 {
+	ts := cp.topScratch
+	ts.u = u
 	net := p.Network()
 
 	ts.cand, ts.ucols, ts.h = ts.cand[:0], ts.ucols[:0], ts.h[:0]
@@ -146,19 +209,19 @@ func (p *PMN) computeTopGains(k int) ([]int, float64) {
 			ts.h = append(ts.h, BinaryEntropy(pc))
 		}
 	}
-	if cp.members == nil {
+	if u.members == nil {
 		for c := range p.probs {
 			collect(c, c)
 		}
 	} else {
-		for j, c := range cp.members {
+		for j, c := range u.members {
 			collect(j, c)
 		}
 	}
 	nu := len(ts.cand)
 	if nu == 0 {
-		cp.topTies, cp.topGain, cp.topFresh = cp.topTies[:0], -1, true
-		return cp.topTies, -1
+		u.ties, u.gain, u.fresh = u.ties[:0], -1, true
+		return -1
 	}
 
 	if cap(ts.ub) < nu {
@@ -168,7 +231,7 @@ func (p *PMN) computeTopGains(k int) ([]int, float64) {
 	ts.ub, ts.gain = ts.ub[:nu], ts.gain[:nu]
 
 	best := -1.0
-	ties := ts.ties[:0]
+	ties := u.ties[:0]
 	take := func(i int) {
 		switch g := ts.gain[i]; {
 		case g > best:
@@ -184,17 +247,17 @@ func (p *PMN) computeTopGains(k int) ([]int, float64) {
 			workers = runtime.GOMAXPROCS(0)
 		}
 		if workers > 1 {
-			p.evalParallel(cp, ts, workers)
+			p.evalParallel(ts, workers)
 		} else {
 			for lo := 0; lo < nu; lo += topkBlock {
-				p.evalBlockSerial(cp, ts, lo, min(lo+topkBlock, nu))
+				p.evalBlockSerial(ts, lo, min(lo+topkBlock, nu))
 			}
 		}
 		for i := 0; i < nu; i++ {
 			take(i)
 		}
 	} else {
-		p.countTriangle(cp, ts)
+		countTriangle(ts)
 		chiMirrorSerial(ts)
 		ord := ts.ord[:0]
 		for i := 0; i < nu; i++ {
@@ -213,14 +276,13 @@ func (p *PMN) computeTopGains(k int) ([]int, float64) {
 			if ts.ub[i] < best-PruneMargin(best) {
 				break // ord is bound-descending: the whole tail is dominated
 			}
-			ts.gain[i] = p.evalMatrixOne(cp, ts, s, i)
+			ts.gain[i] = p.evalMatrixOne(ts, s, i)
 			take(i)
 		}
 	}
 	sort.Ints(ties)
-	ts.ties = ties
-	cp.topTies, cp.topGain, cp.topFresh = ties, best, true
-	return ties, best
+	u.ties, u.gain, u.fresh = ties, best, true
+	return best
 }
 
 // ensureBlockBufs sizes the serial block-kernel count rows for a pass
@@ -249,8 +311,8 @@ func (ts *topkScratch) ensureBlockBufs(nu int) {
 // mirrored lower-triangle entry is exactly what a direct count would
 // produce, and every downstream row read is bit-identical to a
 // streaming CoCountsSubsetInto row.
-func (p *PMN) countTriangle(cp *component, ts *topkScratch) {
-	st := cp.store()
+func countTriangle(ts *topkScratch) {
+	st := ts.u.store
 	nu := len(ts.cand)
 	ts.n = st.Size()
 	if cap(ts.cw) < nu {
@@ -349,7 +411,7 @@ func chiMirrorSerial(ts *topkScratch) {
 // persistent memo (its rows hoisted out of the loop: partition totals
 // are fixed per candidate), and the two sums accumulate in the same
 // subset order, so the gain is bit-identical to evalBlockSerial's.
-func (p *PMN) evalMatrixOne(cp *component, ts *topkScratch, s *igScratch, i int) float64 {
+func (p *PMN) evalMatrixOne(ts *topkScratch, s *igScratch, i int) float64 {
 	row := ts.cw[i]
 	nW := ts.marg[i]
 	nWo := ts.n - nW
@@ -370,14 +432,14 @@ func (p *PMN) evalMatrixOne(cp *component, ts *topkScratch, s *igScratch, i int)
 		}
 		hMinus += w
 	}
-	return gainFrom(cp.entropy, p.probs[ts.cand[i]], hPlus, hMinus)
+	return gainFrom(ts.u.entropy, p.probs[ts.cand[i]], hPlus, hMinus)
 }
 
-// gainFrom is IG(c) = H_k − (p_c·H⁺ + (1−p_c)·H⁻), clamped at zero —
+// gainFrom is IG(c) = H_U − (p_c·H⁺ + (1−p_c)·H⁻), clamped at zero —
 // the arithmetic of the exhaustive pass, shared by every ranker kernel
 // so their gains agree bit-for-bit.
-func gainFrom(hk, pc, hPlus, hMinus float64) float64 {
-	ig := hk - (pc*hPlus + (1-pc)*hMinus)
+func gainFrom(hu, pc, hPlus, hMinus float64) float64 {
+	ig := hu - (pc*hPlus + (1-pc)*hMinus)
 	if ig < 0 {
 		return 0
 	}
@@ -387,15 +449,15 @@ func gainFrom(hk, pc, hPlus, hMinus float64) float64 {
 // evalBlockSerial evaluates cand[lo:hi] through the batched
 // CoCountsBlockInto kernel: one sweep over the subset columns serves
 // the whole block.
-func (p *PMN) evalBlockSerial(cp *component, ts *topkScratch, lo, hi int) {
+func (p *PMN) evalBlockSerial(ts *topkScratch, lo, hi int) {
 	b := hi - lo
 	ts.ensureBlockBufs(len(ts.cand))
 	s := ts.workerScratch(p, 0)
-	cp.store().CoCountsBlockInto(ts.cand[lo:hi], ts.ucols, ts.bcols[:b], ts.bwith[:b], ts.bwithout[:b], ts.bn[:b], ts.bno[:b])
+	ts.u.store.CoCountsBlockInto(ts.cand[lo:hi], ts.ucols, ts.bcols[:b], ts.bwith[:b], ts.bwithout[:b], ts.bn[:b], ts.bno[:b])
 	for bi := 0; bi < b; bi++ {
 		hPlus := p.partitionEntropySubset(ts.bwith[bi], ts.bn[bi], s)
 		hMinus := p.partitionEntropySubset(ts.bwithout[bi], ts.bno[bi], s)
-		ts.gain[lo+bi] = gainFrom(cp.entropy, p.probs[ts.cand[lo+bi]], hPlus, hMinus)
+		ts.gain[lo+bi] = gainFrom(ts.u.entropy, p.probs[ts.cand[lo+bi]], hPlus, hMinus)
 	}
 }
 
@@ -403,8 +465,8 @@ func (p *PMN) evalBlockSerial(cp *component, ts *topkScratch, lo, hi int) {
 // and per-worker scratch. Counts are integers and the per-candidate
 // arithmetic is identical to the serial kernel, so the results do not
 // depend on the worker count or schedule.
-func (p *PMN) evalParallel(cp *component, ts *topkScratch, workers int) {
-	st := cp.store()
+func (p *PMN) evalParallel(ts *topkScratch, workers int) {
+	st := ts.u.store
 	nu := len(ts.cand)
 	workers = min(workers, nu)
 	for w := 0; w < workers; w++ {
@@ -421,7 +483,7 @@ func (p *PMN) evalParallel(cp *component, ts *topkScratch, workers int) {
 				nW, nWo := st.CoCountsSubsetInto(c, ts.ucols, s.with, s.without)
 				hPlus := p.partitionEntropySubset(s.with[:nu], nW, s)
 				hMinus := p.partitionEntropySubset(s.without[:nu], nWo, s)
-				ts.gain[i] = gainFrom(cp.entropy, p.probs[c], hPlus, hMinus)
+				ts.gain[i] = gainFrom(ts.u.entropy, p.probs[c], hPlus, hMinus)
 			}
 		}(w)
 	}

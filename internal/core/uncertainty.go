@@ -86,39 +86,39 @@ func (p *PMN) assertedMask() []bool {
 	return out
 }
 
-// condEntropyComp computes the component-local part of H(C | c, P) of
-// Equation 4 — the expected uncertainty of c's component after the
-// expert asserts c — from one batched columnar count pass over the
-// component's store (Store.CoCountsInto): the component's sample set is
-// partitioned on membership of c, exactly the update view maintenance
-// would perform for either answer. Candidates of other components are
-// independent of c, so their entropy terms are unchanged by the
-// conditioning and never enter this pass — the factorization that makes
-// the ranking O(component²) instead of O(network²) per candidate.
-func (p *PMN) condEntropyComp(comp *component, c int, s *igScratch) float64 {
+// condEntropyUnit computes the unit-local part of H(C | c, P) of
+// Equation 4 — the expected uncertainty of c's unit after the expert
+// asserts c — from one batched columnar count pass over the unit's
+// store (Store.CoCountsInto): the unit's sample set is partitioned on
+// membership of c, exactly the update view maintenance would perform
+// for either answer. Candidates outside the unit (other pieces, other
+// components) are independent of c, so their entropy terms are
+// unchanged by the conditioning and never enter this pass — the
+// factorization that makes the ranking O(unit²) instead of O(network²)
+// per candidate.
+func (p *PMN) condEntropyUnit(u *unit, c int, s *igScratch) float64 {
 	pc := p.probs[c]
-	st := comp.store()
+	st := u.store
 	m := st.TrackedCount()
 	nWith, nWithout := st.CoCountsInto(c, s.with, s.without)
-	hPlus := p.partitionEntropyOf(comp, s.with[:m], nWith, s)
-	hMinus := p.partitionEntropyOf(comp, s.without[:m], nWithout, s)
+	hPlus := p.partitionEntropyOf(u, s.with[:m], nWith, s)
+	hMinus := p.partitionEntropyOf(u, s.without[:m], nWithout, s)
 	return pc*hPlus + (1-pc)*hMinus
 }
 
-// partitionEntropyOf computes H over one sub-population of a
-// component's samples from its per-candidate membership counts
-// (column-indexed). Within one partition the per-candidate entropy
-// depends only on the count k ∈ [0, total], so values are memoized in
-// the scratch table: co-occurrence counts repeat heavily and log2
-// dominates the pass otherwise.
-func (p *PMN) partitionEntropyOf(comp *component, counts []int, total int, s *igScratch) float64 {
+// partitionEntropyOf computes H over one sub-population of a unit's
+// samples from its per-candidate membership counts (column-indexed).
+// Within one partition the per-candidate entropy depends only on the
+// count k ∈ [0, total], so values are memoized in the scratch table:
+// co-occurrence counts repeat heavily and log2 dominates the pass
+// otherwise.
+func (p *PMN) partitionEntropyOf(u *unit, counts []int, total int, s *igScratch) float64 {
 	if total == 0 {
 		return 0
 	}
-	// A component with few members probes at most that many distinct
-	// counts: resetting a memo table of total+1 entries would cost more
-	// than the log2 calls it saves, so small components compute
-	// directly.
+	// A unit with few members probes at most that many distinct counts:
+	// resetting a memo table of total+1 entries would cost more than the
+	// log2 calls it saves, so small units compute directly.
 	memo := len(counts) > 64
 	var tab []float64
 	if memo {
@@ -133,8 +133,8 @@ func (p *PMN) partitionEntropyOf(comp *component, counts []int, total int, s *ig
 	h := 0.0
 	for j, cnt := range counts {
 		d := j
-		if comp.members != nil {
-			d = comp.members[j]
+		if u.members != nil {
+			d = u.members[j]
 		}
 		if s.asserted[d] {
 			continue // asserted candidates stay certain in P±
@@ -178,32 +178,33 @@ func (p *PMN) partitionEntropySubset(counts []int, total int, s *igScratch) floa
 	return h
 }
 
-// ConditionalEntropy returns H(C | c, P) of Equation 4: the
-// component-local conditional term plus the unchanged entropy of every
-// other component.
+// ConditionalEntropy returns H(C | c, P) of Equation 4: the unit-local
+// conditional term plus the unchanged entropy of everything outside c's
+// unit.
 func (p *PMN) ConditionalEntropy(c int) float64 {
 	pc := p.probs[c]
-	if pc <= 0 || pc >= 1 {
+	u := p.comps[p.compOf[c]].inf.UnitOf(c)
+	if pc <= 0 || pc >= 1 || u == nil {
 		// Certain candidates: the assertion outcome is already known and
 		// changes nothing.
 		return p.Entropy()
 	}
-	comp := p.comps[p.compOf[c]]
-	rest := p.Entropy() - comp.entropy
-	return rest + p.condEntropyComp(comp, c, p.newScratch(p.assertedMask()))
+	rest := p.Entropy() - u.entropy
+	return rest + p.condEntropyUnit(u, c, p.newScratch(p.assertedMask()))
 }
 
 // InformationGain returns IG(c) of Equation 5: the expected uncertainty
 // reduction from asserting c. It is zero for certain candidates.
-// Because conditioning on c leaves every other component untouched, the
-// gain reduces to the component-local difference H_k − H_k(·|c).
+// Because conditioning on c leaves everything outside c's unit
+// untouched, the gain reduces to the unit-local difference
+// H_U − H_U(·|c).
 func (p *PMN) InformationGain(c int) float64 {
 	pc := p.probs[c]
-	if pc <= 0 || pc >= 1 {
+	u := p.comps[p.compOf[c]].inf.UnitOf(c)
+	if pc <= 0 || pc >= 1 || u == nil {
 		return 0
 	}
-	comp := p.comps[p.compOf[c]]
-	ig := comp.entropy - p.condEntropyComp(comp, c, p.newScratch(p.assertedMask()))
+	ig := u.entropy - p.condEntropyUnit(u, c, p.newScratch(p.assertedMask()))
 	if ig < 0 {
 		// Sampling noise can produce slightly negative estimates; clamp
 		// so ordering degenerates gracefully to "no expected gain".
@@ -247,8 +248,11 @@ func (p *PMN) InformationGains() []float64 {
 
 	asserted := p.assertedMask()
 	rank := func(s *igScratch, c int) {
-		comp := p.comps[p.compOf[c]]
-		if ig := comp.entropy - p.condEntropyComp(comp, c, s); ig > 0 {
+		u := p.comps[p.compOf[c]].inf.UnitOf(c)
+		if u == nil {
+			return
+		}
+		if ig := u.entropy - p.condEntropyUnit(u, c, s); ig > 0 {
 			out[c] = ig
 		}
 	}

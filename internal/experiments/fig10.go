@@ -24,7 +24,8 @@ func instantiateAt(d *schema.Dataset, strat core.Strategy, steps []int,
 	o := oracleFor(d)
 
 	snapshot := func() (float64, float64) {
-		inst := instantiate.HeuristicDecomposed(e, pmn.ComponentStores(), pmn.ComponentMasks(),
+		stores, masks := pmn.InstantiationUnits()
+		inst := instantiate.HeuristicDecomposed(e, stores, masks,
 			pmn.Probabilities(),
 			pmn.Feedback().Approved(), pmn.Feedback().Disapproved(), instCfg, rng)
 		return eval.PrecisionRecall(d.Network, inst.Members(), d.GroundTruth)

@@ -122,7 +122,8 @@ func Robust(cfg Config) (Result, error) {
 						panic(err)
 					}
 				}
-				inst := instantiate.HeuristicDecomposed(e, pmn.ComponentStores(), pmn.ComponentMasks(),
+				stores, masks := pmn.InstantiationUnits()
+				inst := instantiate.HeuristicDecomposed(e, stores, masks,
 					pmn.Probabilities(),
 					pmn.Feedback().Approved(), pmn.Feedback().Disapproved(), instCfg, rng)
 				precs[run], recs[run] = eval.PrecisionRecall(d.Network, inst.Members(), d.GroundTruth)

@@ -132,16 +132,20 @@ func Heuristic(e *constraints.Engine, store *sampling.Store, probs []float64,
 }
 
 // HeuristicDecomposed runs Algorithm 2 independently on every
-// constraint-connected component and unions the per-component winners.
-// stores[k] holds component k's samples and masks[k] its member set (a
-// nil mask means the component covers the whole universe, as in a
-// monolithic single-component PMN). Both the repair distance Δ(I, C)
-// and the likelihood u(I) are sums/products over components, so the
-// union of per-component optima is a global optimum of the same
-// objective — searching each component's much smaller instance space
-// instead of the product space. The search budget (cfg.Iterations) is
-// scaled down per component (a component of m candidates saturates in
-// O(m) moves), so total work does not multiply with component count.
+// independent unit of the instance space and unions the per-unit
+// winners. stores[k] holds unit k's samples (nil = none) and masks[k]
+// the candidates it searches (a nil mask means the whole universe, as
+// in a monolithic single-component PMN). A unit is a
+// constraint-connected component, or one live piece of one with the
+// approved set in its mask: a store may track only the piece, and its
+// instances are seeded with approved ∩ mask before the search. Both the
+// repair distance Δ(I, C) and the likelihood u(I) are sums/products
+// over units, so the union of per-unit optima is a global optimum of
+// the same objective — searching each unit's much smaller instance
+// space instead of the product space. The search budget
+// (cfg.Iterations) is scaled down per unit (a unit of m candidates
+// saturates in O(m) moves), so total work does not multiply with the
+// unit count.
 func HeuristicDecomposed(e *constraints.Engine, stores []*sampling.Store, masks []*bitset.Set,
 	probs []float64, approved, disapproved *bitset.Set, cfg Config, rng *rand.Rand) *bitset.Set {
 
@@ -151,7 +155,13 @@ func HeuristicDecomposed(e *constraints.Engine, stores []*sampling.Store, masks 
 	out := e.NewInstance()
 	for k, store := range stores {
 		subCfg := cfg
-		if m := store.TrackedCount(); subCfg.Iterations > 4*m+16 {
+		m := 0
+		if store != nil {
+			m = store.TrackedCount()
+		} else {
+			m = masks[k].Count()
+		}
+		if subCfg.Iterations > 4*m+16 {
 			subCfg.Iterations = 4*m + 16
 		}
 		sub := heuristicWithin(e, store, probs, approved, disapproved, masks[k], subCfg, rng)
@@ -210,6 +220,11 @@ func heuristicWithin(e *constraints.Engine, store *sampling.Store, probs []float
 		best = seed
 	}
 	best = best.Clone()
+	if apr != nil {
+		// A piece's store holds projections onto the piece: the approved
+		// candidates come back here.
+		best.UnionWith(apr)
+	}
 
 	// Step 2: randomized local search with tabu. The pool within \ I \
 	// F− \ tabu is built as a mask (word-wise set subtraction) and

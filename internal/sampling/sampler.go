@@ -149,7 +149,27 @@ func (s *Sampler) SampleInto(store *Store, approved, disapproved *bitset.Set, n 
 // component's factor of the instance space exactly as the global walk
 // samples the product. within nil means the whole universe, making
 // SampleInto the trivial restriction.
+//
+// The store may track fewer candidates than within: a piece of a
+// component is walked with within = piece ∪ F+, so the walk keeps the
+// approved candidates (they carry the piece's contracted violations)
+// while the store holds each emission's projection onto its members,
+// and a walk resumed from the store's last instance adds F+ back.
 func (s *Sampler) SampleWithin(store *Store, approved, disapproved, within *bitset.Set, n int) {
+	s.SamplePiece(store, approved, disapproved, within, n, 1)
+}
+
+// SamplePiece is SampleWithin for one factor of a larger walk: each of
+// an emission's WalkSteps steps is taken with probability share (share
+// ≥ 1 takes every step and draws nothing extra). A walk over a whole
+// component spends only the piece's share of its steps inside any one
+// piece, so an emission of a small piece is mostly its restart state;
+// walking the piece alone with every step instead keeps applying
+// Algorithm 4's deterministic victim choice to the same few members and
+// collapses onto the instances that choice favours. Passing the piece's
+// share of the component's free candidates keeps the per-piece dynamics
+// of the whole-component walk.
+func (s *Sampler) SamplePiece(store *Store, approved, disapproved, within *bitset.Set, n int, share float64) {
 	// The walk excludes ¬within ∪ F− everywhere it would exclude F−
 	// alone, and seeds from F+ ∩ within instead of F+. Both masks (and
 	// the member list driving the restricted saturation order) are
@@ -187,6 +207,9 @@ func (s *Sampler) SampleWithin(store *Store, approved, disapproved, within *bits
 		cur = fresh()
 	} else {
 		cur = cur.Clone()
+		if apr != nil {
+			cur.UnionWith(apr)
+		}
 	}
 
 	next := cur.Clone()
@@ -199,6 +222,9 @@ func (s *Sampler) SampleWithin(store *Store, approved, disapproved, within *bits
 			next = cur.Clone()
 		}
 		for j := 0; j < s.cfg.WalkSteps; j++ {
+			if share < 1 && s.rng.Float64() >= share {
+				continue
+			}
 			nFree := s.freeCandidates(cur, excluded, within)
 			if nFree == 0 {
 				break
@@ -224,7 +250,7 @@ func (s *Sampler) SampleWithin(store *Store, approved, disapproved, within *bits
 				cur, next = next, cur
 			}
 		}
-		store.Add(cur)
+		store.AddProjection(cur)
 	}
 }
 

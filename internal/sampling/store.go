@@ -41,6 +41,7 @@ type Store struct {
 	colCap     int              // words of slab capacity per column
 	colWords   int              // words per column in use, ceil(len(instances)/64)
 	complete   bool
+	proj       *bitset.Set // AddProjection scratch
 }
 
 // NewStore returns an empty store tracking all numCands candidates with
@@ -100,6 +101,7 @@ func (st *Store) GrowUniverse(n int, local []int32) {
 		return
 	}
 	st.memberMask.Grow(n)
+	st.proj = nil
 	for _, inst := range st.instances {
 		inst.Grow(n)
 	}
@@ -111,6 +113,47 @@ func (st *Store) GrowUniverse(n int, local []int32) {
 			st.index[fp] = append(st.index[fp], i)
 		}
 	}
+}
+
+// Restrict narrows a component store to a subset of its tracked
+// members in place: every instance is projected onto the subset
+// (projections that coincide are merged, the first kept), columns and
+// counts are rebuilt under the new member order, and completeness is
+// kept — the projections of a complete instance list are the complete
+// list of a factor of its space. local maps every new member to its
+// column, as in NewComponentStore.
+func (st *Store) Restrict(members []int, local []int32) {
+	if st.members == nil {
+		panic("sampling: Restrict on a full-universe store")
+	}
+	mask := bitset.FromIndices(st.numCands, members...)
+	st.members, st.local, st.memberMask, st.m = members, local, mask, len(members)
+	kept := st.instances[:0]
+	fps := st.fps[:0]
+	clear(st.index)
+	for _, inst := range st.instances {
+		inst.IntersectWith(mask)
+		fp := inst.Fingerprint()
+		dup := false
+		for _, i := range st.index[fp] {
+			if kept[i].Equal(inst) {
+				dup = true
+				break
+			}
+		}
+		if dup {
+			continue
+		}
+		st.index[fp] = append(st.index[fp], len(kept))
+		kept = append(kept, inst)
+		fps = append(fps, fp)
+	}
+	for i := len(kept); i < len(st.instances); i++ {
+		st.instances[i] = nil
+	}
+	st.instances, st.fps = kept, fps
+	st.counts, st.cols = st.counts[:st.m], st.cols[:st.m]
+	st.rebuildColumns()
 }
 
 // columnOf returns the column index of global candidate c. Callers must
@@ -181,6 +224,21 @@ func (st *Store) Add(inst *bitset.Set) bool {
 		return true
 	})
 	return true
+}
+
+// AddProjection adds inst ∩ members — the instance's projection onto
+// the tracked candidates — with Add's dedup, and reports whether it was
+// new. A full-universe store adds inst itself.
+func (st *Store) AddProjection(inst *bitset.Set) bool {
+	if st.memberMask == nil || st.memberMask.ContainsAll(inst) {
+		return st.Add(inst)
+	}
+	if st.proj == nil {
+		st.proj = bitset.New(st.numCands)
+	}
+	st.proj.CopyFrom(inst)
+	st.proj.IntersectWith(st.memberMask)
+	return st.Add(st.proj)
 }
 
 // Size returns |Ω*|, the number of distinct instances held.

@@ -16,13 +16,16 @@ package schemanet_test
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"schemanet"
 	"schemanet/internal/bitset"
 	"schemanet/internal/constraints"
 	"schemanet/internal/core"
+	"schemanet/internal/datagen"
 	"schemanet/internal/sampling"
 )
 
@@ -371,4 +374,126 @@ func TestPieceOracleMatchesExactSession(t *testing.T) {
 			o.assert(c, truth)
 		}
 	}
+}
+
+// TestInferenceOfConstructionRule pins what InferenceOf reports at
+// construction to an oracle of the whole-component rule: under the
+// default options a component is exact when its free-candidate count is
+// below the default budget and at most the attempt ceiling, and its
+// whole instance space enumerates within the budget; every other
+// component is piece-served and reports sampled, however many of its
+// pieces enumerate. Workloads that draw networks until every component
+// is exact depend on this rule, so it is checked on 100 multicomp
+// C=256 networks.
+func TestInferenceOfConstructionRule(t *testing.T) {
+	const budget = core.DefaultExactBudget
+	ceiling := 3*bits.Len(uint(budget)) + 8
+	exact, sampled := 0, 0
+	for seed := int64(1); seed <= 100; seed++ {
+		d, err := datagen.SyntheticNetwork(datagen.MultiComp(), datagen.SyntheticOpts{
+			TargetCount: 256, Precision: 0.67, ConflictBias: 0.3, StrictCount: true,
+		}, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := schemanet.NewSession(d.Network, &schemanet.Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := constraints.Default(d.Network)
+		parts := e.Components()
+		if s.Components() != parts.NumComponents() {
+			t.Fatalf("seed %d: %d components, oracle %d", seed, s.Components(), parts.NumComponents())
+		}
+		n := d.Network.NumCandidates()
+		for k := 0; k < parts.NumComponents(); k++ {
+			members := parts.Members(k)
+			want := schemanet.InferenceSampled
+			if free := len(members); free < budget && free <= ceiling {
+				if _, err := sampling.EnumerateWithin(e, nil, nil, bitset.FromIndices(n, members...), budget); err == nil {
+					want = schemanet.InferenceExact
+				}
+			}
+			got, err := s.InferenceOf(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("seed %d component %d (%d members): InferenceOf %v, rule says %v", seed, k, len(members), got, want)
+			}
+			if want == schemanet.InferenceExact {
+				exact++
+			} else {
+				sampled++
+			}
+		}
+	}
+	if sampled == 0 {
+		t.Fatal("no sampled component among the networks; the rule's other branch is unchecked")
+	}
+	t.Logf("%d exact and %d sampled components", exact, sampled)
+}
+
+// TestPieceCountersSurviveRestore drives default sessions on the
+// one-component dense-256 shape to the paper's goal, saves them, and
+// restores them with LoadSession: the restore computes the pieces under
+// the saved feedback, so its piece counters must equal the live
+// session's, which reached the same pieces by splitting.
+func TestPieceCountersSurviveRestore(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		d := denseDataset(t, 256, seed)
+		net := d.Network
+		opts := schemanet.Options{Seed: seed}
+		s, err := schemanet.NewSession(net, &opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h0 := s.Uncertainty()
+		steps := 0
+		for s.Uncertainty() > 0.1*h0 {
+			c, ok := s.Suggest()
+			if !ok {
+				break
+			}
+			if err := s.Assert(c, d.GroundTruth.ContainsCorrespondence(net.Candidate(c))); err != nil {
+				t.Fatal(err)
+			}
+			steps++
+		}
+		var buf strings.Builder
+		if err := s.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		r, err := schemanet.LoadSession(net, &opts, strings.NewReader(buf.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < s.Components(); k++ {
+			lp, lx := schemanet.PieceCounts(s, k)
+			rp, rx := schemanet.PieceCounts(r, k)
+			if lp != rp || lx != rx {
+				t.Fatalf("seed %d component %d: live %d pieces (%d exact), restored %d (%d exact)", seed, k, lp, lx, rp, rx)
+			}
+			if lp > 0 {
+				t.Logf("dense-256 seed %d at the goal (%d steps): component %d has %d live pieces, %d served exactly", seed, steps, k, lp, lx)
+			}
+		}
+	}
+}
+
+// denseDataset is the one-component dense shape of the benchmarks at
+// the given size.
+func denseDataset(t testing.TB, size int, seed int64) *schemanet.Dataset {
+	t.Helper()
+	attrs := max(size/16, 12)
+	d, err := datagen.SyntheticNetwork(datagen.Profile{
+		Name: "dense", Domain: datagen.PurchaseOrder(),
+		NumSchemas: 8, MinAttrs: attrs, MaxAttrs: attrs + 4,
+		PoolFactor: 1.3, SynonymProb: 0.2, AbbrevProb: 0.15, EdgeProb: 0.5,
+	}, datagen.SyntheticOpts{TargetCount: size, Precision: 0.67, ConflictBias: 0.7, StrictCount: true},
+		rand.New(rand.NewSource(seed)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }

@@ -259,20 +259,19 @@ type harnessProfile struct {
 var harnessProfiles = []harnessProfile{
 	{
 		// 256 candidates in 115 components of 1–15 members: the
-		// small-component regime. Components of up to five members
-		// saturate and read exactly. In a few larger ones Algorithm 3
-		// reaches some instances so rarely that a 100-emission chunk
-		// finds none and the round stops without them (a 12-member
-		// component reads p = 1 for a candidate that is in half its
-		// instances). More samples shrink that error slowly: overall
-		// MAD 0.0114 at the default, 0.0076 at 4x the cap, 0.0039 at
-		// 16x, with a 0.25 error left in the 6-12 bucket.
-		name: "multicomp", data: adaptiveNet, steps: 40, stepMAD: 0.025,
+		// small-component regime. Each component is walked piece by
+		// piece, and nearly every piece saturates and reads exactly. In
+		// a few 6-12 member components a piece's walk reaches some
+		// instances so rarely that a 100-emission chunk finds none and
+		// the round stops without them. Overall MAD is 0.0040 at the
+		// default and 0.0002 at 4x the cap (the whole-component walk
+		// read 0.0114 and 0.0076).
+		name: "multicomp", data: adaptiveNet, steps: 40, stepMAD: 0.01,
 		bounds: map[string]bound{
 			"1-2":  {exceed: 0.01},
-			"3-5":  {stepMAD: 0.02, maxErr: 0.1, regret: 0.25, exceed: 0.01},
-			"6-12": {stepMAD: 0.1, maxErr: 0.6, regret: 1, exceed: 0.25},
-			"13+":  {stepMAD: 0.06, maxErr: 0.5, regret: 1.5, exceed: 0.2},
+			"3-5":  {stepMAD: 0.01, maxErr: 0.05, regret: 0.1, exceed: 0.01},
+			"6-12": {stepMAD: 0.05, maxErr: 0.3, regret: 0.1, exceed: 0.1},
+			"13+":  {stepMAD: 0.01, maxErr: 0.05, regret: 0.1, exceed: 0.01},
 		},
 	},
 	{
@@ -290,17 +289,18 @@ var harnessProfiles = []harnessProfile{
 	},
 	{
 		// One 22-member component whose instance space outgrows a
-		// refill round: the store is partial, so the error is the
-		// budget's, and a larger cap removes it.
+		// refill round: the whole-component walk left its store partial
+		// (step-MAD 0.030, max 0.25); its pieces saturate.
 		name: "dense-22", data: func(t testing.TB) *schemanet.Dataset { return smallDenseNet(t, 22, 4) },
-		steps: 11, stepMAD: 0.05,
-		bounds: map[string]bound{"13+": {stepMAD: 0.05, maxErr: 0.35, regret: 1, exceed: 0.1}},
+		steps: 11, stepMAD: 0.01,
+		bounds: map[string]bound{"13+": {stepMAD: 0.01, maxErr: 0.05, regret: 0.1, exceed: 0.01}},
 	},
 	{
 		// One component of 32, 40 and 48 members, too large to enumerate
 		// whole at every step: the exact twin is the piecewise reference.
-		// The bounds are the whole-component sampler's figures on these
-		// schedules. dense-32 saturates; dense-48's store is partial.
+		// The whole-component walk saturated dense-32, nearly saturated
+		// dense-40 (max 0.014) and left dense-48 partial (step-MAD 0.042,
+		// max 0.216, regret 0.516); the pieces of all three saturate.
 		name: "dense-32", data: func(t testing.TB) *schemanet.Dataset { return smallDenseNet(t, 32, 1) },
 		steps: 16, stepMAD: 0, pieceTwin: true,
 		bounds: map[string]bound{"13+": {exceed: 0.002}},
@@ -312,8 +312,8 @@ var harnessProfiles = []harnessProfile{
 	},
 	{
 		name: "dense-48", data: func(t testing.TB) *schemanet.Dataset { return smallDenseNet(t, 48, 1) },
-		steps: 24, stepMAD: 0.042, pieceTwin: true,
-		bounds: map[string]bound{"13+": {stepMAD: 0.042, maxErr: 0.22, regret: 0.52, exceed: 0.03}},
+		steps: 24, stepMAD: 0.01, pieceTwin: true,
+		bounds: map[string]bound{"13+": {stepMAD: 0.01, maxErr: 0.05, regret: 0.1, exceed: 0.01}},
 	},
 }
 

@@ -568,9 +568,9 @@ func (s *Session) InferenceOf(k int) (InferenceMode, error) {
 // maximal constraint-consistent set of correspondences with near-minimal
 // repair distance and near-maximal likelihood (§V, Algorithm 2). It can
 // be called at any time, with any amount of feedback. The search runs
-// per constraint-connected component and merges the per-component
-// maximal instances (the objective factorizes; see DESIGN.md,
-// "Component decomposition").
+// per independent unit — an exact component, or one live piece of a
+// sampled one — and merges the per-unit maximal instances (the
+// objective factorizes; see DESIGN.md, "Component decomposition").
 func (s *Session) Instantiate() *Matching {
 	// Retired candidates are excluded like disapprovals: their conflict
 	// rows are cleared, so without the mask the local search could
@@ -581,8 +581,9 @@ func (s *Session) Instantiate() *Matching {
 		d.UnionWith(rm)
 		dis = d
 	}
+	stores, masks := s.pmn.InstantiationUnits()
 	inst := instantiate.HeuristicDecomposed(
-		s.engine, s.pmn.ComponentStores(), s.pmn.ComponentMasks(),
+		s.engine, stores, masks,
 		s.pmn.Probabilities(),
 		s.pmn.Feedback().Approved(), dis,
 		s.instCfg, s.rng)

@@ -46,13 +46,15 @@ func TestLoadSessionReplaysAtMostOneResampleRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Disapprovals clear store completeness, so a per-entry replay would
-	// resample after every one of them.
+	// resample after each one that leaves a piece of two or more
+	// members: disapproving c4 leaves {c1, c2, c3, c5} (joined by c3–c5
+	// and the chain c1–c2–c5), disapproving c1 then leaves {c3, c5}.
 	history := []struct {
 		c       int
 		approve bool
 	}{
 		{net.CandidateIndex(1, 3), false}, // c4
-		{net.CandidateIndex(0, 3), false}, // c5
+		{net.CandidateIndex(0, 1), false}, // c1
 		{net.CandidateIndex(1, 2), true},  // c2
 	}
 	for _, h := range history {
