@@ -236,11 +236,10 @@ func newExactInference(engine *constraints.Engine, approved, disapproved, mask *
 	return x, nil
 }
 
-func (x *exactInference) Mode() InferenceMode    { return InferExact }
-func (x *exactInference) Units() []*unit         { return x.units }
-func (x *exactInference) UnitOf(c int) *unit     { return &x.u }
-func (x *exactInference) Refill() int            { return 0 }
-func (x *exactInference) store() *sampling.Store { return x.u.store }
+func (x *exactInference) Mode() InferenceMode { return InferExact }
+func (x *exactInference) Units() []*unit      { return x.units }
+func (x *exactInference) UnitOf(c int) *unit  { return &x.u }
+func (x *exactInference) Refill() int         { return 0 }
 
 func (x *exactInference) Apply(c int, approve bool) {
 	st := x.u.store

@@ -164,6 +164,11 @@ func (inf *pieceInference) place(parts [][]int, slot int, parent *piece) {
 		pc.store, pc.exact = parent.store, parent.exact && parent.store.Complete()
 		pc.store.Restrict(pc.members, p.pieceCol)
 	}
+	inf.relink()
+}
+
+// relink rebuilds the unit list after the piece slots changed.
+func (inf *pieceInference) relink() {
 	inf.units = inf.units[:0]
 	for _, pc := range inf.pieces {
 		inf.units = append(inf.units, &pc.unit)
@@ -182,10 +187,7 @@ func (inf *pieceInference) remove(i int) {
 	}
 	inf.pieces[last] = nil
 	inf.pieces = inf.pieces[:last]
-	inf.units = inf.units[:0]
-	for _, pc := range inf.pieces {
-		inf.units = append(inf.units, &pc.unit)
-	}
+	inf.relink()
 }
 
 // Apply view-maintains c's piece and re-partitions it. Asserting a

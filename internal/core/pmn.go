@@ -133,10 +133,12 @@ func (c *component) isAsserted(cand int) bool {
 //
 // The PMN is decomposed along the constraint-connectivity partition of
 // the candidate set (Engine.Components): each component keeps its own
-// sample store, an assertion only ever pays for its own component —
-// view maintenance, resampling, and probability recomputation are
+// stores, an assertion only ever pays for its own component — view
+// maintenance, resampling, and probability recomputation are
 // O(component), not O(network) — and the network entropy is the sum of
-// cached per-component terms. A network whose constraints connect every
+// cached per-component terms. A component that is not exact as a whole
+// is served by the live pieces of its feedback (see pieces.go), and an
+// assertion view-maintains and refills only its own piece. A network whose constraints connect every
 // candidate (a trivial partition) is one whole-universe component: the
 // paper's single global sample space.
 type PMN struct {
@@ -146,7 +148,7 @@ type PMN struct {
 	feedback *Feedback
 	comps    []*component
 	compOf   []int   // candidate -> index into comps
-	localIdx []int32 // candidate -> column index inside its component's store
+	localIdx []int32 // candidate -> column index inside its component's exact store and snapshots
 	probs    []float64
 	maxComp  int // size of the largest component (scratch sizing)
 	// pieceOf/pieceCol place every member of a piece-served component:

@@ -18,7 +18,7 @@ func BinaryEntropy(p float64) float64 {
 
 // igScratch holds the per-worker buffers of the ranking pass: the
 // batched co-occurrence counts of one candidate (column-indexed within
-// its component's store), a memo table of partition entropies, and the
+// its unit's store), a memo table of partition entropies, and the
 // hoisted asserted-candidate mask (global-indexed).
 type igScratch struct {
 	with     []int
@@ -225,7 +225,7 @@ const igChunk = 8
 // Suggest; it reads the stores and the probability vector and touches
 // no ranker state, so calling it never changes what TopGains returns
 // or how it gets there. The per-candidate computations read only the
-// owning component's columnar matrix, so workers never contend.
+// owning unit's columnar matrix, so workers never contend.
 func (p *PMN) InformationGains() []float64 {
 	out := make([]float64, len(p.probs))
 	var pending []int

@@ -160,20 +160,26 @@ type Options struct {
 	// Inference selects the per-component estimation backend:
 	//
 	//   - "auto" (the default): exact enumeration for every component
-	//     whose instance space fits ExactBudget, sampling for the rest —
-	//     and a sampled component is *promoted* to exact mid-session once
-	//     assertions shrink its free-candidate count below the budget, so
-	//     long sessions converge to fully exact tails. Exact components
-	//     serve noise-free probabilities, entropy, and information gain.
-	//   - "sampled": the paper's sampler everywhere (the pre-hybrid
-	//     behavior).
+	//     whose instance space fits ExactBudget. Every other component is
+	//     served piece by piece: the feedback splits it into independent
+	//     live pieces, each piece that fits the budget is enumerated and
+	//     the rest are sampled, and a component is *promoted* to exact as
+	//     a whole once assertions shrink its free-candidate count below
+	//     the budget. Exact components and pieces serve noise-free
+	//     probabilities, entropy, and information gain.
+	//   - "sampled": the paper's sampler inside every component, walked
+	//     piece by piece (every piece of two or more live members is
+	//     sampled).
 	//   - "exact": exhaustive enumeration everywhere. With ExactBudget 0
 	//     the enumeration is unbounded (feasible only for small
 	//     components); with a budget, NewSession fails with
 	//     ErrExactBudgetExceeded when any component overflows it.
 	//
-	// Session.InferenceOf reports the backend serving each component.
-	// See DESIGN.md, "Hybrid inference".
+	// Session.InferenceOf reports the backend serving each component. A
+	// piece-served component reports sampled, and its sampled estimates
+	// come from a different draw sequence than a walk over the whole
+	// component would take. See DESIGN.md, "Hybrid inference" and
+	// "Component decomposition".
 	Inference string
 	// ExactBudget caps the per-component instance enumeration of the
 	// exact backend (and, proportionally, its search work — a budgeted
@@ -553,7 +559,9 @@ func (s *Session) ComponentOf(c int) (int, error) {
 
 // InferenceOf reports which estimation backend currently serves
 // component k: InferenceExact (noise-free probabilities from the
-// component's materialized instance list) or InferenceSampled. Under
+// component's materialized instance list) or InferenceSampled (the
+// component is served piece by piece, even when every piece happens to
+// be enumerated). Under
 // Options.Inference = "auto" a component can flip from sampled to exact
 // as assertions shrink it; it never flips back. k is a component index
 // as returned by ComponentOf, in [0, Components()).
