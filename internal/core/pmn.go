@@ -328,12 +328,7 @@ func (p *PMN) UnitStores(k int) []*sampling.Store {
 // sortedUnits returns the units ordered by smallest member.
 func sortedUnits(units []*unit) []*unit {
 	out := append([]*unit(nil), units...)
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].members == nil || out[b].members == nil {
-			return out[a].members == nil && out[b].members != nil
-		}
-		return out[a].members[0] < out[b].members[0]
-	})
+	sort.Slice(out, func(a, b int) bool { return firstMember(out[a]) < firstMember(out[b]) })
 	return out
 }
 

@@ -264,8 +264,7 @@ var harnessProfiles = []harnessProfile{
 		// a few 6-12 member components a piece's walk reaches some
 		// instances so rarely that a 100-emission chunk finds none and
 		// the round stops without them. Overall MAD is 0.0040 at the
-		// default and 0.0002 at 4x the cap (the whole-component walk
-		// read 0.0114 and 0.0076).
+		// default and 0.0002 at 4x the cap.
 		name: "multicomp", data: adaptiveNet, steps: 40, stepMAD: 0.01,
 		bounds: map[string]bound{
 			"1-2":  {exceed: 0.01},
@@ -289,8 +288,7 @@ var harnessProfiles = []harnessProfile{
 	},
 	{
 		// One 22-member component whose instance space outgrows a
-		// refill round: the whole-component walk left its store partial
-		// (step-MAD 0.030, max 0.25); its pieces saturate.
+		// refill round; its pieces saturate.
 		name: "dense-22", data: func(t testing.TB) *schemanet.Dataset { return smallDenseNet(t, 22, 4) },
 		steps: 11, stepMAD: 0.01,
 		bounds: map[string]bound{"13+": {stepMAD: 0.01, maxErr: 0.05, regret: 0.1, exceed: 0.01}},
@@ -298,9 +296,7 @@ var harnessProfiles = []harnessProfile{
 	{
 		// One component of 32, 40 and 48 members, too large to enumerate
 		// whole at every step: the exact twin is the piecewise reference.
-		// The whole-component walk saturated dense-32, nearly saturated
-		// dense-40 (max 0.014) and left dense-48 partial (step-MAD 0.042,
-		// max 0.216, regret 0.516); the pieces of all three saturate.
+		// The pieces of all three saturate.
 		name: "dense-32", data: func(t testing.TB) *schemanet.Dataset { return smallDenseNet(t, 32, 1) },
 		steps: 16, stepMAD: 0, pieceTwin: true,
 		bounds: map[string]bound{"13+": {exceed: 0.002}},
