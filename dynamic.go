@@ -95,8 +95,8 @@ func (s *Session) addCandidates(cs []Correspondence) (map[int]int, error) {
 // index but drops to probability 0, leaves every conflict row and cycle
 // plan, is never suggested again, and rejects assertions with
 // ErrCandidateRetired. Its component is conservatively re-partitioned —
-// a retire can split a component — and the split parts are rebuilt from
-// the survivors' samples. An already-asserted candidate cannot be
+// a retire can split a component — and the split parts are rebuilt
+// under the accumulated feedback. An already-asserted candidate cannot be
 // retired (assertions are correct and final).
 func (s *Session) RetireCandidate(c int) error {
 	_, err := s.retireCandidate(c)

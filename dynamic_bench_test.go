@@ -45,7 +45,7 @@ func BenchmarkAddSchema(b *testing.B) {
 // multicomp profile: a batch of candidates bridging two of the four
 // constraint-connected components arrives on a live session
 // (incremental — untouched components keep samples, probabilities, and
-// cached gains; the merged component reuses survivor samples), versus
+// cached gains; only the merged component is rebuilt), versus
 // rebuilding the final network and a fresh session from scratch
 // (recompile + resample the world). Incremental should win: it pays
 // for the merged component only.
