@@ -48,7 +48,9 @@ func (e *Engine) LivePieces(members []int, approved, disapproved *bitset.Set) []
 	}
 	// inst = F+ ∪ live: a violation with all its members in inst is one
 	// that a live member can still complete, and its members outside F+
-	// are exactly its contraction.
+	// are exactly its contraction. Each member leaves inst once its
+	// chains are streamed, so every chain is streamed once, from its
+	// first live member.
 	inst := live.Clone()
 	inst.UnionWith(approved)
 	uf := newUnionFind(len(list))
@@ -77,6 +79,7 @@ func (e *Engine) LivePieces(members []int, approved, disapproved *bitset.Set) []
 				return true
 			})
 		}
+		inst.Remove(c)
 	}
 	root := make(map[int]int)
 	var out [][]int
