@@ -68,6 +68,10 @@ bench-smoke:
 	# The concurrent-serving benchmark measures whole schedules (seconds
 	# per op at C=2048), so the smoke runs only the C=512 case.
 	$(GO) test -run '^$$' -bench 'BenchmarkConcurrentAssertMultiComp/C=512' -benchmem -benchtime $(BENCHTIME) -count $(COUNT) . | $(GO) run ./cmd/benchmedian
+	# Per-unit instantiation on a goal-driven multicomp C=256 session (the
+	# path instantiate_ms runs; BenchmarkInstantiate times only the
+	# monolithic heuristic).
+	$(GO) test -run '^$$' -bench 'BenchmarkSessionInstantiate' -benchmem -benchtime $(BENCHTIME) -count $(COUNT) . | $(GO) run ./cmd/benchmedian
 	# Re-partition cost per assertion along a goal-driven dense-512 history.
 	$(GO) test -run '^$$' -bench 'BenchmarkPieceSplit' -benchmem -benchtime $(BENCHTIME) -count $(COUNT) ./internal/core | $(GO) run ./cmd/benchmedian
 	# Default chunked refill vs a pinned single-chunk budget (multicomp, dense).

@@ -253,6 +253,39 @@ func BenchmarkInstantiate(b *testing.B) {
 	}
 }
 
+// BenchmarkSessionInstantiate measures Session.Instantiate — the
+// per-unit path (one Algorithm 2 search per piece store, store-less
+// units taken as is) that perfbench's instantiate_ms times — on
+// multicomp C=256 driven to the paper's goal under the default auto
+// inference, where nearly every component is enumerated.
+func BenchmarkSessionInstantiate(b *testing.B) {
+	d, err := datagen.SyntheticNetwork(datagen.MultiComp(), datagen.SyntheticOpts{
+		TargetCount: 256, Precision: 0.67, ConflictBias: 0.3, StrictCount: true,
+	}, rand.New(rand.NewSource(7)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	net := d.Network
+	s, err := schemanet.NewSession(net, &schemanet.Options{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	goal := 0.1 * s.Uncertainty()
+	for s.Uncertainty() > goal {
+		c, ok := s.Suggest()
+		if !ok {
+			break
+		}
+		if err := s.Assert(c, d.GroundTruth.ContainsCorrespondence(net.Candidate(c))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		_ = s.Instantiate()
+	}
+}
+
 // BenchmarkMatcher measures the two candidate generators on a quick BP
 // dataset.
 func BenchmarkMatcher(b *testing.B) {

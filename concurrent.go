@@ -175,10 +175,11 @@ func (cs *ConcurrentSession) ComponentOf(c int) (int, error) {
 	return cs.s.ComponentOf(c)
 }
 
-// InferenceOf reports which estimation backend currently serves
-// component k (see Session.InferenceOf). Unlike the partition, the mode
-// is mutable state — an "auto" component promotes to exact under its
-// maintenance lock — so the read briefly takes that lock.
+// InferenceOf reports how component k is served at its current
+// feedback (see Session.InferenceOf). Under "auto" the answer is a
+// budgeted enumeration over the component's feedback and engine fork,
+// which its maintenance writes, so the call briefly takes the
+// component's lock.
 func (cs *ConcurrentSession) InferenceOf(k int) (InferenceMode, error) {
 	cs.topoMu.RLock()
 	defer cs.topoMu.RUnlock()

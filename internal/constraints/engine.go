@@ -179,15 +179,11 @@ func (e *Engine) Maximal(inst, excluded *bitset.Set) bool {
 // MaximalWithin is Maximal restricted to the given candidate subset
 // (typically one constraint-connected component's members): only
 // members outside inst and excluded are probed, so the check costs
-// O(|members|) HasConflict calls instead of a universe scan. A nil
-// members slice means no restriction (plain Maximal). For an instance
-// of the member sub-universe — inst ⊆ members, and constraints never
-// couple members to non-members — the answer equals Maximal with
+// O(|members|) HasConflict calls instead of a universe scan. For an
+// instance of the member sub-universe — inst ⊆ members, and constraints
+// never couple members to non-members — the answer equals Maximal with
 // excluded ∪ ¬members.
 func (e *Engine) MaximalWithin(inst, excluded *bitset.Set, members []int) bool {
-	if members == nil {
-		return e.Maximal(inst, excluded)
-	}
 	retired := e.idx.retiredMask
 	for _, c := range members {
 		if inst.Has(c) || (excluded != nil && excluded.Has(c)) {

@@ -33,65 +33,74 @@ import (
 // concurrent use.
 func (e *Engine) LivePieces(members []int, approved, disapproved *bitset.Set) [][]int {
 	retired := e.idx.retiredMask
-	live := e.NewInstance()
-	var list []int
+	list := make([]int, 0, len(members))
 	for _, c := range members {
 		if approved.Has(c) || disapproved.Has(c) || (retired != nil && retired.Has(c)) ||
 			e.HasConflict(approved, c) {
 			continue
 		}
-		live.Add(c)
 		list = append(list, c)
 	}
-	if len(list) == 0 {
+	switch len(list) {
+	case 0:
 		return nil
+	case 1:
+		return [][]int{list}
 	}
 	// inst = F+ ∪ live: a violation with all its members in inst is one
 	// that a live member can still complete, and its members outside F+
 	// are exactly its contraction. Each member leaves inst once its
 	// chains are streamed, so every chain is streamed once, from its
-	// first live member.
-	inst := live.Clone()
-	inst.UnionWith(approved)
-	uf := newUnionFind(len(list))
+	// first live member. A live member conflicts with no approved one,
+	// so a conflict row's members in inst are live.
+	inst := approved.Clone()
+	for _, c := range list {
+		inst.Add(c)
+	}
+	uf := unionFind{parent: make([]int32, len(list)), rank: make([]int8, len(list))}
+	for i := range uf.parent {
+		uf.parent[i] = int32(i)
+	}
+	var i, c int
 	pos := func(d int) int { return sort.SearchInts(list, d) }
+	rowFn := func(d int) bool {
+		if d > c {
+			uf.union(i, pos(d))
+		}
+		return true
+	}
+	chainFn := func(chain []int) bool {
+		for _, d := range chain {
+			if d != c && !approved.Has(d) {
+				uf.union(i, pos(d))
+			}
+		}
+		return true
+	}
 	var scratch []int
-	for i, c := range list {
+	for i, c = range list {
 		if r := e.idx.rows[c]; r != nil {
-			r.ForEachAnd(live, func(d int) bool {
-				if d > c {
-					uf.union(i, pos(d))
-				}
-				return true
-			})
+			r.ForEachAnd(inst, rowFn)
 		}
 		for gi := range e.idx.gates {
 			g := &e.idx.gates[gi]
-			if !g.gatePasses(inst, c) {
-				continue
+			if g.gatePasses(inst, c) {
+				scratch = g.con.ForEachChain(inst, c, scratch, chainFn)
 			}
-			scratch = g.con.ForEachChain(inst, c, scratch, func(chain []int) bool {
-				for _, d := range chain {
-					if d != c && live.Has(d) {
-						uf.union(i, pos(d))
-					}
-				}
-				return true
-			})
 		}
 		inst.Remove(c)
 	}
-	root := make(map[int]int)
+	// Pieces in order of their smallest member, members ascending:
+	// piece[r] is 1 + the index in out of root r's piece.
+	piece := make([]int, len(list))
 	var out [][]int
-	for i, c := range list {
-		r := uf.find(i)
-		k, ok := root[r]
-		if !ok {
-			k = len(out)
-			root[r] = k
+	for j, d := range list {
+		r := uf.find(j)
+		if piece[r] == 0 {
 			out = append(out, nil)
+			piece[r] = len(out)
 		}
-		out[k] = append(out[k], c)
+		out[piece[r]-1] = append(out[piece[r]-1], d)
 	}
 	return out
 }

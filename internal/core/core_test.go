@@ -159,8 +159,8 @@ func TestDisapprovalReenumeratesExact(t *testing.T) {
 	}
 	// After disapproving c1 the instance set is re-enumerated: four
 	// 2-member instances; every remaining candidate at ½.
-	if got := soleStore(t, p, 0).Size(); got != 4 {
-		t.Fatalf("store size = %d, want 4 (re-enumeration after disapproval)", got)
+	if got := instanceCount(t, p, 0); got != 4 {
+		t.Fatalf("|Ω| = %d, want 4 (re-enumeration after disapproval)", got)
 	}
 	for _, name := range []string{"c2", "c3", "c4", "c5"} {
 		if got := p.Probability(idx[name]); math.Abs(got-0.5) > 1e-9 {
@@ -457,8 +457,8 @@ func TestPMNForcedExactOverflowErrors(t *testing.T) {
 	// Budget 0 under forced exact means unlimited: construction succeeds.
 	cfg.ExactBudget = 0
 	p := MustNew(e, cfg, rand.New(rand.NewSource(11)))
-	if got := soleStore(t, p, 0).Size(); got != 4 {
-		t.Fatalf("unbounded exact store size = %d, want 4", got)
+	if got := instanceCount(t, p, 0); got != 4 {
+		t.Fatalf("unbounded exact |Ω| = %d, want 4", got)
 	}
 }
 
@@ -478,8 +478,8 @@ func TestContradictoryApprovalsGraceful(t *testing.T) {
 	if err := p.Assert(idx["c5"], true); err != nil {
 		t.Fatal(err)
 	}
-	if got := soleStore(t, p, 0).Size(); got != 0 {
-		t.Fatalf("store size = %d, want 0 (no instance satisfies both)", got)
+	if got := instanceCount(t, p, 0); got != 0 {
+		t.Fatalf("|Ω| = %d, want 0 (no instance satisfies both)", got)
 	}
 	if p.Probability(idx["c3"]) != 1 || p.Probability(idx["c5"]) != 1 {
 		t.Fatal("approved candidates must stay at probability 1")
@@ -621,7 +621,7 @@ func UncertaintyGoal(h float64) Goal {
 }
 
 // soleStore returns the store of component k, failing unless exactly
-// one unit serves the component (an exact-served component always is).
+// one piece store serves the component.
 func soleStore(t testing.TB, p *PMN, k int) *sampling.Store {
 	t.Helper()
 	stores := p.UnitStores(k)
@@ -629,4 +629,24 @@ func soleStore(t testing.TB, p *PMN, k int) *sampling.Store {
 		t.Fatalf("component %d is served by %d stores, want 1", k, len(stores))
 	}
 	return stores[0]
+}
+
+// instanceCount returns |Ω_k| of a component whose pieces are all
+// enumerated: the product of its piece store sizes (instances multiply
+// across independent pieces), or 0 when its approvals contradict each
+// other.
+func instanceCount(t testing.TB, p *PMN, k int) int {
+	t.Helper()
+	inf := p.comps[k].inf
+	if inf.contradicted {
+		return 0
+	}
+	n := 1
+	for _, pc := range inf.pieces {
+		if !pc.exact {
+			t.Fatalf("component %d: piece %v is not enumerated", k, pc.members)
+		}
+		n *= pc.store.Size()
+	}
+	return n
 }

@@ -147,12 +147,10 @@ func (p *PMN) TopologyChanged(oldN, retiredCand int) (map[int]int, error) {
 			c := oldComps[k0]
 			c.approved.Grow(n)
 			c.disapproved.Grow(n)
-			var local []int32
 			if c.mask != nil {
 				c.mask.Grow(n)
-				local = localIdx
 			}
-			c.inf.Grow(n, local)
+			c.inf.Grow(n)
 			c.topScratch = nil
 			newComps[k] = c
 			carried[k] = k0
@@ -168,7 +166,7 @@ func (p *PMN) TopologyChanged(oldN, retiredCand int) (map[int]int, error) {
 				c.disapproved.Add(m)
 			}
 		}
-		inf, err := p.newInference(k, c, stream{seed: p.contentSeed(members)})
+		inf, err := p.newPieceInference(k, c, stream{seed: p.contentSeed(members)})
 		if err != nil {
 			return nil, err
 		}

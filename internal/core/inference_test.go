@@ -108,8 +108,8 @@ func TestExactInferenceMatchesExactProbabilitiesEveryAssertion(t *testing.T) {
 }
 
 // TestAutoServesSmallComponentsExactly: under InferAuto with the
-// default budget, the tiny video components enumerate at construction —
-// noise-free probabilities, zero sampling work, NeedsResample never.
+// default budget, every piece of the tiny video components enumerates
+// at construction — noise-free probabilities, zero sampling work.
 func TestAutoServesSmallComponentsExactly(t *testing.T) {
 	e, _ := buildTwoTriangles(t)
 	cfg := DefaultConfig()
@@ -119,8 +119,8 @@ func TestAutoServesSmallComponentsExactly(t *testing.T) {
 		if got := p.ComponentInference(k); got != InferExact {
 			t.Fatalf("component %d serves %v, want exact under auto", k, got)
 		}
-		if !soleStore(t, p, k).Complete() {
-			t.Fatalf("component %d: exact store not complete", k)
+		if n, x := p.PieceCounts(k); n == 0 || x != n {
+			t.Fatalf("component %d: %d of %d pieces exact, want all", k, x, n)
 		}
 	}
 	// A full reconciliation never samples.
@@ -270,7 +270,7 @@ func TestAutoStreamsAlignWithSampledAcrossComponents(t *testing.T) {
 		t.Helper()
 		compared := 0
 		for k, c := range auto.comps {
-			if c.inf.Mode() != InferSampled {
+			if auto.ComponentInference(k) != InferSampled {
 				continue
 			}
 			compared++
@@ -406,12 +406,12 @@ func TestSurvivorSeededWalkStaysMaximal(t *testing.T) {
 	}
 }
 
-// TestAutoPromotionScript drives the two-star fixture through the full
-// promotion lifecycle: construction attempt overflows (15 > 9) →
-// sampled; a failed retry memoizes the bar; shrinking the component
-// below the bar retries; the first within-budget state promotes; the
-// promoted component is bit-identical to the Equation 1 reference and
-// never resamples again.
+// TestAutoPromotionScript drives the two-star fixture until its whole
+// instance space fits the budget: at construction it overflows (15 > 9)
+// → sampled; one disapproval still overflows (11 > 9); the first
+// within-budget state reports exact, its pieces are all enumerated and
+// bit-identical to the Equation 1 reference, and it never resamples
+// again.
 func TestAutoPromotionScript(t *testing.T) {
 	e, idx := buildTwoStarsNet(t)
 	cfg := DefaultConfig()
@@ -435,8 +435,8 @@ func TestAutoPromotionScript(t *testing.T) {
 	if got := p.ComponentInference(0); got != InferExact {
 		t.Fatalf("after 2 disapprovals: serves %v, want exact (8 ≤ 9)", got)
 	}
-	if got := soleStore(t, p, 0).Size(); got != 8 {
-		t.Fatalf("promoted store holds %d instances, want 8", got)
+	if got := instanceCount(t, p, 0); got != 8 {
+		t.Fatalf("exact component holds %d instances, want 8", got)
 	}
 	assertExactMatchesReference(t, p, e, "promoted")
 	resamples := p.Resamples()
@@ -455,8 +455,34 @@ func TestAutoPromotionScript(t *testing.T) {
 	}
 }
 
+// TestApprovalIntoWalkedPieceEnumerates: the two-star piece overflows
+// budget 9 (15 instances) and is walked until its store is complete by
+// the two-rounds conclusion; approving ab1 keeps that completeness but
+// leaves three instances. The component then reports exact, so the
+// piece must be enumerated, not served from the walked store.
+func TestApprovalIntoWalkedPieceEnumerates(t *testing.T) {
+	e, idx := buildTwoStarsNet(t)
+	cfg := DefaultConfig()
+	cfg.Inference = InferAuto
+	cfg.ExactBudget = 9
+	p := MustNew(e, cfg, rand.New(rand.NewSource(11)))
+	if n, x := p.PieceCounts(0); x == n {
+		t.Fatalf("construction: %d of %d pieces exact, want the walked piece", x, n)
+	}
+	if err := p.Assert(idx["ab1"], true); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.ComponentInference(0); got != InferExact {
+		t.Fatalf("after approving ab1: serves %v, want exact (3 ≤ 9)", got)
+	}
+	if got := instanceCount(t, p, 0); got != 3 {
+		t.Fatalf("component holds %d instances, want 3", got)
+	}
+	assertExactMatchesReference(t, p, e, "ab1")
+}
+
 // TestPromotionOnAssertionThatEmptiesComponent: the last free candidate
-// of a sampled component is asserted — the promotion attempt then runs
+// of a sampled component is asserted — the mode probe then runs
 // against a fully determined space. Both flavors must work: a
 // consistent history (a single surviving instance) and contradictory
 // approvals (a genuinely empty instance space, probabilities driven by
@@ -477,13 +503,13 @@ func TestPromotionOnAssertionThatEmptiesComponent(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// free 0 < 2 on the final assertion → promoted onto the single
-		// surviving instance {c1,c2,c3}.
+		// free 0 < 2 after the final assertion → exact, the single
+		// surviving instance {c1,c2,c3} (no piece is left).
 		if got := p.ComponentInference(0); got != InferExact {
 			t.Fatalf("after emptying the component: serves %v, want exact", got)
 		}
-		if got := soleStore(t, p, 0).Size(); got != 1 {
-			t.Fatalf("store holds %d instances, want 1", got)
+		if got := instanceCount(t, p, 0); got != 1 {
+			t.Fatalf("component holds %d instances, want 1", got)
 		}
 		if p.Entropy() != 0 {
 			t.Fatalf("entropy %v, want 0", p.Entropy())
@@ -509,8 +535,8 @@ func TestPromotionOnAssertionThatEmptiesComponent(t *testing.T) {
 		if got := p.ComponentInference(0); got != InferExact {
 			t.Fatalf("serves %v, want exact (empty space enumerates trivially)", got)
 		}
-		if got := soleStore(t, p, 0).Size(); got != 0 {
-			t.Fatalf("store holds %d instances, want 0 (contradictory approvals)", got)
+		if got := instanceCount(t, p, 0); got != 0 {
+			t.Fatalf("component holds %d instances, want 0 (contradictory approvals)", got)
 		}
 		if p.Probability(idx["c3"]) != 1 || p.Probability(idx["c5"]) != 1 {
 			t.Fatal("approved candidates must stay at probability 1")
@@ -521,11 +547,11 @@ func TestPromotionOnAssertionThatEmptiesComponent(t *testing.T) {
 	})
 }
 
-// TestFailedPromotionLeavesSampledStateIntact: an over-budget promotion
-// attempt must be a pure no-op on the component — the piece stores hold
-// exactly what a piece-served run that never attempts promotion holds
-// (forced sampled, same seed; the 11-instance piece also overflows the
-// piece budget, so both walk it) — with only the retry bar recorded.
+// TestFailedPromotionLeavesSampledStateIntact: an over-budget mode
+// probe (ComponentInference) must be a pure no-op on the component —
+// the piece stores hold exactly what a forced-sampled run with the same
+// seed holds (the 11-instance piece also overflows the piece budget, so
+// both walk it).
 func TestFailedPromotionLeavesSampledStateIntact(t *testing.T) {
 	e, idx := buildTwoStarsNet(t)
 	mk := func(mode InferenceMode) *PMN {
@@ -537,17 +563,14 @@ func TestFailedPromotionLeavesSampledStateIntact(t *testing.T) {
 		return MustNew(e, cfg, rand.New(rand.NewSource(13)))
 	}
 	p, twin := mk(InferAuto), mk(InferSampled)
-	// This assertion triggers a failing promotion attempt (11 > 9).
+	// After this assertion the whole space still overflows (11 > 9).
 	for _, q := range []*PMN{p, twin} {
 		if err := q.Assert(idx["ab4"], false); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if got := p.ComponentInference(0); got != InferSampled {
-		t.Fatalf("failed promotion serves %v, want sampled", got)
-	}
-	if p.comps[0].promoteBar != 7 {
-		t.Fatalf("retry bar %d, want the free count 7", p.comps[0].promoteBar)
+		t.Fatalf("over-budget component serves %v, want sampled", got)
 	}
 	got, want := p.UnitStores(0), twin.UnitStores(0)
 	if len(got) != len(want) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 
@@ -38,10 +39,11 @@ type piece struct {
 }
 
 // pieceInference serves a component piece by piece: each piece that
-// fits the exact budget (under InferAuto) is enumerated with F+ fixed,
-// every other piece is walked by the sampler over the piece's members
-// only, on a stream seeded from the component's base seed and the
-// piece's members, so a piece's draws never depend on assertions in
+// fits the enumeration budget (every piece under InferExact, pieces of
+// at most maxAttemptFree members under InferAuto) is enumerated with F+
+// fixed, every other piece is walked by the sampler over the piece's
+// members only, on a stream seeded from the component's base seed and
+// the piece's members, so a piece's draws never depend on assertions in
 // other pieces.
 type pieceInference struct {
 	p      *PMN
@@ -59,7 +61,8 @@ type pieceInference struct {
 	contradicted bool
 	seed         int64
 	plan         budgetPlan
-	budget       int // per-piece enumeration budget; 0 = walk every piece
+	budget       int // enumeration budget; 0 = unlimited
+	maxEnum      int // largest piece (in members) enumerated; 0 = walk every piece
 
 	// Walk state, built on the first walk: one sampler over the
 	// component's engine fork whose rng is re-seeded per piece.
@@ -71,9 +74,16 @@ type pieceInference struct {
 	prev, cur []float64
 }
 
-// newPieceInference partitions component c under its feedback and
-// queues every piece for the caller's Refill.
-func (p *PMN) newPieceInference(c *component, seed int64) *pieceInference {
+// newPieceInference builds component k's backend: it partitions the
+// component under its feedback and queues every piece for the caller's
+// Refill. Under forced InferExact with a non-zero budget the whole
+// component is enumerated first, and an overflow fails with
+// ErrExactBudgetExceeded. st is the component's base stream; a trivial
+// partition draws its seed from the session rng unless the component
+// can never walk (forced InferExact, or InferAuto where the whole
+// component fits the budget), so the mode decides the draw exactly as
+// it decides whether any piece is walked.
+func (p *PMN) newPieceInference(k int, c *component, st stream) (*pieceInference, error) {
 	members := c.members
 	if members == nil {
 		members = make([]int, len(p.probs))
@@ -83,23 +93,35 @@ func (p *PMN) newPieceInference(c *component, seed int64) *pieceInference {
 	}
 	inf := &pieceInference{
 		p: p, engine: c.engine, approved: c.approved, disapproved: c.disapproved,
-		members: members, seed: seed, plan: resolveBudget(p.cfg),
+		members: members, seed: st.seed, plan: resolveBudget(p.cfg), budget: p.exactBudget(),
 	}
-	if p.cfg.Inference == InferAuto {
-		inf.budget = p.exactBudget()
+	walks := true
+	switch p.cfg.Inference {
+	case InferExact:
+		if inf.budget > 0 {
+			if err := p.enumerateWhole(c, inf.budget); err != nil {
+				return nil, fmt.Errorf("core: component %d (%d candidates): %w: %v",
+					k, len(members), ErrExactBudgetExceeded, err)
+			}
+		}
+		inf.maxEnum, walks = len(members), false
+	case InferAuto:
+		inf.maxEnum = maxAttemptFree(inf.budget)
+		walks = st.shared == nil || !p.wholeFits(c)
+	}
+	if st.shared != nil && walks {
+		inf.seed = st.shared.Int63()
 	}
 	for _, m := range members {
 		p.pieceOf[m] = notLive
 	}
 	if !c.engine.Consistent(c.approved) {
 		inf.contradicted = true
-		return inf
+		return inf, nil
 	}
 	inf.place(c.engine.LivePieces(members, c.approved, c.disapproved), -1, nil)
-	return inf
+	return inf, nil
 }
-
-func (inf *pieceInference) Mode() InferenceMode { return InferSampled }
 
 // place installs new pieces, the first into slot (or a fresh slot when
 // slot < 0). Under a split, parent's instances are projected onto each
@@ -117,13 +139,13 @@ func (inf *pieceInference) place(parts [][]int, slot int, parent *piece) {
 		}
 	}
 	var proj *bitset.Set
-	placed := make([]*piece, len(parts))
+	var heirPc *piece
 	for i, members := range parts {
 		if len(members) == 1 {
 			p.pieceOf[members[0]] = singleLive
 			continue
 		}
-		pc := &piece{mask: bitset.FromIndices(n, members...), dirty: true}
+		pc := &piece{dirty: true}
 		pc.members = members
 		if slot < 0 {
 			slot = len(inf.pieces)
@@ -135,12 +157,13 @@ func (inf *pieceInference) place(parts [][]int, slot int, parent *piece) {
 			p.pieceOf[m] = int32(slot)
 			p.pieceCol[m] = int32(j)
 		}
-		placed[i] = pc
 		inf.pending = append(inf.pending, pc)
 		slot = -1
 		if i == heir {
+			heirPc = pc
 			continue
 		}
+		pc.mask = bitset.FromIndices(n, members...)
 		pc.store = sampling.NewComponentStore(n, p.nmin(), members, p.pieceCol)
 		if parent == nil {
 			continue
@@ -159,10 +182,19 @@ func (inf *pieceInference) place(parts [][]int, slot int, parent *piece) {
 			pc.exact = parent.exact
 		}
 	}
-	if heir >= 0 {
-		pc := placed[heir]
-		pc.store, pc.exact = parent.store, parent.exact && parent.store.Complete()
-		pc.store.Restrict(pc.members, p.pieceCol)
+	if heirPc != nil {
+		// Last: the other parts project from parent's unrestricted store.
+		// The heir also takes over parent's mask, cleared of the members
+		// it does not keep.
+		heirPc.store, heirPc.exact = parent.store, parent.exact && parent.store.Complete()
+		heirPc.store.Restrict(heirPc.members, p.pieceCol)
+		heirPc.mask = parent.mask
+		keep := p.pieceOf[heirPc.members[0]]
+		for _, m := range parent.members {
+			if p.pieceOf[m] != keep {
+				heirPc.mask.Remove(m)
+			}
+		}
 	}
 	inf.relink()
 }
@@ -253,16 +285,17 @@ func (inf *pieceInference) contradict() {
 }
 
 // Refill settles every piece created since the last Refill, in slot
-// order: a piece whose store is not known complete is enumerated when
-// it fits the budget, and otherwise walked toward n_min. Each piece
-// walks its own stream, so the order never changes a result.
+// order: a piece not known exact is enumerated when it fits the
+// budget, and otherwise walked toward n_min unless its store is
+// complete. Each piece walks its own stream, so the order never changes
+// a result.
 func (inf *pieceInference) Refill() int {
 	emitted := 0
 	for _, pc := range inf.pending {
-		if pc.gone || pc.store.Complete() {
+		if pc.gone || pc.exact {
 			continue
 		}
-		if inf.budget > 0 && len(pc.members) <= maxAttemptFree(inf.budget) && inf.enumerate(pc) {
+		if len(pc.members) <= inf.maxEnum && inf.enumerate(pc) {
 			continue
 		}
 		if pc.store.NeedsResample() {
@@ -426,7 +459,10 @@ func (inf *pieceInference) UnitOf(c int) *unit {
 	return nil
 }
 
-func (inf *pieceInference) Grow(n int, _ []int32) {
+// Grow widens the backend to an n-candidate universe after a topology
+// change that left the component's membership unchanged: piece masks
+// and stores widen in place and universe-sized scratch is dropped.
+func (inf *pieceInference) Grow(n int) {
 	for _, pc := range inf.pieces {
 		pc.mask.Grow(n)
 		pc.store.GrowUniverse(n, inf.p.pieceCol)
@@ -460,12 +496,11 @@ func (inf *pieceInference) pieceCounts() (pieces, exact int) {
 
 // instantiationUnits appends the component's (store, mask) units for
 // the instantiation heuristic, pieces ordered by smallest member: each
-// piece's store with mask piece ∪ F+, and the single live members as
-// one store-less unit with mask singles ∪ F+.
+// piece's store with mask piece ∪ F+, and then F+ plus the single live
+// members as one store-less unit, which is its own only instance. A
+// component whose approvals contradict each other has no instance; its
+// store-less unit is F+ alone, so approvals are never dropped.
 func (inf *pieceInference) instantiationUnits(stores []*sampling.Store, masks []*bitset.Set) ([]*sampling.Store, []*bitset.Set) {
-	if inf.contradicted {
-		return stores, masks
-	}
 	order := append([]*piece(nil), inf.pieces...)
 	sort.Slice(order, func(a, b int) bool { return order[a].members[0] < order[b].members[0] })
 	for _, pc := range order {
@@ -473,17 +508,14 @@ func (inf *pieceInference) instantiationUnits(stores []*sampling.Store, masks []
 		m.UnionWith(inf.approved)
 		stores, masks = append(stores, pc.store), append(masks, m)
 	}
-	var singles *bitset.Set
+	fixed := inf.approved.Clone()
 	for _, c := range inf.members {
 		if inf.p.pieceOf[c] == singleLive {
-			if singles == nil {
-				singles = inf.approved.Clone()
-			}
-			singles.Add(c)
+			fixed.Add(c)
 		}
 	}
-	if singles != nil {
-		stores, masks = append(stores, nil), append(masks, singles)
+	if !fixed.Empty() {
+		stores, masks = append(stores, nil), append(masks, fixed)
 	}
 	return stores, masks
 }

@@ -48,7 +48,7 @@ func driveToGoal(t testing.TB, p *PMN, d *schema.Dataset, rng *rand.Rand, step f
 // backend holds them: member counts of its stores and its single live
 // members.
 func pieceSizes(p *PMN, k int) (sizes []int, live int) {
-	inf := p.comps[k].inf.(*pieceInference)
+	inf := p.comps[k].inf
 	for _, pc := range inf.pieces {
 		sizes = append(sizes, len(pc.members))
 	}
@@ -85,9 +85,6 @@ func TestPieceIdentities(t *testing.T) {
 		steps := 0
 		check := func() {
 			for k, cp := range p.comps {
-				if _, ok := cp.inf.(*pieceInference); !ok {
-					continue
-				}
 				members := cp.members
 				if members == nil {
 					members = make([]int, len(p.probs))
@@ -120,7 +117,7 @@ func TestPieceIdentities(t *testing.T) {
 					if slot < 0 {
 						t.Fatalf("%s step %d: piece %v has no store", tc.name, steps, piece)
 					}
-					got := cp.inf.(*pieceInference).pieces[slot].members
+					got := cp.inf.pieces[slot].members
 					if len(got) != len(piece) {
 						t.Fatalf("%s step %d: backend piece %v, fresh partition %v", tc.name, steps, got, piece)
 					}
@@ -199,7 +196,7 @@ func TestPieceStreamsIndependentOfOtherPieces(t *testing.T) {
 			k, best = i, len(cp.members)
 		}
 	}
-	inf := p.comps[k].inf.(*pieceInference)
+	inf := p.comps[k].inf
 	if len(inf.pieces) < 2 {
 		t.Fatalf("component %d has %d piece stores, want two", k, len(inf.pieces))
 	}
@@ -268,11 +265,9 @@ func TestSampledPieceRefillsEmptiedStore(t *testing.T) {
 	var pc *piece
 	var k int
 	for i, cp := range p.comps {
-		if inf, ok := cp.inf.(*pieceInference); ok {
-			for _, x := range inf.pieces {
-				if len(x.members) >= 4 && (pc == nil || len(x.members) > len(pc.members)) {
-					pc, k = x, i
-				}
+		for _, x := range cp.inf.pieces {
+			if len(x.members) >= 4 && (pc == nil || len(x.members) > len(pc.members)) {
+				pc, k = x, i
 			}
 		}
 	}
@@ -323,10 +318,8 @@ func BenchmarkPieceSplit(b *testing.B) {
 		}
 		cp := p.comps[p.compOf[c]]
 		var members []int
-		if inf, ok := cp.inf.(*pieceInference); ok {
-			if slot := p.pieceOf[c]; slot >= 0 {
-				members = inf.pieces[slot].members
-			}
+		if slot := p.pieceOf[c]; slot >= 0 {
+			members = cp.inf.pieces[slot].members
 		}
 		if err := p.Assert(c, d.GroundTruth.ContainsCorrespondence(d.Network.Candidate(c))); err != nil {
 			b.Fatal(err)

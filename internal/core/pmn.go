@@ -32,20 +32,20 @@ type Config struct {
 	// bit-reproducibility. See DESIGN.md, "Adaptive sampling".
 	MinSamples  int
 	Convergence float64
-	// Inference selects the per-component estimation backend: InferSampled
-	// (the zero value — the paper's sampler everywhere), InferExact
-	// (exhaustive enumeration per Equation 1, maintained incrementally;
-	// New fails with ErrExactBudgetExceeded when a component overflows a
-	// non-zero ExactBudget), or InferAuto (exact where the instance space
-	// fits the budget, sampled elsewhere, with mid-session promotion).
-	// See DESIGN.md, "Hybrid inference".
+	// Inference selects how each component's live pieces are estimated:
+	// InferSampled (the zero value — the paper's sampler everywhere),
+	// InferExact (exhaustive enumeration per Equation 1, maintained
+	// incrementally; New fails with ErrExactBudgetExceeded when a
+	// component overflows a non-zero ExactBudget), or InferAuto (every
+	// piece that fits the budget is enumerated, the rest sampled). See
+	// DESIGN.md, "Hybrid inference".
 	Inference InferenceMode
-	// ExactBudget caps the per-component instance enumeration of the
-	// exact backend; the enumeration's search work is bounded
+	// ExactBudget caps the instance count of one enumeration (a piece,
+	// or the whole-component probe of ComponentInference and forced
+	// InferExact); the enumeration's search work is bounded
 	// proportionally, so an attempt costs O(budget) regardless of the
-	// component's instance space. 0 means DefaultExactBudget under
-	// InferAuto and *unlimited* under InferExact (which then never
-	// overflows).
+	// instance space. 0 means DefaultExactBudget under InferAuto and
+	// *unlimited* under InferExact (which then never overflows).
 	ExactBudget int
 	// Workers bounds the goroutines of the lazy top-k ranker's streaming
 	// path — components with more than topkMatrixCap uncertain members;
@@ -62,7 +62,7 @@ func DefaultConfig() Config {
 }
 
 // component is one constraint-connected component of the PMN: its own
-// sample space Ω_k, engine fork, estimation backend, component-scoped
+// sample space Ω_k, engine fork, piece backend, component-scoped
 // feedback masks, and cached entropy term. Constraints never couple candidates
 // across components, so probabilities and entropies factorize —
 // H(C, P) = Σ_k H_k — and an assertion view-maintains and resamples
@@ -79,11 +79,8 @@ type component struct {
 	members []int       // global candidate ids, ascending; nil = whole universe
 	mask    *bitset.Set // members as a mask; nil = whole universe
 	engine  *constraints.Engine
-	// inf is the component's estimation backend (piece-served or exact,
-	// see Inference). Under InferAuto it can be swapped from piece-served
-	// to exact mid-session (maybePromote); the swap happens under the
-	// same serialization as the rest of the component's maintenance.
-	inf Inference
+	// inf serves the component's estimates piece by piece (pieces.go).
+	inf *pieceInference
 	// approved/disapproved are F+ ∩ members and F− ∩ members (global
 	// indexing). Component maintenance reads only these — never the
 	// PMN-global feedback — because the restricted forms F ∩ within that
@@ -93,11 +90,6 @@ type component struct {
 	approved    *bitset.Set
 	disapproved *bitset.Set
 	entropy     float64 // cached H_k = Σ_{c ∈ members} H(p_c)
-	// promoteBar memoizes the free-candidate count of the last failed
-	// promotion attempt (-1 = none): retry only once assertions shrink
-	// the component further, so a too-big component does not re-burn its
-	// budgeted enumeration probe on every assertion.
-	promoteBar int
 
 	// Lazy top-k ranking state (see topk.go). topTies/topGain cache the
 	// component's maximal-gain tie set — the best over its units' cached
@@ -136,11 +128,11 @@ func (c *component) isAsserted(cand int) bool {
 // stores, an assertion only ever pays for its own component — view
 // maintenance, resampling, and probability recomputation are
 // O(component), not O(network) — and the network entropy is the sum of
-// cached per-component terms. A component that is not exact as a whole
-// is served by the live pieces of its feedback (see pieces.go), and an
-// assertion view-maintains and refills only its own piece. A network whose constraints connect every
-// candidate (a trivial partition) is one whole-universe component: the
-// paper's single global sample space.
+// cached per-component terms. Every component is served by the live
+// pieces of its feedback (see pieces.go), and an assertion
+// view-maintains and refills only its own piece. A network whose
+// constraints connect every candidate (a trivial partition) is one
+// whole-universe component: the paper's single global sample space.
 type PMN struct {
 	engine   *constraints.Engine
 	cfg      Config
@@ -148,10 +140,10 @@ type PMN struct {
 	feedback *Feedback
 	comps    []*component
 	compOf   []int   // candidate -> index into comps
-	localIdx []int32 // candidate -> column index inside its component's exact store and snapshots
+	localIdx []int32 // candidate -> column index inside its component's snapshots
 	probs    []float64
 	maxComp  int // size of the largest component (scratch sizing)
-	// pieceOf/pieceCol place every member of a piece-served component:
+	// pieceOf/pieceCol place every member of every component:
 	// the slot of its piece in the component's backend (or notLive /
 	// singleLive) and its column in that piece's store. Components write
 	// only their own members' entries.
@@ -171,13 +163,12 @@ type PMN struct {
 // newComponent wires one component: an engine fork of its own (walk
 // scratch is engine-owned, so concurrent component maintenance needs
 // per-component forks) and empty component-scoped feedback masks. The
-// estimation backend is attached afterwards (PMN.newInference).
+// piece backend is attached afterwards (PMN.newPieceInference).
 func newComponent(engine *constraints.Engine, n int) *component {
 	return &component{
 		engine:      engine.Fork(),
 		approved:    bitset.New(n),
 		disapproved: bitset.New(n),
-		promoteBar:  -1,
 	}
 }
 
@@ -198,7 +189,7 @@ func New(engine *constraints.Engine, cfg Config, rng *rand.Rand) (*PMN, error) {
 // and excludes F−) instead of filling the unconditioned network and
 // filtering it. The per-component streams are drawn exactly as New
 // draws them, so a component the history never touches gets New's
-// initial fill bit for bit; an exact component's instance list is the
+// initial fill bit for bit; an enumerated piece's instance list is the
 // filtered enumeration; Resamples stays 0. Under forced InferExact the
 // budget applies to the conditioned enumeration.
 func NewWithHistory(engine *constraints.Engine, cfg Config, rng *rand.Rand, history []Assertion) (*PMN, error) {
@@ -219,19 +210,17 @@ func NewWithHistory(engine *constraints.Engine, cfg Config, rng *rand.Rand, hist
 		return nil, err
 	}
 
-	// Per-component base seeds: the backend choice is made after the
-	// components are wired, but the seeds must be drawn in component
-	// order regardless of mode, so an exact component does not shift its
-	// neighbors' seeds (mode is derived state — replay and differential
-	// runs depend on stable streams). Only piece-served components derive
-	// their pieces' streams from it.
+	// Per-component base seeds, drawn in component order regardless of
+	// mode, so a component that never walks does not shift its
+	// neighbors' seeds (replay and differential runs depend on stable
+	// streams). Each piece derives its stream from its component's seed.
 	var streams []stream
 
 	parts := engine.Components()
 	if parts.Trivial() {
 		// One component covering the whole universe: nil members/mask
-		// select the unrestricted code paths everywhere; a piece-served
-		// backend draws its base seed from the session rng.
+		// select the unrestricted code paths everywhere; the backend draws
+		// its base seed from the session rng.
 		p.comps = []*component{newComponent(engine, n)}
 		p.compOf = make([]int, n)
 		p.localIdx = nil
@@ -268,13 +257,12 @@ func NewWithHistory(engine *constraints.Engine, cfg Config, rng *rand.Rand, hist
 		p.comps[p.compOf[a.Cand]].mirror(a.Cand, a.Approved)
 	}
 	for k, c := range p.comps {
-		inf, err := p.newInference(k, c, streams[k])
+		inf, err := p.newPieceInference(k, c, streams[k])
 		if err != nil {
 			return nil, err
 		}
 		c.inf = inf
-		// Initial fill of every piece under the component's feedback;
-		// no-op for exact components.
+		// Initial fill of every piece under the component's feedback.
 		p.emissions.Add(int64(c.inf.Refill()))
 		p.recomputeComp(k)
 	}
@@ -305,18 +293,27 @@ func (p *PMN) NumComponents() int { return len(p.comps) }
 // ComponentOf returns the component index of candidate c.
 func (p *PMN) ComponentOf(c int) int { return p.compOf[c] }
 
-// ComponentInference reports which estimation backend currently serves
-// component k (InferSampled or InferExact — never InferAuto). Under
-// Config.Inference = InferAuto the answer can flip from sampled to
-// exact as assertions shrink the component (see maybePromote); it never
-// flips back. A piece-served component reports InferSampled even when
-// every one of its pieces is enumerated.
-func (p *PMN) ComponentInference(k int) InferenceMode { return p.comps[k].inf.Mode() }
+// ComponentInference reports how component k is served, as a pure
+// query of its current feedback: under forced modes the mode itself;
+// under InferAuto, InferExact when the whole component enumerates
+// within the budget (wholeFits), and InferSampled otherwise. The pieces
+// of a component reported exact are all enumerated. Under InferAuto the
+// answer can flip from sampled to exact as assertions shrink the
+// component; it never flips back. The probe enumerates, so callers
+// serialize it with the component's maintenance.
+func (p *PMN) ComponentInference(k int) InferenceMode {
+	if p.cfg.Inference != InferAuto {
+		return p.cfg.Inference
+	}
+	if p.wholeFits(p.comps[k]) {
+		return InferExact
+	}
+	return InferSampled
+}
 
-// UnitStores returns the stores serving component k: the one complete
-// store of an exact component, or one store per piece of two or more
-// live members of a piece-served component, ordered by smallest member.
-// The stores are live.
+// UnitStores returns the stores serving component k, one per piece of
+// two or more live members, ordered by smallest member. The stores are
+// live.
 func (p *PMN) UnitStores(k int) []*sampling.Store {
 	var out []*sampling.Store
 	for _, u := range sortedUnits(p.comps[k].inf.Units()) {
@@ -328,35 +325,27 @@ func (p *PMN) UnitStores(k int) []*sampling.Store {
 // sortedUnits returns the units ordered by smallest member.
 func sortedUnits(units []*unit) []*unit {
 	out := append([]*unit(nil), units...)
-	sort.Slice(out, func(a, b int) bool { return firstMember(out[a]) < firstMember(out[b]) })
+	sort.Slice(out, func(a, b int) bool { return out[a].members[0] < out[b].members[0] })
 	return out
 }
 
 // PieceCounts reports component k's live pieces and how many of them
 // are served exactly (a single live member, an enumerated piece, or a
-// piece split from one); both are 0 for an exact-served component.
+// piece split from one).
 func (p *PMN) PieceCounts(k int) (pieces, exact int) {
-	if inf, ok := p.comps[k].inf.(*pieceInference); ok {
-		return inf.pieceCounts()
-	}
-	return 0, 0
+	return p.comps[k].inf.pieceCounts()
 }
 
 // InstantiationUnits returns the independent (store, mask) units the
-// instantiation heuristic searches, component by component: an exact
-// component's store with its member mask (nil = whole universe), and
-// for a piece-served component each piece's store with mask piece ∪ F+,
-// plus its single live members as one store-less unit (singles ∪ F+).
-// The objective is a sum over these units, so their per-unit optima
-// union to a global optimum (instantiate.HeuristicDecomposed). The
-// masks are fresh; the stores are live.
+// instantiation heuristic searches, component by component: each
+// piece's store with mask piece ∪ F+, and then F+ plus the component's
+// single live members as one store-less unit. The objective is a sum
+// over these units, so their per-unit optima union to a global optimum
+// (instantiate.HeuristicDecomposed). The masks are fresh; the stores
+// are live.
 func (p *PMN) InstantiationUnits() (stores []*sampling.Store, masks []*bitset.Set) {
 	for _, c := range p.comps {
-		if inf, ok := c.inf.(*pieceInference); ok {
-			stores, masks = inf.instantiationUnits(stores, masks)
-			continue
-		}
-		stores, masks = append(stores, c.inf.Units()[0].store), append(masks, c.mask)
+		stores, masks = c.inf.instantiationUnits(stores, masks)
 	}
 	return stores, masks
 }
@@ -454,11 +443,6 @@ func (p *PMN) ApplyAssertions(k int, as []Assertion) {
 	for _, a := range as {
 		p.integrate(cp, a.Cand, a.Approved)
 	}
-	// Promotion runs before the refill: if the shrunk component now
-	// enumerates within budget, the exact backend replaces the pieces
-	// outright and the pending resampling is never paid — the "zero
-	// sampling resamples in the exact tail" property.
-	p.maybePromote(k)
 	if e := cp.inf.Refill(); e > 0 {
 		p.emissions.Add(int64(e))
 		p.resamples.Add(1)

@@ -11,14 +11,14 @@ import (
 //
 // The suggest hot path needs the maximal-gain candidate (and its exact
 // tie set), not the full gain vector. A component's distribution is a
-// product of independent units (see Inference: the whole component when
-// it is exact-served, one per piece otherwise), and asserting c changes
-// marginals only inside c's unit, so IG(c) = H_U − E[H_U | c] over the
-// unit's store. Because an unasserted candidate's probability is
-// exactly its empirical marginal counts_c/n over that store — the same
-// distribution condEntropyUnit partitions — the gain decomposes into a
-// sum of empirical pairwise mutual-information terms over the unit's
-// uncertain, unasserted members U:
+// product of independent units (one per live piece, see pieces.go), and
+// asserting c changes marginals only inside c's unit, so IG(c) =
+// H_U − E[H_U | c] over the unit's store. Because an unasserted
+// candidate's probability is exactly its empirical marginal counts_c/n
+// over that store — the same distribution condEntropyUnit partitions —
+// the gain decomposes into a sum of empirical pairwise
+// mutual-information terms over the unit's uncertain, unasserted
+// members U:
 //
 //	IG(c) = Σ_{d ∈ U} I(c; d),  0 ≤ I(c; d) ≤ min(H(p_c), H(p_d))
 //
@@ -159,7 +159,7 @@ func (p *PMN) computeTopGains(k int) ([]int, float64) {
 		if ua.entropy != ub.entropy {
 			return ua.entropy > ub.entropy
 		}
-		return firstMember(ua) < firstMember(ub)
+		return ua.members[0] < ub.members[0]
 	})
 	for _, u := range ts.stale {
 		if u.entropy < best-PruneMargin(best) {
@@ -182,15 +182,6 @@ func (p *PMN) computeTopGains(k int) ([]int, float64) {
 	return ties, best
 }
 
-// firstMember returns a unit's smallest member (0 for the whole
-// universe).
-func firstMember(u *unit) int {
-	if u.members == nil {
-		return 0
-	}
-	return u.members[0]
-}
-
 // rankUnit ranks one stale unit (see the package comment above):
 // collect U, then either bound every member from the co-count matrix
 // and evaluate members in descending-bound order until the running best
@@ -209,14 +200,8 @@ func (p *PMN) rankUnit(cp *component, u *unit) float64 {
 			ts.h = append(ts.h, BinaryEntropy(pc))
 		}
 	}
-	if u.members == nil {
-		for c := range p.probs {
-			collect(c, c)
-		}
-	} else {
-		for j, c := range u.members {
-			collect(j, c)
-		}
+	for j, c := range u.members {
+		collect(j, c)
 	}
 	nu := len(ts.cand)
 	if nu == 0 {

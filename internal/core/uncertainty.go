@@ -132,11 +132,7 @@ func (p *PMN) partitionEntropyOf(u *unit, counts []int, total int, s *igScratch)
 	}
 	h := 0.0
 	for j, cnt := range counts {
-		d := j
-		if u.members != nil {
-			d = u.members[j]
-		}
-		if s.asserted[d] {
+		if s.asserted[u.members[j]] {
 			continue // asserted candidates stay certain in P±
 		}
 		if !memo {

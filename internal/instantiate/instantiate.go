@@ -133,12 +133,14 @@ func Heuristic(e *constraints.Engine, store *sampling.Store, probs []float64,
 
 // HeuristicDecomposed runs Algorithm 2 independently on every
 // independent unit of the instance space and unions the per-unit
-// winners. stores[k] holds unit k's samples (nil = none) and masks[k]
-// the candidates it searches (a nil mask means the whole universe, as
-// in a monolithic single-component PMN). A unit is a
-// constraint-connected component, or one live piece of one with the
-// approved set in its mask: a store may track only the piece, and its
-// instances are seeded with approved ∩ mask before the search. Both the
+// winners. stores[k] holds unit k's samples and masks[k] the candidates
+// it searches (a nil mask means the whole universe, as in a monolithic
+// single-component PMN). A unit is a constraint-connected component, or
+// one live piece of one with the approved set in its mask: a store may
+// track only the piece, and its instances are seeded with approved ∩
+// mask before the search. A nil store marks a unit whose mask is its
+// only instance (the approved set plus the members no violation can
+// reach); it is taken as is, without a search. Both the
 // repair distance Δ(I, C) and the likelihood u(I) are sums/products
 // over units, so the union of per-unit optima is a global optimum of
 // the same objective — searching each unit's much smaller instance
@@ -154,13 +156,12 @@ func HeuristicDecomposed(e *constraints.Engine, stores []*sampling.Store, masks 
 	}
 	out := e.NewInstance()
 	for k, store := range stores {
-		subCfg := cfg
-		m := 0
-		if store != nil {
-			m = store.TrackedCount()
-		} else {
-			m = masks[k].Count()
+		if store == nil {
+			out.UnionWith(masks[k])
+			continue
 		}
+		subCfg := cfg
+		m := store.TrackedCount()
 		if subCfg.Iterations > 4*m+16 {
 			subCfg.Iterations = 4*m + 16
 		}

@@ -31,7 +31,7 @@ func (e ErrTooManyInstances) Is(target error) bool {
 // consistent-subset lattice the search walks) is astronomically larger.
 // The floor keeps tiny budgets from starving legitimately twisty small
 // components; the factor is deliberately tight — the hybrid inference
-// retries its promotion probe as a component shrinks, so a failing
+// probes pieces as they split and components on demand, so a failing
 // probe must stay cheap (on top of the node count, each leaf pays one
 // HasConflict per free candidate it left out — O(|free|), never
 // O(universe)).
@@ -64,8 +64,8 @@ func EnumerateAll(e *constraints.Engine, approved, disapproved *bitset.Set, limi
 //
 // A limit > 0 bounds both the instance count and the search work (see
 // enumWorkFactor): exceeding either returns ErrTooManyInstances, so a
-// budgeted probe — the hybrid inference's promotion attempt — is O(limit)
-// no matter how large the component's subset lattice is.
+// budgeted probe — the hybrid inference's enumeration attempt — is
+// O(limit) no matter how large the component's subset lattice is.
 func EnumerateWithin(e *constraints.Engine, approved, disapproved, within *bitset.Set, limit int) ([]*bitset.Set, error) {
 	n := e.Network().NumCandidates()
 	base := e.NewInstance()

@@ -434,6 +434,138 @@ func TestInferenceOfConstructionRule(t *testing.T) {
 	t.Logf("%d exact and %d sampled components", exact, sampled)
 }
 
+// TestInferenceOfFollowsFeedback holds InferenceOf to the whole-
+// component rule of TestInferenceOfConstructionRule at the current
+// feedback rather than at construction: after every assertion of
+// goal-driven multicomp C=512 sessions, on a Session, on a
+// ConcurrentSession given the same assertions, and on a LoadSession
+// restore of the final state. Wherever the rule says exact, every live
+// piece of the component must be enumerated (PieceCounts).
+func TestInferenceOfFollowsFeedback(t *testing.T) {
+	const budget = core.DefaultExactBudget
+	ceiling := 3*bits.Len(uint(budget)) + 8
+	turned, sampled := 0, 0
+	for seed := int64(1); seed <= 4; seed++ {
+		d := multiCompDataset(t, 512, seed)
+		net := d.Network
+		n := net.NumCandidates()
+		opts := schemanet.Options{Seed: seed, Workers: 1}
+		s, err := schemanet.NewSession(net, &opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs, err := schemanet.NewConcurrentSession(net, &opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := constraints.Default(net)
+		parts := e.Components()
+		approved, disapproved := bitset.New(n), bitset.New(n)
+		rule := func(k int) schemanet.InferenceMode {
+			members := parts.Members(k)
+			free := 0
+			for _, c := range members {
+				if !approved.Has(c) && !disapproved.Has(c) {
+					free++
+				}
+			}
+			if free < budget && free <= ceiling {
+				if _, err := sampling.EnumerateWithin(e, approved, disapproved, bitset.FromIndices(n, members...), budget); err == nil {
+					return schemanet.InferenceExact
+				}
+			}
+			return schemanet.InferenceSampled
+		}
+		type surface interface {
+			InferenceOf(k int) (schemanet.InferenceMode, error)
+		}
+		check := func(label string, sf surface, k int, want schemanet.InferenceMode) {
+			t.Helper()
+			got, err := sf.InferenceOf(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("seed %d %s component %d: InferenceOf %v, rule says %v", seed, label, k, got, want)
+			}
+		}
+		checkPieces := func(label string, s *schemanet.Session, k int) {
+			t.Helper()
+			if pieces, exact := schemanet.PieceCounts(s, k); exact != pieces {
+				t.Fatalf("seed %d %s component %d: rule says exact, %d of %d pieces exact", seed, label, k, exact, pieces)
+			}
+		}
+		initial := make([]schemanet.InferenceMode, parts.NumComponents())
+		for k := range initial {
+			initial[k] = rule(k)
+		}
+		h0 := s.Uncertainty()
+		for s.Uncertainty() > 0.1*h0 {
+			c, ok := s.Suggest()
+			if !ok {
+				break
+			}
+			truth := d.GroundTruth.ContainsCorrespondence(net.Candidate(c))
+			if err := s.Assert(c, truth); err != nil {
+				t.Fatal(err)
+			}
+			if err := cs.Assert(c, truth); err != nil {
+				t.Fatal(err)
+			}
+			if truth {
+				approved.Add(c)
+			} else {
+				disapproved.Add(c)
+			}
+			k := parts.ComponentOf(c)
+			want := rule(k)
+			check("Session", s, k, want)
+			check("ConcurrentSession", cs, k, want)
+			if want == schemanet.InferenceExact {
+				checkPieces("Session", s, k)
+			}
+		}
+		var buf strings.Builder
+		if err := s.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		r, err := schemanet.LoadSession(net, &opts, strings.NewReader(buf.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < parts.NumComponents(); k++ {
+			want := rule(k)
+			check("Session", s, k, want)
+			check("LoadSession", r, k, want)
+			if want == schemanet.InferenceExact {
+				checkPieces("LoadSession", r, k)
+				if initial[k] == schemanet.InferenceSampled {
+					turned++
+				}
+			} else {
+				sampled++
+			}
+		}
+	}
+	if turned == 0 || sampled == 0 {
+		t.Fatalf("%d components turned exact under feedback, %d stayed sampled; want both", turned, sampled)
+	}
+	t.Logf("%d components turned exact under feedback, %d stayed sampled", turned, sampled)
+}
+
+// multiCompDataset is the small-component-heavy multicomp profile at
+// the given size.
+func multiCompDataset(t testing.TB, size int, seed int64) *schemanet.Dataset {
+	t.Helper()
+	d, err := datagen.SyntheticNetwork(datagen.MultiComp(), datagen.SyntheticOpts{
+		TargetCount: size, Precision: 0.67, ConflictBias: 0.3, StrictCount: true,
+	}, rand.New(rand.NewSource(seed)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 // TestPieceCountersSurviveRestore drives default sessions on the
 // one-component dense-256 shape to the paper's goal, saves them, and
 // restores them with LoadSession: the restore computes the pieces under

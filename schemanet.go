@@ -61,14 +61,14 @@ type (
 	// Assertion is one expert statement about a candidate
 	// correspondence, used by the batch APIs (ConcurrentSession.AssertBatch).
 	Assertion = core.Assertion
-	// InferenceMode identifies a per-component estimation backend; see
+	// InferenceMode identifies how components are estimated; see
 	// Options.Inference and Session.InferenceOf.
 	InferenceMode = core.InferenceMode
 )
 
-// The estimation backends a component can be served by. InferenceAuto
-// only ever appears in configuration — InferenceOf always reports
-// InferenceSampled or InferenceExact.
+// The inference modes. InferenceAuto only ever appears in
+// configuration — InferenceOf always reports InferenceSampled or
+// InferenceExact.
 const (
 	InferenceSampled = core.InferSampled
 	InferenceExact   = core.InferExact
@@ -157,33 +157,31 @@ type Options struct {
 	// Convergence is the refill loop's early-stop threshold ε; see
 	// MinSamples.
 	Convergence float64
-	// Inference selects the per-component estimation backend:
+	// Inference selects how components are estimated. Every component
+	// is served piece by piece: the feedback splits it into independent
+	// live pieces, and each piece is either enumerated or sampled.
 	//
-	//   - "auto" (the default): exact enumeration for every component
-	//     whose instance space fits ExactBudget. Every other component is
-	//     served piece by piece: the feedback splits it into independent
-	//     live pieces, each piece that fits the budget is enumerated and
-	//     the rest are sampled, and a component is *promoted* to exact as
-	//     a whole once assertions shrink its free-candidate count below
-	//     the budget. Exact components and pieces serve noise-free
-	//     probabilities, entropy, and information gain.
-	//   - "sampled": the paper's sampler inside every component, walked
-	//     piece by piece (every piece of two or more live members is
-	//     sampled).
+	//   - "auto" (the default): each piece whose instance space fits
+	//     ExactBudget is enumerated, the rest are sampled. Enumerated
+	//     pieces serve noise-free probabilities, entropy, and
+	//     information gain.
+	//   - "sampled": the paper's sampler everywhere (every piece of two
+	//     or more live members is sampled).
 	//   - "exact": exhaustive enumeration everywhere. With ExactBudget 0
 	//     the enumeration is unbounded (feasible only for small
 	//     components); with a budget, NewSession fails with
 	//     ErrExactBudgetExceeded when any component overflows it.
 	//
-	// Session.InferenceOf reports the backend serving each component. A
-	// piece-served component reports sampled, and its sampled estimates
-	// come from a different draw sequence than a walk over the whole
+	// Session.InferenceOf reports, per component, whether the whole
+	// component enumerates within the budget. Sampled estimates come
+	// from a different draw sequence than a walk over the whole
 	// component would take. See DESIGN.md, "Hybrid inference" and
 	// "Component decomposition".
 	Inference string
-	// ExactBudget caps the per-component instance enumeration of the
-	// exact backend (and, proportionally, its search work — a budgeted
-	// enumeration attempt costs O(budget) even on huge components).
+	// ExactBudget caps the instances of one enumeration — a piece, or a
+	// whole component under "exact" and in InferenceOf — and,
+	// proportionally, its search work: a budgeted enumeration attempt
+	// costs O(budget) even on huge components.
 	// 0 means a built-in default under "auto" and unlimited under
 	// "exact". Negative values are rejected by NewSession.
 	ExactBudget int
@@ -557,14 +555,16 @@ func (s *Session) ComponentOf(c int) (int, error) {
 	return s.pmn.ComponentOf(c), nil
 }
 
-// InferenceOf reports which estimation backend currently serves
-// component k: InferenceExact (noise-free probabilities from the
-// component's materialized instance list) or InferenceSampled (the
-// component is served piece by piece, even when every piece happens to
-// be enumerated). Under
-// Options.Inference = "auto" a component can flip from sampled to exact
-// as assertions shrink it; it never flips back. k is a component index
-// as returned by ComponentOf, in [0, Components()).
+// InferenceOf reports how component k is served at its current
+// feedback. Under Options.Inference = "auto" it is InferenceExact when
+// the whole component enumerates within ExactBudget — every piece is
+// then enumerated and the probabilities are noise-free — and
+// InferenceSampled otherwise, even when every piece happens to be
+// enumerated; a component can flip from sampled to exact as assertions
+// shrink it, and never flips back. Under "sampled" and "exact" it
+// reports that mode. Under "auto" the answer is computed on each call
+// by a budgeted enumeration of the component. k is a component index as
+// returned by ComponentOf, in [0, Components()).
 func (s *Session) InferenceOf(k int) (InferenceMode, error) {
 	if k < 0 || k >= s.pmn.NumComponents() {
 		return 0, fmt.Errorf("schemanet: component index %d outside [0,%d)", k, s.pmn.NumComponents())
@@ -576,8 +576,8 @@ func (s *Session) InferenceOf(k int) (InferenceMode, error) {
 // maximal constraint-consistent set of correspondences with near-minimal
 // repair distance and near-maximal likelihood (§V, Algorithm 2). It can
 // be called at any time, with any amount of feedback. The search runs
-// per independent unit — an exact component, or one live piece of a
-// sampled one — and merges the per-unit maximal instances (the
+// per independent unit — one live piece of a component — and merges
+// the per-unit maximal instances with the approved correspondences (the
 // objective factorizes; see DESIGN.md, "Component decomposition").
 func (s *Session) Instantiate() *Matching {
 	// Retired candidates are excluded like disapprovals: their conflict

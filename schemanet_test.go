@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"schemanet"
+	"schemanet/internal/wal"
 )
 
 // prober is the read interface shared by Session and ConcurrentSession.
@@ -375,4 +376,74 @@ func TestSessionOnMatchedNetwork(t *testing.T) {
 	if prec < 0.5 {
 		t.Fatalf("instantiated precision %.3f suspiciously low", prec)
 	}
+}
+
+// TestInstantiateKeepsApprovals: under "sampled", approving the video
+// network's three true correspondences leaves its one component with no
+// live piece and no single live member, and Instantiate must still
+// return the approvals — on every session surface, and after a full
+// Suggest/Assert reconciliation.
+func TestInstantiateKeepsApprovals(t *testing.T) {
+	net, truth := videoNet(t)
+	opts := &schemanet.Options{Inference: "sampled", Seed: 1}
+	s, err := schemanet.NewSession(net, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := schemanet.NewConcurrentSession(net, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := schemanet.OpenStore("store", net, &schemanet.StoreOptions{Session: opts, FS: wal.NewMemFS()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	ds, err := st.Session("video")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(name string, m *schemanet.Matching) {
+		t.Helper()
+		if m.Size() != truth.Size() || m.IntersectionSize(truth) != truth.Size() {
+			t.Fatalf("%s: Instantiate returned %v, want the approved %v", name, m.Pairs(), truth.Pairs())
+		}
+	}
+	for _, sf := range []struct {
+		name        string
+		assert      func(c int, correct bool) error
+		instantiate func() (*schemanet.Matching, error)
+	}{
+		{"Session", s.Assert, func() (*schemanet.Matching, error) { return s.Instantiate(), nil }},
+		{"ConcurrentSession", cs.Assert, func() (*schemanet.Matching, error) { return cs.Instantiate(), nil }},
+		{"DurableSession", ds.Assert, ds.Instantiate},
+	} {
+		for c := 0; c < net.NumCandidates(); c++ {
+			if truth.ContainsCorrespondence(net.Candidate(c)) {
+				if err := sf.assert(c, true); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		m, err := sf.instantiate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(sf.name, m)
+	}
+
+	r, err := schemanet.NewSession(net, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r.Uncertainty() > 0 {
+		c, ok := r.Suggest()
+		if !ok {
+			break
+		}
+		if err := r.Assert(c, truth.ContainsCorrespondence(net.Candidate(c))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("reconciled Session", r.Instantiate())
 }

@@ -382,11 +382,11 @@ func (s *Session) replayOps(log []wal.Record, base int) error {
 //
 // The saved history is not replayed assertion by assertion: it becomes
 // the new session's initial feedback, and every constraint-connected
-// component is built under it directly — an exact component enumerates
+// component is built under it directly — an enumerated piece lists
 // the instances consistent with the history, a sampled one draws its
 // initial samples seeded from the approvals and excluding the
 // disapprovals (Algorithm 3). No resampling round is paid and nothing
-// is filtered away. Exact components come out bit-identical to the
+// is filtered away. Enumerated pieces come out bit-identical to the
 // saved session's; sampled estimates are statistically equivalent (they
 // come from fresh samples either way). Components the history never
 // touched are filled exactly as NewSession fills them.
@@ -398,8 +398,8 @@ func (s *Session) replayOps(log []wal.Record, base int) error {
 // budget — free-candidate counts only ever shrink and the budgeted
 // enumeration probe is deterministic — so the final mode (and, for
 // exact components, the bit-exact probabilities) of the restored
-// session match the saved one even when promotions happened mid-session
-// rather than at restore time. Under Options.Inference = "exact" with
+// session match the saved one even when a component turned exact
+// mid-session rather than at restore time. Under Options.Inference = "exact" with
 // an ExactBudget, the budget applies to the restored state: a history
 // that shrinks every component within budget loads even where
 // NewSession on the same network fails with ErrExactBudgetExceeded.
