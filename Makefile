@@ -77,8 +77,9 @@ bench-smoke:
 	# Default chunked refill vs a pinned single-chunk budget (multicomp, dense).
 	$(GO) test -run '^$$' -bench 'BenchmarkSessionAssertBudget' -benchmem -benchtime $(BENCHTIME) -count $(COUNT) . | $(GO) run ./cmd/benchmedian
 	# Incremental topology cost: one late schema / one component-merging
-	# candidate batch on a live session vs recompiling the world.
-	$(GO) test -run '^$$' -bench 'BenchmarkAddSchema|BenchmarkAddCandidatesMerge' -benchmem -benchtime $(BENCHTIME) -count $(COUNT) . | $(GO) run ./cmd/benchmedian
+	# candidate batch on a live session vs recompiling the world, and
+	# growth beside a carried dense single-component session.
+	$(GO) test -run '^$$' -bench 'BenchmarkAddSchema|BenchmarkAddCandidatesMerge|BenchmarkAddCandidatesIsolated' -benchmem -benchtime $(BENCHTIME) -count $(COUNT) . | $(GO) run ./cmd/benchmedian
 	# Lazy top-k ranking: suggest-per-assert (assert off the clock)
 	# plus the core-layer gain-pass microbenchmark, which keeps the
 	# pruned-vs-exhaustive ratio measurable.

@@ -126,9 +126,10 @@ func (s *Session) Concurrent() *ConcurrentSession {
 		dirty:   make([]atomic.Bool, n),
 		workers: s.workers,
 		// The suggestion stream is deliberately distinct from the
-		// session rng: the component samplers may share the session rng
-		// on the single-component path, and suggestions must never
-		// perturb (or race with) sampling draws.
+		// session rng, which serial suggestions and Instantiate draw
+		// from, so concurrent tie-breaks never race with those draws.
+		// Sampling draws neither: every component walks on its own
+		// re-seeded rng.
 		sugRng: rand.New(rand.NewSource(s.seed ^ 0x5eed5a17)),
 	}
 	// Publish probs-only snapshots and let the first Suggest rank on

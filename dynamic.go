@@ -40,7 +40,7 @@ func (s *Session) addSchema(name string, attrs []string) (map[int]int, error) {
 		return nil, fmt.Errorf("schemanet: %w", err)
 	}
 	s.engine.Grow(oldN)
-	carried, err := s.pmn.TopologyChanged(oldN, -1)
+	carried, err := s.pmn.TopologyChanged(-1)
 	if err != nil {
 		return nil, fmt.Errorf("schemanet: %w", err)
 	}
@@ -51,11 +51,10 @@ func (s *Session) addSchema(name string, attrs []string) (map[int]int, error) {
 // AddCandidates appends candidate correspondences to the live session
 // (AttrIDs are those of the session's current network — base attributes
 // keep their IDs, attributes added by AddSchema follow in append
-// order). Components bridged by a new candidate merge; merged sampled
-// components are re-seeded from their predecessors' surviving samples
-// and only the sample deficit is re-drawn, while every untouched
-// component keeps its samples, probabilities, and cached ranking
-// verbatim.
+// order). Components bridged by a new candidate merge; a merged
+// component is rebuilt under the accumulated feedback with fresh pieces
+// on a content-derived stream, while every untouched component keeps
+// its pieces, samples, probabilities, and cached ranking verbatim.
 //
 // The differential guarantee: any interleaving of AddSchema /
 // AddCandidates / RetireCandidate / Assert yields the same component
@@ -77,7 +76,7 @@ func (s *Session) addCandidates(cs []Correspondence) (map[int]int, error) {
 		return nil, fmt.Errorf("schemanet: %w", err)
 	}
 	s.engine.Grow(oldN)
-	carried, err := s.pmn.TopologyChanged(oldN, -1)
+	carried, err := s.pmn.TopologyChanged(-1)
 	if err != nil {
 		return nil, fmt.Errorf("schemanet: %w", err)
 	}
@@ -114,12 +113,11 @@ func (s *Session) retireCandidate(c int) (map[int]int, error) {
 	if s.pmn.Feedback().IsAsserted(c) {
 		return nil, fmt.Errorf("schemanet: candidate %d: cannot retire an asserted candidate", c)
 	}
-	oldN := net.NumCandidates()
 	if err := net.RetireCandidate(c); err != nil {
 		return nil, fmt.Errorf("schemanet: %w", err)
 	}
 	s.engine.Retire(c)
-	carried, err := s.pmn.TopologyChanged(oldN, c)
+	carried, err := s.pmn.TopologyChanged(c)
 	if err != nil {
 		return nil, fmt.Errorf("schemanet: %w", err)
 	}

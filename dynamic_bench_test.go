@@ -97,3 +97,44 @@ func BenchmarkAddCandidatesMerge(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkAddCandidatesIsolated measures growth beside a dense
+// single-component session: two late schemas arrive with one candidate
+// between them, which forms a component of its own. The session's
+// component keeps its member list, so it is carried — pieces, stores
+// and probabilities stay as they are — and the op pays for the
+// topology bookkeeping, not for re-drawing the old component.
+func BenchmarkAddCandidatesIsolated(b *testing.B) {
+	for _, size := range []int{256, 512} {
+		d, _ := benchDataset(b, size)
+		b.Run(benchName(size), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				s, err := schemanet.NewSession(d.Network, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if s.Components() != 1 {
+					b.Fatalf("dense C=%d session has %d components, want one", size, s.Components())
+				}
+				b.StartTimer()
+				if err := s.AddSchema("late_a", "x"); err != nil {
+					b.Fatal(err)
+				}
+				if err := s.AddSchema("late_b", "y"); err != nil {
+					b.Fatal(err)
+				}
+				// Attributes added by AddSchema follow in append order.
+				na := s.Network().NumAttributes()
+				if err := s.AddCandidates([]schemanet.Correspondence{
+					{A: schemanet.AttrID(na - 2), B: schemanet.AttrID(na - 1), Confidence: 0.7},
+				}); err != nil {
+					b.Fatal(err)
+				}
+				if s.Components() != 2 {
+					b.Fatalf("grown session has %d components, want two", s.Components())
+				}
+			}
+		})
+	}
+}

@@ -3,6 +3,7 @@ package schemanet_test
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -686,5 +687,64 @@ func TestConcurrentTopologyRace(t *testing.T) {
 	var buf strings.Builder
 	if err := cs.Save(&buf); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGrowthCarriesSingleComponent: a single-component session that
+// gains a candidate forming a component of its own carries its
+// component — pieces, stores and probabilities stay as they are and
+// nothing is re-drawn — on a Session and through a ConcurrentSession,
+// whose carried component keeps its published snapshot.
+func TestGrowthCarriesSingleComponent(t *testing.T) {
+	net, _ := videoNet(t)
+	opts := schemanet.Options{Inference: "sampled", Seed: 1}
+	const emissions = 496
+	for _, concurrent := range []bool{false, true} {
+		s, err := schemanet.NewSession(net, &opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Components() != 1 || s.SamplingEmissions() != emissions {
+			t.Fatalf("fresh session: %d components, %d emissions; want 1 and %d",
+				s.Components(), s.SamplingEmissions(), emissions)
+		}
+		n := net.NumCandidates()
+		before := make([]float64, n)
+		for c := range before {
+			before[c] = mustProb(t, s, c)
+		}
+
+		addSchema, addCandidates, components := s.AddSchema, s.AddCandidates, s.Components
+		var reader prober = s
+		if concurrent {
+			cs := s.Concurrent()
+			addSchema, addCandidates, components = cs.AddSchema, cs.AddCandidates, cs.Components
+			reader = cs
+		}
+		if err := addSchema("late_a", "x"); err != nil {
+			t.Fatal(err)
+		}
+		if err := addSchema("late_b", "y"); err != nil {
+			t.Fatal(err)
+		}
+		grown := s.Network()
+		x, _ := attrByName(grown, "late_a.x")
+		y, _ := attrByName(grown, "late_b.y")
+		if err := addCandidates([]schemanet.Correspondence{{A: x, B: y, Confidence: 0.7}}); err != nil {
+			t.Fatal(err)
+		}
+
+		if got := components(); got != 2 {
+			t.Fatalf("concurrent=%v: %d components after growth, want 2", concurrent, got)
+		}
+		if got := s.SamplingEmissions(); got != emissions {
+			t.Fatalf("concurrent=%v: %d emissions after growth, want %d (the old component was re-drawn)",
+				concurrent, got, emissions)
+		}
+		for c := 0; c < n; c++ {
+			if got := mustProb(t, reader, c); math.Float64bits(got) != math.Float64bits(before[c]) {
+				t.Fatalf("concurrent=%v: candidate %d: p = %v after growth, %v before", concurrent, c, got, before[c])
+			}
+		}
 	}
 }

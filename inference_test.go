@@ -349,3 +349,33 @@ func TestConcurrentPromotionUnderContention(t *testing.T) {
 		t.Fatalf("uncertainty %v, want 0", h)
 	}
 }
+
+// TestInferenceOfSettledAllocatesNothing: under "auto" the whole-
+// component rule is monotone along a feedback path, so a component that
+// reports exact keeps that answer without enumerating again. videoNet is
+// one component that enumerates within the default budget; every later
+// InferenceOf call on it must allocate nothing, on a Session and on a
+// ConcurrentSession.
+func TestInferenceOfSettledAllocatesNothing(t *testing.T) {
+	net, _ := videoNet(t)
+	opts := schemanet.Options{Seed: 1}
+	s, err := schemanet.NewSession(net, &opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := schemanet.NewConcurrentSession(net, &opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sf := range []struct {
+		name        string
+		inferenceOf func(int) (schemanet.InferenceMode, error)
+	}{{"Session", s.InferenceOf}, {"ConcurrentSession", cs.InferenceOf}} {
+		if mode, err := sf.inferenceOf(0); err != nil || mode != schemanet.InferenceExact {
+			t.Fatalf("%s: InferenceOf(0) = %v, %v; want exact", sf.name, mode, err)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { sf.inferenceOf(0) }); allocs != 0 {
+			t.Fatalf("%s: InferenceOf(0) of an exact component allocated %v times per call, want 0", sf.name, allocs)
+		}
+	}
+}

@@ -54,7 +54,7 @@ func TestResolveBudget(t *testing.T) {
 func checkStoreInvariants(t *testing.T, p *PMN, k int) {
 	t.Helper()
 	cp := p.comps[k]
-	for _, u := range cp.inf.Units() {
+	for _, u := range cp.pieces {
 		st := u.store
 		if st.NeedsResample() {
 			t.Fatalf("component %d: a unit left below n_min and not complete after maintenance", k)
@@ -115,7 +115,7 @@ func TestAdaptiveRefillSurvivorReuse(t *testing.T) {
 		approve := d.GroundTruth.ContainsCorrespondence(d.Network.Candidate(c))
 		k := pa.ComponentOf(c)
 		var survivors []*bitset.Set
-		if u := pa.comps[k].inf.UnitOf(c); u != nil {
+		if u := pa.comps[k].pieceFor(c); u != nil {
 			u.store.ForEachInstance(func(inst *bitset.Set) bool {
 				if inst.Has(c) == approve {
 					survivors = append(survivors, inst.Clone())
@@ -131,7 +131,7 @@ func TestAdaptiveRefillSurvivorReuse(t *testing.T) {
 		}
 		checkStoreInvariants(t, pf, pf.ComponentOf(c))
 		checkStoreInvariants(t, pa, k)
-		for _, u := range pa.comps[k].inf.Units() {
+		for _, u := range pa.comps[k].pieces {
 			mask := bitset.FromIndices(n, u.members...)
 			for _, sv := range survivors {
 				proj := sv.Clone()

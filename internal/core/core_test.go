@@ -525,7 +525,7 @@ func TestResamplingKeepsStoreUsable(t *testing.T) {
 			// The invariant is per unit: while a unit has uncertain
 			// members, its store must hold instances.
 			for _, c := range p.Uncertain() {
-				u := p.comps[p.ComponentOf(c)].inf.UnitOf(c)
+				u := p.comps[p.ComponentOf(c)].pieceFor(c)
 				if u == nil || u.store.Size() == 0 {
 					t.Fatalf("step %d: candidate %d uncertain but its unit store is missing or empty", s.Step, c)
 				}
@@ -637,7 +637,7 @@ func soleStore(t testing.TB, p *PMN, k int) *sampling.Store {
 // other.
 func instanceCount(t testing.TB, p *PMN, k int) int {
 	t.Helper()
-	inf := p.comps[k].inf
+	inf := p.comps[k]
 	if inf.contradicted {
 		return 0
 	}

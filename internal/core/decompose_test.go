@@ -317,7 +317,7 @@ func TestDecomposedSampledAgreesWithExactOnRandomNet(t *testing.T) {
 	sampled := MustNew(e, cfg, rand.New(rand.NewSource(2)))
 	for c := 0; c < d.Network.NumCandidates(); c++ {
 		k := sampled.ComponentOf(c)
-		if u := sampled.comps[k].inf.UnitOf(c); u != nil && !u.store.Complete() {
+		if u := sampled.comps[k].pieceFor(c); u != nil && !u.store.Complete() {
 			continue // piece too large to complete; estimate, not exact
 		}
 		if math.Abs(exact.Probability(c)-sampled.Probability(c)) > 1e-9 {

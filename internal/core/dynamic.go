@@ -3,8 +3,6 @@ package core
 import (
 	"errors"
 	"strconv"
-
-	"schemanet/internal/bitset"
 )
 
 // Dynamic-network support: TopologyChanged relays the PMN's component
@@ -52,19 +50,9 @@ func fnvMix(h, v uint64) uint64 {
 	return h
 }
 
-// memberKey canonically names a component by its ascending member list;
-// nil members (the whole-universe component) materialize over the given
-// universe size so a trivial partition and an explicit full-universe
-// component compare equal.
-func memberKey(members []int, universe int) string {
+// memberKey canonically names a component by its ascending member list.
+func memberKey(members []int) string {
 	var b []byte
-	if members == nil {
-		for c := 0; c < universe; c++ {
-			b = strconv.AppendInt(b, int64(c), 10)
-			b = append(b, ',')
-		}
-		return string(b)
-	}
 	for _, c := range members {
 		b = strconv.AppendInt(b, int64(c), 10)
 		b = append(b, ',')
@@ -73,8 +61,8 @@ func memberKey(members []int, universe int) string {
 }
 
 // TopologyChanged re-derives the component layout after the network and
-// engine mutated: oldN is the candidate count before the change and
-// retiredCand the candidate withdrawn by a retire (-1 for growth).
+// engine mutated: retiredCand is the candidate withdrawn by a retire
+// (-1 for growth).
 //
 // Components whose member list is unchanged are carried in place (their
 // stores widen to the new universe; pieces, probabilities, entropy, and
@@ -92,7 +80,7 @@ func memberKey(members []int, universe int) string {
 //
 // Callers must serialize TopologyChanged against ALL other PMN use,
 // including reads.
-func (p *PMN) TopologyChanged(oldN, retiredCand int) (map[int]int, error) {
+func (p *PMN) TopologyChanged(retiredCand int) (map[int]int, error) {
 	p.topoGen++
 	n := p.engine.Network().NumCandidates()
 	p.feedback.Grow(n)
@@ -105,89 +93,37 @@ func (p *PMN) TopologyChanged(oldN, retiredCand int) (map[int]int, error) {
 	oldComps := p.comps
 	oldByKey := make(map[string]int, len(oldComps))
 	for k0, c := range oldComps {
-		oldByKey[memberKey(c.members, oldN)] = k0
+		oldByKey[memberKey(c.members)] = k0
 	}
 
 	parts := p.engine.Components()
-	nk := parts.NumComponents()
-	newComps := make([]*component, nk)
-	carried := make(map[int]int, nk)
-	compOf := make([]int, n)
-	localIdx := make([]int32, n)
-	maxComp := 0
-	for k := 0; k < nk; k++ {
-		members := parts.Members(k)
-		for j, c := range members {
-			compOf[c] = k
-			localIdx[c] = int32(j)
-		}
-		if len(members) > maxComp {
-			maxComp = len(members)
-		}
-	}
-	p.compOf, p.localIdx, p.maxComp = compOf, localIdx, maxComp
-
+	p.layout(parts)
+	p.comps = make([]*component, parts.NumComponents())
+	carried := make(map[int]int, len(p.comps))
 	var rebuilt []int
-	for k := 0; k < nk; k++ {
+	for k := range p.comps {
 		members := parts.Members(k)
-		k0, ok := oldByKey[memberKey(members, oldN)]
-		// A nil-members component spans the whole old universe and its
-		// store has no explicit member set: it cannot widen when new
-		// candidates arrive, so force a rebuild (which materializes the
-		// member list) whenever the universe grows.
-		if ok && oldComps[k0].members == nil && n > oldN {
-			ok = false
-		}
-		if ok && (retiredCand < 0 || !memberOf(oldComps[k0], retiredCand, oldN)) {
+		if k0, ok := oldByKey[memberKey(members)]; ok && (retiredCand < 0 || !oldComps[k0].mask.Has(retiredCand)) {
 			// Unchanged membership: carry the component, widening its
 			// universe-sized state in place. Feedback masks, store
 			// columns, probabilities, entropy, and the cached tie set are
 			// all still valid; only the ranking scratch (sized to the old
 			// maxComp) is dropped.
-			c := oldComps[k0]
-			c.approved.Grow(n)
-			c.disapproved.Grow(n)
-			if c.mask != nil {
-				c.mask.Grow(n)
-			}
-			c.inf.Grow(n)
-			c.topScratch = nil
-			newComps[k] = c
+			oldComps[k0].grow(n)
+			p.comps[k] = oldComps[k0]
 			carried[k] = k0
 			continue
 		}
-		c := newComponent(p.engine, n)
-		c.members = members
-		c.mask = bitset.FromIndices(n, members...)
-		for _, m := range members {
-			if p.feedback.IsApproved(m) {
-				c.approved.Add(m)
-			} else if p.feedback.IsDisapproved(m) {
-				c.disapproved.Add(m)
-			}
-		}
-		inf, err := p.newPieceInference(k, c, stream{seed: p.contentSeed(members)})
+		c, err := p.newComponent(k, members, stream{seed: p.contentSeed(members)})
 		if err != nil {
 			return nil, err
 		}
-		c.inf = inf
-		newComps[k] = c
+		p.comps[k] = c
 		rebuilt = append(rebuilt, k)
 	}
-	p.comps = newComps
-
 	for _, k := range rebuilt {
-		p.emissions.Add(int64(p.comps[k].inf.Refill()))
+		p.emissions.Add(int64(p.comps[k].refill()))
 		p.recomputeComp(k)
 	}
 	return carried, nil
-}
-
-// memberOf reports whether candidate c belongs to old component cp
-// (nil members = the whole old universe).
-func memberOf(cp *component, c, universe int) bool {
-	if cp.members == nil {
-		return c < universe
-	}
-	return cp.mask.Has(c)
 }

@@ -57,24 +57,6 @@ const DefaultExactBudget = 1024
 // documented errors.Is target through the public API.
 var ErrExactBudgetExceeded = errors.New("core: exact inference budget exceeded")
 
-// unit is one independent factor of a component's distribution: a
-// store whose columns are members, with the cached entropy of those
-// members and the lazy ranker's cached tie set. A component has one
-// unit per live piece of more than one member. Asserting a member changes
-// marginals only inside its unit, so its information gain is the unit's
-// H_U − E[H_U | c] (see topk.go).
-type unit struct {
-	store   *sampling.Store
-	members []int   // the store's columns as global ids
-	entropy float64 // Σ H(p_c) over members
-	// ties/gain cache the unit's maximal-gain tie set (ascending ids)
-	// and gain (-1 when no member is uncertain); fresh is the validity
-	// bit, cleared whenever the unit's estimates change.
-	ties  []int
-	gain  float64
-	fresh bool
-}
-
 // termAt applies the feedback override to probs[c] and returns its
 // binary-entropy contribution.
 func termAt(probs []float64, approved, disapproved *bitset.Set, c int) float64 {
@@ -169,37 +151,30 @@ func maxAttemptFree(budget int) int {
 	return 3*bits.Len(uint(budget)) + 8
 }
 
-// freeCount returns the component's unasserted member count. The
-// feedback masks only ever hold members, so two popcounts suffice.
-func (c *component) freeCount(universe int) int {
-	n := universe
-	if c.members != nil {
-		n = len(c.members)
-	}
-	return n - c.approved.Count() - c.disapproved.Count()
-}
-
-// enumerateWhole enumerates component c's whole instance space under
-// its current feedback within budget (0 = unlimited), returning
+// enumerateWhole enumerates the component's whole instance space under
+// its current feedback within its budget (0 = unlimited), returning
 // sampling.ErrTooManyInstances on overflow. The instances are dropped:
 // only whether they fit matters, and the pieces serve the component.
-func (p *PMN) enumerateWhole(c *component, budget int) error {
-	_, err := sampling.EnumerateWithin(c.engine, c.approved, c.disapproved, c.mask, budget)
+func (c *component) enumerateWhole() error {
+	_, err := sampling.EnumerateWithin(c.engine, c.approved, c.disapproved, c.mask, c.budget)
 	return err
 }
 
-// wholeFits is the InferAuto rule for component c at its current
-// feedback: fewer free candidates than the budget, at most
+// wholeFits is the InferAuto rule for the component at its current
+// feedback: fewer free (unasserted) members than the budget, at most
 // maxAttemptFree of them, and a whole-component enumeration that fits
 // the budget. Success is monotone along an assertion path (instances
-// and search work only shrink), so the answer never flips back. When it
-// holds, every live piece fits too — a piece has no more instances,
-// search nodes or free members than its component — so the piece
-// backend already serves the component exactly.
-func (p *PMN) wholeFits(c *component) bool {
-	budget := p.exactBudget()
-	free := c.freeCount(len(p.probs))
-	return free < budget && free <= maxAttemptFree(budget) && p.enumerateWhole(c, budget) == nil
+// and search work only shrink), so the answer never flips back and is
+// kept once it holds; a component rebuilt by a topology change starts
+// over. When it holds, every live piece fits too — a piece has no more
+// instances, search nodes or free members than its component — so the
+// pieces already serve the component exactly.
+func (c *component) wholeFits() bool {
+	if !c.fits {
+		free := len(c.members) - c.approved.Count() - c.disapproved.Count()
+		c.fits = free < c.budget && free <= maxAttemptFree(c.budget) && c.enumerateWhole() == nil
+	}
+	return c.fits
 }
 
 // stream is a component's base sampler seed: a decomposed PMN draws one
@@ -207,7 +182,7 @@ func (p *PMN) wholeFits(c *component) bool {
 // on a topology rebuild), and each piece walks a stream derived from it
 // and the piece's members (pieceSeed). shared non-nil is the session
 // rng of a trivial partition, which the base seed is drawn from only
-// when the component may walk (see newPieceInference).
+// when the component may walk (see newComponent).
 type stream struct {
 	shared *rand.Rand
 	seed   int64

@@ -326,7 +326,7 @@ func TestAutoStreamsAlignWithSampledAcrossComponents(t *testing.T) {
 			t.Fatal(err)
 		}
 		side.e.Grow(oldN)
-		if _, err := side.p.TopologyChanged(oldN, -1); err != nil {
+		if _, err := side.p.TopologyChanged(-1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -388,7 +388,7 @@ func TestSurvivorSeededWalkStaysMaximal(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Grow(oldN)
-	if _, err := p.TopologyChanged(oldN, -1); err != nil {
+	if _, err := p.TopologyChanged(-1); err != nil {
 		t.Fatal(err)
 	}
 	if p.NumComponents() != 1 {

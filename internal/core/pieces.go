@@ -3,10 +3,8 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"schemanet/internal/bitset"
-	"schemanet/internal/constraints"
 	"schemanet/internal/sampling"
 )
 
@@ -15,13 +13,18 @@ import (
 // live member is unasserted and does not conflict with F+, a piece is a
 // connected class of live members under the violations among them, and
 // every matching instance is F+ plus one maximal set per piece chosen
-// independently. The piece backend keeps one unit per piece of two or
+// independently. A component keeps one piece store per piece of two or
 // more live members; a piece of one live member has no violation and
 // reads p = 1 without a store, and a non-live unasserted member reads
-// p = 0. Pieces only split under feedback, so an assertion
-// view-maintains, re-partitions and refills only its own piece, and the
-// new pieces inherit the projections of the old piece's instances (see
-// DESIGN.md, "Component decomposition").
+// p = 0. Each piece that fits the enumeration budget (every piece under
+// InferExact, pieces of at most maxAttemptFree members under InferAuto)
+// is enumerated with F+ fixed; every other piece is walked by the
+// sampler over the piece's members only, on a stream seeded from the
+// component's base seed and the piece's members, so a piece's draws
+// never depend on assertions in other pieces. Pieces only split under
+// feedback, so an assertion view-maintains, re-partitions and refills
+// only its own piece, and the new pieces inherit the projections of the
+// old piece's instances (see DESIGN.md, "Component decomposition").
 
 // Piece markers in PMN.pieceOf for members outside any piece store.
 const (
@@ -29,98 +32,76 @@ const (
 	singleLive = -2 // a piece of one live member: p = 1
 )
 
-// piece is one live piece of two or more members.
+// piece is one live piece of two or more members: one independent
+// factor of its component's distribution, served by a store whose
+// columns are the members. Asserting a member changes marginals only
+// inside its piece, so its information gain is the piece's
+// H_U − E[H_U | c] (see topk.go).
 type piece struct {
-	unit
-	mask  *bitset.Set
-	exact bool // the store holds the piece's complete enumeration
-	dirty bool // estimates changed since the last Refresh
-	gone  bool // split since it was created
+	store   *sampling.Store
+	members []int   // the store's columns as global ids
+	entropy float64 // Σ H(p_c) over members
+	// ties/gain cache the piece's maximal-gain tie set (ascending ids)
+	// and gain (-1 when no member is uncertain); fresh is the validity
+	// bit, cleared whenever the piece's estimates change.
+	ties  []int
+	gain  float64
+	fresh bool
+	mask  *bitset.Set // members as a mask
+	exact bool        // the store holds the piece's complete enumeration
+	dirty bool        // estimates changed since the last refresh
+	gone  bool        // split since it was created
 }
 
-// pieceInference serves a component piece by piece: each piece that
-// fits the enumeration budget (every piece under InferExact, pieces of
-// at most maxAttemptFree members under InferAuto) is enumerated with F+
-// fixed, every other piece is walked by the sampler over the piece's
-// members only, on a stream seeded from the component's base seed and
-// the piece's members, so a piece's draws never depend on assertions in
-// other pieces.
-type pieceInference struct {
-	p      *PMN
-	engine *constraints.Engine
-	// approved/disapproved are the component's feedback masks (shared,
-	// written by the owning component); members is its explicit member
-	// list.
-	approved, disapproved *bitset.Set
-	members               []int
-	pieces                []*piece // slots; PMN.pieceOf indexes them
-	units                 []*unit  // the pieces' units, rebuilt after a split
-	pending               []*piece // created since the last Refill
-	// contradicted records approvals that conflict with each other: the
-	// component has no matching instance left.
-	contradicted bool
-	seed         int64
-	plan         budgetPlan
-	budget       int // enumeration budget; 0 = unlimited
-	maxEnum      int // largest piece (in members) enumerated; 0 = walk every piece
-
-	// Walk state, built on the first walk: one sampler over the
-	// component's engine fork whose rng is re-seeded per piece.
-	sampler *sampling.Sampler
-	rng     *rand.Rand
-	within  *bitset.Set // scratch: piece ∪ F+
-	probe   *bitset.Set // scratch: stripped instance ∪ F+
-	// prev/cur are marginal-vector scratch for the convergence test.
-	prev, cur []float64
-}
-
-// newPieceInference builds component k's backend: it partitions the
-// component under its feedback and queues every piece for the caller's
-// Refill. Under forced InferExact with a non-zero budget the whole
-// component is enumerated first, and an overflow fails with
-// ErrExactBudgetExceeded. st is the component's base stream; a trivial
-// partition draws its seed from the session rng unless the component
-// can never walk (forced InferExact, or InferAuto where the whole
-// component fits the budget), so the mode decides the draw exactly as
-// it decides whether any piece is walked.
-func (p *PMN) newPieceInference(k int, c *component, st stream) (*pieceInference, error) {
-	members := c.members
-	if members == nil {
-		members = make([]int, len(p.probs))
-		for i := range members {
-			members[i] = i
-		}
+// newComponent builds component k over members: an engine fork of its
+// own (walk scratch is engine-owned, so concurrent component
+// maintenance needs per-component forks), feedback masks copied from F,
+// and its pieces under that feedback, queued for the caller's refill.
+// Under forced InferExact with a non-zero budget the whole component is
+// enumerated first, and an overflow fails with ErrExactBudgetExceeded.
+// st is the component's base stream; the one component of a trivial
+// partition draws its seed from the session rng unless it can never
+// walk (forced InferExact, or InferAuto where the whole component fits
+// the budget), so the mode decides the draw exactly as it decides
+// whether any piece is walked.
+func (p *PMN) newComponent(k int, members []int, st stream) (*component, error) {
+	n := len(p.probs)
+	c := &component{
+		p: p, members: members, mask: bitset.FromIndices(n, members...),
+		engine: p.engine.Fork(), approved: bitset.New(n), disapproved: bitset.New(n),
+		seed: st.seed, plan: resolveBudget(p.cfg), budget: p.exactBudget(),
 	}
-	inf := &pieceInference{
-		p: p, engine: c.engine, approved: c.approved, disapproved: c.disapproved,
-		members: members, seed: st.seed, plan: resolveBudget(p.cfg), budget: p.exactBudget(),
+	for _, m := range members {
+		p.pieceOf[m] = notLive
+		if p.feedback.IsApproved(m) {
+			c.approved.Add(m)
+		} else if p.feedback.IsDisapproved(m) {
+			c.disapproved.Add(m)
+		}
 	}
 	walks := true
 	switch p.cfg.Inference {
 	case InferExact:
-		if inf.budget > 0 {
-			if err := p.enumerateWhole(c, inf.budget); err != nil {
+		if c.budget > 0 {
+			if err := c.enumerateWhole(); err != nil {
 				return nil, fmt.Errorf("core: component %d (%d candidates): %w: %v",
 					k, len(members), ErrExactBudgetExceeded, err)
 			}
 		}
-		inf.maxEnum, walks = len(members), false
+		c.maxEnum, walks = len(members), false
 	case InferAuto:
-		inf.maxEnum = maxAttemptFree(inf.budget)
-		walks = st.shared == nil || !p.wholeFits(c)
+		c.maxEnum = maxAttemptFree(c.budget)
+		walks = st.shared == nil || !c.wholeFits()
 	}
 	if st.shared != nil && walks {
-		inf.seed = st.shared.Int63()
-	}
-	for _, m := range members {
-		p.pieceOf[m] = notLive
+		c.seed = st.shared.Int63()
 	}
 	if !c.engine.Consistent(c.approved) {
-		inf.contradicted = true
-		return inf, nil
+		c.contradicted = true
+		return c, nil
 	}
-	inf.place(c.engine.LivePieces(members, c.approved, c.disapproved), -1, nil)
-	return inf, nil
+	c.place(c.engine.LivePieces(members, c.approved, c.disapproved), -1, nil)
+	return c, nil
 }
 
 // place installs new pieces, the first into slot (or a fresh slot when
@@ -129,8 +110,8 @@ func (p *PMN) newPieceInference(k int, c *component, st stream) (*pieceInference
 // place, and the others copy their projections. A piece inherits
 // parent's completeness: the projections of all instances are all of a
 // factor's instances. With parent nil the stores start empty.
-func (inf *pieceInference) place(parts [][]int, slot int, parent *piece) {
-	p := inf.p
+func (c *component) place(parts [][]int, slot int, parent *piece) {
+	p := c.p
 	n := len(p.probs)
 	heir := -1 // the part that takes over parent's store
 	for i, members := range parts {
@@ -145,19 +126,18 @@ func (inf *pieceInference) place(parts [][]int, slot int, parent *piece) {
 			p.pieceOf[members[0]] = singleLive
 			continue
 		}
-		pc := &piece{dirty: true}
-		pc.members = members
+		pc := &piece{members: members, dirty: true}
 		if slot < 0 {
-			slot = len(inf.pieces)
-			inf.pieces = append(inf.pieces, pc)
+			slot = len(c.pieces)
+			c.pieces = append(c.pieces, pc)
 		} else {
-			inf.pieces[slot] = pc
+			c.pieces[slot] = pc
 		}
 		for j, m := range members {
 			p.pieceOf[m] = int32(slot)
 			p.pieceCol[m] = int32(j)
 		}
-		inf.pending = append(inf.pending, pc)
+		c.pending = append(c.pending, pc)
 		slot = -1
 		if i == heir {
 			heirPc = pc
@@ -196,125 +176,115 @@ func (inf *pieceInference) place(parts [][]int, slot int, parent *piece) {
 			}
 		}
 	}
-	inf.relink()
-}
-
-// relink rebuilds the unit list after the piece slots changed.
-func (inf *pieceInference) relink() {
-	inf.units = inf.units[:0]
-	for _, pc := range inf.pieces {
-		inf.units = append(inf.units, &pc.unit)
-	}
 }
 
 // remove drops the piece in slot i by moving the last piece into it.
-func (inf *pieceInference) remove(i int) {
-	last := len(inf.pieces) - 1
+func (c *component) remove(i int) {
+	last := len(c.pieces) - 1
 	if i != last {
-		moved := inf.pieces[last]
-		inf.pieces[i] = moved
+		moved := c.pieces[last]
+		c.pieces[i] = moved
 		for _, m := range moved.members {
-			inf.p.pieceOf[m] = int32(i)
+			c.p.pieceOf[m] = int32(i)
 		}
 	}
-	inf.pieces[last] = nil
-	inf.pieces = inf.pieces[:last]
-	inf.relink()
+	c.pieces[last] = nil
+	c.pieces = c.pieces[:last]
 }
 
-// Apply view-maintains c's piece and re-partitions it. Asserting a
+// apply view-maintains cand's piece and re-partitions it. Asserting a
 // member outside every piece store changes no other member: a single
 // live member has no violation, a non-live one is in no instance —
 // unless it is approved, which contradicts F+ and empties Ω.
-func (inf *pieceInference) Apply(c int, approve bool) {
-	p := inf.p
-	if inf.contradicted {
+func (c *component) apply(cand int, approve bool) {
+	p := c.p
+	if c.contradicted {
 		return
 	}
-	slot := int(p.pieceOf[c])
-	p.pieceOf[c] = notLive
+	slot := int(p.pieceOf[cand])
+	p.pieceOf[cand] = notLive
 	switch slot {
 	case singleLive:
 		return
 	case notLive:
 		if approve {
-			inf.contradict()
+			c.contradict()
 		}
 		return
 	}
-	pc := inf.pieces[slot]
+	pc := c.pieces[slot]
 	if pc.exact {
-		pc.store.ApplyAssertionExact(c, approve, inf.maximalInPiece(pc))
+		pc.store.ApplyAssertionExact(cand, approve, c.maximalInPiece(pc))
 		pc.store.MarkComplete()
 	} else {
-		pc.store.ApplyAssertion(c, approve)
+		pc.store.ApplyAssertion(cand, approve)
 	}
 	pc.gone = true
 	for _, m := range pc.members {
 		p.pieceOf[m] = notLive
 	}
-	inf.place(inf.engine.LivePieces(pc.members, inf.approved, inf.disapproved), slot, pc)
-	if inf.pieces[slot] == pc {
+	c.place(c.engine.LivePieces(pc.members, c.approved, c.disapproved), slot, pc)
+	if c.pieces[slot] == pc {
 		// No new piece has two members: the slot is empty.
-		inf.remove(slot)
+		c.remove(slot)
 	}
 }
 
 // maximalInPiece is the exact view maintenance's disapproval probe for
 // one piece: the stripped instance plus F+ must be maximal over the
 // piece's members under the updated exclusions.
-func (inf *pieceInference) maximalInPiece(pc *piece) func(*bitset.Set) bool {
-	if inf.probe == nil {
-		inf.probe = inf.engine.NewInstance()
+func (c *component) maximalInPiece(pc *piece) func(*bitset.Set) bool {
+	if c.probe == nil {
+		c.probe = c.engine.NewInstance()
 	}
 	return func(inst *bitset.Set) bool {
-		inf.probe.CopyFrom(inst)
-		inf.probe.UnionWith(inf.approved)
-		return inf.engine.MaximalWithin(inf.probe, inf.disapproved, pc.members)
+		c.probe.CopyFrom(inst)
+		c.probe.UnionWith(c.approved)
+		return c.engine.MaximalWithin(c.probe, c.disapproved, pc.members)
 	}
 }
 
 // contradict drops every piece: approvals that conflict with each other
 // leave no matching instance.
-func (inf *pieceInference) contradict() {
-	inf.contradicted = true
-	for _, m := range inf.members {
-		inf.p.pieceOf[m] = notLive
+func (c *component) contradict() {
+	c.contradicted = true
+	for _, m := range c.members {
+		c.p.pieceOf[m] = notLive
 	}
-	inf.pieces, inf.units, inf.pending = nil, nil, nil
+	c.pieces, c.pending = nil, nil
 }
 
-// Refill settles every piece created since the last Refill, in slot
+// refill settles every piece created since the last refill, in slot
 // order: a piece not known exact is enumerated when it fits the
 // budget, and otherwise walked toward n_min unless its store is
 // complete. Each piece walks its own stream, so the order never changes
 // a result.
-func (inf *pieceInference) Refill() int {
+func (c *component) refill() int {
 	emitted := 0
-	for _, pc := range inf.pending {
+	for _, pc := range c.pending {
 		if pc.gone || pc.exact {
 			continue
 		}
-		if len(pc.members) <= inf.maxEnum && inf.enumerate(pc) {
+		if len(pc.members) <= c.maxEnum && c.enumerate(pc) {
 			continue
 		}
 		if pc.store.NeedsResample() {
-			emitted += inf.walk(pc)
+			emitted += c.walk(pc)
 		}
 	}
-	inf.pending = inf.pending[:0]
+	c.pending = c.pending[:0]
 	return emitted
 }
 
 // enumerate replaces pc's store with its complete enumeration when the
 // piece's instance space fits the budget.
-func (inf *pieceInference) enumerate(pc *piece) bool {
-	inf.setWithin(pc)
-	insts, err := sampling.EnumerateWithin(inf.engine, inf.approved, inf.disapproved, inf.within, inf.budget)
+func (c *component) enumerate(pc *piece) bool {
+	c.setWithin(pc)
+	insts, err := sampling.EnumerateWithin(c.engine, c.approved, c.disapproved, c.within, c.budget)
 	if err != nil {
 		return false
 	}
-	p := inf.p
+	p := c.p
 	st := sampling.NewComponentStore(len(p.probs), p.nmin(), pc.members, p.pieceCol)
 	for _, inst := range insts {
 		inst.IntersectWith(pc.mask)
@@ -328,12 +298,12 @@ func (inf *pieceInference) enumerate(pc *piece) bool {
 // setWithin sets the walk and enumeration mask to pc's members plus F+:
 // approved members are in every instance and carry the contracted
 // violations, while the store keeps only the piece's columns.
-func (inf *pieceInference) setWithin(pc *piece) {
-	if inf.within == nil {
-		inf.within = inf.engine.NewInstance()
+func (c *component) setWithin(pc *piece) {
+	if c.within == nil {
+		c.within = c.engine.NewInstance()
 	}
-	inf.within.CopyFrom(pc.mask)
-	inf.within.UnionWith(inf.approved)
+	c.within.CopyFrom(pc.mask)
+	c.within.UnionWith(c.approved)
 }
 
 // pieceSeed derives a piece's stream seed from the component's base
@@ -349,21 +319,21 @@ func pieceSeed(base int64, members []int) int64 {
 
 // walk resamples pc toward n_min (§III-B), concluding completeness
 // after two short rounds, and returns the emissions requested.
-func (inf *pieceInference) walk(pc *piece) int {
-	if inf.sampler == nil {
-		inf.rng = rand.New(rand.NewSource(0))
-		inf.sampler = sampling.NewSampler(inf.engine, inf.p.cfg.Sampler, inf.rng)
+func (c *component) walk(pc *piece) int {
+	if c.sampler == nil {
+		c.rng = rand.New(rand.NewSource(0))
+		c.sampler = sampling.NewSampler(c.engine, c.p.cfg.Sampler, c.rng)
 	}
-	inf.rng.Seed(pieceSeed(inf.seed, pc.members))
-	inf.setWithin(pc)
+	c.rng.Seed(pieceSeed(c.seed, pc.members))
+	c.setWithin(pc)
 	// The piece's share of the steps a walk over the whole component
 	// would spend inside it (see SamplePiece). It reads the piece and the
 	// component's size only, so the piece's draws stay independent of
 	// assertions in other pieces.
-	share := float64(len(pc.members)) / float64(len(inf.members))
+	share := float64(len(pc.members)) / float64(len(c.members))
 	total := 0
 	for round := 0; round < 2 && pc.store.NeedsResample(); round++ {
-		total += inf.refillRound(pc.store, share)
+		total += c.refillRound(pc.store, share)
 	}
 	if pc.store.NeedsResample() {
 		// Two consecutive rounds could not reach n_min: the actual
@@ -386,10 +356,10 @@ func (inf *pieceInference) walk(pc *piece) int {
 // a pure function of the piece's store and stream, so serial execution,
 // batch replay, and concurrent component-disjoint interleavings
 // reconstruct identical stores.
-func (inf *pieceInference) refillRound(st *sampling.Store, share float64) int {
+func (c *component) refillRound(st *sampling.Store, share float64) int {
 	emitted := 0
-	for emitted < inf.plan.max {
-		chunk := inf.plan.min
+	for emitted < c.plan.max {
+		chunk := c.plan.min
 		if emitted == 0 {
 			// Survivor reuse: instances kept by view maintenance count
 			// toward the target, so the first chunk covers only the n_min
@@ -398,35 +368,38 @@ func (inf *pieceInference) refillRound(st *sampling.Store, share float64) int {
 				chunk = d
 			}
 		}
-		if rem := inf.plan.max - emitted; chunk > rem {
+		if rem := c.plan.max - emitted; chunk > rem {
 			chunk = rem
 		}
-		last := emitted+chunk >= inf.plan.max
+		last := emitted+chunk >= c.plan.max
 		if emitted == 0 && !last {
 			m := st.TrackedCount()
-			if cap(inf.prev) < m {
-				inf.prev, inf.cur = make([]float64, m), make([]float64, m)
+			if cap(c.prev) < m {
+				c.prev, c.cur = make([]float64, m), make([]float64, m)
 			}
-			inf.prev, inf.cur = inf.prev[:m], inf.cur[:m]
-			st.MarginalsInto(inf.prev)
+			c.prev, c.cur = c.prev[:m], c.cur[:m]
+			st.MarginalsInto(c.prev)
 		}
-		inf.sampler.SamplePiece(st, inf.approved, inf.disapproved, inf.within, chunk, share)
+		c.sampler.SamplePiece(st, c.approved, c.disapproved, c.within, chunk, share)
 		emitted += chunk
 		if last {
 			break
 		}
-		st.MarginalsInto(inf.cur)
-		if maxAbsDelta(inf.prev, inf.cur) <= inf.plan.conv {
+		st.MarginalsInto(c.cur)
+		if maxAbsDelta(c.prev, c.cur) <= c.plan.conv {
 			break
 		}
-		inf.prev, inf.cur = inf.cur, inf.prev
+		c.prev, c.cur = c.cur, c.prev
 	}
 	return emitted
 }
 
-func (inf *pieceInference) Refresh(probs []float64) float64 {
-	p := inf.p
-	for _, pc := range inf.pieces {
+// refresh writes the component's probabilities into PMN.probs from
+// the pieces whose estimates changed and the members outside every
+// piece store, and returns the component's entropy term.
+func (c *component) refresh() float64 {
+	probs := c.p.probs
+	for _, pc := range c.pieces {
 		if !pc.dirty {
 			continue
 		}
@@ -438,54 +411,56 @@ func (inf *pieceInference) Refresh(probs []float64) float64 {
 		pc.entropy, pc.fresh, pc.dirty = h, false, false
 	}
 	h := 0.0
-	for _, m := range inf.members {
-		switch p.pieceOf[m] {
+	for _, m := range c.members {
+		switch c.p.pieceOf[m] {
 		case notLive:
 			probs[m] = 0
 		case singleLive:
 			probs[m] = 1
 		}
-		h += termAt(probs, inf.approved, inf.disapproved, m)
+		h += termAt(probs, c.approved, c.disapproved, m)
 	}
 	return h
 }
 
-func (inf *pieceInference) Units() []*unit { return inf.units }
-
-func (inf *pieceInference) UnitOf(c int) *unit {
-	if i := inf.p.pieceOf[c]; i >= 0 {
-		return &inf.pieces[i].unit
+// pieceFor returns member cand's piece, or nil when cand is in no piece
+// store.
+func (c *component) pieceFor(cand int) *piece {
+	if i := c.p.pieceOf[cand]; i >= 0 {
+		return c.pieces[i]
 	}
 	return nil
 }
 
-// Grow widens the backend to an n-candidate universe after a topology
-// change that left the component's membership unchanged: piece masks
-// and stores widen in place and universe-sized scratch is dropped.
-func (inf *pieceInference) Grow(n int) {
-	for _, pc := range inf.pieces {
+// grow widens the component to an n-candidate universe after a topology
+// change that left its membership unchanged: masks and piece stores
+// widen in place, and universe-sized scratch is dropped so the next use
+// reallocates at the new width.
+func (c *component) grow(n int) {
+	c.mask.Grow(n)
+	c.approved.Grow(n)
+	c.disapproved.Grow(n)
+	for _, pc := range c.pieces {
 		pc.mask.Grow(n)
-		pc.store.GrowUniverse(n, inf.p.pieceCol)
+		pc.store.GrowUniverse(n, c.p.pieceCol)
 	}
-	if inf.sampler != nil {
-		// The walk's scratch is universe-sized; drop it so the next walk
-		// reallocates at the new width.
-		inf.sampler.ResetScratch()
+	if c.sampler != nil {
+		c.sampler.ResetScratch()
 	}
-	inf.within, inf.probe = nil, nil
+	c.within, c.probe, c.topScratch = nil, nil, nil
 }
 
 // pieceCounts reports the live pieces (single live members included)
 // and how many of them are served exactly: single live members,
 // enumerated pieces, and pieces projected from an enumeration.
-func (inf *pieceInference) pieceCounts() (pieces, exact int) {
-	for _, m := range inf.members {
-		if inf.p.pieceOf[m] == singleLive {
+func (c *component) pieceCounts() (pieces, exact int) {
+	for _, m := range c.members {
+		if c.p.pieceOf[m] == singleLive {
 			pieces++
 			exact++
 		}
 	}
-	for _, pc := range inf.pieces {
+	for _, pc := range c.pieces {
 		pieces++
 		if pc.exact {
 			exact++
@@ -500,18 +475,16 @@ func (inf *pieceInference) pieceCounts() (pieces, exact int) {
 // members as one store-less unit, which is its own only instance. A
 // component whose approvals contradict each other has no instance; its
 // store-less unit is F+ alone, so approvals are never dropped.
-func (inf *pieceInference) instantiationUnits(stores []*sampling.Store, masks []*bitset.Set) ([]*sampling.Store, []*bitset.Set) {
-	order := append([]*piece(nil), inf.pieces...)
-	sort.Slice(order, func(a, b int) bool { return order[a].members[0] < order[b].members[0] })
-	for _, pc := range order {
+func (c *component) instantiationUnits(stores []*sampling.Store, masks []*bitset.Set) ([]*sampling.Store, []*bitset.Set) {
+	for _, pc := range sortedPieces(c.pieces) {
 		m := pc.mask.Clone()
-		m.UnionWith(inf.approved)
+		m.UnionWith(c.approved)
 		stores, masks = append(stores, pc.store), append(masks, m)
 	}
-	fixed := inf.approved.Clone()
-	for _, c := range inf.members {
-		if inf.p.pieceOf[c] == singleLive {
-			fixed.Add(c)
+	fixed := c.approved.Clone()
+	for _, m := range c.members {
+		if c.p.pieceOf[m] == singleLive {
+			fixed.Add(m)
 		}
 	}
 	if !fixed.Empty() {

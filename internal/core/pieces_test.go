@@ -48,7 +48,7 @@ func driveToGoal(t testing.TB, p *PMN, d *schema.Dataset, rng *rand.Rand, step f
 // backend holds them: member counts of its stores and its single live
 // members.
 func pieceSizes(p *PMN, k int) (sizes []int, live int) {
-	inf := p.comps[k].inf
+	inf := p.comps[k]
 	for _, pc := range inf.pieces {
 		sizes = append(sizes, len(pc.members))
 	}
@@ -86,12 +86,6 @@ func TestPieceIdentities(t *testing.T) {
 		check := func() {
 			for k, cp := range p.comps {
 				members := cp.members
-				if members == nil {
-					members = make([]int, len(p.probs))
-					for i := range members {
-						members[i] = i
-					}
-				}
 				live := 0
 				for _, c := range members {
 					if !cp.isAsserted(c) && !e.HasConflict(cp.approved, c) {
@@ -117,7 +111,7 @@ func TestPieceIdentities(t *testing.T) {
 					if slot < 0 {
 						t.Fatalf("%s step %d: piece %v has no store", tc.name, steps, piece)
 					}
-					got := cp.inf.pieces[slot].members
+					got := cp.pieces[slot].members
 					if len(got) != len(piece) {
 						t.Fatalf("%s step %d: backend piece %v, fresh partition %v", tc.name, steps, got, piece)
 					}
@@ -196,13 +190,13 @@ func TestPieceStreamsIndependentOfOtherPieces(t *testing.T) {
 			k, best = i, len(cp.members)
 		}
 	}
-	inf := p.comps[k].inf
+	inf := p.comps[k]
 	if len(inf.pieces) < 2 {
 		t.Fatalf("component %d has %d piece stores, want two", k, len(inf.pieces))
 	}
-	order := sortedUnits(inf.units)
-	big := func(skip *unit) *unit {
-		var out *unit
+	order := sortedPieces(inf.pieces)
+	big := func(skip *piece) *piece {
+		var out *piece
 		for _, u := range order {
 			if u != skip && (out == nil || len(u.members) > len(out.members)) {
 				out = u
@@ -265,7 +259,7 @@ func TestSampledPieceRefillsEmptiedStore(t *testing.T) {
 	var pc *piece
 	var k int
 	for i, cp := range p.comps {
-		for _, x := range cp.inf.pieces {
+		for _, x := range cp.pieces {
 			if len(x.members) >= 4 && (pc == nil || len(x.members) > len(pc.members)) {
 				pc, k = x, i
 			}
@@ -285,7 +279,7 @@ func TestSampledPieceRefillsEmptiedStore(t *testing.T) {
 		t.Fatal("the emptied piece did not refill")
 	}
 	checkStoreInvariants(t, p, k)
-	for _, u := range p.comps[k].inf.Units() {
+	for _, u := range p.comps[k].pieces {
 		if u.store.Size() == 0 {
 			t.Fatal("a piece split from the emptied store is left empty")
 		}
@@ -319,7 +313,7 @@ func BenchmarkPieceSplit(b *testing.B) {
 		cp := p.comps[p.compOf[c]]
 		var members []int
 		if slot := p.pieceOf[c]; slot >= 0 {
-			members = cp.inf.pieces[slot].members
+			members = cp.pieces[slot].members
 		}
 		if err := p.Assert(c, d.GroundTruth.ContainsCorrespondence(d.Network.Candidate(c))); err != nil {
 			b.Fatal(err)

@@ -61,26 +61,29 @@ func DefaultConfig() Config {
 	return Config{Sampler: sampling.DefaultConfig(), Samples: 500}
 }
 
-// component is one constraint-connected component of the PMN: its own
-// sample space Ω_k, engine fork, piece backend, component-scoped
-// feedback masks, and cached entropy term. Constraints never couple candidates
-// across components, so probabilities and entropies factorize —
-// H(C, P) = Σ_k H_k — and an assertion view-maintains and resamples
-// only its own component (see DESIGN.md, "Component decomposition").
+// component is one constraint-connected component of the PMN: its
+// explicit member list, its own sample space Ω_k, engine fork,
+// component-scoped feedback masks, the live pieces that serve its
+// estimates (pieces.go), and its cached entropy term. Constraints never
+// couple candidates across components, so probabilities and entropies
+// factorize — H(C, P) = Σ_k H_k — and an assertion view-maintains and
+// resamples only its own component (see DESIGN.md, "Component
+// decomposition"). A trivial partition is one component over every
+// candidate.
 //
 // Everything a component's maintenance touches lives in this struct (or
 // in the component-disjoint slices of the PMN it writes through): the
-// engine fork owns the walk scratch, the sampler owns the component's
-// rng stream, and approved/disapproved mirror F ∩ members. That closure
-// is what lets a concurrent serving layer maintain different components
-// from different goroutines with one lock per component and no shared
-// mutable reads (see DESIGN.md, "Concurrent serving").
+// engine fork and the sampler own the walk scratch, the component's rng
+// carries its walk streams, and approved/disapproved mirror F ∩ members.
+// That closure is what lets a concurrent serving layer maintain
+// different components from different goroutines with one lock per
+// component and no shared mutable reads (see DESIGN.md, "Concurrent
+// serving").
 type component struct {
-	members []int       // global candidate ids, ascending; nil = whole universe
-	mask    *bitset.Set // members as a mask; nil = whole universe
+	p       *PMN
+	members []int       // global candidate ids, ascending
+	mask    *bitset.Set // members as a mask
 	engine  *constraints.Engine
-	// inf serves the component's estimates piece by piece (pieces.go).
-	inf *pieceInference
 	// approved/disapproved are F+ ∩ members and F− ∩ members (global
 	// indexing). Component maintenance reads only these — never the
 	// PMN-global feedback — because the restricted forms F ∩ within that
@@ -92,7 +95,7 @@ type component struct {
 	entropy     float64 // cached H_k = Σ_{c ∈ members} H(p_c)
 
 	// Lazy top-k ranking state (see topk.go). topTies/topGain cache the
-	// component's maximal-gain tie set — the best over its units' cached
+	// component's maximal-gain tie set — the best over its pieces' cached
 	// tie sets; topFresh is its validity bit, cleared whenever the
 	// component's probabilities are recomputed. topScratch holds the
 	// ranking buffers. All of it is component-local and maintained under
@@ -101,6 +104,28 @@ type component struct {
 	topGain    float64
 	topFresh   bool
 	topScratch *topkScratch
+
+	// Live pieces (pieces.go). pieces are the slots PMN.pieceOf
+	// indexes; pending holds the pieces created since the last refill.
+	pieces  []*piece
+	pending []*piece
+	// contradicted records approvals that conflict with each other: the
+	// component has no matching instance left.
+	contradicted bool
+	seed         int64 // base seed of the pieces' walk streams
+	plan         budgetPlan
+	budget       int  // enumeration budget; 0 = unlimited
+	maxEnum      int  // largest piece (in members) enumerated; 0 = walk every piece
+	fits         bool // wholeFits held once; it never flips back
+
+	// Walk state, built on the first walk: one sampler over the engine
+	// fork whose rng is re-seeded per piece.
+	sampler *sampling.Sampler
+	rng     *rand.Rand
+	within  *bitset.Set // scratch: piece ∪ F+
+	probe   *bitset.Set // scratch: stripped instance ∪ F+
+	// prev/cur are marginal-vector scratch for the convergence test.
+	prev, cur []float64
 }
 
 // mirror records an assertion on member cand into the component's
@@ -132,7 +157,8 @@ func (c *component) isAsserted(cand int) bool {
 // pieces of its feedback (see pieces.go), and an assertion
 // view-maintains and refills only its own piece. A network whose
 // constraints connect every candidate (a trivial partition) is one
-// whole-universe component: the paper's single global sample space.
+// component over every candidate: the paper's single global sample
+// space.
 type PMN struct {
 	engine   *constraints.Engine
 	cfg      Config
@@ -144,7 +170,7 @@ type PMN struct {
 	probs    []float64
 	maxComp  int // size of the largest component (scratch sizing)
 	// pieceOf/pieceCol place every member of every component:
-	// the slot of its piece in the component's backend (or notLive /
+	// the slot of its piece in the component (or notLive /
 	// singleLive) and its column in that piece's store. Components write
 	// only their own members' entries.
 	pieceOf, pieceCol []int32
@@ -158,18 +184,6 @@ type PMN struct {
 	// draw identical streams without consuming the session rng.
 	topoSeed int64
 	topoGen  uint64
-}
-
-// newComponent wires one component: an engine fork of its own (walk
-// scratch is engine-owned, so concurrent component maintenance needs
-// per-component forks) and empty component-scoped feedback masks. The
-// piece backend is attached afterwards (PMN.newPieceInference).
-func newComponent(engine *constraints.Engine, n int) *component {
-	return &component{
-		engine:      engine.Fork(),
-		approved:    bitset.New(n),
-		disapproved: bitset.New(n),
-	}
 }
 
 // New builds a probabilistic matching network and computes the initial
@@ -214,59 +228,45 @@ func NewWithHistory(engine *constraints.Engine, cfg Config, rng *rand.Rand, hist
 	// mode, so a component that never walks does not shift its
 	// neighbors' seeds (replay and differential runs depend on stable
 	// streams). Each piece derives its stream from its component's seed.
-	var streams []stream
-
+	// Each component samples from its own deterministic stream, so
+	// resampling one component never perturbs the others' draws — and
+	// maintenance of component-disjoint assertions commutes bit-for-bit,
+	// which is what makes concurrent serving reproducible. The one
+	// component of a trivial partition draws from the session rng only
+	// if it may walk (see newComponent).
 	parts := engine.Components()
-	if parts.Trivial() {
-		// One component covering the whole universe: nil members/mask
-		// select the unrestricted code paths everywhere; the backend draws
-		// its base seed from the session rng.
-		p.comps = []*component{newComponent(engine, n)}
-		p.compOf = make([]int, n)
-		p.localIdx = nil
-		p.maxComp = n
-		streams = []stream{{shared: rng}}
-	} else {
-		p.compOf = make([]int, n)
-		p.localIdx = make([]int32, n)
-		p.comps = make([]*component, parts.NumComponents())
-		streams = make([]stream, parts.NumComponents())
-		for k := 0; k < parts.NumComponents(); k++ {
-			members := parts.Members(k)
-			for j, c := range members {
-				p.compOf[c] = k
-				p.localIdx[c] = int32(j)
-			}
-			if len(members) > p.maxComp {
-				p.maxComp = len(members)
-			}
-			// Each component samples from its own deterministic stream, so
-			// resampling one component never perturbs the others' draws —
-			// and maintenance of component-disjoint assertions commutes
-			// bit-for-bit, which is what makes concurrent serving
-			// reproducible.
-			streams[k] = stream{seed: rng.Int63()}
-			c := newComponent(engine, n)
-			c.members = members
-			c.mask = bitset.FromIndices(n, members...)
-			p.comps[k] = c
+	p.layout(parts)
+	p.comps = make([]*component, parts.NumComponents())
+	for k := range p.comps {
+		st := stream{shared: rng}
+		if len(p.comps) > 1 {
+			st = stream{seed: rng.Int63()}
 		}
-	}
-
-	for _, a := range history {
-		p.comps[p.compOf[a.Cand]].mirror(a.Cand, a.Approved)
-	}
-	for k, c := range p.comps {
-		inf, err := p.newPieceInference(k, c, streams[k])
+		c, err := p.newComponent(k, parts.Members(k), st)
 		if err != nil {
 			return nil, err
 		}
-		c.inf = inf
+		p.comps[k] = c
 		// Initial fill of every piece under the component's feedback.
-		p.emissions.Add(int64(c.inf.Refill()))
+		p.emissions.Add(int64(c.refill()))
 		p.recomputeComp(k)
 	}
 	return p, nil
+}
+
+// layout indexes the partition: each candidate's component and column,
+// and the largest component's size.
+func (p *PMN) layout(parts *constraints.Partition) {
+	n := parts.NumCandidates()
+	p.compOf, p.localIdx, p.maxComp = make([]int, n), make([]int32, n), 0
+	for k := 0; k < parts.NumComponents(); k++ {
+		members := parts.Members(k)
+		for j, c := range members {
+			p.compOf[c] = k
+			p.localIdx[c] = int32(j)
+		}
+		p.maxComp = max(p.maxComp, len(members))
+	}
 }
 
 // MustNew is New that panics on error — for configurations that cannot
@@ -299,13 +299,14 @@ func (p *PMN) ComponentOf(c int) int { return p.compOf[c] }
 // within the budget (wholeFits), and InferSampled otherwise. The pieces
 // of a component reported exact are all enumerated. Under InferAuto the
 // answer can flip from sampled to exact as assertions shrink the
-// component; it never flips back. The probe enumerates, so callers
-// serialize it with the component's maintenance.
+// component; it never flips back, so once exact it is answered without
+// probing. The probe enumerates and records its result on the
+// component, so callers serialize it with the component's maintenance.
 func (p *PMN) ComponentInference(k int) InferenceMode {
 	if p.cfg.Inference != InferAuto {
 		return p.cfg.Inference
 	}
-	if p.wholeFits(p.comps[k]) {
+	if p.comps[k].wholeFits() {
 		return InferExact
 	}
 	return InferSampled
@@ -316,15 +317,15 @@ func (p *PMN) ComponentInference(k int) InferenceMode {
 // live.
 func (p *PMN) UnitStores(k int) []*sampling.Store {
 	var out []*sampling.Store
-	for _, u := range sortedUnits(p.comps[k].inf.Units()) {
-		out = append(out, u.store)
+	for _, pc := range sortedPieces(p.comps[k].pieces) {
+		out = append(out, pc.store)
 	}
 	return out
 }
 
-// sortedUnits returns the units ordered by smallest member.
-func sortedUnits(units []*unit) []*unit {
-	out := append([]*unit(nil), units...)
+// sortedPieces returns the pieces ordered by smallest member.
+func sortedPieces(pieces []*piece) []*piece {
+	out := append([]*piece(nil), pieces...)
 	sort.Slice(out, func(a, b int) bool { return out[a].members[0] < out[b].members[0] })
 	return out
 }
@@ -333,7 +334,7 @@ func sortedUnits(units []*unit) []*unit {
 // are served exactly (a single live member, an enumerated piece, or a
 // piece split from one).
 func (p *PMN) PieceCounts(k int) (pieces, exact int) {
-	return p.comps[k].inf.pieceCounts()
+	return p.comps[k].pieceCounts()
 }
 
 // InstantiationUnits returns the independent (store, mask) units the
@@ -345,7 +346,7 @@ func (p *PMN) PieceCounts(k int) (pieces, exact int) {
 // are live.
 func (p *PMN) InstantiationUnits() (stores []*sampling.Store, masks []*bitset.Set) {
 	for _, c := range p.comps {
-		stores, masks = c.inf.instantiationUnits(stores, masks)
+		stores, masks = c.instantiationUnits(stores, masks)
 	}
 	return stores, masks
 }
@@ -355,9 +356,10 @@ func (p *PMN) Feedback() *Feedback { return p.feedback }
 
 // Resamples returns the number of post-construction refills that
 // walked (component-scoped; one batch assertion counts at most one per
-// touched component, however many of its pieces walked). A session restored through NewWithHistory reads
-// 0 — its history conditions the initial fill rather than triggering
-// refills — and tests use that to verify restores never resample. The
+// touched component, however many of its pieces walked). A session
+// restored through NewWithHistory reads 0 — its history conditions the
+// initial fill rather than triggering refills — and tests use that to
+// verify restores never resample. The
 // counter is atomic so concurrent component maintenance can bump it
 // without a lock.
 func (p *PMN) Resamples() int { return int(p.resamples.Load()) }
@@ -369,24 +371,19 @@ func (p *PMN) Resamples() int { return int(p.resamples.Load()) }
 func (p *PMN) Emissions() int { return int(p.emissions.Load()) }
 
 // LocalIndex returns candidate c's column index inside its component's
-// store and snapshots (the identity when the PMN is a single
-// whole-universe component). The mapping is immutable after
-// construction and safe to call from any goroutine.
-func (p *PMN) LocalIndex(c int) int {
-	if p.localIdx == nil {
-		return c
-	}
-	return int(p.localIdx[c])
-}
+// snapshots: its position in the component's ascending member list. The
+// mapping changes only with the topology (TopologyChanged) and is safe
+// to call from any goroutine between topology changes.
+func (p *PMN) LocalIndex(c int) int { return int(p.localIdx[c]) }
 
-// recomputeComp refreshes component k's slice of P from its backend
+// recomputeComp refreshes component k's slice of P from its pieces
 // (asserted candidates read 1/0 — assertions are always right, §II-B),
 // refreshes the cached entropy term H_k, and invalidates the
 // component's cached top-k tie set.
 func (p *PMN) recomputeComp(k int) {
 	c := p.comps[k]
 	c.topFresh = false
-	c.entropy = c.inf.Refresh(p.probs)
+	c.entropy = c.refresh()
 }
 
 // Probabilities returns a copy of P.
@@ -401,13 +398,13 @@ func (p *PMN) Probability(c int) float64 { return p.probs[c] }
 
 // integrate performs the component-scoped view maintenance for one
 // recorded assertion: mirror the assertion into the component's feedback
-// masks (the backend's maintenance reads them) and view-maintain the
-// backend. The refill and probability recomputation are left to the
-// caller so a batch of assertions pays for them once per touched
-// component.
+// masks (the piece maintenance reads them) and view-maintain the
+// asserted member's piece. The refill and probability recomputation are
+// left to the caller so a batch of assertions pays for them once per
+// touched component.
 func (p *PMN) integrate(cp *component, c int, approve bool) {
 	cp.mirror(c, approve)
-	cp.inf.Apply(c, approve)
+	cp.apply(c, approve)
 }
 
 // RecordAssertion validates one expert assertion and records it in the
@@ -443,7 +440,7 @@ func (p *PMN) ApplyAssertions(k int, as []Assertion) {
 	for _, a := range as {
 		p.integrate(cp, a.Cand, a.Approved)
 	}
-	if e := cp.inf.Refill(); e > 0 {
+	if e := cp.refill(); e > 0 {
 		p.emissions.Add(int64(e))
 		p.resamples.Add(1)
 	}

@@ -90,23 +90,14 @@ func (p *PMN) SnapshotComponentTop(k int) *ComponentSnapshot {
 func (p *PMN) snapshot(k int) *ComponentSnapshot {
 	cp := p.comps[k]
 	net := p.Network()
-	snap := &ComponentSnapshot{entropy: cp.entropy, bestGain: -1}
-	collect := func(j, c int) {
+	snap := &ComponentSnapshot{
+		probs:   make([]float64, len(cp.members)),
+		entropy: cp.entropy, bestGain: -1,
+	}
+	for j, c := range cp.members {
 		snap.probs[j] = p.probs[c]
 		if !cp.isAsserted(c) && !net.Retired(c) {
 			snap.unasserted = append(snap.unasserted, c)
-		}
-	}
-	if cp.members == nil {
-		n := len(p.probs)
-		snap.probs = make([]float64, n)
-		for c := 0; c < n; c++ {
-			collect(c, c)
-		}
-	} else {
-		snap.probs = make([]float64, len(cp.members))
-		for j, c := range cp.members {
-			collect(j, c)
 		}
 	}
 	return snap

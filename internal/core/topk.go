@@ -11,21 +11,20 @@ import (
 //
 // The suggest hot path needs the maximal-gain candidate (and its exact
 // tie set), not the full gain vector. A component's distribution is a
-// product of independent units (one per live piece, see pieces.go), and
-// asserting c changes marginals only inside c's unit, so IG(c) =
-// H_U − E[H_U | c] over the unit's store. Because an unasserted
-// candidate's probability is exactly its empirical marginal counts_c/n
-// over that store — the same distribution condEntropyUnit partitions —
-// the gain decomposes into a sum of empirical pairwise
-// mutual-information terms over the unit's uncertain, unasserted
-// members U:
+// product of independent live pieces (see pieces.go), and asserting c
+// changes marginals only inside c's piece, so IG(c) = H_U − E[H_U | c]
+// over the piece's store. Because an unasserted candidate's probability
+// is exactly its empirical marginal counts_c/n over that store — the
+// same distribution condEntropyPiece partitions — the gain decomposes
+// into a sum of empirical pairwise mutual-information terms over the
+// piece's uncertain, unasserted members U:
 //
 //	IG(c) = Σ_{d ∈ U} I(c; d),  0 ≤ I(c; d) ≤ min(H(p_c), H(p_d))
 //
 // (asserted members are skipped by the partition entropy; certain
 // members contribute an exactly-zero term). The ranking below runs per
-// unit, and a component's tie set is the best over its units; an
-// assertion invalidates only the cached tie sets of the units it
+// piece, and a component's tie set is the best over its pieces; an
+// assertion invalidates only the cached tie sets of the pieces it
 // changed.
 //
 // Up to topkMatrixCap members, one serial pass counts the symmetric
@@ -47,7 +46,7 @@ import (
 // is evaluated with the streaming block kernels — the one place the
 // ranker shards across Config.Workers.
 //
-// Units whose cached entropy H_U cannot reach the component's running
+// Pieces whose cached entropy H_U cannot reach the component's running
 // best, and components whose cached entropy term H_k cannot reach the
 // network-wide best, are skipped wholesale.
 // InformationGains is the exhaustive reference the tests hold this
@@ -67,11 +66,11 @@ const topkBlock = 8
 var topkMatrixCap = 1024
 
 // topkScratch holds the reusable buffers of one component's lazy
-// ranking passes (one unit at a time); owned by the component and used
+// ranking passes (one piece at a time); owned by the component and used
 // only under the same serialization as the rest of its maintenance.
 type topkScratch struct {
-	stale []*unit   // units awaiting a ranking, entropy descending
-	u     *unit     // the unit being ranked
+	stale []*piece  // pieces awaiting a ranking, entropy descending
+	u     *piece    // the piece being ranked
 	cand  []int     // uncertain unasserted members, ascending global id
 	ucols []int     // their store columns, same order
 	h     []float64 // their binary entropies H(p_c)
@@ -137,17 +136,17 @@ func (p *PMN) TopGains(k int) ([]int, float64) {
 	return p.computeTopGains(k)
 }
 
-// computeTopGains ranks one stale component: units with fresh cached
-// tie sets contribute for free, stale units are ranked in descending
-// entropy order, and a stale unit whose entropy H_U — an upper bound on
+// computeTopGains ranks one stale component: pieces with fresh cached
+// tie sets contribute for free, stale pieces are ranked in descending
+// entropy order, and a stale piece whose entropy H_U — an upper bound on
 // any member's gain — cannot reach the running best is skipped.
 func (p *PMN) computeTopGains(k int) ([]int, float64) {
 	cp := p.comps[k]
 	ts := cp.ensureTopScratch()
-	units := cp.inf.Units()
+	pieces := cp.pieces
 	best := -1.0
 	ts.stale = ts.stale[:0]
-	for _, u := range units {
+	for _, u := range pieces {
 		if !u.fresh {
 			ts.stale = append(ts.stale, u)
 		} else if u.gain > best {
@@ -165,13 +164,13 @@ func (p *PMN) computeTopGains(k int) ([]int, float64) {
 		if u.entropy < best-PruneMargin(best) {
 			continue // IG ≤ H_U: no member can reach the best, ties included
 		}
-		if g := p.rankUnit(cp, u); g > best {
+		if g := p.rankPiece(cp, u); g > best {
 			best = g
 		}
 	}
 	ties := cp.topTies[:0]
 	if best >= 0 {
-		for _, u := range units {
+		for _, u := range pieces {
 			if u.fresh && u.gain == best {
 				ties = append(ties, u.ties...)
 			}
@@ -182,26 +181,23 @@ func (p *PMN) computeTopGains(k int) ([]int, float64) {
 	return ties, best
 }
 
-// rankUnit ranks one stale unit (see the package comment above):
+// rankPiece ranks one stale piece (see the package comment above):
 // collect U, then either bound every member from the co-count matrix
 // and evaluate members in descending-bound order until the running best
 // strictly dominates the remaining bounds, or — above the matrix cap —
-// evaluate every member. It caches and returns the unit's best gain.
-func (p *PMN) rankUnit(cp *component, u *unit) float64 {
+// evaluate every member. It caches and returns the piece's best gain.
+func (p *PMN) rankPiece(cp *component, u *piece) float64 {
 	ts := cp.topScratch
 	ts.u = u
 	net := p.Network()
 
 	ts.cand, ts.ucols, ts.h = ts.cand[:0], ts.ucols[:0], ts.h[:0]
-	collect := func(j, c int) {
+	for j, c := range u.members {
 		if pc := p.probs[c]; pc > 0 && pc < 1 && !cp.isAsserted(c) && !net.Retired(c) {
 			ts.cand = append(ts.cand, c)
 			ts.ucols = append(ts.ucols, j)
 			ts.h = append(ts.h, BinaryEntropy(pc))
 		}
-	}
-	for j, c := range u.members {
-		collect(j, c)
 	}
 	nu := len(ts.cand)
 	if nu == 0 {

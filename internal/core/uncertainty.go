@@ -18,7 +18,7 @@ func BinaryEntropy(p float64) float64 {
 
 // igScratch holds the per-worker buffers of the ranking pass: the
 // batched co-occurrence counts of one candidate (column-indexed within
-// its unit's store), a memo table of partition entropies, and the
+// its piece's store), a memo table of partition entropies, and the
 // hoisted asserted-candidate mask (global-indexed).
 type igScratch struct {
 	with     []int
@@ -86,17 +86,17 @@ func (p *PMN) assertedMask() []bool {
 	return out
 }
 
-// condEntropyUnit computes the unit-local part of H(C | c, P) of
-// Equation 4 — the expected uncertainty of c's unit after the expert
-// asserts c — from one batched columnar count pass over the unit's
-// store (Store.CoCountsInto): the unit's sample set is partitioned on
+// condEntropyPiece computes the piece-local part of H(C | c, P) of
+// Equation 4 — the expected uncertainty of c's piece after the expert
+// asserts c — from one batched columnar count pass over the piece's
+// store (Store.CoCountsInto): the piece's sample set is partitioned on
 // membership of c, exactly the update view maintenance would perform
-// for either answer. Candidates outside the unit (other pieces, other
+// for either answer. Candidates outside the piece (other pieces, other
 // components) are independent of c, so their entropy terms are
 // unchanged by the conditioning and never enter this pass — the
-// factorization that makes the ranking O(unit²) instead of O(network²)
+// factorization that makes the ranking O(piece²) instead of O(network²)
 // per candidate.
-func (p *PMN) condEntropyUnit(u *unit, c int, s *igScratch) float64 {
+func (p *PMN) condEntropyPiece(u *piece, c int, s *igScratch) float64 {
 	pc := p.probs[c]
 	st := u.store
 	m := st.TrackedCount()
@@ -106,19 +106,19 @@ func (p *PMN) condEntropyUnit(u *unit, c int, s *igScratch) float64 {
 	return pc*hPlus + (1-pc)*hMinus
 }
 
-// partitionEntropyOf computes H over one sub-population of a unit's
+// partitionEntropyOf computes H over one sub-population of a piece's
 // samples from its per-candidate membership counts (column-indexed).
 // Within one partition the per-candidate entropy depends only on the
 // count k ∈ [0, total], so values are memoized in the scratch table:
 // co-occurrence counts repeat heavily and log2 dominates the pass
 // otherwise.
-func (p *PMN) partitionEntropyOf(u *unit, counts []int, total int, s *igScratch) float64 {
+func (p *PMN) partitionEntropyOf(u *piece, counts []int, total int, s *igScratch) float64 {
 	if total == 0 {
 		return 0
 	}
-	// A unit with few members probes at most that many distinct counts:
+	// A piece with few members probes at most that many distinct counts:
 	// resetting a memo table of total+1 entries would cost more than the
-	// log2 calls it saves, so small units compute directly.
+	// log2 calls it saves, so small pieces compute directly.
 	memo := len(counts) > 64
 	var tab []float64
 	if memo {
@@ -174,33 +174,33 @@ func (p *PMN) partitionEntropySubset(counts []int, total int, s *igScratch) floa
 	return h
 }
 
-// ConditionalEntropy returns H(C | c, P) of Equation 4: the unit-local
+// ConditionalEntropy returns H(C | c, P) of Equation 4: the piece-local
 // conditional term plus the unchanged entropy of everything outside c's
-// unit.
+// piece.
 func (p *PMN) ConditionalEntropy(c int) float64 {
 	pc := p.probs[c]
-	u := p.comps[p.compOf[c]].inf.UnitOf(c)
+	u := p.comps[p.compOf[c]].pieceFor(c)
 	if pc <= 0 || pc >= 1 || u == nil {
 		// Certain candidates: the assertion outcome is already known and
 		// changes nothing.
 		return p.Entropy()
 	}
 	rest := p.Entropy() - u.entropy
-	return rest + p.condEntropyUnit(u, c, p.newScratch(p.assertedMask()))
+	return rest + p.condEntropyPiece(u, c, p.newScratch(p.assertedMask()))
 }
 
 // InformationGain returns IG(c) of Equation 5: the expected uncertainty
 // reduction from asserting c. It is zero for certain candidates.
-// Because conditioning on c leaves everything outside c's unit
-// untouched, the gain reduces to the unit-local difference
+// Because conditioning on c leaves everything outside c's piece
+// untouched, the gain reduces to the piece-local difference
 // H_U − H_U(·|c).
 func (p *PMN) InformationGain(c int) float64 {
 	pc := p.probs[c]
-	u := p.comps[p.compOf[c]].inf.UnitOf(c)
+	u := p.comps[p.compOf[c]].pieceFor(c)
 	if pc <= 0 || pc >= 1 || u == nil {
 		return 0
 	}
-	ig := u.entropy - p.condEntropyUnit(u, c, p.newScratch(p.assertedMask()))
+	ig := u.entropy - p.condEntropyPiece(u, c, p.newScratch(p.assertedMask()))
 	if ig < 0 {
 		// Sampling noise can produce slightly negative estimates; clamp
 		// so ordering degenerates gracefully to "no expected gain".
@@ -221,7 +221,7 @@ const igChunk = 8
 // Suggest; it reads the stores and the probability vector and touches
 // no ranker state, so calling it never changes what TopGains returns
 // or how it gets there. The per-candidate computations read only the
-// owning unit's columnar matrix, so workers never contend.
+// owning piece's columnar matrix, so workers never contend.
 func (p *PMN) InformationGains() []float64 {
 	out := make([]float64, len(p.probs))
 	var pending []int
@@ -244,11 +244,11 @@ func (p *PMN) InformationGains() []float64 {
 
 	asserted := p.assertedMask()
 	rank := func(s *igScratch, c int) {
-		u := p.comps[p.compOf[c]].inf.UnitOf(c)
+		u := p.comps[p.compOf[c]].pieceFor(c)
 		if u == nil {
 			return
 		}
-		if ig := u.entropy - p.condEntropyUnit(u, c, s); ig > 0 {
+		if ig := u.entropy - p.condEntropyPiece(u, c, s); ig > 0 {
 			out[c] = ig
 		}
 	}

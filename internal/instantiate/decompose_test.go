@@ -120,21 +120,3 @@ func TestHeuristicDecomposedRespectsFeedback(t *testing.T) {
 		t.Fatal("decomposed instantiation inconsistent")
 	}
 }
-
-// TestHeuristicDecomposedSingleComponentDelegates: a single nil-masked
-// component is exactly the monolithic Heuristic (same rng stream, same
-// result).
-func TestHeuristicDecomposedSingleComponentDelegates(t *testing.T) {
-	e, _ := buildVideoNet(t)
-	rng := rand.New(rand.NewSource(5))
-	s := sampling.NewSampler(e, sampling.DefaultConfig(), rng)
-	store := s.Sample(nil, nil, 100)
-	probs := store.Probabilities()
-	cfg := DefaultConfig()
-	a := Heuristic(e, store, probs, nil, nil, cfg, rand.New(rand.NewSource(9)))
-	b := HeuristicDecomposed(e, []*sampling.Store{store}, []*bitset.Set{nil},
-		probs, nil, nil, cfg, rand.New(rand.NewSource(9)))
-	if !a.Equal(b) {
-		t.Fatalf("single-component HeuristicDecomposed %v != Heuristic %v", b, a)
-	}
-}

@@ -134,9 +134,8 @@ func Heuristic(e *constraints.Engine, store *sampling.Store, probs []float64,
 // HeuristicDecomposed runs Algorithm 2 independently on every
 // independent unit of the instance space and unions the per-unit
 // winners. stores[k] holds unit k's samples and masks[k] the candidates
-// it searches (a nil mask means the whole universe, as in a monolithic
-// single-component PMN). A unit is a constraint-connected component, or
-// one live piece of one with the approved set in its mask: a store may
+// it searches. A unit is a constraint-connected component, or one live
+// piece of one with the approved set in its mask: a store may
 // track only the piece, and its instances are seeded with approved ∩
 // mask before the search. A nil store marks a unit whose mask is its
 // only instance (the approved set plus the members no violation can
@@ -151,9 +150,6 @@ func Heuristic(e *constraints.Engine, store *sampling.Store, probs []float64,
 func HeuristicDecomposed(e *constraints.Engine, stores []*sampling.Store, masks []*bitset.Set,
 	probs []float64, approved, disapproved *bitset.Set, cfg Config, rng *rand.Rand) *bitset.Set {
 
-	if len(stores) == 1 && masks[0] == nil {
-		return Heuristic(e, stores[0], probs, approved, disapproved, cfg, rng)
-	}
 	out := e.NewInstance()
 	for k, store := range stores {
 		if store == nil {

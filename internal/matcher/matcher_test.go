@@ -89,21 +89,6 @@ func TestThresholdSelector(t *testing.T) {
 	}
 }
 
-func TestTopKSelector(t *testing.T) {
-	cells := TopK{K: 1, T: 0.1}.Select(testMatrix())
-	if len(cells) != 2 {
-		t.Fatalf("top-1 selected %d, want 2", len(cells))
-	}
-	for _, c := range cells {
-		if c.Row == 0 && c.Col != 0 {
-			t.Errorf("row 0 best should be col 0, got %d", c.Col)
-		}
-		if c.Row == 1 && c.Col != 1 {
-			t.Errorf("row 1 best should be col 1, got %d", c.Col)
-		}
-	}
-}
-
 func TestMaxDeltaSelector(t *testing.T) {
 	cells := MaxDelta{Delta: 0.1, T: 0.5}.Select(testMatrix())
 	// Row 0: max 0.9 → keeps 0.9 and 0.85. Row 1: max 0.6 → keeps 0.6
@@ -115,22 +100,6 @@ func TestMaxDeltaSelector(t *testing.T) {
 	cells = MaxDelta{Delta: 0.1, T: 0.7}.Select(testMatrix())
 	if len(cells) != 2 {
 		t.Fatalf("max-delta with floor selected %d, want 2", len(cells))
-	}
-}
-
-func TestStableMarriageSelector(t *testing.T) {
-	cells := StableMarriage{T: 0.1}.Select(testMatrix())
-	if len(cells) != 2 {
-		t.Fatalf("stable marriage selected %d, want 2", len(cells))
-	}
-	usedRow := map[int]bool{}
-	usedCol := map[int]bool{}
-	for _, c := range cells {
-		if usedRow[c.Row] || usedCol[c.Col] {
-			t.Fatal("stable marriage reused a row or column")
-		}
-		usedRow[c.Row] = true
-		usedCol[c.Col] = true
 	}
 }
 

@@ -1,7 +1,5 @@
 package matcher
 
-import "sort"
-
 // Selector extracts candidate correspondences from a similarity matrix.
 // Selection is the final step of both composite matchers (COMA's
 // selection strategies, AMC's selection operators).
@@ -26,35 +24,6 @@ func (s Threshold) Select(m *Matrix) []Cell {
 				out = append(out, Cell{Row: i, Col: j, Confidence: v})
 			}
 		}
-	}
-	return out
-}
-
-// TopK selects, per row, the K best cells with similarity >= T.
-type TopK struct {
-	K int
-	T float64
-}
-
-// Name implements Selector.
-func (s TopK) Name() string { return "top-k" }
-
-// Select implements Selector.
-func (s TopK) Select(m *Matrix) []Cell {
-	var out []Cell
-	rows, cols := m.Dims()
-	for i := 0; i < rows; i++ {
-		var row []Cell
-		for j := 0; j < cols; j++ {
-			if v := m.At(i, j); v >= s.T {
-				row = append(row, Cell{Row: i, Col: j, Confidence: v})
-			}
-		}
-		sort.Slice(row, func(a, b int) bool { return row[a].Confidence > row[b].Confidence })
-		if len(row) > s.K {
-			row = row[:s.K]
-		}
-		out = append(out, row...)
 	}
 	return out
 }
@@ -86,49 +55,6 @@ func (s MaxDelta) Select(m *Matrix) []Cell {
 				out = append(out, Cell{Row: i, Col: j, Confidence: v})
 			}
 		}
-	}
-	return out
-}
-
-// StableMarriage selects a one-to-one assignment greedily by descending
-// similarity (each row and column used at most once), subject to the
-// floor T. It yields near-conflict-free output — useful as an ablation
-// matcher whose violations come almost only from cycles.
-type StableMarriage struct{ T float64 }
-
-// Name implements Selector.
-func (s StableMarriage) Name() string { return "stable-marriage" }
-
-// Select implements Selector.
-func (s StableMarriage) Select(m *Matrix) []Cell {
-	rows, cols := m.Dims()
-	var all []Cell
-	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			if v := m.At(i, j); v >= s.T {
-				all = append(all, Cell{Row: i, Col: j, Confidence: v})
-			}
-		}
-	}
-	sort.Slice(all, func(a, b int) bool {
-		if all[a].Confidence != all[b].Confidence {
-			return all[a].Confidence > all[b].Confidence
-		}
-		if all[a].Row != all[b].Row {
-			return all[a].Row < all[b].Row
-		}
-		return all[a].Col < all[b].Col
-	})
-	usedRow := make(map[int]bool)
-	usedCol := make(map[int]bool)
-	var out []Cell
-	for _, c := range all {
-		if usedRow[c.Row] || usedCol[c.Col] {
-			continue
-		}
-		usedRow[c.Row] = true
-		usedCol[c.Col] = true
-		out = append(out, c)
 	}
 	return out
 }

@@ -68,37 +68,3 @@ func (o *Noisy) Assert(c schema.Correspondence) bool {
 	}
 	return ans
 }
-
-// Counting wraps another oracle and counts its assertions. Like Noisy,
-// Assert is safe for concurrent use when the base oracle is (the counter
-// is guarded), so NewNoisy(NewCounting(truth), …) can be shared across
-// fanned-out goroutines.
-type Counting struct {
-	base interface {
-		Assert(schema.Correspondence) bool
-	}
-	mu sync.Mutex
-	n  int
-}
-
-// NewCounting wraps base.
-func NewCounting(base interface {
-	Assert(schema.Correspondence) bool
-}) *Counting {
-	return &Counting{base: base}
-}
-
-// Assert implements the oracle contract.
-func (o *Counting) Assert(c schema.Correspondence) bool {
-	o.mu.Lock()
-	o.n++
-	o.mu.Unlock()
-	return o.base.Assert(c)
-}
-
-// Count returns the number of assertions answered.
-func (o *Counting) Count() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.n
-}

@@ -122,43 +122,3 @@ func TestNoisyForkIndependentStreams(t *testing.T) {
 		t.Fatalf("parent flip rate %.3f after Fork, want ≈ 0.3", rate)
 	}
 }
-
-// TestCountingConcurrentAssert shares the usual effort-accounting
-// composition Noisy(Counting(truth)) across goroutines; the counter
-// must neither race (the package race job runs this under -race) nor
-// undercount.
-func TestCountingConcurrentAssert(t *testing.T) {
-	cnt := NewCounting(NewGroundTruth(matching()))
-	o := NewNoisy(cnt, 0.2, rand.New(rand.NewSource(6)))
-	const workers, trials = 8, 300
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < trials; i++ {
-				o.Assert(schema.Correspondence{A: 0, B: 5})
-			}
-		}()
-	}
-	wg.Wait()
-	if got := cnt.Count(); got != workers*trials {
-		t.Fatalf("Count = %d, want %d", got, workers*trials)
-	}
-}
-
-func TestCounting(t *testing.T) {
-	o := NewCounting(NewGroundTruth(matching()))
-	if o.Count() != 0 {
-		t.Fatal("fresh counter not zero")
-	}
-	o.Assert(schema.Correspondence{A: 0, B: 5})
-	o.Assert(schema.Correspondence{A: 0, B: 6})
-	if o.Count() != 2 {
-		t.Fatalf("Count = %d, want 2", o.Count())
-	}
-	// Answers pass through unchanged.
-	if !o.Assert(schema.Correspondence{A: 1, B: 6}) {
-		t.Fatal("counting oracle altered the answer")
-	}
-}

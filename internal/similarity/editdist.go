@@ -44,90 +44,6 @@ func LevenshteinSimilarity(a, b string) float64 {
 	return 1 - float64(Levenshtein(a, b))/float64(m)
 }
 
-// DamerauLevenshtein returns the optimal-string-alignment distance:
-// Levenshtein plus transposition of adjacent runes.
-func DamerauLevenshtein(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
-	la, lb := len(ra), len(rb)
-	if la == 0 {
-		return lb
-	}
-	if lb == 0 {
-		return la
-	}
-	d := make([][]int, la+1)
-	for i := range d {
-		d[i] = make([]int, lb+1)
-		d[i][0] = i
-	}
-	for j := 0; j <= lb; j++ {
-		d[0][j] = j
-	}
-	for i := 1; i <= la; i++ {
-		for j := 1; j <= lb; j++ {
-			cost := 1
-			if ra[i-1] == rb[j-1] {
-				cost = 0
-			}
-			d[i][j] = min3(d[i-1][j]+1, d[i][j-1]+1, d[i-1][j-1]+cost)
-			if i > 1 && j > 1 && ra[i-1] == rb[j-2] && ra[i-2] == rb[j-1] {
-				if t := d[i-2][j-2] + 1; t < d[i][j] {
-					d[i][j] = t
-				}
-			}
-		}
-	}
-	return d[la][lb]
-}
-
-// LCSLength returns the length of the longest common subsequence.
-func LCSLength(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
-	la, lb := len(ra), len(rb)
-	prev := make([]int, lb+1)
-	cur := make([]int, lb+1)
-	for i := 1; i <= la; i++ {
-		for j := 1; j <= lb; j++ {
-			if ra[i-1] == rb[j-1] {
-				cur[j] = prev[j-1] + 1
-			} else if prev[j] >= cur[j-1] {
-				cur[j] = prev[j]
-			} else {
-				cur[j] = cur[j-1]
-			}
-		}
-		prev, cur = cur, prev
-		for j := range cur {
-			cur[j] = 0
-		}
-	}
-	return prev[lb]
-}
-
-// LongestCommonSubstring returns the length of the longest contiguous
-// common substring.
-func LongestCommonSubstring(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
-	la, lb := len(ra), len(rb)
-	best := 0
-	prev := make([]int, lb+1)
-	cur := make([]int, lb+1)
-	for i := 1; i <= la; i++ {
-		for j := 1; j <= lb; j++ {
-			if ra[i-1] == rb[j-1] {
-				cur[j] = prev[j-1] + 1
-				if cur[j] > best {
-					best = cur[j]
-				}
-			} else {
-				cur[j] = 0
-			}
-		}
-		prev, cur = cur, prev
-	}
-	return best
-}
-
 // PrefixSimilarity is the length of the common prefix divided by the
 // length of the shorter string. Empty strings yield 0 unless both empty.
 func PrefixSimilarity(a, b string) float64 {

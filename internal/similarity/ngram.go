@@ -76,32 +76,3 @@ func TokenJaccard(a, b string) float64 {
 	}
 	return float64(inter) / float64(union)
 }
-
-// MongeElkan returns the Monge-Elkan similarity: for each token of a, the
-// best inner similarity against tokens of b, averaged. The measure is
-// asymmetric; use MongeElkanSym for a symmetric variant.
-func MongeElkan(a, b string, inner func(x, y string) float64) float64 {
-	ta, tb := Tokenize(a), Tokenize(b)
-	if len(ta) == 0 && len(tb) == 0 {
-		return 1
-	}
-	if len(ta) == 0 || len(tb) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range ta {
-		best := 0.0
-		for _, y := range tb {
-			if s := inner(x, y); s > best {
-				best = s
-			}
-		}
-		sum += best
-	}
-	return sum / float64(len(ta))
-}
-
-// MongeElkanSym is the mean of MongeElkan(a,b) and MongeElkan(b,a).
-func MongeElkanSym(a, b string, inner func(x, y string) float64) float64 {
-	return (MongeElkan(a, b, inner) + MongeElkan(b, a, inner)) / 2
-}

@@ -34,24 +34,6 @@ func TestTokenize(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	if got := Normalize("Release_Date"); got != "release date" {
-		t.Errorf("Normalize = %q, want %q", got, "release date")
-	}
-	if Normalize("releaseDate") != Normalize("RELEASE_DATE") {
-		t.Error("case/convention variants should normalize identically")
-	}
-}
-
-func TestExpandAbbreviations(t *testing.T) {
-	dict := DefaultAbbreviations()
-	got := ExpandAbbreviations([]string{"cust", "qty", "widget"}, dict)
-	want := []string{"customer", "quantity", "widget"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("ExpandAbbreviations = %v, want %v", got, want)
-	}
-}
-
 func TestLevenshtein(t *testing.T) {
 	cases := []struct {
 		a, b string
@@ -69,30 +51,6 @@ func TestLevenshtein(t *testing.T) {
 		if got := Levenshtein(c.a, c.b); got != c.want {
 			t.Errorf("Levenshtein(%q,%q) = %d, want %d", c.a, c.b, got, c.want)
 		}
-	}
-}
-
-func TestDamerauCountsTransposition(t *testing.T) {
-	if got := DamerauLevenshtein("ab", "ba"); got != 1 {
-		t.Errorf("Damerau(ab,ba) = %d, want 1", got)
-	}
-	if got := Levenshtein("ab", "ba"); got != 2 {
-		t.Errorf("Levenshtein(ab,ba) = %d, want 2", got)
-	}
-	if got := DamerauLevenshtein("date", "daet"); got != 1 {
-		t.Errorf("Damerau(date,daet) = %d, want 1", got)
-	}
-}
-
-func TestLCS(t *testing.T) {
-	if got := LCSLength("ABCBDAB", "BDCABA"); got != 4 {
-		t.Errorf("LCS = %d, want 4", got)
-	}
-	if got := LCSLength("", "abc"); got != 0 {
-		t.Errorf("LCS with empty = %d, want 0", got)
-	}
-	if got := LongestCommonSubstring("productionDate", "introduction"); got != len("roduction") {
-		t.Errorf("LongestCommonSubstring = %d, want %d", got, len("roduction"))
 	}
 }
 
@@ -150,24 +108,6 @@ func TestTokenJaccard(t *testing.T) {
 	}
 	if got := TokenJaccard("releaseDate", "release_date"); got != 1 {
 		t.Errorf("TokenJaccard convention variants = %v, want 1", got)
-	}
-}
-
-func TestMongeElkan(t *testing.T) {
-	inner := JaroWinkler
-	me := MongeElkan("release date", "releasing dates", inner)
-	if me <= 0.8 {
-		t.Errorf("MongeElkan of near-identical token lists = %v, want > 0.8", me)
-	}
-	if got := MongeElkan("", "", inner); got != 1 {
-		t.Errorf("MongeElkan empty = %v, want 1", got)
-	}
-	if got := MongeElkan("abc", "", inner); got != 0 {
-		t.Errorf("MongeElkan one empty = %v, want 0", got)
-	}
-	sym := MongeElkanSym("release date", "date", inner)
-	if sym <= 0 || sym > 1 {
-		t.Errorf("MongeElkanSym out of range: %v", sym)
 	}
 }
 

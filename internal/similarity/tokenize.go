@@ -1,8 +1,8 @@
 // Package similarity implements the string-similarity substrate for the
 // schema matchers: tokenization of attribute names, normalization,
-// character-based measures (Levenshtein, Damerau, Jaro-Winkler, q-grams,
-// LCS), token-based measures (Jaccard, Monge-Elkan) and a TF-IDF cosine
-// over an attribute-name corpus.
+// character-based measures (Levenshtein, Jaro-Winkler, q-grams, common
+// prefix and suffix), token-based Jaccard and a TF-IDF cosine over an
+// attribute-name corpus.
 //
 // All similarity functions return values in [0, 1], where 1 means
 // identical under the measure.
@@ -58,27 +58,6 @@ func Tokenize(s string) []string {
 	}
 	flush()
 	return tokens
-}
-
-// Normalize lower-cases a name and joins its tokens with single spaces,
-// giving a canonical form for character-level comparison:
-// "Release_Date" and "releaseDate" both normalize to "release date".
-func Normalize(s string) string {
-	return strings.Join(Tokenize(s), " ")
-}
-
-// ExpandAbbreviations maps each token through the dictionary (if present)
-// and returns the expanded token list. Unknown tokens pass through.
-func ExpandAbbreviations(tokens []string, dict map[string]string) []string {
-	out := make([]string, len(tokens))
-	for i, t := range tokens {
-		if full, ok := dict[t]; ok {
-			out[i] = full
-		} else {
-			out[i] = t
-		}
-	}
-	return out
 }
 
 // DefaultAbbreviations is a small domain-independent abbreviation

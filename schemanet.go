@@ -562,9 +562,10 @@ func (s *Session) ComponentOf(c int) (int, error) {
 // InferenceSampled otherwise, even when every piece happens to be
 // enumerated; a component can flip from sampled to exact as assertions
 // shrink it, and never flips back. Under "sampled" and "exact" it
-// reports that mode. Under "auto" the answer is computed on each call
-// by a budgeted enumeration of the component. k is a component index as
-// returned by ComponentOf, in [0, Components()).
+// reports that mode. Under "auto" the answer is computed by a budgeted
+// enumeration of the component until it first reports exact, and is
+// kept from then on. k is a component index as returned by ComponentOf,
+// in [0, Components()).
 func (s *Session) InferenceOf(k int) (InferenceMode, error) {
 	if k < 0 || k >= s.pmn.NumComponents() {
 		return 0, fmt.Errorf("schemanet: component index %d outside [0,%d)", k, s.pmn.NumComponents())
