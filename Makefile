@@ -85,10 +85,10 @@ bench-smoke:
 	# pruned-vs-exhaustive ratio measurable.
 	$(GO) test -run '^$$' -bench 'BenchmarkSuggestHot' -benchmem -benchtime $(BENCHTIME) -count $(COUNT) . | $(GO) run ./cmd/benchmedian
 	$(GO) test -run '^$$' -bench 'BenchmarkTopGainPass' -benchmem -benchtime $(BENCHTIME) -count $(COUNT) ./internal/core | $(GO) run ./cmd/benchmedian
-	# Session setup and reopen: construction (per-component backends)
-	# and LoadSession's construction under a saved history, which no
-	# step benchmark measures.
-	$(GO) test -run '^$$' -bench 'BenchmarkNewSession|BenchmarkLoadSession' -benchmem -benchtime $(BENCHTIME) -count $(COUNT) . | $(GO) run ./cmd/benchmedian
+	# Session setup and reopen: construction (per-component backends),
+	# LoadSession's construction under a saved history, and a store
+	# tenant's evict + reopen, which no step benchmark measures.
+	$(GO) test -run '^$$' -bench 'BenchmarkNewSession|BenchmarkLoadSession|BenchmarkStoreReopen' -benchmem -benchtime $(BENCHTIME) -count $(COUNT) . | $(GO) run ./cmd/benchmedian
 
 # Multi-core throughput rig: the Throughput benchmarks at each GOMAXPROCS
 # in BENCHCPUS, reported as medians plus a scaling table (ratio vs the

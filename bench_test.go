@@ -27,6 +27,7 @@ import (
 	"schemanet/internal/matcher"
 	"schemanet/internal/sampling"
 	"schemanet/internal/schema"
+	"schemanet/internal/wal"
 )
 
 // runExperiment is the common driver for the per-table/figure benches.
@@ -836,10 +837,12 @@ func benchMultiCompDataset(b testing.TB) *schemanet.Dataset {
 	return d
 }
 
-// BenchmarkNewSession measures session construction — compiling Γ,
-// partitioning, and building every component's initial backend
-// (enumeration for exact components, sampler stream and initial fill
-// for sampled ones) — on one dense component and on many small ones.
+// BenchmarkNewSession measures session construction — forking the
+// network's compiled Γ and partition (compiled once, by the first
+// iteration; see DESIGN.md, "One compiled Γ per base network") and
+// building every component's initial backend (enumeration for exact
+// components, sampler stream and initial fill for sampled ones) — on
+// one dense component and on many small ones.
 func BenchmarkNewSession(b *testing.B) {
 	dense, _ := benchDataset(b, 512)
 	for _, w := range []struct {
@@ -896,6 +899,59 @@ func BenchmarkLoadSession(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkStoreReopen measures one SessionStore reopen — evicting a
+// resident tenant (compaction: snapshot write and WAL reset) and
+// reopening it (snapshot decode and construction under the restored
+// history) — on a multicomp C=256 tenant driven to the paper's goal
+// under the default auto inference. The store runs on the in-memory
+// filesystem: on a real one the eviction's fsyncs spread the timing by
+// more than the reopen costs.
+func BenchmarkStoreReopen(b *testing.B) {
+	d, err := datagen.SyntheticNetwork(datagen.MultiComp(), datagen.SyntheticOpts{
+		TargetCount: 256, Precision: 0.67, ConflictBias: 0.3, StrictCount: true,
+	}, rand.New(rand.NewSource(7)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	net := d.Network
+	st, err := schemanet.OpenStore("store", net, &schemanet.StoreOptions{
+		Session: &schemanet.Options{Seed: 1}, FS: wal.NewMemFS(), Logf: b.Logf,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	ds, err := st.Session("tenant")
+	if err != nil {
+		b.Fatal(err)
+	}
+	h0, err := ds.Uncertainty()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for h := h0; h > 0.1*h0; {
+		c, ok := ds.Suggest()
+		if !ok {
+			break
+		}
+		if err := ds.Assert(c, d.GroundTruth.ContainsCorrespondence(net.Candidate(c))); err != nil {
+			b.Fatal(err)
+		}
+		if h, err = ds.Uncertainty(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := st.Evict("tenant"); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := st.Session("tenant"); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

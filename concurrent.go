@@ -151,8 +151,10 @@ func NewConcurrentSession(net *Network, opts *Options) (*ConcurrentSession, erro
 	return s.Concurrent(), nil
 }
 
-// Network returns the session's network. Topology mutators grow it in
-// place, so hold any returned sub-structures only briefly.
+// Network returns the session's network (see Session.Network: it must
+// not be mutated, and the first topology op replaces it with a copy of
+// its own). Topology mutators grow the session's own copy in place, so
+// hold any returned sub-structures only briefly.
 func (cs *ConcurrentSession) Network() *Network {
 	cs.topoMu.RLock()
 	defer cs.topoMu.RUnlock()

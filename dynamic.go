@@ -9,9 +9,12 @@ import (
 )
 
 // Dynamic networks: a live session accepts new schemas, new candidate
-// correspondences, and candidate withdrawals without rebuilding. Each
-// mutation flows through every layer incrementally — the session's
-// private network grows in place, the compiled conflict index appends
+// correspondences, and candidate withdrawals without rebuilding. The
+// first such op gives the session a network and compiled engine of its
+// own (Session.unshare: until then both are shared with every session
+// on the same base network). Each mutation then flows through every
+// layer incrementally — the session's own network grows in place, the
+// compiled conflict index appends
 // rows for the new candidates only, the component partition merges (or
 // conservatively re-partitions on retire), and the probabilistic
 // network carries every untouched component's samples, probabilities,
@@ -34,11 +37,13 @@ func (s *Session) AddSchema(name string, attrs ...string) error {
 }
 
 func (s *Session) addSchema(name string, attrs []string) (map[int]int, error) {
+	s.unshare()
 	net := s.Network()
 	oldN := net.NumCandidates()
 	if _, err := net.AppendSchema(name, attrs...); err != nil {
 		return nil, fmt.Errorf("schemanet: %w", err)
 	}
+	s.names = attrIndex(net)
 	s.engine.Grow(oldN)
 	carried, err := s.pmn.TopologyChanged(-1)
 	if err != nil {
@@ -70,6 +75,7 @@ func (s *Session) addCandidates(cs []Correspondence) (map[int]int, error) {
 	if len(cs) == 0 {
 		return nil, errors.New("schemanet: AddCandidates requires at least one correspondence")
 	}
+	s.unshare()
 	net := s.Network()
 	oldN := net.NumCandidates()
 	if _, err := net.AppendCandidates(cs); err != nil {
@@ -106,14 +112,14 @@ func (s *Session) retireCandidate(c int) (map[int]int, error) {
 	if err := s.checkCandidate(c); err != nil {
 		return nil, err
 	}
-	net := s.Network()
-	if net.Retired(c) {
+	if s.Network().Retired(c) {
 		return nil, fmt.Errorf("schemanet: candidate %d: %w", c, ErrCandidateRetired)
 	}
 	if s.pmn.Feedback().IsAsserted(c) {
 		return nil, fmt.Errorf("schemanet: candidate %d: cannot retire an asserted candidate", c)
 	}
-	if err := net.RetireCandidate(c); err != nil {
+	s.unshare()
+	if err := s.Network().RetireCandidate(c); err != nil {
 		return nil, fmt.Errorf("schemanet: %w", err)
 	}
 	s.engine.Retire(c)

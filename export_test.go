@@ -2,8 +2,6 @@ package schemanet
 
 import (
 	"io"
-
-	"schemanet/internal/constraints"
 )
 
 // Test-only reference surfaces. Production builds every session on the
@@ -15,11 +13,21 @@ import (
 // NewMonolithicSession builds a session on a Whole fork of the compiled
 // engine: its partition is the trivial one-component partition, so the
 // PMN keeps one global sample space — the monolithic reference for the
-// component decomposition.
+// component decomposition. The engine is compiled for this session
+// alone, bypassing the network's shared compiled base, so the session
+// owns it from the start and never unshares (which would recompile
+// without Whole).
 func NewMonolithicSession(net *Network, opts *Options) (*Session, error) {
-	return newSession(net, opts, func(n *Network, cons ...constraints.Constraint) *constraints.Engine {
-		return constraints.NewEngine(n, cons...).Whole()
-	}, nil)
+	s, err := newSession(net, opts, nil, func(net *Network, c constraintOpts) *compiledBase {
+		b := newBase(net, c)
+		b.engine = b.engine.Whole()
+		return b
+	})
+	if err != nil {
+		return nil, err
+	}
+	s.names, s.base = s.base.nameIndex(), nil
+	return s, nil
 }
 
 // ExhaustiveTies is the exhaustive ranking oracle: one full

@@ -80,6 +80,18 @@ func (e *Engine) Fork() *Engine {
 	return &Engine{net: e.net, cons: e.cons, idx: e.idx, parts: e.parts}
 }
 
+// Adopt re-points e at src's network, constraint set, compiled conflict
+// index and partition cache, keeping e's own scratch buffers: after the
+// call e is a fork of src. A session that stops sharing a compiled
+// engine with other sessions adopts a private recompilation on every
+// fork it holds, so samplers and stores bound to those forks follow
+// without being rebuilt. src must describe a network with the same
+// candidates as e's (scratch is sized by candidate count). Adopt must
+// be serialized against all use of e.
+func (e *Engine) Adopt(src *Engine) {
+	e.net, e.cons, e.idx, e.parts = src.net, src.cons, src.idx, src.parts
+}
+
 // Whole returns a fork whose partition is always the trivial
 // one-component partition, across Grow and Retire too: a PMN built on
 // it keeps one global sample space. This is the monolithic reference the

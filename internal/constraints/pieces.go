@@ -29,11 +29,18 @@ import (
 // through the asserted candidate, which all lie inside its piece.
 //
 // approved must be consistent; callers detect contradictory approvals
-// first. LivePieces only reads compiled material and is safe for
-// concurrent use.
-func (e *Engine) LivePieces(members []int, approved, disapproved *bitset.Set) [][]int {
+// first. LivePieces only reads compiled material; its working memory is
+// sc, held by the caller, so the engine stays safe for concurrent use
+// while a caller that re-partitions repeatedly (the PMN, after every
+// assertion on a piece) allocates nothing once sc is warm. The pieces
+// alias sc and are valid until sc's next use; a nil sc uses fresh
+// memory, and the pieces are then the caller's.
+func (e *Engine) LivePieces(members []int, approved, disapproved *bitset.Set, sc *PieceScratch) [][]int {
+	if sc == nil {
+		sc = &PieceScratch{}
+	}
 	retired := e.idx.retiredMask
-	list := make([]int, 0, len(members))
+	list := sc.list[:0]
 	for _, c := range members {
 		if approved.Has(c) || disapproved.Has(c) || (retired != nil && retired.Has(c)) ||
 			e.HasConflict(approved, c) {
@@ -41,11 +48,13 @@ func (e *Engine) LivePieces(members []int, approved, disapproved *bitset.Set) []
 		}
 		list = append(list, c)
 	}
+	sc.list = list
 	switch len(list) {
 	case 0:
 		return nil
 	case 1:
-		return [][]int{list}
+		sc.out = append(sc.out[:0], list)
+		return sc.out
 	}
 	// inst = F+ ∪ live: a violation with all its members in inst is one
 	// that a live member can still complete, and its members outside F+
@@ -53,54 +62,124 @@ func (e *Engine) LivePieces(members []int, approved, disapproved *bitset.Set) []
 	// chains are streamed, so every chain is streamed once, from its
 	// first live member. A live member conflicts with no approved one,
 	// so a conflict row's members in inst are live.
-	inst := approved.Clone()
+	if sc.inst == nil || sc.inst.Len() != approved.Len() {
+		sc.inst = bitset.New(approved.Len())
+	}
+	inst := sc.inst
+	inst.CopyFrom(approved)
 	for _, c := range list {
 		inst.Add(c)
 	}
-	uf := unionFind{parent: make([]int32, len(list)), rank: make([]int8, len(list))}
-	for i := range uf.parent {
-		uf.parent[i] = int32(i)
-	}
-	var i, c int
-	pos := func(d int) int { return sort.SearchInts(list, d) }
-	rowFn := func(d int) bool {
-		if d > c {
-			uf.union(i, pos(d))
-		}
-		return true
-	}
-	chainFn := func(chain []int) bool {
-		for _, d := range chain {
-			if d != c && !approved.Has(d) {
-				uf.union(i, pos(d))
-			}
-		}
-		return true
-	}
-	var scratch []int
-	for i, c = range list {
+	sc.bind(len(list), approved)
+	for sc.i, sc.c = range list {
+		c := sc.c
 		if r := e.idx.rows[c]; r != nil {
-			r.ForEachAnd(inst, rowFn)
+			r.ForEachAnd(inst, sc.rowFn)
 		}
 		for gi := range e.idx.gates {
 			g := &e.idx.gates[gi]
 			if g.gatePasses(inst, c) {
-				scratch = g.con.ForEachChain(inst, c, scratch, chainFn)
+				sc.chain = g.con.ForEachChain(inst, c, sc.chain, sc.chainFn)
 			}
 		}
 		inst.Remove(c)
 	}
-	// Pieces in order of their smallest member, members ascending:
-	// piece[r] is 1 + the index in out of root r's piece.
-	piece := make([]int, len(list))
-	var out [][]int
-	for j, d := range list {
-		r := uf.find(j)
-		if piece[r] == 0 {
-			out = append(out, nil)
-			piece[r] = len(out)
-		}
-		out[piece[r]-1] = append(out[piece[r]-1], d)
+	sc.approved = nil
+	return sc.group()
+}
+
+// PieceScratch is the working memory of LivePieces — the live list, the
+// F+ ∪ live mask, the union-find, the chain buffer and the pieces
+// themselves — kept by one caller across calls. Its two visitors are
+// bound to method values once, so streaming conflict rows and chains
+// allocates nothing per call. The zero value is ready to use; a
+// PieceScratch must not be shared between goroutines.
+type PieceScratch struct {
+	list  []int // live members, ascending
+	inst  *bitset.Set
+	uf    unionFind
+	chain []int
+	piece []int   // union-find root -> 1 + its piece's index
+	sizes []int   // piece sizes
+	flat  []int   // members grouped by piece
+	out   [][]int // the pieces, slices of flat
+
+	// Per-call state of the visitors: the live member being streamed
+	// (its position i in list, its id c) and F+.
+	i, c     int
+	approved *bitset.Set
+	rowFn    func(d int) bool
+	chainFn  func(chain []int) bool
+}
+
+// bind resets the union-find to n singletons and binds the visitors.
+func (sc *PieceScratch) bind(n int, approved *bitset.Set) {
+	if sc.rowFn == nil {
+		sc.rowFn, sc.chainFn = sc.visitRow, sc.visitChain
 	}
+	if cap(sc.uf.parent) < n {
+		sc.uf.parent, sc.uf.rank = make([]int32, n), make([]int8, n)
+	}
+	sc.uf.parent, sc.uf.rank = sc.uf.parent[:n], sc.uf.rank[:n]
+	for i := range sc.uf.parent {
+		sc.uf.parent[i], sc.uf.rank[i] = int32(i), 0
+	}
+	sc.approved = approved
+}
+
+// pos returns live member d's position in list.
+func (sc *PieceScratch) pos(d int) int { return sort.SearchInts(sc.list, d) }
+
+// visitRow links the streamed member to a conflict partner after it in
+// the list; earlier partners linked it when they were streamed.
+func (sc *PieceScratch) visitRow(d int) bool {
+	if d > sc.c {
+		sc.uf.union(sc.i, sc.pos(d))
+	}
+	return true
+}
+
+// visitChain links the streamed member to every other unapproved member
+// of one chain: the chain's contraction.
+func (sc *PieceScratch) visitChain(chain []int) bool {
+	for _, d := range chain {
+		if d != sc.c && !sc.approved.Has(d) {
+			sc.uf.union(sc.i, sc.pos(d))
+		}
+	}
+	return true
+}
+
+// group lays the union-find classes out as pieces in order of their
+// smallest member, members ascending, each a slice of flat.
+func (sc *PieceScratch) group() [][]int {
+	n := len(sc.list)
+	if cap(sc.piece) < n {
+		sc.piece, sc.flat = make([]int, n), make([]int, n)
+	}
+	piece, flat := sc.piece[:n], sc.flat[:n]
+	clear(piece)
+	// Number the pieces by first member and count their sizes, then cut
+	// flat into the pieces and place the members.
+	sizes := sc.sizes[:0]
+	for j := range sc.list {
+		r := sc.uf.find(j)
+		if piece[r] == 0 {
+			sizes = append(sizes, 0)
+			piece[r] = len(sizes)
+		}
+		sizes[piece[r]-1]++
+	}
+	out := sc.out[:0]
+	start := 0
+	for _, size := range sizes {
+		out = append(out, flat[start:start:start+size])
+		start += size
+	}
+	for j, d := range sc.list {
+		k := piece[sc.uf.find(j)] - 1
+		out[k] = append(out[k], d)
+	}
+	sc.sizes, sc.out = sizes, out
 	return out
 }

@@ -131,7 +131,7 @@ func TestLivePiecesMatchesReference(t *testing.T) {
 			}
 			for k := 0; k < parts.NumComponents(); k++ {
 				members := parts.Members(k)
-				got := e.LivePieces(members, approved, disapproved)
+				got := e.LivePieces(members, approved, disapproved, nil)
 				want := refPieces(e, members, approved, disapproved)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("trial %d round %d component %d: LivePieces %v, reference %v", trial, round, k, got, want)
@@ -157,12 +157,12 @@ func TestLivePiecesMatchesReference(t *testing.T) {
 				var split [][]int
 				for i, p := range got {
 					if i == big {
-						split = append(split, e.LivePieces(p, a2, d2)...)
+						split = append(split, e.LivePieces(p, a2, d2, nil)...)
 					} else {
 						split = append(split, p)
 					}
 				}
-				whole := e.LivePieces(members, a2, d2)
+				whole := e.LivePieces(members, a2, d2, nil)
 				if !sameClasses(split, whole) {
 					t.Fatalf("trial %d round %d: splitting one piece gave %v, whole partition %v", trial, round, split, whole)
 				}
@@ -209,7 +209,7 @@ func TestPiecesRefineComponents(t *testing.T) {
 				approved, disapproved = randomFeedback(e, rng)
 			}
 			for k := 0; k < parts.NumComponents(); k++ {
-				for _, p := range e.LivePieces(parts.Members(k), approved, disapproved) {
+				for _, p := range e.LivePieces(parts.Members(k), approved, disapproved, nil) {
 					for _, c := range p {
 						if parts.ComponentOf(c) != k {
 							t.Fatalf("seed %d: piece %v of component %d holds %d from component %d",
@@ -225,7 +225,7 @@ func TestPiecesRefineComponents(t *testing.T) {
 		npieces, largest := 0, 0
 		none := bitset.New(n)
 		for k := 0; k < parts.NumComponents(); k++ {
-			for _, p := range e.LivePieces(parts.Members(k), none, none) {
+			for _, p := range e.LivePieces(parts.Members(k), none, none, nil) {
 				for _, c := range p {
 					pieceOf[c] = npieces
 				}

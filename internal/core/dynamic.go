@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"strconv"
+
+	"schemanet/internal/constraints"
 )
 
 // Dynamic-network support: TopologyChanged relays the PMN's component
@@ -18,6 +20,21 @@ import (
 // their index (the network tombstones them) but have probability 0 and
 // accept no feedback.
 var ErrCandidateRetired = errors.New("candidate retired")
+
+// AdoptEngine re-points the PMN's engine and every component's fork at
+// e's compiled material (constraints.Engine.Adopt), before a topology
+// change mutates it: a serving layer that shared one compiled engine
+// across sessions hands the session a private recompilation of the same
+// network here. Nothing else changes — e must compile the same
+// candidates under the same constraints, so pieces, stores and
+// probabilities stay valid. Callers must serialize AdoptEngine against
+// ALL other PMN use, including reads.
+func (p *PMN) AdoptEngine(e *constraints.Engine) {
+	p.engine.Adopt(e)
+	for _, c := range p.comps {
+		c.engine.Adopt(e)
+	}
+}
 
 // SetTopoSeed fixes the seed that derives sampler streams for
 // components rebuilt by topology changes. The serving layer passes the

@@ -96,7 +96,7 @@ func TestPieceIdentities(t *testing.T) {
 				if sum != live {
 					t.Fatalf("%s step %d: piece sizes sum to %d, %d live members", tc.name, steps, sum, live)
 				}
-				fresh := e.LivePieces(members, cp.approved, cp.disapproved)
+				fresh := e.LivePieces(members, cp.approved, cp.disapproved, nil)
 				if len(fresh) != len(sizes) {
 					t.Fatalf("%s step %d: backend holds %d pieces, a fresh partition has %d", tc.name, steps, len(sizes), len(fresh))
 				}
@@ -325,9 +325,12 @@ func BenchmarkPieceSplit(b *testing.B) {
 	if len(splits) == 0 {
 		b.Fatal("no assertion landed in a piece store")
 	}
+	// One scratch across the re-partitions, as the PMN's pool reuses one.
+	var sc constraints.PieceScratch
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := splits[i%len(splits)]
-		e.LivePieces(s.members, s.approved, s.disapproved)
+		e.LivePieces(s.members, s.approved, s.disapproved, &sc)
 	}
 }

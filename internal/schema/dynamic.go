@@ -1,10 +1,13 @@
 package schema
 
 // Network growth: in-place mutators that relax the construct-once
-// assumption of Builder.Build. Sessions clone the caller's network and
-// apply these to the private copy only; every other layer (constraint
-// engine, cycle plans, per-component stores) shares the clone's pointer
-// and therefore observes growth without re-construction.
+// assumption of Builder.Build. A session applies these only to a
+// network it owns: sessions share one compiled clone of the caller's
+// network until their first topology op, which gives the session a
+// clone of its own (see Network.Memo). Every other layer of that
+// session (constraint engine, cycle plans, per-component stores) shares
+// the owned clone's pointer and therefore observes growth without
+// re-construction. Each mutator drops the network's memo.
 //
 // Appended candidates keep arrival order (Build's canonical sort applies
 // only to the initial compile), so candidate indices are stable across
@@ -67,6 +70,7 @@ func (n *Network) AppendSchema(name string, attrNames ...string) (SchemaID, erro
 		seen[an] = true
 	}
 
+	n.dropMemo()
 	id := SchemaID(len(n.schemas))
 	s := Schema{ID: id, Name: name}
 	for _, an := range attrNames {
@@ -118,6 +122,7 @@ func (n *Network) AppendCandidates(cs []Correspondence) (int, error) {
 		}
 		inBatch[key] = true
 	}
+	n.dropMemo()
 	for _, c := range cs {
 		c = c.Canonical()
 		i := len(n.cands)
@@ -145,6 +150,7 @@ func (n *Network) RetireCandidate(i int) error {
 	if n.Retired(i) {
 		return fmt.Errorf("schema: candidate %d already retired", i)
 	}
+	n.dropMemo()
 	if n.retired == nil {
 		n.retired = make([]bool, len(n.cands))
 	}

@@ -10,6 +10,7 @@ package schema
 
 import (
 	"fmt"
+	"sync"
 
 	"schemanet/internal/graphs"
 )
@@ -61,7 +62,7 @@ func (c Correspondence) Pair() [2]AttrID {
 // set Γ lives in package constraints). Build networks with Builder;
 // networks built that way are immutable unless grown through the
 // in-place mutators in dynamic.go (AppendSchema, AppendCandidates,
-// RetireCandidate), which sessions apply to private clones only.
+// RetireCandidate), which sessions apply only to clones they own.
 type Network struct {
 	schemas     []Schema
 	attrs       []Attribute
@@ -76,6 +77,39 @@ type Network struct {
 	// pairIdx and excluded from constraints and inference. nil when no
 	// candidate was ever retired.
 	retired []bool
+
+	// memo is one value a layer above derives from the network's
+	// content (see Memo); the in-place mutators drop it.
+	memo struct {
+		mu  sync.Mutex
+		key string
+		val any
+	}
+}
+
+// Memo returns the value derived from the network under key, calling
+// build on a miss. The network keeps one value: a different key
+// replaces it, and the in-place mutators (AppendSchema,
+// AppendCandidates, RetireCandidate) drop it, so a value never outlives
+// the content it was derived from. Concurrent callers share one build:
+// the memo's lock is held while build runs. A Clone starts without a
+// memo.
+func (n *Network) Memo(key string, build func() any) any {
+	m := &n.memo
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.val == nil || m.key != key {
+		m.key, m.val = key, build()
+	}
+	return m.val
+}
+
+// dropMemo forgets the memoized value; every in-place mutator calls it
+// before changing the network.
+func (n *Network) dropMemo() {
+	n.memo.mu.Lock()
+	n.memo.key, n.memo.val = "", nil
+	n.memo.mu.Unlock()
 }
 
 // NumSchemas returns |S|.

@@ -305,6 +305,16 @@ type Session struct {
 	workers  int   // Options.Workers, for the concurrent wrapper's pool
 	seed     int64 // Options.Seed, for derived deterministic streams
 
+	// base is the compiled base whose network and compiled constraints
+	// the session shares with every other session on the same caller
+	// network, until its first topology op gives it copies of its own
+	// (unshare); nil from then on.
+	base *compiledBase
+	// names is the full-name index of the session's own network: set
+	// when the session stops sharing the base network (unshare) and
+	// rebuilt by every AddSchema. Read it through attrNames.
+	names map[string]AttrID
+
 	// log is the session's history: every assertion and topology
 	// mutation in the order it was applied, Seq = position, assertions
 	// in feedback-history order. It is the one record Save encodes,
@@ -346,21 +356,31 @@ func (s *Session) checkCandidate(c int) error {
 // NewSession builds a session for the network's candidate
 // correspondences and computes the initial probabilities. The returned
 // Session must be confined to one goroutine; see Session.
+//
+// net is read, never written. Sessions opened on the same *Network
+// under the same constraint options (DisableOneToOne, DisableCycle,
+// MaxCycleLen, ExclusivePairs) share one compiled copy of it — the
+// network's clone and its compiled constraints, built on first use and
+// kept as long as net — and each session takes a copy of its own on its
+// first topology op (AddSchema, AddCandidates, RetireCandidate). Growing
+// net in place through its own mutators drops the compiled copy: later
+// sessions see the grown network, existing ones keep the network they
+// started from. See DESIGN.md, "One compiled Γ per base network".
 func NewSession(net *Network, opts *Options) (*Session, error) {
-	return newSession(net, opts, constraints.NewEngine, nil)
+	return newSession(net, opts, nil, sharedBase)
 }
 
-// newSession is NewSession over a chosen constraint engine constructor
-// and an initial logged history of assertions. Production always passes
-// constraints.NewEngine; the tests build the monolithic reference on a
-// Whole fork of it. A non-empty history is resolved against
-// net once the options are validated and becomes the PMN's initial
-// feedback (core.NewWithHistory): every component is filled under it
-// directly — the restore path of LoadSession and store recovery. The
-// history, annotators included, opens the session's log.
-func newSession(net *Network, opts *Options,
-	newEngine func(*Network, ...constraints.Constraint) *constraints.Engine,
-	history []wal.Record) (*Session, error) {
+// newSession is NewSession from the compiled base that base returns for
+// net, and with an initial logged history of assertions. Production
+// passes sharedBase; the tests build the monolithic reference on a
+// base of its own. Every option is validated before base compiles
+// anything. A non-empty history is resolved against the base network
+// and becomes the PMN's initial feedback (core.NewWithHistory): every
+// component is filled under it directly — the restore path of
+// LoadSession and store recovery. The history, annotators included,
+// opens the session's log.
+func newSession(net *Network, opts *Options, history []wal.Record,
+	base func(*Network, constraintOpts) *compiledBase) (*Session, error) {
 	if net.NumCandidates() == 0 {
 		return nil, fmt.Errorf("schemanet: network has no candidate correspondences; run Match first")
 	}
@@ -376,24 +396,10 @@ func newSession(net *Network, opts *Options,
 			}
 		}
 	}
-	// The session owns a private copy of the network: the topology
-	// mutators (AddSchema, AddCandidates, RetireCandidate) grow it in
-	// place, which must never be visible through the caller's pointer.
-	net = net.Clone()
-	var cons []constraints.Constraint
-	if !o.DisableOneToOne {
-		cons = append(cons, constraints.NewOneToOne(net))
-	}
-	if !o.DisableCycle {
-		cons = append(cons, constraints.NewCycle(net, o.MaxCycleLen))
-	}
-	if len(o.ExclusivePairs) > 0 {
-		cons = append(cons, constraints.NewMutualExclusion(net, o.ExclusivePairs))
-	}
-	if len(cons) == 0 {
+	cons := o.constraintOpts()
+	if cons.empty() {
 		return nil, fmt.Errorf("schemanet: at least one constraint is required")
 	}
-	engine := newEngine(net, cons...)
 
 	var strat core.Strategy
 	switch o.Strategy {
@@ -422,10 +428,14 @@ func newSession(net *Network, opts *Options,
 	cfg.ExactBudget = o.ExactBudget
 	cfg.Workers = o.Workers
 
-	batch, err := resolveHistory(net, history)
-	if err != nil {
-		return nil, fmt.Errorf("schemanet: %w", err)
+	b := base(net, cons)
+	var batch []core.Assertion
+	if len(history) > 0 {
+		if batch, err = resolveHistory(b.net, b.nameIndex(), history); err != nil {
+			return nil, fmt.Errorf("schemanet: %w", err)
+		}
 	}
+	engine := b.engine.Fork()
 	rng := rand.New(rand.NewSource(o.Seed))
 	pmn, err := core.NewWithHistory(engine, cfg, rng, batch)
 	if err != nil {
@@ -443,6 +453,7 @@ func newSession(net *Network, opts *Options,
 		rng:      rng,
 		workers:  o.Workers,
 		seed:     o.Seed,
+		base:     b,
 	}
 	s.instCfg.Iterations = o.InstantiateIterations
 	s.logOps(history...)
@@ -473,7 +484,12 @@ func (s *Session) assertRecord(annotator string, c int, approved bool) wal.Recor
 	return rec
 }
 
-// Network returns the session's network.
+// Network returns the session's network. It must not be mutated.
+// Until the session's first topology op the network is shared with
+// every session on the same base network (see NewSession); that op
+// gives the session a copy of its own and grows the copy, so a *Network
+// taken before it does not see the growth. Take it again after a
+// topology op.
 func (s *Session) Network() *Network { return s.pmn.Network() }
 
 // Suggest returns the candidate index whose assertion is expected to

@@ -7,7 +7,6 @@ import (
 	"io"
 	"slices"
 
-	"schemanet/internal/constraints"
 	"schemanet/internal/core"
 	"schemanet/internal/wal"
 )
@@ -95,9 +94,8 @@ func (s *Session) Save(w io.Writer) error {
 	// asserted candidate can never be retired, so its pair lookup stays
 	// stable.
 	net := s.Network()
-	idx := attrIndex(net)
 	for _, a := range s.pmn.Feedback().History() {
-		if err := resolvesBack(net, idx, a.Cand); err != nil {
+		if err := resolvesBack(net, s.attrNames(), a.Cand); err != nil {
 			return fmt.Errorf("schemanet: save: %w", err)
 		}
 	}
@@ -243,13 +241,10 @@ func resolveSaved(net *Network, idx map[string]AttrID, i int, rec wal.Record) (c
 	return core.Assertion{Cand: c, Approved: rec.Approved}, nil
 }
 
-// resolveHistory resolves a run of logged assertions, rejecting
-// duplicates with both positions named.
-func resolveHistory(net *Network, hist []wal.Record) ([]core.Assertion, error) {
-	if len(hist) == 0 {
-		return nil, nil
-	}
-	idx := attrIndex(net)
+// resolveHistory resolves a run of logged assertions against net and
+// its full-name index idx, rejecting duplicates with both positions
+// named.
+func resolveHistory(net *Network, idx map[string]AttrID, hist []wal.Record) ([]core.Assertion, error) {
 	batch := make([]core.Assertion, 0, len(hist))
 	first := make(map[int]int, len(hist))
 	for i, rec := range hist {
@@ -268,9 +263,9 @@ func resolveHistory(net *Network, hist []wal.Record) ([]core.Assertion, error) {
 }
 
 // resolveCands resolves an add-candidates record's name-form
-// correspondences against the (current, mid-replay) network.
-func resolveCands(net *Network, i int, crs []wal.CandRecord) ([]Correspondence, error) {
-	idx := attrIndex(net)
+// correspondences against a full-name index of the (current,
+// mid-replay) network.
+func resolveCands(idx map[string]AttrID, i int, crs []wal.CandRecord) ([]Correspondence, error) {
 	out := make([]Correspondence, len(crs))
 	for j, cr := range crs {
 		a, ok := idx[cr.From]
@@ -298,7 +293,7 @@ func replaySessionOps(net *Network, opts *Options, log []wal.Record) (*Session, 
 	for lead < len(log) && log[lead].Kind == wal.KindAssert {
 		lead++
 	}
-	s, err := newSession(net, opts, constraints.NewEngine, log[:lead])
+	s, err := newSession(net, opts, log[:lead], sharedBase)
 	if err != nil {
 		return nil, err
 	}
@@ -323,7 +318,7 @@ func (s *Session) replayOps(log []wal.Record, base int) error {
 		if len(pending) == 0 {
 			return nil
 		}
-		batch, err := resolveHistory(s.Network(), pending)
+		batch, err := resolveHistory(s.Network(), s.attrNames(), pending)
 		if err != nil {
 			return fmt.Errorf("schemanet: %w", err)
 		}
@@ -349,15 +344,15 @@ func (s *Session) replayOps(log []wal.Record, base int) error {
 			err = s.AddSchema(rec.Schema, rec.Attrs...)
 		case wal.KindAddCandidates:
 			var cs []Correspondence
-			if cs, err = resolveCands(s.Network(), i, rec.Cands); err != nil {
+			if cs, err = resolveCands(s.attrNames(), i, rec.Cands); err != nil {
 				return fmt.Errorf("schemanet: %w", err)
 			}
 			err = s.AddCandidates(cs)
 		case wal.KindRetire:
 			cur := s.Network()
-			idx := attrIndex(cur)
-			a, oka := idx[rec.From]
-			b, okb := idx[rec.To]
+			names := s.attrNames()
+			a, oka := names[rec.From]
+			b, okb := names[rec.To]
 			if !oka || !okb {
 				return fmt.Errorf("schemanet: session op %d: unknown attribute in retire %q ↔ %q", i, rec.From, rec.To)
 			}
@@ -416,6 +411,12 @@ func (s *Session) replayOps(log []wal.Record, base int) error {
 // carry positional context: the byte offset for JSON syntax and type
 // failures, the history index and field for records that do not
 // resolve against net.
+//
+// net is read, never written, and its compiled copy is shared with
+// every NewSession and LoadSession on the same *Network under the same
+// constraint options: a reload compiles nothing when a session on net
+// compiled it already. A file with topology records unshares during
+// replay, at its first such record (see NewSession).
 func LoadSession(net *Network, opts *Options, r io.Reader) (*Session, error) {
 	log, _, err := decodeSession(r)
 	if err != nil {

@@ -116,11 +116,10 @@ type SessionStore struct {
 // ConcurrentSession's lock-free snapshots. Lock order: SessionStore.mu
 // may be held while taking walMu, never the reverse.
 type liveSession struct {
-	store   *SessionStore
-	name    string
-	dir     string
-	cs      *ConcurrentSession
-	attrIdx map[string]AttrID
+	store *SessionStore
+	name  string
+	dir   string
+	cs    *ConcurrentSession
 
 	walMu     sync.Mutex
 	wal       *wal.Log
@@ -134,6 +133,14 @@ type liveSession struct {
 
 // OpenStore opens (creating if needed) a session store rooted at dir
 // for net. Sessions are loaded lazily on first access.
+//
+// net is every session's base network. The store reads it and never
+// writes it: its sessions, and every reopen after an eviction, share
+// the one compiled copy NewSession keeps for net under the store's
+// Session options, and a session takes a copy of its own on its first
+// topology op (see NewSession). Growing net in place while the store is
+// open makes later reopens replay against the grown network, so keep it
+// unchanged for the store's life.
 func OpenStore(dir string, net *Network, opts *StoreOptions) (*SessionStore, error) {
 	var o StoreOptions
 	if opts != nil {
@@ -397,10 +404,7 @@ func (st *SessionStore) openLocked(name string) (*liveSession, error) {
 	l.SetLastSeq(snapSeq)
 	ls := &liveSession{
 		store: st, name: name, dir: dir,
-		// attrIdx reflects the session's own (possibly grown) network,
-		// not the store's base network.
-		cs: s.Concurrent(), attrIdx: attrIndex(s.Network()),
-		wal: l, snapCount: int(snapSeq),
+		cs: s.Concurrent(), wal: l, snapCount: int(snapSeq),
 	}
 	if dirty {
 		// Normalize now: snapshot the stitched history and truncate the
@@ -441,7 +445,7 @@ func (ls *liveSession) loggable(c int) error {
 	if net.Retired(c) {
 		return fmt.Errorf("schemanet: candidate %d: %w", c, ErrCandidateRetired)
 	}
-	if err := resolvesBack(net, ls.attrIdx, c); err != nil {
+	if err := resolvesBack(net, ls.cs.s.attrNames(), c); err != nil {
 		return fmt.Errorf("schemanet: store: session %q: %w; refusing unrecoverable record", ls.name, err)
 	}
 	return nil
@@ -536,10 +540,12 @@ type DurableSession struct {
 func (ds *DurableSession) Name() string { return ds.name }
 
 // Network returns the session's network — the store's base network plus
-// any schemas and candidates this session added (each durable session
-// owns a private copy that its topology mutations grow). When the
-// session cannot be reopened (a closed store, an unreadable directory)
-// it falls back to the store's base network.
+// any schemas and candidates this session added. It must not be
+// mutated: until the session's first topology op it is the compiled
+// copy of the base network every session of the store shares, and that
+// op gives the session a copy of its own (see Session.Network). When
+// the session cannot be reopened (a closed store, an unreadable
+// directory) it falls back to the store's base network.
 func (ds *DurableSession) Network() *Network {
 	net := ds.store.net
 	_ = ds.with(func(ls *liveSession) error {
@@ -643,11 +649,7 @@ func (ds *DurableSession) AssertBatchAs(annotator string, as []Assertion) error 
 // exactly this point of the history.
 func (ds *DurableSession) AddSchema(name string, attrs ...string) error {
 	return ds.write("topology change", func(ls *liveSession) error {
-		if err := ls.cs.AddSchema(name, attrs...); err != nil {
-			return err
-		}
-		ls.attrIdx = attrIndex(ls.cs.s.Network())
-		return nil
+		return ls.cs.AddSchema(name, attrs...)
 	})
 }
 
