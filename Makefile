@@ -112,7 +112,8 @@ examples:
 
 # End-to-end smoke of cmd/reconcile's persistence paths, in a throwaway
 # directory: -save then -resume, -store twice (the second run must
-# resume the first run's 10 assertions), and -grow with
+# resume the first run's 10 assertions, and the session directory must
+# then hold wal.log and no snapshot.json), and -grow with
 # cmd/reconcile/testdata/grow.json in plain and -store mode.
 cli-smoke:
 	@set -e; tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
@@ -126,6 +127,7 @@ cli-smoke:
 	run "resumed session: " -resume "$$tmp/saved.json"; \
 	run "precision" -store "$$tmp/store"; \
 	run 'resumed session "default": 10 assertions on record' -store "$$tmp/store"; \
+	[ "$$(ls "$$tmp/store/default")" = wal.log ] || { ls -l "$$tmp/store/default"; echo "store session directory must hold just wal.log"; exit 1; }; \
 	run "grew network: now 3 schemas, 20 candidates (1 retired)" -grow cmd/reconcile/testdata/grow.json; \
 	run "grew network: now 3 schemas, 20 candidates (1 retired)" -grow cmd/reconcile/testdata/grow.json -store "$$tmp/grown"; \
 	run 'resumed session "default": 10 assertions on record' -store "$$tmp/grown"; \

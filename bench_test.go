@@ -903,12 +903,12 @@ func BenchmarkLoadSession(b *testing.B) {
 }
 
 // BenchmarkStoreReopen measures one SessionStore reopen — evicting a
-// resident tenant (compaction: snapshot write and WAL reset) and
-// reopening it (snapshot decode and construction under the restored
-// history) — on a multicomp C=256 tenant driven to the paper's goal
-// under the default auto inference. The store runs on the in-memory
-// filesystem: on a real one the eviction's fsyncs spread the timing by
-// more than the reopen costs.
+// resident tenant (a sync and close of its WAL) and reopening it (WAL
+// recovery and construction under the recovered history) — on a
+// multicomp C=256 tenant driven to the paper's goal under the default
+// auto inference. The store runs on the in-memory filesystem: on a real
+// one the eviction's fsync spreads the timing by more than the reopen
+// costs.
 func BenchmarkStoreReopen(b *testing.B) {
 	d, err := datagen.SyntheticNetwork(datagen.MultiComp(), datagen.SyntheticOpts{
 		TargetCount: 256, Precision: 0.67, ConflictBias: 0.3, StrictCount: true,

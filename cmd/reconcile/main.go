@@ -8,9 +8,10 @@
 //
 // With -store, the session lives in a durable crash-safe store: every
 // assertion is applied and then appended to a per-session write-ahead
-// log before it is acknowledged, and the run resumes from the WAL and
-// snapshot automatically — killing the process at any point loses at
-// most the answer being typed:
+// log (the session directory's one file, wal.log) before it is
+// acknowledged, and the run resumes from the WAL automatically —
+// killing the process at any point loses at most the answer being
+// typed:
 //
 //	reconcile -in bp.json -interactive -store ./sessions -session bp -annotator alice
 //
@@ -209,7 +210,7 @@ func main() {
 		convergence = flag.Float64("convergence", 0, "sampling refill marginal-delta stop threshold in [0,1] (Options.Convergence; 0 = 0.01)")
 		resume      = flag.String("resume", "", "resume from a saved session file")
 		save        = flag.String("save", "", "save the session to this file when done")
-		storeDir    = flag.String("store", "", "durable session store directory (WAL + snapshot persistence)")
+		storeDir    = flag.String("store", "", "durable session store directory (one write-ahead log per session)")
 		sessName    = flag.String("session", "", `session name inside -store (default "default")`)
 		annotator   = flag.String("annotator", "", "annotator id recorded with each assertion (-store mode)")
 		syncPolicy  = flag.String("sync", "", `WAL sync policy for -store: "always", "batch" (default), or "none"`)
@@ -270,7 +271,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		// Compacts and flushes every session; until then the WAL alone
+		// Syncs and closes every session's WAL; until then the WAL
 		// already makes each acknowledged assertion crash-safe.
 		defer st.Close()
 		name := *sessName

@@ -27,13 +27,14 @@ import (
 //     component. Assertions on different components proceed in
 //     parallel (view maintenance, resampling, and re-ranking are all
 //     component-local); assertions on the same component serialize.
-//   - Snapshot publication is *coalesced*: a single Assert only marks
-//     its component dirty; the next reader that touches the component
-//     republishes once, under the component's lock, no matter how many
-//     assertions landed in between. A burst of assertions between
-//     reads pays for one publication instead of one per assertion
-//     (ROADMAP item 2), and reads remain fresh — a dirty load upgrades
-//     before serving. Batch writes publish eagerly (once per touched
+//   - Snapshot publication is *coalesced*: writers only mark a
+//     component dirty — a single Assert, a topology op for the
+//     components it rebuilds, and construction for every component —
+//     and the next reader that touches the component publishes once,
+//     under the component's lock, no matter how many writes landed in
+//     between. A burst of assertions between reads pays for one
+//     publication instead of one per assertion (ROADMAP item 2), and
+//     reads remain fresh — a dirty load upgrades before serving. Batch writes publish eagerly (once per touched
 //     component per batch) since the batch already amortizes the cost.
 //   - Gain re-ranking is *deferred* further still: publications are
 //     probs-only, and the next Suggest re-ranks just the components
@@ -74,18 +75,20 @@ type ConcurrentSession struct {
 	// held, and always after them — the lock order "component locks
 	// ascending, then feedMu" is acyclic.
 	locks []sync.Mutex
-	// snaps[k] is component k's published snapshot; writers store a
-	// fresh probs-only snapshot after maintenance, suggestion readers
-	// upgrade it to a ranked one on demand (rankComponent), and
-	// everything else only ever Loads. The Ranked flag travels on the
+	// snaps[k] is component k's published snapshot, nil until its first
+	// publication; batch writers store a fresh probs-only snapshot after
+	// maintenance, suggestion readers upgrade it to a ranked one on
+	// demand (rankComponent), and everything else only ever Loads — and
+	// only once dirty[k] reads false. The Ranked flag travels on the
 	// snapshot itself, so flag and data swap in one atomic store.
 	snaps []atomic.Pointer[core.ComponentSnapshot]
 	// dirty[k] records that component k's state has advanced past its
-	// published snapshot: single Asserts set it instead of publishing,
-	// and the next reader that needs component k republishes under
-	// locks[k] — storing the fresh snapshot *before* clearing the flag,
-	// so a reader that observes dirty[k] == false is guaranteed to load
-	// a snapshot at least as fresh as the clearing writer's.
+	// published snapshot, or that it was never published: construction,
+	// rebuilt components, and single Asserts set it instead of
+	// publishing, and the next reader that needs component k publishes
+	// under locks[k] — storing the fresh snapshot *before* clearing the
+	// flag, so a reader that observes dirty[k] == false is guaranteed to
+	// load a snapshot at least as fresh as the clearing writer's.
 	dirty []atomic.Bool
 	// feedMu guards the PMN-global feedback (history + F±) and the
 	// session's operation log, appended in the same critical section so
@@ -132,11 +135,12 @@ func (s *Session) Concurrent() *ConcurrentSession {
 		// re-seeded rng.
 		sugRng: rand.New(rand.NewSource(s.seed ^ 0x5eed5a17)),
 	}
-	// Publish probs-only snapshots and let the first Suggest rank on
-	// demand — the entropy-ordered skip rule then prunes most components
-	// without ever ranking them.
-	for k := 0; k < n; k++ {
-		cs.snaps[k].Store(s.pmn.SnapshotComponentProbs(k))
+	// Publish nothing up front: every component starts dirty, and the
+	// first reader that needs it publishes it (the first Suggest then
+	// ranks on demand, its entropy-ordered skip rule pruning most
+	// components without ever ranking them).
+	for k := range cs.dirty {
+		cs.dirty[k].Store(true)
 	}
 	return cs
 }
@@ -366,12 +370,14 @@ func (cs *ConcurrentSession) Suggest() (c int, ok bool) {
 // write that raced us may have published a current ranked snapshot
 // first, in which case the re-rank is already paid and the snapshot is
 // returned as is. A set dirty flag defeats the short-circuit: it means
-// assertions landed after that publication.
+// assertions landed after that publication, or that there was none.
 func (cs *ConcurrentSession) rankComponent(k int) *core.ComponentSnapshot {
 	cs.locks[k].Lock()
 	defer cs.locks[k].Unlock()
-	if snap := cs.snaps[k].Load(); snap.Ranked() && !cs.dirty[k].Load() {
-		return snap
+	if !cs.dirty[k].Load() {
+		if snap := cs.snaps[k].Load(); snap.Ranked() {
+			return snap
+		}
 	}
 	snap := cs.pmn.SnapshotComponentTop(k)
 	cs.snaps[k].Store(snap)
@@ -568,8 +574,8 @@ func (cs *ConcurrentSession) AddSchema(name string, attrs ...string) error {
 
 // AddCandidates appends candidate correspondences to the live
 // concurrent session (see Session.AddCandidates). Components bridged by
-// a new candidate merge; the merged components' snapshots are
-// republished while every untouched component keeps its published
+// a new candidate merge; the merged components are republished by
+// their next reader while every untouched component keeps its published
 // snapshot — readers of other components observe no change at all.
 func (cs *ConcurrentSession) AddCandidates(correspondences []Correspondence) error {
 	cs.topoMu.Lock()
@@ -584,8 +590,8 @@ func (cs *ConcurrentSession) AddCandidates(correspondences []Correspondence) err
 
 // RetireCandidate withdraws candidate c from the live concurrent
 // session (see Session.RetireCandidate). Only the split parts of the
-// retiree's component republish; every other component keeps its
-// published snapshot.
+// retiree's component are republished (by their next reader); every
+// other component keeps its published snapshot.
 func (cs *ConcurrentSession) RetireCandidate(c int) error {
 	cs.topoMu.Lock()
 	defer cs.topoMu.Unlock()
@@ -603,8 +609,9 @@ func (cs *ConcurrentSession) RetireCandidate(c int) error {
 // underlying relayout keep their published snapshot pointer — members,
 // probabilities, entropy, and ranking are all unchanged, including the
 // Ranked flag, so a previously ranked component stays ranked. Rebuilt
-// components publish a probs-only snapshot; ranking is deferred to the
-// next Suggest as everywhere else.
+// components start dirty, like every component of a fresh wrapper: the
+// next reader publishes them, and ranking is deferred to the next
+// Suggest as everywhere else.
 func (cs *ConcurrentSession) rebuildTables(carried map[int]int) {
 	nk := cs.pmn.NumComponents()
 	old := cs.snaps
@@ -617,7 +624,7 @@ func (cs *ConcurrentSession) rebuildTables(carried map[int]int) {
 			snaps[k].Store(old[k0].Load())
 			dirty[k].Store(cs.dirty[k0].Load())
 		} else {
-			snaps[k].Store(cs.pmn.SnapshotComponentProbs(k))
+			dirty[k].Store(true)
 		}
 	}
 	cs.locks = make([]sync.Mutex, nk)

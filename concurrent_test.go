@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -644,6 +645,68 @@ func TestStrategyHonouredOnEverySurface(t *testing.T) {
 		}
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestConcurrentSuggestFirstMatchesUncertaintyFirst: a fresh wrapper
+// publishes nothing up front, and a topology op leaves its rebuilt
+// components unpublished — the next reader publishes them. Suggest as
+// the very first call, and again as the first call after AddCandidates
+// rebuilds a component, must serve the same suggestions and
+// bit-identical probabilities as a twin whose first call each time is
+// Uncertainty.
+func TestConcurrentSuggestFirstMatchesUncertaintyFirst(t *testing.T) {
+	net, truth := multiVideoNet(t, 3)
+	opts := &schemanet.Options{Seed: 8, Samples: 120, Inference: "sampled"}
+	type trace struct {
+		suggested []int
+		probs     []float64
+	}
+	run := func(uncertaintyFirst bool) trace {
+		conc, err := schemanet.NewConcurrentSession(net, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tr trace
+		steps := func(n int) {
+			for i := 0; i < n; i++ {
+				if uncertaintyFirst && i == 0 {
+					conc.Uncertainty()
+				}
+				c, ok := conc.Suggest()
+				if !ok {
+					t.Fatal("no suggestion left")
+				}
+				tr.suggested = append(tr.suggested, c)
+				if err := conc.Assert(c, truth.ContainsCorrespondence(conc.Network().Candidate(c))); err != nil {
+					t.Fatal(err)
+				}
+				for c := 0; c < conc.Network().NumCandidates(); c++ {
+					p, err := conc.Probability(c)
+					if err != nil {
+						t.Fatal(err)
+					}
+					tr.probs = append(tr.probs, p)
+				}
+			}
+		}
+		steps(3)
+		// Bridge the first two groups' EoverI.productionDate and BBC.date:
+		// the component holding the new candidate is rebuilt.
+		if err := conc.AddCandidates([]schemanet.Correspondence{{A: 0, B: 5, Confidence: 0.65}}); err != nil {
+			t.Fatal(err)
+		}
+		steps(3)
+		return tr
+	}
+	suggestFirst, uncertaintyFirst := run(false), run(true)
+	if !reflect.DeepEqual(suggestFirst.suggested, uncertaintyFirst.suggested) {
+		t.Fatalf("suggestions %v (Suggest first) != %v (Uncertainty first)", suggestFirst.suggested, uncertaintyFirst.suggested)
+	}
+	for i, p := range suggestFirst.probs {
+		if q := uncertaintyFirst.probs[i]; math.Float64bits(p) != math.Float64bits(q) {
+			t.Fatalf("probability %d: %v (Suggest first) != %v (Uncertainty first)", i, p, q)
 		}
 	}
 }

@@ -2,19 +2,28 @@ package schemanet_test
 
 // Golden pins of the persisted formats: the bytes Session.Save writes
 // (Version 1 for an assertion-only session, Version 2 once the topology
-// changed) and the bytes a SessionStore leaves on disk (snapshot.json
-// and wal.log) before and after a compaction. Any change to these files
-// is a file-format change and must be deliberate: regenerate with
+// changed) and the bytes a SessionStore leaves on disk (store_v*_wal.log:
+// a session directory's one file, holding the whole history). Any
+// change to these files is a file-format change and must be deliberate:
+// regenerate with
 //
 //	go test -run TestPersistedFormatGolden -update-golden .
 //
 // and say so in CHANGES.md.
+//
+// The other store_* goldens are what earlier versions of the store left
+// on disk for the same scripts — a snapshot.json beside a WAL tail,
+// before and after a compaction. They are fixtures, never regenerated:
+// the legacy-migration crash sweep (TestStoreLegacyMigrationCrashAtEveryOp)
+// opens them, and FuzzLoadSession and TestSaveKeepsRestoredAnnotators
+// read the snapshots as saved sessions.
 
 import (
 	"bytes"
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"schemanet"
@@ -106,9 +115,50 @@ func goldenScript(t *testing.T, d goldenFormatDriver, net func() *schemanet.Netw
 	suggestAndAssert()
 }
 
+// goldenStore runs the golden script (grown or not) on a durable
+// session "golden" of a fresh in-memory store, with annotators, closes
+// the store, and returns the session's history and the bytes of its
+// WAL. The session directory must hold no snapshot.
+func goldenStore(t *testing.T, grow bool) ([]schemanet.AssertionRecord, []byte) {
+	t.Helper()
+	net, truth := videoNet(t)
+	fsys := wal.NewMemFS()
+	st, err := schemanet.OpenStore("store", net, &schemanet.StoreOptions{
+		Session: &schemanet.Options{Inference: "exact", Seed: 3}, FS: fsys, Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	ds, err := st.Session("golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	annotators := []string{"alice", "bob", "", "carol"}
+	goldenScript(t, ds, ds.Network, truth, grow, func(step, c int, ok bool) error {
+		return ds.AssertAs(annotators[step%len(annotators)], c, ok)
+	})
+	hist, err := ds.History()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join("store", "golden")
+	if _, err := fsys.ReadFile(filepath.Join(dir, "snapshot.json")); !os.IsNotExist(err) {
+		t.Fatalf("store wrote a snapshot (read err %v)", err)
+	}
+	data, err := fsys.ReadFile(filepath.Join(dir, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return hist, data
+}
+
 // TestPersistedFormatGolden pins the exact bytes of Save (Version 1 and
-// Version 2) and of a store's snapshot.json and wal.log, with
-// annotators, before and after a Compact.
+// Version 2) and of a store's wal.log after a closed session, with
+// annotators; the WAL must recover to the session's history.
 func TestPersistedFormatGolden(t *testing.T) {
 	opts := &schemanet.Options{Inference: "exact", Seed: 3}
 	for _, tc := range []struct {
@@ -137,39 +187,11 @@ func TestPersistedFormatGolden(t *testing.T) {
 		grow bool
 	}{{"store_v1", false}, {"store_v2", true}} {
 		t.Run(tc.name, func(t *testing.T) {
-			net, truth := videoNet(t)
-			fsys := wal.NewMemFS()
-			// SnapshotEvery 3 compacts mid-script, so both files hold
-			// content before the explicit Compact.
-			st, err := schemanet.OpenStore("store", net, &schemanet.StoreOptions{
-				Session: opts, FS: fsys, SnapshotEvery: 3, Logf: t.Logf,
-			})
-			if err != nil {
-				t.Fatal(err)
+			hist, data := goldenStore(t, tc.grow)
+			checkGolden(t, tc.name+"_wal.log", data)
+			if recs, res := wal.Recover(data); !res.Clean() || !reflect.DeepEqual(recs, hist) {
+				t.Fatalf("WAL recovers to %+v (clean %v), want the history %+v", recs, res.Clean(), hist)
 			}
-			defer st.Close()
-			ds, err := st.Session("golden")
-			if err != nil {
-				t.Fatal(err)
-			}
-			annotators := []string{"alice", "bob", "", "carol"}
-			goldenScript(t, ds, ds.Network, truth, tc.grow, func(step, c int, ok bool) error {
-				return ds.AssertAs(annotators[step%len(annotators)], c, ok)
-			})
-			read := func(file string) []byte {
-				data, err := fsys.ReadFile(filepath.Join("store", "golden", file))
-				if err != nil {
-					t.Fatal(err)
-				}
-				return data
-			}
-			checkGolden(t, tc.name+"_snapshot_before.json", read("snapshot.json"))
-			checkGolden(t, tc.name+"_wal_before.log", read("wal.log"))
-			if err := ds.Compact(); err != nil {
-				t.Fatal(err)
-			}
-			checkGolden(t, tc.name+"_snapshot_after.json", read("snapshot.json"))
-			checkGolden(t, tc.name+"_wal_after.log", read("wal.log"))
 		})
 	}
 }

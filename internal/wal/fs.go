@@ -1,9 +1,10 @@
 // Package wal implements the durability layer of a reconciliation
-// session: an append-only write-ahead log of expert assertions with
+// session: an append-only write-ahead log of the session's whole
+// operation history — expert assertions and topology ops — with
 // CRC32C/length framing, torn-write-tolerant recovery, and the atomic
-// file primitives (write-sync-rename-syncdir) snapshot compaction is
-// built from. The serving layer (schemanet.SessionStore) owns the
-// snapshot format and the replay; this package owns the bytes.
+// file primitive (write-sync-rename-syncdir) a log is rewritten with
+// when it must be healed. The serving layer (schemanet.SessionStore)
+// owns the replay; this package owns the bytes.
 //
 // Everything goes through the FS seam so tests can inject failures —
 // a failed sync, a short write, a crash between any two filesystem

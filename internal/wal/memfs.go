@@ -14,7 +14,7 @@ import (
 var ErrCrashed = errors.New("wal: simulated crash")
 
 // MemFS is an in-memory FS with a deliberately strict durability
-// model, used to prove the WAL/snapshot protocol loses nothing a crash
+// model, used to prove the WAL protocol loses nothing a crash
 // is allowed to take:
 //
 //   - File content becomes durable only when File.Sync returns. Writes

@@ -31,10 +31,10 @@ type CandRecord struct {
 
 // Record is one durably logged session operation. Candidates are
 // referenced by attribute full names (as in saved sessions), so a WAL
-// survives candidate reordering across versions; Seq is the session's
-// monotonic operation sequence number, continuous across snapshot
-// compactions — recovery uses it to drop WAL records a snapshot
-// already covers.
+// survives candidate reordering across versions; Seq is the record's
+// position in the session's history, from 1 — a session's log holds
+// its whole history, so recovery can tell a sequence gap (records that
+// were never acknowledged durable) from the consecutive prefix.
 //
 // Field use by kind: KindAssert sets From/To (the asserted pair),
 // Approved, and optionally Annotator. KindAddSchema sets Schema and
@@ -64,7 +64,7 @@ const (
 	// batch. Maximum durability, one fsync per assertion.
 	SyncAlways
 	// SyncNone never fsyncs on append; records become durable at the
-	// operating system's discretion, or at the next Sync, Reset, or
+	// operating system's discretion, or at the next Sync, Rewrite, or
 	// Close. A crash may lose a suffix of acknowledged records (never
 	// a middle slice — the log is strictly append-ordered).
 	SyncNone
@@ -386,18 +386,8 @@ func Open(fsys FS, dir, path string, policy SyncPolicy) (*Log, []Record, Recover
 }
 
 // LastSeq returns the highest sequence number the log has seen —
-// recovered or appended — including records logically retired into a
-// snapshot by SetLastSeq.
+// recovered, appended, or rewritten.
 func (l *Log) LastSeq() uint64 { return l.lastSeq }
-
-// SetLastSeq advances the monotonicity cursor, used after recovery
-// when a snapshot covers sequence numbers beyond the WAL's content.
-// Lowering the cursor is a no-op.
-func (l *Log) SetLastSeq(seq uint64) {
-	if seq > l.lastSeq {
-		l.lastSeq = seq
-	}
-}
 
 // Append writes the records to the log and syncs per the policy. Every
 // record's Seq must strictly exceed the previous one's; violating that
@@ -460,32 +450,39 @@ func (l *Log) Sync() error {
 	return nil
 }
 
-// Reset atomically replaces the log with an empty one — the truncation
-// half of snapshot compaction, run strictly after the snapshot is
-// durable — and sets the sequence cursor to lastSeq, the highest
-// sequence number the snapshot covers: post-reset appends continue the
-// session's numbering, which is what lets recovery tell
-// snapshot-covered records from newer ones. Reset also repairs a log
-// whose handle was lost to an earlier failure (it reopens from
-// scratch), so a caller can converge on a clean state by compacting.
-// On failure the Log stays closed; a later Reset may still succeed.
-func (l *Log) Reset(lastSeq uint64) error {
+// Rewrite atomically replaces the log with exactly recs — the session
+// store's heal after a failed append, and its one-time migration of a
+// legacy snapshot into the log — and sets the sequence cursor to the
+// last rewritten seq (0 when recs is empty), so later appends continue
+// the rewritten numbering. recs must be in strictly increasing seq
+// order, as Recover requires; a violation fails before anything is
+// touched. Rewrite also repairs a log whose handle was lost to an
+// earlier failure (it reopens from scratch). On failure the Log stays
+// closed; a later Rewrite may still succeed.
+func (l *Log) Rewrite(recs []Record) error {
+	seq := uint64(0)
+	for _, r := range recs {
+		if r.Seq <= seq {
+			return fmt.Errorf("wal: %s: rewrite with non-monotonic sequence %d after %d", l.path, r.Seq, seq)
+		}
+		seq = r.Seq
+	}
 	if !l.closed {
 		if err := l.f.Close(); err != nil {
-			return fmt.Errorf("wal: %s: closing before reset: %w", l.path, err)
+			return fmt.Errorf("wal: %s: closing before rewrite: %w", l.path, err)
 		}
 		l.closed = true
 	}
-	if err := AtomicWriteFile(l.fs, l.dir, l.path, EncodeLog(nil)); err != nil {
-		return fmt.Errorf("wal: resetting %s: %w", l.path, err)
+	if err := AtomicWriteFile(l.fs, l.dir, l.path, EncodeLog(recs)); err != nil {
+		return fmt.Errorf("wal: rewriting %s: %w", l.path, err)
 	}
 	f, err := l.fs.OpenAppend(l.path)
 	if err != nil {
-		return fmt.Errorf("wal: reopening %s after reset: %w", l.path, err)
+		return fmt.Errorf("wal: reopening %s after rewrite: %w", l.path, err)
 	}
 	l.f = f
 	l.closed = false
-	l.lastSeq = lastSeq
+	l.lastSeq = seq
 	return nil
 }
 

@@ -12,8 +12,9 @@ import (
 )
 
 // sampleRecords returns a varied corpus: empty and unicode strings,
-// long annotators, both approval polarities, non-contiguous seqs (as
-// after a partial compaction).
+// long annotators, both approval polarities, and non-contiguous seqs
+// (the format only requires them to increase; the session store's gap
+// rule is its own).
 func sampleRecords() []Record {
 	return []Record{
 		{Seq: 1, Annotator: "alice", From: "BBC.date", To: "DVDizzy.releaseDate", Approved: true},
@@ -222,9 +223,11 @@ func TestAppendMonotonicityEnforced(t *testing.T) {
 	if err := l.Append(Record{Seq: 3, From: "x.y", To: "z.w"}); err != nil {
 		t.Fatalf("log poisoned by rejected batch: %v", err)
 	}
-	l.SetLastSeq(100)
+	if err := l.Rewrite([]Record{{Seq: 100, From: "a.b", To: "c.d"}}); err != nil {
+		t.Fatal(err)
+	}
 	if err := l.Append(Record{Seq: 50, From: "a.b", To: "c.f"}); err == nil {
-		t.Fatal("append below SetLastSeq cursor accepted")
+		t.Fatal("append below the rewritten cursor accepted")
 	}
 }
 
@@ -358,28 +361,36 @@ func TestAtomicWriteFileCrashAtEveryOp(t *testing.T) {
 	}
 }
 
-func TestLogResetPreservesSequenceCursor(t *testing.T) {
+// TestLogRewriteSetsSequenceCursor: Rewrite replaces the file with
+// exactly the given records, the cursor becomes the last rewritten seq
+// (so a lower one is rejected), and appends continue after it.
+func TestLogRewriteSetsSequenceCursor(t *testing.T) {
 	fsys := NewMemFS()
 	dir, path := "d", filepath.Join("d", "wal.log")
 	l, _, _, err := Open(fsys, dir, path, SyncBatch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for seq := uint64(1); seq <= 3; seq++ {
+	for seq := uint64(1); seq <= 5; seq++ {
 		if err := l.Append(Record{Seq: seq, From: "a.b", To: "c.d"}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Reset(l.LastSeq()); err != nil {
+	kept := []Record{{Seq: 1, From: "a.b", To: "c.d"}, {Seq: 2, From: "a.e", To: "c.f", Approved: true}, {Seq: 3, From: "a.g", To: "c.h"}}
+	if err := l.Rewrite([]Record{kept[1], kept[0]}); err == nil {
+		t.Fatal("rewrite with a sequence regression accepted")
+	}
+	if err := l.Rewrite(kept); err != nil {
 		t.Fatal(err)
 	}
 	if got := l.LastSeq(); got != 3 {
-		t.Fatalf("LastSeq after reset = %d, want 3", got)
+		t.Fatalf("LastSeq after rewrite = %d, want 3", got)
 	}
 	if err := l.Append(Record{Seq: 2, From: "a.b", To: "c.d"}); err == nil {
-		t.Fatal("reset forgot the sequence cursor")
+		t.Fatal("rewrite left the cursor below the rewritten records")
 	}
-	if err := l.Append(Record{Seq: 4, From: "a.e", To: "c.f"}); err != nil {
+	next := Record{Seq: 4, From: "a.i", To: "c.j"}
+	if err := l.Append(next); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -393,8 +404,68 @@ func TestLogResetPreservesSequenceCursor(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs, res := Recover(data)
-	if !res.Clean() || len(recs) != 1 || recs[0].Seq != 4 {
-		t.Fatalf("after reset+append: %+v (clean %v), want just seq 4", recs, res.Clean())
+	if want := append(kept, next); !res.Clean() || !reflect.DeepEqual(recs, want) {
+		t.Fatalf("after rewrite+append: %+v (clean %v), want %+v", recs, res.Clean(), want)
+	}
+	// Rewrite reopens a closed log.
+	if err := l.Rewrite(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(Record{Seq: 1, From: "a.b", To: "c.d"}); err != nil {
+		t.Fatalf("append after rewriting a closed log to empty: %v", err)
+	}
+}
+
+// TestLogRewriteCrashAtEveryOp: whatever filesystem operation a crash
+// lands on during a Rewrite, restart recovers either the old log or the
+// rewritten one, entire and clean.
+func TestLogRewriteCrashAtEveryOp(t *testing.T) {
+	dir, path := "d", filepath.Join("d", "wal.log")
+	old := sampleRecords()
+	newer := []Record{
+		{Seq: 1, Annotator: "alice", From: "BBC.date", To: "DVDizzy.releaseDate", Approved: true},
+		{Seq: 2, From: "a.x", To: "b.y"},
+	}
+	setup := func() (*MemFS, *Log) {
+		fsys := NewMemFS()
+		l, _, _, err := Open(fsys, dir, path, SyncBatch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Append(old...); err != nil {
+			t.Fatal(err)
+		}
+		return fsys, l
+	}
+	// Count the ops of one uncrashed rewrite.
+	probe, l := setup()
+	base := probe.Ops()
+	if err := l.Rewrite(newer); err != nil {
+		t.Fatal(err)
+	}
+	total := probe.Ops() - base
+	if total < 4 {
+		t.Fatalf("rewrite runs only %d mutating ops; sweep would be trivial", total)
+	}
+	for k := 0; k <= total; k++ {
+		fsys, l := setup()
+		fsys.CrashAfterOps(k)
+		err := l.Rewrite(newer)
+		if (err == nil) != (k >= total) {
+			t.Fatalf("crash at op %d/%d: err = %v", k, total, err)
+		}
+		fsys.Restart()
+		data, rerr := fsys.ReadFile(path)
+		if rerr != nil {
+			t.Fatalf("crash at op %d: log vanished: %v", k, rerr)
+		}
+		got, res := Recover(data)
+		if !res.Clean() || !(reflect.DeepEqual(got, old) || reflect.DeepEqual(got, newer)) {
+			t.Fatalf("crash at op %d: recovered %+v (clean %v), want the old or the rewritten log", k, got, res.Clean())
+		}
+		if k >= total && !reflect.DeepEqual(got, newer) {
+			t.Fatalf("completed rewrite recovered %+v, want %+v", got, newer)
+		}
 	}
 }
 

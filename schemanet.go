@@ -319,8 +319,8 @@ type Session struct {
 	// mutation in the order it was applied, Seq = position, assertions
 	// in feedback-history order. It is the one record Save encodes,
 	// LoadSession and store recovery rebuild, and a durable session's
-	// WAL and compaction write. ConcurrentSession appends to it under
-	// feedMu or the topology write lock.
+	// WAL holds. ConcurrentSession appends to it under feedMu or the
+	// topology write lock.
 	log []wal.Record
 }
 

@@ -21,11 +21,11 @@ import (
 // operations. A session that never changed topology still writes
 // Version 1, so files stay readable by older loaders.
 //
-// The same format doubles as the SessionStore's snapshot file: there,
-// Seq records the WAL sequence number the snapshot covers (recovery
-// drops WAL records at or below it). Plain Session.Save leaves it zero
-// — a snapshot is always also a loadable saved session. Entries carry
-// the asserting annotator wherever the log has one.
+// Earlier versions of the SessionStore kept a snapshot.json in this
+// format beside each WAL, with Seq recording the WAL sequence number it
+// covered; the store migrates one on open (see SessionStore), and
+// LoadSession reads one as a saved session. Save never writes Seq.
+// Entries carry the asserting annotator wherever the log has one.
 type sessionState struct {
 	Version    int              `json:"version"`
 	Seq        uint64           `json:"seq,omitempty"`
@@ -79,8 +79,8 @@ var opKinds = [...]string{
 // Save writes the session's operation log so reconciliation can resume
 // later (see LoadSession). The pay-as-you-go workflow spans days in
 // practice; the expert's assertions are the only state worth keeping.
-// A session restored from an annotated history (a store snapshot)
-// keeps its annotators.
+// A session restored from an annotated history (a legacy store
+// snapshot) keeps its annotators.
 //
 // Save validates before writing: every asserted candidate must resolve
 // from its attribute names back to itself (an ambiguous FullName — two
@@ -99,7 +99,7 @@ func (s *Session) Save(w io.Writer) error {
 			return fmt.Errorf("schemanet: save: %w", err)
 		}
 	}
-	buf, err := encodeSession(s.log, net.NumCandidates(), 0)
+	buf, err := encodeSession(s.log, net.NumCandidates())
 	if err != nil {
 		return err
 	}
@@ -123,10 +123,9 @@ func resolvesBack(net *Network, idx map[string]AttrID, c int) error {
 }
 
 // encodeSession renders an operation log as a saved session: Version 1
-// when the log holds only assertions, Version 2 otherwise. seq is the
-// sequence number a store snapshot covers (0 for a plain Save).
-func encodeSession(log []wal.Record, candidates int, seq uint64) ([]byte, error) {
-	st := sessionState{Version: 1, Seq: seq, Candidates: candidates}
+// when the log holds only assertions, Version 2 otherwise.
+func encodeSession(log []wal.Record, candidates int) ([]byte, error) {
+	st := sessionState{Version: 1, Candidates: candidates}
 	for _, r := range log {
 		if r.Kind != wal.KindAssert {
 			st.Version = 2
@@ -152,9 +151,9 @@ func encodeSession(log []wal.Record, candidates int, seq uint64) ([]byte, error)
 	return append(buf, '\n'), nil
 }
 
-// decodeSession parses a saved session or store snapshot into its
-// operation log (Seq = position) and the sequence number it covers: its
-// Seq field, or the log's length when that is unset. JSON-level
+// decodeSession parses a saved session or legacy store snapshot into
+// its operation log (Seq = position) and the sequence number it covers:
+// its Seq field, or the log's length when that is unset. JSON-level
 // failures carry their byte offset.
 func decodeSession(r io.Reader) ([]wal.Record, uint64, error) {
 	var st sessionState

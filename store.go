@@ -26,44 +26,41 @@ var ErrStoreClosed = errors.New("schemanet: session store closed")
 var ErrSessionBusy = errors.New("schemanet: session busy")
 
 const (
-	snapshotFile = "snapshot.json"
-	walFile      = "wal.log"
+	walFile = "wal.log"
+	// legacySnapshotFile is the JSON snapshot earlier versions of the
+	// store kept beside the WAL. A session directory that still holds
+	// one is migrated on open (see openLocked); the store never writes
+	// it.
+	legacySnapshotFile = "snapshot.json"
 
 	// DefaultMaxOpen bounds the resident session pool when
 	// StoreOptions.MaxOpen is zero.
 	DefaultMaxOpen = 16
-	// DefaultSnapshotEvery is the auto-compaction threshold (WAL
-	// records since the last snapshot) when StoreOptions.SnapshotEvery
-	// is zero.
-	DefaultSnapshotEvery = 1024
 )
 
 // StoreOptions configures a SessionStore. The zero value selects a
-// 16-session resident pool, one fsync per assert/batch ("batch"
-// policy), and compaction every 1024 WAL records.
+// 16-session resident pool and one fsync per assert/batch ("batch"
+// policy).
 type StoreOptions struct {
 	// Session configures every session the store opens (inference
 	// mode, samples, seed, …). Use the same value across store
 	// generations: recovery replays history under these options.
 	Session *Options
 	// MaxOpen bounds how many sessions stay resident in memory; the
-	// least-recently-used idle session beyond it is compacted to disk
-	// and evicted, and reopens transparently on next access. Sessions
-	// with operations in flight are never evicted, so the bound can be
-	// exceeded transiently under load. 0 means DefaultMaxOpen.
+	// least-recently-used idle session beyond it has its WAL synced and
+	// closed and is evicted, and reopens transparently on next access.
+	// Sessions with operations in flight are never evicted, so the bound
+	// can be exceeded transiently under load. 0 means DefaultMaxOpen.
 	MaxOpen int
 	// Sync is the WAL sync policy: "always" (fsync per assertion),
 	// "batch" or "" (fsync per Assert/AssertBatch call, the default),
-	// or "none" (fsync only at snapshot, eviction, and close — a crash
-	// may lose a suffix of acknowledged assertions, never a middle
-	// slice).
+	// or "none" (fsync only at eviction, Close, a heal, and
+	// DurableSession.Sync — a crash may lose a suffix of acknowledged
+	// assertions, never a middle slice).
 	Sync string
-	// SnapshotEvery compacts a session (snapshot + WAL truncation)
-	// once this many records accumulate in its WAL, keeping recovery
-	// cost bounded as history grows. 0 means DefaultSnapshotEvery.
-	SnapshotEvery int
-	// Logf receives recovery and eviction warnings (torn WAL tails
-	// dropped, compaction deferrals). Defaults to log.Printf.
+	// Logf receives recovery and eviction warnings (torn WAL tails or
+	// sequence gaps dropped, eviction deferrals). The normal path logs
+	// nothing. Defaults to log.Printf.
 	Logf func(format string, args ...any)
 	// FS overrides the filesystem — the fault-injection seam the crash
 	// tests use. nil means the real filesystem.
@@ -72,35 +69,35 @@ type StoreOptions struct {
 
 // SessionStore hosts many named durable reconciliation sessions over
 // one network — the durability half of a reconciliation service. Each
-// session owns a directory under the store root:
+// session owns a directory under the store root holding one file:
 //
-//	<root>/<name>/wal.log       append-only assertion WAL
-//	<root>/<name>/snapshot.json session state at sequence N (atomic)
+//	<root>/<name>/wal.log       the session's whole operation history
 //
-// Every Assert/AssertBatch on a session appends CRC-framed records to
-// its WAL (fsynced per the Sync policy) after applying them in memory;
-// periodic compaction writes a snapshot covering the whole history and
-// truncates the WAL, so reopening a long-lived session replays one
-// snapshot plus a short log tail. Recovery is torn-write tolerant: a
-// truncated or corrupt WAL tail is detected by the CRC/length framing,
-// dropped with a logged warning, and everything before it replays
-// through the batch LoadSession path — at most one resampling round
-// per touched component. A session recovered after a crash is
-// bit-identical (under exact inference) to one that never crashed.
+// Every durable write on a session — Assert, AssertBatch, and the
+// topology ops — appends CRC-framed records to its WAL (fsynced per the
+// Sync policy) after applying them in memory. The expert's operations
+// are the only state worth keeping — probabilities are recomputed on
+// replay — so the log is never compacted: reopening a session recovers
+// its WAL and replays the records through the batch LoadSession path,
+// at most one resampling round per touched component. Recovery is
+// torn-write tolerant: a truncated or corrupt WAL tail is detected by
+// the CRC/length framing, dropped with a logged warning, and everything
+// before it replays. A session recovered after a crash is bit-identical
+// (under exact inference) to one that never crashed. History() is the
+// export: a store directory holds no file LoadSession reads.
 //
 // The store keeps at most MaxOpen sessions resident; idle sessions
-// beyond that are compacted and evicted, and any access through their
-// DurableSession handles reopens them transparently. All methods are
-// safe for concurrent use.
+// beyond that have their WAL synced and closed and are evicted, and any
+// access through their DurableSession handles reopens them
+// transparently. All methods are safe for concurrent use.
 type SessionStore struct {
-	net       *Network
-	dir       string
-	fs        wal.FS
-	sopts     *Options
-	policy    wal.SyncPolicy
-	maxOpen   int
-	snapEvery int
-	logf      func(format string, args ...any)
+	net     *Network
+	dir     string
+	fs      wal.FS
+	sopts   *Options
+	policy  wal.SyncPolicy
+	maxOpen int
+	logf    func(format string, args ...any)
 
 	mu     sync.Mutex
 	open   map[string]*liveSession
@@ -110,22 +107,21 @@ type SessionStore struct {
 
 // liveSession is one resident session: the in-memory ConcurrentSession
 // plus its WAL handle; the session's own operation log is the full
-// logical history. walMu serializes every mutation — the in-memory
-// apply (which appends to that log), the WAL append, and compaction —
-// so the log is read under walMu; other reads go straight to the
-// ConcurrentSession's lock-free snapshots. Lock order: SessionStore.mu
-// may be held while taking walMu, never the reverse.
+// logical history, and the WAL holds exactly that log. walMu serializes
+// every mutation — the in-memory apply (which appends to that log), the
+// WAL append, and a heal's rewrite — so the log is read under walMu;
+// other reads go straight to the ConcurrentSession's lock-free
+// snapshots. Lock order: SessionStore.mu may be held while taking
+// walMu, never the reverse.
 type liveSession struct {
 	store *SessionStore
 	name  string
-	dir   string
 	cs    *ConcurrentSession
 
-	walMu     sync.Mutex
-	wal       *wal.Log
-	snapCount int  // prefix of the session's log covered by the on-disk snapshot
-	broken    bool // a WAL append failed; heal (compact) before appending more
-	retired   bool // files closed; entry no longer usable
+	walMu   sync.Mutex
+	wal     *wal.Log
+	broken  bool // the WAL may not hold the log; heal (rewrite) before appending more
+	retired bool // files closed; entry no longer usable
 
 	refs    int    // in-flight operations, guarded by store.mu
 	lastUse uint64 // LRU stamp, guarded by store.mu
@@ -149,32 +145,28 @@ func OpenStore(dir string, net *Network, opts *StoreOptions) (*SessionStore, err
 	if net == nil || net.NumCandidates() == 0 {
 		return nil, fmt.Errorf("schemanet: store: network has no candidate correspondences")
 	}
-	if o.MaxOpen < 0 || o.SnapshotEvery < 0 {
-		return nil, fmt.Errorf("schemanet: store: MaxOpen and SnapshotEvery must be non-negative")
+	if o.MaxOpen < 0 {
+		return nil, fmt.Errorf("schemanet: store: MaxOpen must be non-negative")
 	}
 	policy, err := wal.ParsePolicy(o.Sync)
 	if err != nil {
 		return nil, fmt.Errorf("schemanet: store: %w", err)
 	}
 	st := &SessionStore{
-		net:       net,
-		dir:       dir,
-		fs:        o.FS,
-		sopts:     o.Session,
-		policy:    policy,
-		maxOpen:   o.MaxOpen,
-		snapEvery: o.SnapshotEvery,
-		logf:      o.Logf,
-		open:      make(map[string]*liveSession),
+		net:     net,
+		dir:     dir,
+		fs:      o.FS,
+		sopts:   o.Session,
+		policy:  policy,
+		maxOpen: o.MaxOpen,
+		logf:    o.Logf,
+		open:    make(map[string]*liveSession),
 	}
 	if st.fs == nil {
 		st.fs = wal.OS()
 	}
 	if st.maxOpen == 0 {
 		st.maxOpen = DefaultMaxOpen
-	}
-	if st.snapEvery == 0 {
-		st.snapEvery = DefaultSnapshotEvery
 	}
 	if st.logf == nil {
 		st.logf = log.Printf
@@ -206,7 +198,7 @@ func validSessionName(name string) error {
 }
 
 // Session returns a handle on the named session, creating its
-// directory on first use or recovering it from snapshot + WAL. The
+// directory on first use or recovering it from its WAL. The
 // handle stays valid across evictions: an evicted session reopens
 // transparently on the handle's next call.
 func (st *SessionStore) Session(name string) (*DurableSession, error) {
@@ -225,10 +217,10 @@ func (st *SessionStore) Resident() int {
 	return len(st.open)
 }
 
-// Evict compacts the named session to disk and drops it from the
-// resident pool. A session that is not resident is a no-op; a session
-// with operations in flight returns ErrSessionBusy. Handles keep
-// working — the next access reopens from disk.
+// Evict syncs and closes the named session's WAL and drops the session
+// from the resident pool. A session that is not resident is a no-op; a
+// session with operations in flight returns ErrSessionBusy. Handles
+// keep working — the next access reopens from disk.
 func (st *SessionStore) Evict(name string) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -249,9 +241,9 @@ func (st *SessionStore) Evict(name string) error {
 	return nil
 }
 
-// Close compacts and closes every resident session and shuts the store
-// down; subsequent operations (including through existing handles)
-// return ErrStoreClosed. Closing a closed store is a no-op. Operations
+// Close syncs and closes every resident session's WAL and shuts the
+// store down; subsequent operations (including through existing
+// handles) return ErrStoreClosed. Closing a closed store is a no-op. Operations
 // in flight finish first — Close blocks on each session's write lock.
 func (st *SessionStore) Close() error {
 	st.mu.Lock()
@@ -304,7 +296,7 @@ func (st *SessionStore) release(ls *liveSession) {
 }
 
 // evictLocked enforces the pool bound: while too many sessions are
-// resident, the least-recently-used idle one is compacted and dropped.
+// resident, the least-recently-used idle one is retired and dropped.
 // Sessions that refuse to retire safely are skipped (and retried on
 // later acquires).
 func (st *SessionStore) evictLocked() {
@@ -334,27 +326,37 @@ func (st *SessionStore) evictLocked() {
 	}
 }
 
-// openLocked loads (or creates) a session from its directory:
-// snapshot, then WAL tail, replayed in one batch. Called with store.mu
-// held — recovery cost is bounded by compaction, but it does serialize
-// against other opens.
+// openLocked loads (or creates) a session from its directory: the WAL,
+// replayed in one batch. Called with store.mu held — recovery is linear
+// in the session's history, and it serializes against other opens.
+//
+// The WAL's records must run 1..N consecutively. A sequence gap means
+// records that were never acknowledged durable: everything from the gap
+// on is dropped with one warning, and the WAL is rewritten with the
+// kept prefix. A legacy snapshot.json left by an earlier version of the
+// store is stitched in front of the WAL (records it already covers are
+// dropped), the WAL is rewritten with the stitched log, and only then
+// is the snapshot removed — so a crash anywhere in the migration
+// reopens to the same log.
 func (st *SessionStore) openLocked(name string) (*liveSession, error) {
 	dir := filepath.Join(st.dir, name)
 	if err := st.fs.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("schemanet: store: creating %s: %w", dir, err)
 	}
 	// Crash hygiene: half-written temporaries from a previous life.
-	_ = st.fs.Remove(filepath.Join(dir, snapshotFile+".tmp"))
+	_ = st.fs.Remove(filepath.Join(dir, legacySnapshotFile+".tmp"))
 	_ = st.fs.Remove(filepath.Join(dir, walFile+".tmp"))
 
-	// Snapshot, if any. Its Seq is the WAL sequence number it covers; a
-	// plain Session.Save dropped in as snapshot.json (Seq 0) counts as
-	// covering its own history — the supported migration path.
+	// Legacy snapshot, if any. Its Seq is the WAL sequence number it
+	// covers; a plain Session.Save dropped in as snapshot.json (Seq 0)
+	// counts as covering its own history.
 	var recs []wal.Record
 	snapSeq := uint64(0)
-	data, err := st.fs.ReadFile(filepath.Join(dir, snapshotFile))
+	snapPath := filepath.Join(dir, legacySnapshotFile)
+	data, err := st.fs.ReadFile(snapPath)
+	legacy := err == nil
 	switch {
-	case err == nil:
+	case legacy:
 		var derr error
 		if recs, snapSeq, derr = decodeSession(bytes.NewReader(data)); derr != nil {
 			return nil, fmt.Errorf("schemanet: store: session %q: corrupt snapshot: %w", name, derr)
@@ -376,21 +378,18 @@ func (st *SessionStore) openLocked(name string) (*liveSession, error) {
 		st.logf("schemanet: store: session %q: recovered WAL with damaged tail: %v", name, res.Tail)
 	}
 
-	// Stitch: snapshot prefix (seqs 1..snapSeq), then WAL records above
-	// it, in strict sequence. Records the snapshot already covers are
-	// dropped (a crash between snapshot write and WAL truncation leaves
-	// that overlap); a sequence gap means records that were never
-	// acknowledged durable — everything from the gap on is dropped.
-	dirty := false // on-disk state needs a normalizing compaction
+	// Stitch: the snapshot prefix (seqs 1..snapSeq; empty without a
+	// legacy snapshot), then the WAL records above it, in strict
+	// sequence.
+	rewrite := legacy // the WAL must be rewritten to hold exactly the log
 	for i, r := range walRecs {
 		if r.Seq <= snapSeq {
-			dirty = true
 			continue
 		}
 		if r.Seq != uint64(len(recs))+1 {
 			st.logf("schemanet: store: session %q: dropping %d WAL record(s) after sequence gap (%d after %d) — never acknowledged durable",
 				name, len(walRecs)-i, r.Seq, uint64(len(recs)))
-			dirty = true
+			rewrite = true
 			break
 		}
 		recs = append(recs, r)
@@ -401,18 +400,21 @@ func (st *SessionStore) openLocked(name string) (*liveSession, error) {
 		l.Close()
 		return nil, fmt.Errorf("schemanet: store: session %q: %w", name, err)
 	}
-	l.SetLastSeq(snapSeq)
-	ls := &liveSession{
-		store: st, name: name, dir: dir,
-		cs: s.Concurrent(), wal: l, snapCount: int(snapSeq),
-	}
-	if dirty {
-		// Normalize now: snapshot the stitched history and truncate the
-		// WAL, so overlap/gap leftovers don't survive into the next
-		// generation. On failure, gate appends until a compaction lands.
-		if err := ls.compactLocked(); err != nil {
-			st.logf("schemanet: store: session %q: deferred cleanup compaction: %v", name, err)
+	ls := &liveSession{store: st, name: name, cs: s.Concurrent(), wal: l}
+	if rewrite {
+		// On failure, gate appends until a heal's rewrite lands; a legacy
+		// snapshot stays until then and keeps stitching as overlap.
+		if err := l.Rewrite(s.log); err != nil {
+			st.logf("schemanet: store: session %q: deferred WAL rewrite: %v", name, err)
 			ls.broken = true
+		} else if legacy {
+			err := st.fs.Remove(snapPath)
+			if err == nil {
+				err = st.fs.SyncDir(dir)
+			}
+			if err != nil {
+				st.logf("schemanet: store: session %q: removing migrated snapshot: %v", name, err)
+			}
 		}
 	}
 	return ls, nil
@@ -420,14 +422,14 @@ func (st *SessionStore) openLocked(name string) (*liveSession, error) {
 
 // healLocked is the gate after a failed WAL append: no further records
 // may be appended (they would land after torn bytes or a sequence gap
-// and be unrecoverable) until a compaction has re-established a clean
-// snapshot + empty WAL.
+// and be unrecoverable) until the WAL has been rewritten to hold
+// exactly the session's log.
 func (ls *liveSession) healLocked() error {
 	if !ls.broken {
 		return nil
 	}
-	if err := ls.compactLocked(); err != nil {
-		return fmt.Errorf("schemanet: store: session %q: durability degraded (earlier append failed) and compaction still failing: %w",
+	if err := ls.wal.Rewrite(ls.cs.s.log); err != nil {
+		return fmt.Errorf("schemanet: store: session %q: durability degraded (earlier append failed) and WAL rewrite still failing: %w",
 			ls.name, err)
 	}
 	ls.broken = false
@@ -451,67 +453,30 @@ func (ls *liveSession) loggable(c int) error {
 	return nil
 }
 
-func (ls *liveSession) maybeCompactLocked() {
-	if len(ls.cs.s.log)-ls.snapCount < ls.store.snapEvery {
-		return
-	}
-	// The triggering assertion is already durable in the WAL; a failed
-	// compaction costs recovery time, not data.
-	if err := ls.compactLocked(); err != nil {
-		ls.store.logf("schemanet: store: session %q: auto-compaction failed: %v", ls.name, err)
-	}
-}
-
-// compactLocked writes a snapshot covering the entire history —
-// write-sync-rename-syncdir, so a crash leaves either the old or the
-// new snapshot — and only then truncates the WAL. A crash between the
-// two steps leaves the snapshot plus a fully-covered WAL; recovery
-// drops the overlap by sequence number. No committed assertion is ever
-// lost.
-func (ls *liveSession) compactLocked() error {
-	log := ls.cs.s.log
-	buf, err := encodeSession(log, ls.cs.s.Network().NumCandidates(), uint64(len(log)))
-	if err != nil {
-		return err
-	}
-	if err := wal.AtomicWriteFile(ls.store.fs, ls.dir, filepath.Join(ls.dir, snapshotFile), buf); err != nil {
-		return fmt.Errorf("schemanet: store: session %q: writing snapshot: %w", ls.name, err)
-	}
-	ls.snapCount = len(log)
-	if err := ls.wal.Reset(uint64(len(log))); err != nil {
-		// Snapshot is durable; the stale WAL only costs recovery a
-		// dedup pass. Appends will fail until a Reset lands, tripping
-		// the heal gate.
-		return fmt.Errorf("schemanet: store: session %q: truncating WAL after snapshot: %w", ls.name, err)
-	}
-	return nil
-}
-
-// retire compacts the session and closes its files — eviction and
-// shutdown. It refuses only when closing now would lose state: memory
-// holds records the WAL never accepted and compaction still fails, or
-// the WAL cannot be flushed. Called with store.mu held.
+// retire syncs and closes the session's WAL — eviction and shutdown.
+// It never drops memory it cannot prove durable: a broken WAL is healed
+// first, and a WAL whose closing sync fails is rewritten from memory;
+// when either rewrite fails, retire refuses and the session stays
+// resident, gated to heal before its next write. Called with store.mu
+// held.
 func (ls *liveSession) retire() error {
 	ls.walMu.Lock()
 	defer ls.walMu.Unlock()
 	if ls.retired {
 		return nil
 	}
-	if ls.broken {
-		if err := ls.healLocked(); err != nil {
-			return err
-		}
-	} else if err := ls.compactLocked(); err != nil {
-		// Everything acknowledged is in the WAL; make sure it is
-		// physically down before letting go of the memory copy.
-		if serr := ls.wal.Sync(); serr != nil {
-			return fmt.Errorf("schemanet: store: session %q: cannot retire safely: compaction failed (%v) and WAL sync failed: %w",
-				ls.name, err, serr)
-		}
-		ls.store.logf("schemanet: store: session %q: retiring with stale snapshot (compaction failed: %v); WAL is synced", ls.name, err)
+	if err := ls.healLocked(); err != nil {
+		return err
 	}
 	if err := ls.wal.Close(); err != nil {
-		ls.store.logf("schemanet: store: session %q: closing WAL: %v", ls.name, err)
+		if rerr := ls.wal.Rewrite(ls.cs.s.log); rerr != nil {
+			ls.broken = true
+			return fmt.Errorf("schemanet: store: session %q: cannot retire safely: closing the WAL failed (%v) and rewriting it failed: %w",
+				ls.name, err, rerr)
+		}
+		if err := ls.wal.Close(); err != nil {
+			ls.store.logf("schemanet: store: session %q: closing rewritten WAL: %v", ls.name, err)
+		}
 	}
 	ls.retired = true
 	return nil
@@ -570,7 +535,7 @@ func (ds *DurableSession) with(fn func(*liveSession) error) error {
 // — which guards and then mutates the in-memory session — and appends
 // to the WAL exactly the records apply added to the session's log. A
 // failed append leaves the mutation live in memory and trips the heal
-// gate, so the next successful compaction persists it.
+// gate, so the next successful heal persists it.
 func (ds *DurableSession) write(what string, apply func(*liveSession) error) error {
 	return ds.with(func(ls *liveSession) error {
 		ls.walMu.Lock()
@@ -587,10 +552,9 @@ func (ds *DurableSession) write(what string, apply func(*liveSession) error) err
 		}
 		if err := ls.wal.Append(ls.cs.s.log[n:]...); err != nil {
 			ls.broken = true
-			return fmt.Errorf("schemanet: store: session %q: %s applied but not durably logged (will persist via next successful compaction): %w",
+			return fmt.Errorf("schemanet: store: session %q: %s applied but not durably logged (will persist via next successful heal): %w",
 				ls.name, what, err)
 		}
-		ls.maybeCompactLocked()
 		return nil
 	})
 }
@@ -605,7 +569,8 @@ func (ds *DurableSession) Assert(c int, correct bool) error {
 // applied to the in-memory session, appended to the WAL, fsynced per
 // the store's Sync policy, in that order — an error after the words
 // "applied but not durably logged" means the assertion is live in
-// memory and will be persisted by the next successful compaction. The
+// memory and will be persisted by the next successful heal (the next
+// write, eviction, or Close rewrites the WAL from memory). The
 // annotator id is recorded in the durable history (the per-annotator
 // assertion log quality-aware matching learns from) and does not
 // affect inference.
@@ -777,22 +742,6 @@ func (ds *DurableSession) Seq() (uint64, error) {
 		return nil
 	})
 	return seq, err
-}
-
-// Compact snapshots the session now and truncates its WAL.
-func (ds *DurableSession) Compact() error {
-	return ds.with(func(ls *liveSession) error {
-		ls.walMu.Lock()
-		defer ls.walMu.Unlock()
-		if ls.retired {
-			return ErrStoreClosed
-		}
-		if err := ls.compactLocked(); err != nil {
-			return err
-		}
-		ls.broken = false
-		return nil
-	})
 }
 
 // Sync forces the session's WAL to disk — the manual durability point

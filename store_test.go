@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -122,15 +123,13 @@ func TestStoreBasicDurability(t *testing.T) {
 }
 
 // storeScenario is the fixed workload the exhaustive crash sweep
-// replays: single asserts, a batch, an auto-compaction (SnapshotEvery
-// 3 trips inside assert #3), an explicit compaction, and a store close
-// — so the sweep's crash points land inside every protocol step.
-// It returns how many assertions were acknowledged (their calls
-// returned nil) before the first failure.
+// replays: the session's creation, single asserts, an eviction and the
+// reopen from disk mid-script, a batch, a rejected duplicate, and a
+// store close — so the sweep's crash points land inside every step of
+// the protocol. It returns how many assertions were acknowledged (their
+// calls returned nil) before the first failure.
 func storeScenario(net *schemanet.Network, opts *schemanet.Options, fsys *wal.MemFS, logf func(string, ...any)) int {
-	st, err := schemanet.OpenStore("store", net, &schemanet.StoreOptions{
-		Session: opts, FS: fsys, SnapshotEvery: 3, Logf: logf,
-	})
+	st, err := schemanet.OpenStore("store", net, &schemanet.StoreOptions{Session: opts, FS: fsys, Logf: logf})
 	if err != nil {
 		return 0
 	}
@@ -145,20 +144,40 @@ func storeScenario(net *schemanet.Network, opts *schemanet.Options, fsys *wal.Me
 	if ds.AssertAs("ann2", 1, false) != nil {
 		return 1
 	}
-	if ds.AssertAs("ann1", 2, true) != nil { // trips auto-compaction
+	evict := func() bool { // sync and close the WAL, then reopen from it
+		if st.Evict("alpha") != nil {
+			return false
+		}
+		_, err := st.Session("alpha")
+		return err == nil
+	}
+	if !evict() {
+		return 2
+	}
+	if ds.AssertAs("ann1", 2, true) != nil {
 		return 2
 	}
 	if ds.AssertBatchAs("crowd", []schemanet.Assertion{{Cand: 3, Approved: true}, {Cand: 4, Approved: false}}) != nil {
 		return 3
 	}
-	if ds.Compact() != nil {
+	if !evict() {
 		return 5
 	}
-	if ds.Assert(1, false) != nil { // duplicate: rejected, not logged
-		// expected — fall through
-		_ = err
+	if ds.AssertAs("ann2", 5, true) != nil {
+		return 5
 	}
-	return 5
+	if ds.AssertBatchAs("crowd", []schemanet.Assertion{{Cand: 6, Approved: false}, {Cand: 7, Approved: true}}) != nil {
+		return 6
+	}
+	if ds.AssertAs("ann1", 8, true) != nil {
+		return 8
+	}
+	if ds.AssertAs("ann2", 9, false) != nil {
+		return 9
+	}
+	_ = ds.Assert(1, false) // duplicate: rejected, not logged
+	_ = st.Close()
+	return 10
 }
 
 // intendedRecords is the full assertion sequence storeScenario commits,
@@ -177,28 +196,33 @@ func intendedRecords(net *schemanet.Network) []schemanet.AssertionRecord {
 		mk(3, "ann1", 2, true),
 		mk(4, "crowd", 3, true),
 		mk(5, "crowd", 4, false),
+		mk(6, "ann2", 5, true),
+		mk(7, "crowd", 6, false),
+		mk(8, "crowd", 7, true),
+		mk(9, "ann1", 8, true),
+		mk(10, "ann2", 9, false),
 	}
 }
 
 // TestStoreCrashAtEveryOp is the headline robustness property: crash
 // the filesystem at every single mutating operation of a workload that
-// spans appends, auto-compaction, explicit compaction, and shutdown;
+// spans creation, appends, eviction, reopen, and shutdown;
 // after each crash, recovery must yield an exact prefix of the
 // committed assertion sequence, containing every acknowledged
 // assertion (no committed assertion is ever lost), replaying to
 // probabilities bit-identical to a never-crashed session.
 func TestStoreCrashAtEveryOp(t *testing.T) {
-	net, _ := videoNet(t)
+	net, _ := multiVideoNet(t, 2) // two components of 5 candidates
 	opts := &schemanet.Options{Inference: "exact", Seed: 5}
 	intended := intendedRecords(net)
 	// Candidate index per intended record, for the replay check.
-	intendedCands := []int{0, 1, 2, 3, 4}
-	intendedOK := []bool{true, false, true, true, false}
+	intendedCands := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+	intendedOK := []bool{true, false, true, true, false, true, false, true, true, false}
 
 	// Size the sweep with one uncrashed run.
 	clean := wal.NewMemFS()
-	if got := storeScenario(net, opts, clean, t.Logf); got != 5 {
-		t.Fatalf("uncrashed scenario acked %d assertions, want 5", got)
+	if got := storeScenario(net, opts, clean, t.Logf); got != len(intended) {
+		t.Fatalf("uncrashed scenario acked %d assertions, want %d", got, len(intended))
 	}
 	total := clean.Ops()
 	if total < 30 {
@@ -273,7 +297,7 @@ func TestStoreCrashAtEveryOp(t *testing.T) {
 // TestStoreFailedSyncSelfHeals: a WAL fsync failure degrades the
 // session (the assert reports the durability gap) but loses nothing —
 // the record stays live in memory, and the next write first heals the
-// log through a compaction that persists it.
+// log by rewriting it from memory, which persists it.
 func TestStoreFailedSyncSelfHeals(t *testing.T) {
 	net, _ := videoNet(t)
 	opts := &schemanet.Options{Inference: "exact", Seed: 3}
@@ -341,6 +365,108 @@ func TestStoreFailedSyncSelfHeals(t *testing.T) {
 	}
 }
 
+// TestStoreRetireRewritesAfterFailedSync: eviction never drops memory
+// it cannot prove durable. When the closing sync of the WAL fails, the
+// eviction rewrites the WAL from memory instead; when that fails too,
+// it refuses and the session stays resident, gated to heal before its
+// next write. A crash after each successful eviction loses nothing.
+func TestStoreRetireRewritesAfterFailedSync(t *testing.T) {
+	net, _ := videoNet(t)
+	opts := &schemanet.Options{Inference: "exact", Seed: 3}
+	fsys := wal.NewMemFS()
+	sopts := &schemanet.StoreOptions{Session: opts, FS: fsys, Sync: "none", Logf: t.Logf}
+	st, err := schemanet.OpenStore("store", net, sopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := st.Session("alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	crashAndCount := func() uint64 {
+		t.Helper()
+		fsys.Crash()
+		fsys.Restart()
+		st2, err := schemanet.OpenStore("store", net, sopts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st2.Close()
+		ds2, err := st2.Session("alpha")
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq, err := ds2.Seq()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return seq
+	}
+	walSync := func(op, name string) bool { return op == "sync" && filepath.Base(name) == "wal.log" }
+	for c := 0; c < 2; c++ {
+		if err := ds.Assert(c, c == 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// One failed closing sync: the eviction rewrites the WAL and succeeds.
+	failed := false
+	fsys.SetHook(func(op, name string, n int) error {
+		if !failed && walSync(op, name) {
+			failed = true
+			return errors.New("injected: sync failed")
+		}
+		return nil
+	})
+	if err := st.Evict("alpha"); err != nil {
+		t.Fatalf("evict after one failed sync: %v", err)
+	}
+	fsys.SetHook(nil)
+	if !failed {
+		t.Fatal("hook never fired")
+	}
+	if seq := crashAndCount(); seq != 2 {
+		t.Fatalf("after the rewritten eviction and a crash: seq %d, want 2", seq)
+	}
+
+	// Syncs and renames both failing: the eviction refuses.
+	st, err = schemanet.OpenStore("store", net, sopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	ds, err = st.Session("alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Assert(2, true); err != nil {
+		t.Fatal(err)
+	}
+	fsys.SetHook(func(op, name string, n int) error {
+		if walSync(op, name) || op == "rename" {
+			return errors.New("injected: disk on fire")
+		}
+		return nil
+	})
+	if err := st.Evict("alpha"); err == nil || !strings.Contains(err.Error(), "cannot retire safely") {
+		t.Fatalf("evict with sync and rewrite failing: err = %v, want a refusal", err)
+	}
+	if got := st.Resident(); got != 1 {
+		t.Fatalf("refused eviction left %d sessions resident, want 1", got)
+	}
+	fsys.SetHook(nil)
+	// The next write heals first, so it lands after the refused record.
+	if err := ds.Assert(3, false); err != nil {
+		t.Fatalf("assert after a refused eviction: %v", err)
+	}
+	if err := st.Evict("alpha"); err != nil {
+		t.Fatal(err)
+	}
+	if seq := crashAndCount(); seq != 4 {
+		t.Fatalf("after the healed eviction and a crash: seq %d, want 4", seq)
+	}
+}
+
 // TestStoreShortWriteTornTail: a torn append (partial frame hits disk)
 // fails the assert; if the process dies before healing, recovery drops
 // exactly the torn tail with a logged warning and keeps every
@@ -399,11 +525,12 @@ func TestStoreShortWriteTornTail(t *testing.T) {
 }
 
 // TestStoreSequenceGapDropsTail: WAL records past a sequence gap were
-// never acknowledged durable. Recovery keeps the snapshot plus the
-// contiguous records, warns with the number of records dropped from
-// the gap on (not the WAL's length, which also counts the overlap the
-// snapshot covers), and normalizes the files so a second reopen has
-// nothing left to warn about.
+// never acknowledged durable. Recovery of a legacy snapshot beside a
+// WAL keeps the snapshot plus the contiguous records, warns with the
+// number of records dropped from the gap on (not the WAL's length,
+// which also counts the overlap the snapshot covers), and migrates: the
+// WAL is rewritten with the 2 stitched records and the snapshot is
+// removed, so a second reopen has nothing left to warn about.
 func TestStoreSequenceGapDropsTail(t *testing.T) {
 	net, _ := videoNet(t)
 	opts := &schemanet.Options{Inference: "exact", Seed: 4}
@@ -452,8 +579,11 @@ func TestStoreSequenceGapDropsTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if recs, res := wal.Recover(data); len(recs) != 0 || !res.Clean() {
-		t.Fatalf("WAL after the normalizing compaction holds %d records (clean %v), want none", len(recs), res.Clean())
+	if recs, res := wal.Recover(data); !reflect.DeepEqual(recs, []wal.Record{r1, r2}) || !res.Clean() {
+		t.Fatalf("WAL after the gap rewrite holds %+v (clean %v), want the 2 stitched records", recs, res.Clean())
+	}
+	if _, err := fsys.ReadFile(filepath.Join(dir, "snapshot.json")); !os.IsNotExist(err) {
+		t.Fatalf("legacy snapshot survived the migration (read err %v)", err)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -631,7 +761,7 @@ func TestStoreConcurrentSessions(t *testing.T) {
 	opts := &schemanet.Options{Inference: "exact", Seed: 13}
 	fsys := wal.NewMemFS()
 	st, err := schemanet.OpenStore("store", net, &schemanet.StoreOptions{
-		Session: opts, FS: fsys, MaxOpen: 2, SnapshotEvery: 4, Logf: func(string, ...any) {},
+		Session: opts, FS: fsys, MaxOpen: 2, Logf: func(string, ...any) {},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -692,42 +822,53 @@ func TestStoreConcurrentSessions(t *testing.T) {
 }
 
 // TestStoreSyncPolicyNone: under "none" the WAL is fsynced only at
-// compaction/eviction/close — a crash may lose a suffix of
-// acknowledged assertions, and a clean Close loses nothing.
+// eviction, Close, a heal, and Sync — a crash may lose a suffix of
+// acknowledged assertions, while an eviction or a clean Close before
+// the crash loses nothing.
 func TestStoreSyncPolicyNone(t *testing.T) {
 	net, _ := videoNet(t)
 	opts := &schemanet.Options{Inference: "exact", Seed: 4}
-	fsys := wal.NewMemFS()
-	sopts := &schemanet.StoreOptions{Session: opts, FS: fsys, Sync: "none", Logf: t.Logf}
-	st, err := schemanet.OpenStore("store", net, sopts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := st.Session("alpha")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := 0; c < 3; c++ {
-		if err := ds.Assert(c, true); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := st.Close(); err != nil { // retire compacts: everything durable
-		t.Fatal(err)
-	}
-	fsys.Crash()
-	fsys.Restart()
-	st2, err := schemanet.OpenStore("store", net, sopts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	ds2, err := st2.Session("alpha")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq, _ := ds2.Seq(); seq != 3 {
-		t.Fatalf("after clean close under \"none\": seq %d, want 3", seq)
+	for _, tc := range []struct {
+		name   string
+		settle func(st *schemanet.SessionStore) error
+	}{
+		{"close", func(st *schemanet.SessionStore) error { return st.Close() }},
+		{"evict", func(st *schemanet.SessionStore) error { return st.Evict("alpha") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fsys := wal.NewMemFS()
+			sopts := &schemanet.StoreOptions{Session: opts, FS: fsys, Sync: "none", Logf: t.Logf}
+			st, err := schemanet.OpenStore("store", net, sopts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ds, err := st.Session("alpha")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for c := 0; c < 3; c++ {
+				if err := ds.Assert(c, true); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tc.settle(st); err != nil { // the sync point: everything durable
+				t.Fatal(err)
+			}
+			fsys.Crash()
+			fsys.Restart()
+			st2, err := schemanet.OpenStore("store", net, sopts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st2.Close()
+			ds2, err := st2.Session("alpha")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seq, _ := ds2.Seq(); seq != 3 {
+				t.Fatalf("after %s and a crash under \"none\": seq %d, want 3", tc.name, seq)
+			}
+		})
 	}
 }
 
@@ -795,7 +936,7 @@ type topoOpStep struct {
 // crash sweep: assertions interleaved with an add-schema, an
 // add-candidates (whose new candidate is then asserted), and a retire,
 // so WAL topology records of every kind land between assertion
-// records. baseAttrs is the base network's attribute count (appended
+// records; a last assertion follows the retire. baseAttrs is the base network's attribute count (appended
 // attributes take the next IDs).
 func topoScenarioOps(baseAttrs, baseCands int) []topoOpStep {
 	newAttr := schemanet.AttrID(baseAttrs) // "live.x"
@@ -809,17 +950,17 @@ func topoScenarioOps(baseAttrs, baseCands int) []topoOpStep {
 		{run: func(d topoDriver) error { return d.assert(1, false) }, dHist: 1},
 		{run: func(d topoDriver) error { return d.retire(2) }, dRetired: 1, dHist: 1},
 		{run: func(d topoDriver) error { return d.assert(newCand, true) }, dHist: 1},
+		{run: func(d topoDriver) error { return d.assert(3, true) }, dHist: 1},
 	}
 }
 
 // storeTopoScenario runs the grow/assert workload against a durable
-// store on fsys (SnapshotEvery 3 trips an auto-compaction mid-script,
-// so v2 snapshots with interleaved topology ops are exercised too) and
-// returns how many ops were acknowledged before the first failure.
+// store on fsys — evicting the session after its second and fourth ops,
+// so the rest of the script runs on a session reopened by replaying
+// topology records from the WAL — closes the store, and returns how
+// many ops were acknowledged before the first failure.
 func storeTopoScenario(net *schemanet.Network, opts *schemanet.Options, fsys *wal.MemFS, logf func(string, ...any)) int {
-	st, err := schemanet.OpenStore("store", net, &schemanet.StoreOptions{
-		Session: opts, FS: fsys, SnapshotEvery: 3, Logf: logf,
-	})
+	st, err := schemanet.OpenStore("store", net, &schemanet.StoreOptions{Session: opts, FS: fsys, Logf: logf})
 	if err != nil {
 		return 0
 	}
@@ -831,11 +972,19 @@ func storeTopoScenario(net *schemanet.Network, opts *schemanet.Options, fsys *wa
 	d := durableDriver{ds}
 	ops := topoScenarioOps(net.NumAttributes(), net.NumCandidates())
 	for i, op := range ops {
+		if i == 2 || i == 4 {
+			if st.Evict("alpha") != nil {
+				return i
+			}
+			if _, err := st.Session("alpha"); err != nil {
+				return i
+			}
+		}
 		if op.run(d) != nil {
 			return i
 		}
 	}
-	_ = ds.Compact() // exercise explicit compaction of topology records
+	_ = st.Close()
 	return len(ops)
 }
 
@@ -956,6 +1105,170 @@ func TestStoreCrashAtEveryTopologyOp(t *testing.T) {
 		}
 		if err := st.Close(); err != nil {
 			t.Fatalf("crash@%d: closing recovered store: %v", k, err)
+		}
+	}
+}
+
+// TestStoreLegacyMigrationCrashAtEveryOp: a session directory an
+// earlier version of the store left behind — a snapshot.json beside a
+// WAL tail, before and after a compaction (the store_v* golden
+// fixtures) — migrates into one WAL on open. Crash the filesystem at
+// every mutating op of that open: the next open must recover the
+// golden script's whole history, leave wal.log holding exactly it, and
+// leave no snapshot.json behind.
+func TestStoreLegacyMigrationCrashAtEveryOp(t *testing.T) {
+	net, _ := videoNet(t)
+	opts := &schemanet.Options{Inference: "exact", Seed: 3}
+	dir := filepath.Join("store", "golden")
+	for _, tc := range []struct {
+		version string
+		grow    bool
+	}{{"store_v1", false}, {"store_v2", true}} {
+		want, _ := goldenStore(t, tc.grow)
+		for _, pair := range []string{"before", "after"} {
+			t.Run(tc.version+"_"+pair, func(t *testing.T) {
+				seed := func() *wal.MemFS {
+					fsys := wal.NewMemFS()
+					for file, golden := range map[string]string{
+						"snapshot.json": tc.version + "_snapshot_" + pair + ".json",
+						"wal.log":       tc.version + "_wal_" + pair + ".log",
+					} {
+						data, err := os.ReadFile(filepath.Join("testdata", "golden", golden))
+						if err != nil {
+							t.Fatal(err)
+						}
+						if err := wal.AtomicWriteFile(fsys, dir, filepath.Join(dir, file), data); err != nil {
+							t.Fatal(err)
+						}
+					}
+					return fsys
+				}
+				open := func(fsys *wal.MemFS, logf func(string, ...any)) (*schemanet.SessionStore, []schemanet.AssertionRecord, error) {
+					st, err := schemanet.OpenStore("store", net, &schemanet.StoreOptions{Session: opts, FS: fsys, Logf: logf})
+					if err != nil {
+						return nil, nil, err
+					}
+					ds, err := st.Session("golden")
+					if err != nil {
+						st.Close()
+						return nil, nil, err
+					}
+					hist, err := ds.History()
+					return st, hist, err
+				}
+				discard := func(string, ...any) {}
+
+				probe := seed()
+				base := probe.Ops()
+				st, hist, err := open(probe, t.Logf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				total := probe.Ops() - base
+				if !reflect.DeepEqual(hist, want) {
+					t.Fatalf("migrated history %+v, want %+v", hist, want)
+				}
+				if err := st.Close(); err != nil {
+					t.Fatal(err)
+				}
+
+				for k := 0; k <= total; k++ {
+					fsys := seed()
+					fsys.CrashAfterOps(k)
+					if st, _, err := open(fsys, discard); err == nil {
+						st.Close()
+					}
+					fsys.Restart()
+					st, hist, err := open(fsys, discard)
+					if err != nil {
+						t.Fatalf("crash@%d: reopening: %v", k, err)
+					}
+					if !reflect.DeepEqual(hist, want) {
+						t.Fatalf("crash@%d: recovered history %+v, want %+v", k, hist, want)
+					}
+					if err := st.Close(); err != nil {
+						t.Fatalf("crash@%d: closing: %v", k, err)
+					}
+					if _, err := fsys.ReadFile(filepath.Join(dir, "snapshot.json")); !os.IsNotExist(err) {
+						t.Fatalf("crash@%d: snapshot.json survived a clean reopen (read err %v)", k, err)
+					}
+					data, err := fsys.ReadFile(filepath.Join(dir, "wal.log"))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if recs, res := wal.Recover(data); !res.Clean() || !reflect.DeepEqual(recs, want) {
+						t.Fatalf("crash@%d: wal.log holds %+v (clean %v), want the whole history", k, recs, res.Clean())
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestStoreOneFilePerSession: after a clean run of asserts, batches,
+// topology ops, evictions, and Close on the real filesystem, every
+// session directory holds wal.log and nothing else, and the WAL
+// recovers to exactly the session's History().
+func TestStoreOneFilePerSession(t *testing.T) {
+	net, truth := videoNet(t)
+	opts := &schemanet.Options{Inference: "exact", Seed: 6}
+	root := t.TempDir()
+	sopts := &schemanet.StoreOptions{Session: opts, MaxOpen: 1, Logf: t.Logf}
+	st, err := schemanet.OpenStore(root, net, sopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"a", "b"}
+	ops := topoScenarioOps(net.NumAttributes(), net.NumCandidates())
+	want := map[string][]schemanet.AssertionRecord{}
+	for i, name := range names {
+		ds, err := st.Session(name) // MaxOpen 1: evicts the other session
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			for _, op := range ops {
+				if err := op.run(durableDriver{ds}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		} else {
+			if err := ds.AssertAs("x", 0, truth.ContainsCorrespondence(net.Candidate(0))); err != nil {
+				t.Fatal(err)
+			}
+			if err := ds.AssertBatchAs("crowd", []schemanet.Assertion{{Cand: 1, Approved: true}, {Cand: 3, Approved: false}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Evict(name); err != nil {
+			t.Fatal(err)
+		}
+		if want[name], err = ds.History(); err != nil { // reopens from disk
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		entries, err := os.ReadDir(filepath.Join(root, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var files []string
+		for _, e := range entries {
+			files = append(files, e.Name())
+		}
+		if !reflect.DeepEqual(files, []string{"wal.log"}) {
+			t.Fatalf("session %q directory holds %v, want just wal.log", name, files)
+		}
+		data, err := os.ReadFile(filepath.Join(root, name, "wal.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, res := wal.Recover(data)
+		if !res.Clean() || len(recs) == 0 || !reflect.DeepEqual(recs, want[name]) {
+			t.Fatalf("session %q: WAL recovers to %+v (clean %v), want History() %+v", name, recs, res.Clean(), want[name])
 		}
 	}
 }
