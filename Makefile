@@ -76,10 +76,11 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkPieceSplit' -benchmem -benchtime $(BENCHTIME) -count $(COUNT) ./internal/core | $(GO) run ./cmd/benchmedian
 	# Default chunked refill vs a pinned single-chunk budget (multicomp, dense).
 	$(GO) test -run '^$$' -bench 'BenchmarkSessionAssertBudget' -benchmem -benchtime $(BENCHTIME) -count $(COUNT) . | $(GO) run ./cmd/benchmedian
-	# Incremental topology cost: one late schema / one component-merging
-	# candidate batch on a live session vs recompiling the world, and
-	# growth beside a carried dense single-component session.
-	$(GO) test -run '^$$' -bench 'BenchmarkAddSchema|BenchmarkAddCandidatesMerge|BenchmarkAddCandidatesIsolated' -benchmem -benchtime $(BENCHTIME) -count $(COUNT) . | $(GO) run ./cmd/benchmedian
+	# Topology op cost: one late schema / one component-merging
+	# candidate batch on a live session vs recompiling the world, growth
+	# beside a carried dense single-component session, and one retire on
+	# a fresh and on an already-owned dense session.
+	$(GO) test -run '^$$' -bench 'BenchmarkAddSchema|BenchmarkAddCandidatesMerge|BenchmarkAddCandidatesIsolated|BenchmarkRetireCandidate' -benchmem -benchtime $(BENCHTIME) -count $(COUNT) . | $(GO) run ./cmd/benchmedian
 	# Lazy top-k ranking: suggest-per-assert (assert off the clock)
 	# plus the core-layer gain-pass microbenchmark, which keeps the
 	# pruned-vs-exhaustive ratio measurable.

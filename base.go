@@ -14,8 +14,9 @@ import (
 // options shares one compiled base: NewSession, LoadSession and every
 // SessionStore reopen fork its engine instead of cloning the network
 // and recompiling. A session keeps sharing until its first topology op,
-// which gives it a network and engine of its own (Session.unshare). See
-// DESIGN.md, "One compiled Γ per base network".
+// which mutates a clone of the base network and compiles Γ for it
+// (Session.topologyNetwork, Session.adoptNetwork). See DESIGN.md, "One
+// compiled Γ per base network".
 
 // compiledBase is Γ compiled once for one caller network: a private
 // clone of the network, the engine compiled for the clone (its
@@ -26,7 +27,6 @@ import (
 type compiledBase struct {
 	net    *Network
 	engine *constraints.Engine
-	opts   constraintOpts
 	// names is built on first use (nameIndex): sessions that never
 	// resolve a record by name — no Save, no reload, no durable write —
 	// never pay for it.
@@ -80,7 +80,7 @@ func (c constraintOpts) compile(net *Network) *constraints.Engine {
 // newBase compiles Γ under c for a private clone of net.
 func newBase(net *Network, c constraintOpts) *compiledBase {
 	clone := net.Clone()
-	return &compiledBase{net: clone, engine: c.compile(clone), opts: c}
+	return &compiledBase{net: clone, engine: c.compile(clone)}
 }
 
 // sharedBase returns net's compiled base under c, building it on first
@@ -94,27 +94,39 @@ func sharedBase(net *Network, c constraintOpts) *compiledBase {
 	return net.Memo(fmt.Sprint(c), func() any { return newBase(net, c) }).(*compiledBase)
 }
 
-// unshare gives the session a network and compiled engine of its own
-// before its first topology op mutates them: the shared network is
-// cloned, Γ is recompiled for the clone, and the session's engine and
-// every component fork adopt the recompilation
-// (core.PMN.AdoptEngine). The base, and every other session on it, is
-// untouched. Pieces, stores and probabilities stay as they are — the
-// clone has the same content. A no-op once the session owns its
-// network. It must be serialized against all other use of the session;
-// ConcurrentSession's topology mutators hold topoMu's write side.
-func (s *Session) unshare() {
-	if s.base == nil {
-		return
+// topologyNetwork returns the network a topology op mutates: the
+// session's own, or, before its first topology op, a fresh clone of the
+// shared base network, so the base and every other session on it stay
+// untouched. Nothing is compiled here: adoptNetwork compiles once the op
+// has changed the network, and an op that fails before that drops the
+// clone and leaves the session sharing.
+func (s *Session) topologyNetwork() *Network {
+	if s.base != nil {
+		return s.base.net.Clone()
 	}
-	s.pmn.AdoptEngine(s.base.opts.compile(s.base.net.Clone()))
-	s.names, s.base = s.base.nameIndex(), nil
+	return s.Network()
+}
+
+// adoptNetwork compiles Γ for net, the network a topology op just
+// changed (topologyNetwork), and has the session's engine and every
+// component fork adopt the compilation (core.PMN.AdoptEngine); the
+// caller then relays the component layout (core.PMN.TopologyChanged).
+// This is the op's one compile. On a session's first op net is the
+// base network's clone, and the session stops sharing the base here.
+// It must be serialized against all other use of the session;
+// ConcurrentSession's topology mutators hold topoMu's write side.
+func (s *Session) adoptNetwork(net *Network) {
+	if s.base != nil {
+		s.names, s.base = s.base.nameIndex(), nil
+	}
+	s.pmn.AdoptEngine(s.gamma.compile(net))
 }
 
 // attrNames maps every attribute's full name in the session's network
 // to its id: the base's index while the session shares the base
-// network, its own from unshare on. Records name candidates by these
-// names (Save, LoadSession, the store's write guard).
+// network, its own from its first topology op on. Records name
+// candidates by these names (Save, LoadSession, the store's write
+// guard).
 func (s *Session) attrNames() map[string]AttrID {
 	if s.base != nil {
 		return s.base.nameIndex()

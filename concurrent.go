@@ -33,9 +33,10 @@ import (
 //     and the next reader that touches the component publishes once,
 //     under the component's lock, no matter how many writes landed in
 //     between. A burst of assertions between reads pays for one
-//     publication instead of one per assertion (ROADMAP item 2), and
-//     reads remain fresh — a dirty load upgrades before serving. Batch writes publish eagerly (once per touched
-//     component per batch) since the batch already amortizes the cost.
+//     publication instead of one per assertion, and reads remain
+//     fresh — a dirty load upgrades before serving. Batch writes
+//     publish eagerly (once per touched component per batch) since the
+//     batch already amortizes the cost.
 //   - Gain re-ranking is *deferred* further still: publications are
 //     probs-only, and the next Suggest re-ranks just the components
 //     whose published snapshot is unranked — through the lazy
@@ -109,7 +110,10 @@ type ConcurrentSession struct {
 	// sugMu guards the suggestion rng only. The info-gain Suggest still
 	// never touches a component lock — tie-breaking draws are the one
 	// bit of shared state reads need. It is always the last lock taken.
-	sugMu  sync.Mutex
+	sugMu sync.Mutex
+	// sugRng is the suggestion stream, seeded on its first draw
+	// (suggestionRng), so a reopened tenant that never breaks a tie
+	// never pays for seeding a source.
 	sugRng *rand.Rand
 
 	workers int
@@ -128,12 +132,6 @@ func (s *Session) Concurrent() *ConcurrentSession {
 		snaps:   make([]atomic.Pointer[core.ComponentSnapshot], n),
 		dirty:   make([]atomic.Bool, n),
 		workers: s.workers,
-		// The suggestion stream is deliberately distinct from the
-		// session rng, which serial suggestions and Instantiate draw
-		// from, so concurrent tie-breaks never race with those draws.
-		// Sampling draws neither: every component walks on its own
-		// re-seeded rng.
-		sugRng: rand.New(rand.NewSource(s.seed ^ 0x5eed5a17)),
 	}
 	// Publish nothing up front: every component starts dirty, and the
 	// first reader that needs it publishes it (the first Suggest then
@@ -289,7 +287,7 @@ func (cs *ConcurrentSession) Suggest() (c int, ok bool) {
 		defer cs.unlockAll()
 		cs.sugMu.Lock()
 		defer cs.sugMu.Unlock()
-		return cs.s.strategy.Next(cs.pmn, cs.sugRng)
+		return cs.s.strategy.Next(cs.pmn, cs.suggestionRng())
 	}
 	best := -1.0
 	nUnasserted := 0
@@ -389,7 +387,19 @@ func (cs *ConcurrentSession) rankComponent(k int) *core.ComponentSnapshot {
 func (cs *ConcurrentSession) intn(n int) int {
 	cs.sugMu.Lock()
 	defer cs.sugMu.Unlock()
-	return cs.sugRng.Intn(n)
+	return cs.suggestionRng().Intn(n)
+}
+
+// suggestionRng returns the suggestion rng, seeding it on first use.
+// The stream is deliberately distinct from the session rng, which
+// serial suggestions and Instantiate draw from, so concurrent
+// tie-breaks never race with those draws. Sampling draws neither: every
+// component walks on its own re-seeded rng. The caller holds sugMu.
+func (cs *ConcurrentSession) suggestionRng() *rand.Rand {
+	if cs.sugRng == nil {
+		cs.sugRng = rand.New(rand.NewSource(cs.s.seed ^ 0x5eed5a17))
+	}
+	return cs.sugRng
 }
 
 // Assert integrates an expert statement about candidate c: the global
@@ -427,9 +437,9 @@ func (cs *ConcurrentSession) assertAs(annotator string, c int, correct bool) err
 		return err
 	}
 	cs.pmn.ApplyAssertions(k, []Assertion{{Cand: c, Approved: correct}})
-	// Coalesced publication (ROADMAP item 2): mark the component dirty
-	// instead of building a snapshot here — the next reader that touches
-	// it republishes once for the whole burst of assertions.
+	// Coalesced publication: mark the component dirty instead of
+	// building a snapshot here — the next reader that touches it
+	// republishes once for the whole burst of assertions.
 	cs.dirty[k].Store(true)
 	return nil
 }

@@ -107,6 +107,51 @@ func TestDecomposedMatchesMonolithicExact(t *testing.T) {
 	}
 }
 
+// TestMonolithicStaysWholeAcrossTopology: the monolithic reference keeps
+// its one global sample space when a topology op recompiles Γ (a retire,
+// then a candidate bridging two components) and keeps matching the
+// decomposed session exactly.
+func TestMonolithicStaysWholeAcrossTopology(t *testing.T) {
+	net, _ := multiVideoNet(t, 3)
+	opts := &schemanet.Options{Inference: "exact", Seed: 11}
+	dec, err := schemanet.NewSession(net, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mono, err := schemanet.NewMonolithicSession(net, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc := net.NumCandidates()
+	bridge := []schemanet.Correspondence{{A: net.Candidate(0).A, B: net.Candidate(nc - 1).B, Confidence: 0.6}}
+	ops := []struct {
+		name string
+		run  func(s *schemanet.Session) error
+	}{
+		{"retire", func(s *schemanet.Session) error { return s.RetireCandidate(1) }},
+		{"bridge", func(s *schemanet.Session) error { return s.AddCandidates(bridge) }},
+	}
+	for _, op := range ops {
+		if err := op.run(dec); err != nil {
+			t.Fatal(err)
+		}
+		if err := op.run(mono); err != nil {
+			t.Fatal(err)
+		}
+		if got := mono.Components(); got != 1 {
+			t.Fatalf("after %s: monolithic session has %d components, want 1", op.name, got)
+		}
+		if dec.Components() < 2 {
+			t.Fatalf("after %s: decomposed session has %d components; the fixture no longer decomposes", op.name, dec.Components())
+		}
+		for c := 0; c < mono.Network().NumCandidates(); c++ {
+			if dp, mp := mustProb(t, dec, c), mustProb(t, mono, c); dp != mp {
+				t.Fatalf("after %s: p(%d) decomposed %v != monolithic %v", op.name, c, dp, mp)
+			}
+		}
+	}
+}
+
 // TestDecomposedSuggestWorksPerComponent: a decomposed session must
 // reconcile end to end — suggestions drain all components' uncertainty,
 // not just the first component's.

@@ -9,16 +9,15 @@ import (
 )
 
 // Dynamic networks: a live session accepts new schemas, new candidate
-// correspondences, and candidate withdrawals without rebuilding. The
-// first such op gives the session a network and compiled engine of its
-// own (Session.unshare: until then both are shared with every session
-// on the same base network). Each mutation then flows through every
-// layer incrementally — the session's own network grows in place, the
-// compiled conflict index appends
-// rows for the new candidates only, the component partition merges (or
-// conservatively re-partitions on retire), and the probabilistic
-// network carries every untouched component's samples, probabilities,
-// and cached ranking verbatim. See DESIGN.md, "Dynamic networks".
+// correspondences, and candidate withdrawals without rebuilding. Each
+// op mutates the session's own network — on the first op a clone of
+// the network it shared with every session on the same base
+// (Session.topologyNetwork) — then compiles Γ for it once and has every
+// engine fork adopt the compilation (Session.adoptNetwork). The
+// probabilistic network then carries every component whose member list
+// is unchanged — samples, probabilities, and cached ranking verbatim —
+// and rebuilds only the components the op merged, split or touched.
+// See DESIGN.md, "Dynamic networks".
 
 // ErrCandidateRetired reports an operation against a candidate that was
 // withdrawn through RetireCandidate: retired candidates keep their
@@ -29,22 +28,20 @@ var ErrCandidateRetired = core.ErrCandidateRetired
 // AddSchema registers a new schema on the live session. The schema is
 // auto-connected to every existing schema in the interaction graph; it
 // arrives without candidates (follow with AddCandidates), so no
-// probability changes — the constraint engine just refreshes its cycle
-// plans for the new interaction edges.
+// probability changes — the recompiled constraint engine just gains
+// cycle plans for the new interaction edges.
 func (s *Session) AddSchema(name string, attrs ...string) error {
 	_, err := s.addSchema(name, attrs)
 	return err
 }
 
 func (s *Session) addSchema(name string, attrs []string) (map[int]int, error) {
-	s.unshare()
-	net := s.Network()
-	oldN := net.NumCandidates()
+	net := s.topologyNetwork()
 	if _, err := net.AppendSchema(name, attrs...); err != nil {
 		return nil, fmt.Errorf("schemanet: %w", err)
 	}
+	s.adoptNetwork(net)
 	s.names = attrIndex(net)
-	s.engine.Grow(oldN)
 	carried, err := s.pmn.TopologyChanged(-1)
 	if err != nil {
 		return nil, fmt.Errorf("schemanet: %w", err)
@@ -75,13 +72,11 @@ func (s *Session) addCandidates(cs []Correspondence) (map[int]int, error) {
 	if len(cs) == 0 {
 		return nil, errors.New("schemanet: AddCandidates requires at least one correspondence")
 	}
-	s.unshare()
-	net := s.Network()
-	oldN := net.NumCandidates()
+	net := s.topologyNetwork()
 	if _, err := net.AppendCandidates(cs); err != nil {
 		return nil, fmt.Errorf("schemanet: %w", err)
 	}
-	s.engine.Grow(oldN)
+	s.adoptNetwork(net)
 	carried, err := s.pmn.TopologyChanged(-1)
 	if err != nil {
 		return nil, fmt.Errorf("schemanet: %w", err)
@@ -99,9 +94,9 @@ func (s *Session) addCandidates(cs []Correspondence) (map[int]int, error) {
 // matcher recall revoked a correspondence). The candidate keeps its
 // index but drops to probability 0, leaves every conflict row and cycle
 // plan, is never suggested again, and rejects assertions with
-// ErrCandidateRetired. Its component is conservatively re-partitioned —
-// a retire can split a component — and the split parts are rebuilt
-// under the accumulated feedback. An already-asserted candidate cannot be
+// ErrCandidateRetired. The partition is recompiled with the network,
+// so a retire can split its component; the parts are rebuilt under the
+// accumulated feedback. An already-asserted candidate cannot be
 // retired (assertions are correct and final).
 func (s *Session) RetireCandidate(c int) error {
 	_, err := s.retireCandidate(c)
@@ -118,11 +113,11 @@ func (s *Session) retireCandidate(c int) (map[int]int, error) {
 	if s.pmn.Feedback().IsAsserted(c) {
 		return nil, fmt.Errorf("schemanet: candidate %d: cannot retire an asserted candidate", c)
 	}
-	s.unshare()
-	if err := s.Network().RetireCandidate(c); err != nil {
+	net := s.topologyNetwork()
+	if err := net.RetireCandidate(c); err != nil {
 		return nil, fmt.Errorf("schemanet: %w", err)
 	}
-	s.engine.Retire(c)
+	s.adoptNetwork(net)
 	carried, err := s.pmn.TopologyChanged(c)
 	if err != nil {
 		return nil, fmt.Errorf("schemanet: %w", err)

@@ -138,3 +138,38 @@ func BenchmarkAddCandidatesIsolated(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRetireCandidate measures withdrawing one candidate from a
+// live dense C=512 session: the network tombstones it, Γ is compiled
+// for the retired network, and the component that held it is rebuilt
+// under the (empty) feedback. `first` retires on a fresh session, whose
+// op also clones the network it shared with other sessions; `owned`
+// retires on a session that already owns its network after one earlier
+// topology op (a candidate-free AddSchema).
+func BenchmarkRetireCandidate(b *testing.B) {
+	d, _ := benchDataset(b, 512)
+	victim := d.Network.NumCandidates() / 2
+	for _, mode := range []struct {
+		name  string
+		owned bool
+	}{{"first", false}, {"owned", true}} {
+		b.Run(mode.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				s, err := schemanet.NewSession(d.Network, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if mode.owned {
+					if err := s.AddSchema("late", "x"); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StartTimer()
+				if err := s.RetireCandidate(victim); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -15,8 +15,9 @@ import (
 // PMN keeps one global sample space — the monolithic reference for the
 // component decomposition. The engine is compiled for this session
 // alone, bypassing the network's shared compiled base, so the session
-// owns it from the start and never unshares (which would recompile
-// without Whole).
+// owns its network from the start. A topology op's recompilation stays
+// whole: the Whole forks keep a whole partition cache when they adopt
+// it (constraints.Engine.Adopt).
 func NewMonolithicSession(net *Network, opts *Options) (*Session, error) {
 	s, err := newSession(net, opts, nil, func(net *Network, c constraintOpts) *compiledBase {
 		b := newBase(net, c)

@@ -29,9 +29,10 @@ type conflictIndex struct {
 	extra [][]*bitset.Set
 	gates []gatedConstraint
 
-	// retiredMask marks candidates withdrawn through Engine.Retire; they
-	// are blocked from Maximize/Maximal so no instance ever re-acquires
-	// them. nil while no candidate was ever retired.
+	// retiredMask marks the candidates the network tombstoned
+	// (schema.Network.RetireCandidate); they are blocked from
+	// Maximize/Maximal so no instance ever acquires them. nil while the
+	// network has none.
 	retiredMask *bitset.Set
 }
 
@@ -55,29 +56,31 @@ type gatedConstraint struct {
 
 // compileAll runs the compile phase over Γ and merges the results. It
 // accepts the two shapes the index runs and panics, naming the
-// constraint, on any other: a pairwise constraint must be Growable (Grow
-// compiles only the new candidates' rows), and a gated one must stream
-// its chains (Repair's victim accounting) and be Rebuildable (Grow and
-// Retire refresh its masks from a rebuilt index).
+// constraint, on any other: a pairwise constraint needs no more than
+// its rows, and a gated one must stream its chains (Repair's victim
+// accounting). The retired mask is the network's tombstones; the
+// constraints emit no row and no gate mask for a retired candidate.
 func compileAll(net *schema.Network, cons []Constraint) *conflictIndex {
 	n := net.NumCandidates()
 	idx := &conflictIndex{rows: make([]*bitset.Set, n)}
+	for c := 0; c < n; c++ {
+		if net.Retired(c) {
+			if idx.retiredMask == nil {
+				idx.retiredMask = bitset.New(n)
+			}
+			idx.retiredMask.Add(c)
+		}
+	}
 	for _, con := range cons {
 		comp := con.Compile()
 		switch {
 		case comp.Pairwise():
-			if _, ok := con.(Growable); !ok {
-				panic(fmt.Sprintf("constraints: pairwise constraint %q does not implement Growable", con.Name()))
-			}
 			symmetrize(comp.ConflictRows)
 			idx.merge(n, comp.ConflictRows)
 		case comp.Gated():
 			chains, ok := con.(chainConstraint)
 			if !ok {
 				panic(fmt.Sprintf("constraints: gated constraint %q does not implement ForEachChain", con.Name()))
-			}
-			if _, ok := con.(Rebuildable); !ok {
-				panic(fmt.Sprintf("constraints: gated constraint %q does not implement Rebuildable", con.Name()))
 			}
 			idx.gates = append(idx.gates, gatedConstraint{con: chains, masks: comp.GateMasks, min: comp.GateMin})
 		default:
@@ -110,6 +113,8 @@ func symmetrize(rows []*bitset.Set) {
 
 // merge folds one pairwise constraint's conflict rows into the shared
 // matrix, routing already-present pairs into the multiplicity layers.
+// The matrix takes over the constraint's rows where it has none yet
+// (Compiled's rows belong to the engine).
 func (idx *conflictIndex) merge(n int, rows []*bitset.Set) {
 	for c := 0; c < n; c++ {
 		r := rows[c]
@@ -117,7 +122,7 @@ func (idx *conflictIndex) merge(n int, rows []*bitset.Set) {
 			continue
 		}
 		if idx.rows[c] == nil {
-			idx.rows[c] = r.Clone()
+			idx.rows[c] = r
 			continue
 		}
 		ov := r.Clone()

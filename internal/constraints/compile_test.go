@@ -383,3 +383,71 @@ func TestOneToOneCompileRowsMatchInterpreted(t *testing.T) {
 		}
 	}
 }
+
+// TestCompileRetiredFromTombstones: compiling a network with tombstoned
+// candidates derives the retired mask from the tombstones alone, and
+// no saturation admits a tombstoned candidate — a fresh compile of a
+// retired network blocks retirees the way the serving layer needs.
+func TestCompileRetiredFromTombstones(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	for trial := 0; trial < 20; trial++ {
+		net := randomNetwork(t, rng, 3+rng.Intn(2), 3, 0.5)
+		n := net.NumCandidates()
+		if n == 0 {
+			continue
+		}
+		tombs := bitset.New(n)
+		for r := rng.Intn(4); r > 0; r-- {
+			c := rng.Intn(n)
+			if tombs.Has(c) {
+				continue
+			}
+			if err := net.RetireCandidate(c); err != nil {
+				t.Fatal(err)
+			}
+			tombs.Add(c)
+		}
+		e, _ := enginePair(t, net, rng, 3)
+		switch rm := e.RetiredMask(); {
+		case tombs.Empty() && rm != nil:
+			t.Fatalf("trial %d: retired mask %v on a network without tombstones", trial, rm)
+		case !tombs.Empty() && (rm == nil || !rm.Equal(tombs)):
+			t.Fatalf("trial %d: retired mask %v, tombstones %v", trial, rm, tombs)
+		}
+		parts := e.Components()
+		tombs.ForEach(func(c int) bool {
+			if k := parts.ComponentOf(c); len(parts.Members(k)) != 1 {
+				t.Fatalf("trial %d: retired %d shares component %v", trial, c, parts.Members(k))
+			}
+			return true
+		})
+		for rep := 0; rep < 5; rep++ {
+			inst := e.NewInstance()
+			var rngArg *rand.Rand
+			if rep > 0 {
+				rngArg = rand.New(rand.NewSource(rng.Int63()))
+			}
+			e.Maximize(inst, nil, rngArg)
+			if inst.AndCount(tombs) > 0 {
+				t.Fatalf("trial %d: Maximize admitted a tombstoned candidate: %v ∩ %v", trial, inst, tombs)
+			}
+			if !e.Maximal(inst, nil) {
+				t.Fatalf("trial %d: Maximize result %v is not maximal", trial, inst)
+			}
+			for k := 0; k < parts.NumComponents(); k++ {
+				members := parts.Members(k)
+				if !e.MaximalWithin(inst, nil, members) {
+					t.Fatalf("trial %d: a tombstoned member of %v disqualifies %v", trial, members, inst)
+				}
+				sub := e.NewInstance()
+				notMask := bitset.New(n)
+				notMask.SetAll()
+				notMask.DifferenceWith(bitset.FromIndices(n, members...))
+				e.MaximizeWithin(sub, notMask, members, rngArg)
+				if sub.AndCount(tombs) > 0 || !e.MaximalWithin(sub, nil, members) {
+					t.Fatalf("trial %d: MaximizeWithin over %v gave %v", trial, members, sub)
+				}
+			}
+		}
+	}
+}

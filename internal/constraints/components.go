@@ -107,45 +107,44 @@ func (uf *unionFind) union(a, b int) {
 //
 // A Whole fork returns the trivial one-component partition instead.
 //
-// The partition is computed lazily per engine family (forks share the
-// cache) and the same immutable value is returned on every call until a
-// topology mutation (Grow/Retire) invalidates it, so Components doubles
-// as the component-index lookup of the concurrent serving layer:
-// ComponentOf on the returned partition is a plain slice read, safe
-// from any goroutine.
+// The partition is computed once per engine family (forks share the
+// cache) from the immutable index, and the same value is returned on
+// every call, so Components doubles as the component-index lookup of
+// the concurrent serving layer: ComponentOf on the returned partition
+// is a plain slice read, safe from any goroutine.
 func (e *Engine) Components() *Partition {
 	pc := e.parts
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if pc.p == nil {
-		pc.p, pc.uf = e.computeComponents(pc.whole)
-	}
+	pc.once.Do(func() { pc.p = e.computeComponents(pc.whole) })
 	return pc.p
 }
 
-func (e *Engine) computeComponents(whole bool) (*Partition, *unionFind) {
+func (e *Engine) computeComponents(whole bool) *Partition {
 	n := e.net.NumCandidates()
 	if whole {
-		return singlePartition(n), nil
+		return singlePartition(n)
 	}
 	uf := newUnionFind(n)
 	for c, r := range e.idx.rows {
 		if r == nil {
 			continue
 		}
+		// Rows are symmetric: visiting each conflict from its larger
+		// end covers every link once.
 		cc := c
 		r.ForEach(func(d int) bool {
+			if d > cc {
+				return false
+			}
 			uf.union(cc, d)
 			return true
 		})
 	}
 	e.unionGateMasks(uf)
-	return partitionFrom(uf, n), uf
+	return partitionFrom(uf, n)
 }
 
 // unionGateMasks folds the gated constraints' participation masks into
-// the union-find. Idempotent, so growPartition can re-run it after a
-// topology change.
+// the union-find.
 func (e *Engine) unionGateMasks(uf *unionFind) {
 	for gi := range e.idx.gates {
 		g := &e.idx.gates[gi]

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"schemanet/internal/bitset"
 	"schemanet/internal/datagen"
 	"schemanet/internal/schema"
 )
@@ -76,7 +75,8 @@ func TestComponentsTwoTriangles(t *testing.T) {
 
 // TestComponentsWholeTrivial pins the monolithic reference: a Whole fork
 // of an engine whose Γ decomposes keeps the one-component partition,
-// across Retire and Grow too, while the engine it forked from splits.
+// also after it adopts a recompilation of the retired, then grown,
+// network, while the engines it adopts split.
 func TestComponentsWholeTrivial(t *testing.T) {
 	net := twoTriangleNet(t)
 	e := Default(net)
@@ -90,18 +90,32 @@ func TestComponentsWholeTrivial(t *testing.T) {
 	if got := whole.Fork().Components(); got != whole.Components() {
 		t.Fatal("forks of a Whole fork must share its partition")
 	}
-	n := net.NumCandidates()
-	net.RetireCandidate(0)
-	whole.Retire(0)
-	if p := whole.Components(); !p.Trivial() || p.NumCandidates() != n {
-		t.Fatalf("after Retire: %d components over %d candidates, want 1 over %d",
-			p.NumComponents(), p.NumCandidates(), n)
+	adopt := func(step string) {
+		t.Helper()
+		src := Default(net)
+		whole.Adopt(src)
+		n := net.NumCandidates()
+		if p := whole.Components(); !p.Trivial() || p.NumCandidates() != n {
+			t.Fatalf("after %s: %d components over %d candidates, want 1 over %d",
+				step, p.NumComponents(), p.NumCandidates(), n)
+		}
+		if got := whole.Fork().Components(); got != whole.Components() {
+			t.Fatalf("after %s: forks of a Whole fork must share its partition", step)
+		}
+		if src.Components().Trivial() {
+			t.Fatalf("after %s: the adopted engine must keep its own partition", step)
+		}
 	}
-	whole.Grow(n)
-	if p := whole.Components(); !p.Trivial() || p.NumCandidates() != n {
-		t.Fatalf("after Grow: %d components over %d candidates, want 1 over %d",
-			p.NumComponents(), p.NumCandidates(), n)
+	if err := net.RetireCandidate(0); err != nil {
+		t.Fatal(err)
 	}
+	adopt("a retire")
+	// A candidate bridging the triangles: it conflicts with nothing, so
+	// it lands in a component of its own.
+	if _, err := net.AppendCandidates([]schema.Correspondence{{A: 4, B: 2, Confidence: 0.4}}); err != nil {
+		t.Fatal(err)
+	}
+	adopt("growth")
 }
 
 // The constraint shapes NewEngine rejects. Each wraps a shipped
@@ -109,36 +123,22 @@ func TestComponentsWholeTrivial(t *testing.T) {
 type (
 	// shapeless compiles to neither a pairwise nor a gated form.
 	shapeless struct{ Constraint }
-	// bare has only the Constraint methods: no ForEachChain, and neither
-	// Growable nor Rebuildable.
+	// bare has only the Constraint methods: no ForEachChain.
 	bare struct{ Constraint }
-	// stuckCycle is gated and streams chains but implements neither
-	// Growable nor Rebuildable.
-	stuckCycle struct {
-		Constraint
-		chains *Cycle
-	}
 )
 
 func (shapeless) Compile() Compiled { return Compiled{} }
-
-func (s stuckCycle) ForEachChain(inst *bitset.Set, c int, scratch []int, fn func(members []int) bool) []int {
-	return s.chains.ForEachChain(inst, c, scratch, fn)
-}
 
 // TestNewEngineRejectsUnsupportedShapes: every constraint the compiled
 // index cannot run is refused at construction, with a panic naming it.
 func TestNewEngineRejectsUnsupportedShapes(t *testing.T) {
 	net := twoTriangleNet(t)
-	cycle := NewCycle(net, DefaultMaxCycleLen)
 	cases := []struct {
 		name string
 		con  Constraint
 	}{
 		{"neither shape", shapeless{NewCycle(net, DefaultMaxCycleLen)}},
 		{"gated without ForEachChain", bare{NewCycle(net, DefaultMaxCycleLen)}},
-		{"pairwise, neither Growable nor Rebuildable", bare{NewOneToOne(net)}},
-		{"gated, neither Growable nor Rebuildable", stuckCycle{cycle, cycle}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -99,23 +99,24 @@ type Constraint interface {
 	Compile() Compiled
 }
 
-// Compiled is the output of a constraint's compile phase. A constraint
-// picks exactly one of the two shapes:
+// Compiled is the output of a constraint's compile phase. The engine
+// owns the conflict rows it is handed and may modify them, so Compile
+// returns fresh rows on every call. A constraint picks exactly one of
+// the two shapes:
 //
 //   - Pairwise: ConflictRows[c] is the exact, symmetric set of candidates
 //     that can never coexist with c — every violation of the constraint is
 //     a pair {c, d} with d ∈ ConflictRows[c]. The engine folds the rows of
 //     all pairwise constraints into one shared conflict matrix and never
-//     dispatches to the constraint's methods on the hot path. The
-//     constraint must also implement Growable.
+//     dispatches to the constraint's methods on the hot path.
 //
 //   - Gated: GateMasks[c] over-approximates the candidates other than c
 //     that can participate in a violation involving c, and GateMin[c] is
 //     the minimum |inst ∩ GateMasks[c]| any such violation requires. The
 //     engine runs one word-wise AndCount as an early-out before the
 //     constraint's own HasConflict; a nil mask means c can never be in
-//     violation. The constraint must also implement Rebuildable and
-//     stream its violations through ForEachChain (as Cycle does).
+//     violation. The constraint must also stream its violations through
+//     ForEachChain (as Cycle does).
 type Compiled struct {
 	ConflictRows []*bitset.Set
 	GateMasks    []*bitset.Set

@@ -81,23 +81,18 @@ const DefaultMaxCycleLen = 3
 // constraint that never fires.
 func NewCycle(net *schema.Network, maxLen int) *Cycle {
 	cc := &Cycle{net: net, maxLen: maxLen}
-	cc.RebuildIndex()
+	cc.buildIndex()
 	return cc
 }
 
-// RebuildIndex re-derives the whole compiled chain index — schema
-// cycles, rotation plans, pair masks, hop lists — from the live network,
-// in place. Engine.Grow and Engine.Retire call it after the network
-// changes: the enumeration is over the *schema* interaction graph plus
-// one pass over the candidates, so it is cheap relative to any
-// re-sampling, and rebuilding in place means every engine fork sharing
-// this constraint (through the shared constraint slice) observes the new
-// plans at once. Retired candidates are excluded from the masks and hop
+// buildIndex derives the whole compiled chain index — schema cycles,
+// rotation plans, pair masks, hop lists — from the network. The
+// enumeration is over the *schema* interaction graph plus one pass over
+// the candidates. Retired candidates are excluded from the masks and hop
 // lists, so no chain can ever route through them.
-func (cc *Cycle) RebuildIndex() {
+func (cc *Cycle) buildIndex() {
 	net := cc.net
 	cc.cycles = net.Interaction().SimpleCycles(cc.maxLen)
-	cc.canonical = nil
 	cc.byEdge = make(map[[2]int][]*rotationPlan)
 	cc.byPair = make(map[[2]int][]int)
 	cc.pairMask = make(map[[2]int]*bitset.Set)

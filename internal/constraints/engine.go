@@ -20,6 +20,10 @@ import (
 // per-candidate interface dispatch. The differential tests hold it to a
 // naive evaluator over the Constraint interface, kept in test code.
 //
+// The compiled index describes the network as it was at NewEngine.
+// After the network changes, compile a new engine for it and hand it to
+// the forks that should follow (Adopt).
+//
 // Concurrency: the query methods (HasConflict, ConflictsWith,
 // Violations, Consistent, CanAdd, Maximal, MaximalWithin,
 // ViolationCount, Components) are safe for concurrent use after
@@ -42,20 +46,11 @@ type Engine struct {
 }
 
 // partitionCache memoizes Engine.Components per engine family: the
-// partition depends only on the compiled index, so forks share one
-// cache. Since Engine.Grow/Retire mutate the index, the cache is a
-// mutex-guarded mutable union-find rather than a sync.Once: Grow
-// extends the persistent forest and merges the components a new
-// candidate bridges; Retire re-partitions just the touched component.
-// Every published *Partition value is itself immutable — topology
-// changes install a fresh value, they never mutate one in place.
+// partition depends only on the compiled index, which is immutable, so
+// forks share one cache and it is computed at most once.
 type partitionCache struct {
-	mu sync.Mutex
-	p  *Partition
-	// uf is the persistent disjoint-set forest behind p. It is nil for a
-	// whole cache and after a Retire (splits cannot be expressed in a
-	// union-find; the next Grow rebuilds it).
-	uf *unionFind
+	once sync.Once
+	p    *Partition
 	// whole pins p to the trivial one-component partition (see
 	// Engine.Whole).
 	whole bool
@@ -82,22 +77,26 @@ func (e *Engine) Fork() *Engine {
 
 // Adopt re-points e at src's network, constraint set, compiled conflict
 // index and partition cache, keeping e's own scratch buffers: after the
-// call e is a fork of src. A session that stops sharing a compiled
-// engine with other sessions adopts a private recompilation on every
-// fork it holds, so samplers and stores bound to those forks follow
-// without being rebuilt. src must describe a network with the same
-// candidates as e's (scratch is sized by candidate count). Adopt must
-// be serialized against all use of e.
+// call e is a fork of src. A session whose network changed adopts a
+// fresh compilation of it on every fork it holds, so samplers and
+// stores bound to those forks follow without being rebuilt. src may
+// describe a grown universe: every scratch buffer is resized to the
+// candidate count on its next use. A Whole fork stays whole: it takes a
+// whole partition cache of its own unless src's is one. Adopt must be
+// serialized against all use of e.
 func (e *Engine) Adopt(src *Engine) {
-	e.net, e.cons, e.idx, e.parts = src.net, src.cons, src.idx, src.parts
+	parts := src.parts
+	if e.parts.whole && !parts.whole {
+		parts = &partitionCache{whole: true}
+	}
+	e.net, e.cons, e.idx, e.parts = src.net, src.cons, src.idx, parts
 }
 
 // Whole returns a fork whose partition is always the trivial
-// one-component partition, across Grow and Retire too: a PMN built on
-// it keeps one global sample space. This is the monolithic reference the
-// component decomposition is tested against. The fork gets its own
-// partition cache (its own forks share it); everything else is shared
-// as in Fork.
+// one-component partition: a PMN built on it keeps one global sample
+// space. This is the monolithic reference the component decomposition
+// is tested against. The fork gets its own partition cache (its own
+// forks share it); everything else is shared as in Fork.
 func (e *Engine) Whole() *Engine {
 	f := e.Fork()
 	f.parts = &partitionCache{whole: true}
@@ -562,6 +561,11 @@ func (e *Engine) ViolationCount(inst *bitset.Set) int {
 	}
 	return count
 }
+
+// RetiredMask returns the mask of candidates the network had tombstoned
+// when the engine was compiled (nil when none). The returned set must
+// not be mutated.
+func (e *Engine) RetiredMask() *bitset.Set { return e.idx.retiredMask }
 
 // FullInstance returns the instance containing every live (non-retired)
 // candidate; with ViolationCount it reports the violations among the raw

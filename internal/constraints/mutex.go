@@ -65,18 +65,12 @@ func (m *MutualExclusion) Name() string { return KindMutex }
 
 // Compile implements Constraint. Like one-to-one the constraint is
 // purely pairwise: row[c] holds every candidate covering the other side
-// of an exclusive attribute pair touched by c.
+// of an exclusive attribute pair touched by c. Retired candidates get no
+// row and never appear as partners.
 func (m *MutualExclusion) Compile() Compiled {
-	return m.CompileFrom(0)
-}
-
-// CompileFrom implements Growable: rows are emitted only for candidates
-// at index oldN and above; CompileFrom(0) is the full compile. Retired
-// candidates get no row and never appear as partners.
-func (m *MutualExclusion) CompileFrom(oldN int) Compiled {
 	n := m.net.NumCandidates()
 	rows := make([]*bitset.Set, n)
-	for c := oldN; c < n; c++ {
+	for c := 0; c < n; c++ {
 		if m.net.Retired(c) {
 			continue
 		}

@@ -28,20 +28,13 @@ func (o *OneToOne) Name() string { return KindOneToOne }
 // it emits the full conflict adjacency: row[c] holds every candidate
 // that shares an attribute with c and maps it into the same schema —
 // the conflictPartners predicate evaluated once against the whole
-// candidate universe instead of per instance.
+// candidate universe instead of per instance. Retired candidates get no
+// row — and never appear as partners, since they are absent from the
+// network's per-attribute index.
 func (o *OneToOne) Compile() Compiled {
-	return o.CompileFrom(0)
-}
-
-// CompileFrom implements Growable: it emits conflict rows only for
-// candidates at index oldN and above (their partners may be anywhere in
-// the universe). CompileFrom(0) is the full compile. Retired candidates
-// get no row — and never appear as partners, since they are absent from
-// the network's per-attribute index.
-func (o *OneToOne) CompileFrom(oldN int) Compiled {
 	n := o.net.NumCandidates()
 	rows := make([]*bitset.Set, n)
-	for c := oldN; c < n; c++ {
+	for c := 0; c < n; c++ {
 		if o.net.Retired(c) {
 			continue
 		}

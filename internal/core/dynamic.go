@@ -8,9 +8,9 @@ import (
 )
 
 // Dynamic-network support: TopologyChanged relays the PMN's component
-// layout after the engine's compiled constraint index grew (schema or
-// candidate arrival) or retired a candidate. Components whose member
-// list is unchanged are carried — pieces, stores, cached entropy and
+// layout after the PMN adopted an engine compiled for a grown network
+// (schema or candidate arrival) or for one with a retired candidate.
+// Components whose member list is unchanged are carried — pieces, stores, cached entropy and
 // tie sets survive in place — while touched components (merged by a
 // bridging candidate, split or emptied by a retire) are rebuilt under
 // the accumulated feedback with fresh pieces.
@@ -22,17 +22,16 @@ import (
 var ErrCandidateRetired = errors.New("candidate retired")
 
 // AdoptEngine re-points the PMN's engine and every component's fork at
-// e's compiled material (constraints.Engine.Adopt), before a topology
-// change mutates it: a serving layer that shared one compiled engine
-// across sessions hands the session a private recompilation of the same
-// network here. Nothing else changes — e must compile the same
-// candidates under the same constraints, so pieces, stores and
-// probabilities stay valid. Callers must serialize AdoptEngine against
-// ALL other PMN use, including reads.
+// e's compiled material (constraints.Engine.Adopt). A serving layer
+// calls it after a topology op changed the network, with e compiled for
+// the changed network, and then calls TopologyChanged to relay the
+// component layout; e may describe a grown universe. A Whole engine
+// stays whole. Callers must serialize AdoptEngine against ALL other PMN
+// use, including reads.
 func (p *PMN) AdoptEngine(e *constraints.Engine) {
 	p.engine.Adopt(e)
 	for _, c := range p.comps {
-		c.engine.Adopt(e)
+		c.engine.Adopt(p.engine)
 	}
 }
 
@@ -77,9 +76,9 @@ func memberKey(members []int) string {
 	return string(b)
 }
 
-// TopologyChanged re-derives the component layout after the network and
-// engine mutated: retiredCand is the candidate withdrawn by a retire
-// (-1 for growth).
+// TopologyChanged re-derives the component layout after the network
+// changed and the PMN adopted an engine compiled for it (AdoptEngine):
+// retiredCand is the candidate withdrawn by a retire (-1 for growth).
 //
 // Components whose member list is unchanged are carried in place (their
 // stores widen to the new universe; pieces, probabilities, entropy, and

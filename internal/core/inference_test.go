@@ -321,11 +321,10 @@ func TestAutoStreamsAlignWithSampledAcrossComponents(t *testing.T) {
 		e *constraints.Engine
 	}{{auto, autoEng}, {sampled, sampledEng}} {
 		n := side.e.Network()
-		oldN := n.NumCandidates()
 		if _, err := n.AppendCandidates([]schema.Correspondence{bridge}); err != nil {
 			t.Fatal(err)
 		}
-		side.e.Grow(oldN)
+		side.p.AdoptEngine(constraints.Default(n))
 		if _, err := side.p.TopologyChanged(-1); err != nil {
 			t.Fatal(err)
 		}
@@ -382,12 +381,11 @@ func TestSurvivorSeededWalkStaysMaximal(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	oldN := net.NumCandidates()
 	bridge := schema.Correspondence{A: attrs[0][0][0], B: attrs[1][1][0], Confidence: 0.5}
 	if _, err := net.AppendCandidates([]schema.Correspondence{bridge}); err != nil {
 		t.Fatal(err)
 	}
-	e.Grow(oldN)
+	p.AdoptEngine(constraints.Default(net))
 	if _, err := p.TopologyChanged(-1); err != nil {
 		t.Fatal(err)
 	}

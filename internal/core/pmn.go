@@ -48,7 +48,7 @@ type Config struct {
 	// *unlimited* under InferExact (which then never overflows).
 	ExactBudget int
 	// Workers bounds the goroutines of the lazy top-k ranker's streaming
-	// path — components with more than topkMatrixCap uncertain members;
+	// path — pieces with more than topkMatrixCap uncertain members;
 	// smaller ones rank serially (see topk.go) — and of the exhaustive
 	// InformationGains pass. 0 means runtime.GOMAXPROCS(0); 1 forces a
 	// sequential pass.

@@ -152,7 +152,7 @@ func TestEnumerateWithinMatchesUniverseScan(t *testing.T) {
 			if err := net.RetireCandidate(c); err != nil {
 				t.Fatal(err)
 			}
-			e.Retire(c)
+			e = constraints.Default(net)
 		}
 
 		parts := e.Components()

@@ -94,7 +94,7 @@ func TestPropertyFilterWithinComponentMatchesReenumeration(t *testing.T) {
 			if err := net.RetireCandidate(c); err != nil {
 				t.Fatal(err)
 			}
-			e.Retire(c)
+			e = constraints.Default(net)
 		}
 		parts := e.Components()
 		local := make([]int32, n)

@@ -196,8 +196,9 @@ type Options struct {
 	Strategy string
 	// Workers is the caller's CPU budget: it bounds the goroutines of
 	// the worker pool of ConcurrentSession.AssertBatch and of the
-	// ranking that backs Suggest, which shards only components with more
-	// than 1024 uncertain members (smaller ones rank serially). 0 uses
+	// ranking that backs Suggest, which shards only pieces (a
+	// component's live, independently sampled parts) with more than 1024
+	// uncertain members; smaller ones rank serially. 0 uses
 	// all CPUs (GOMAXPROCS); 1 forces a sequential pass. Probabilities
 	// and suggestions do not depend on it.
 	Workers int
@@ -308,10 +309,13 @@ type Session struct {
 	// base is the compiled base whose network and compiled constraints
 	// the session shares with every other session on the same caller
 	// network, until its first topology op gives it copies of its own
-	// (unshare); nil from then on.
+	// (adoptNetwork); nil from then on.
 	base *compiledBase
+	// gamma holds the constraint options every topology op compiles the
+	// session's changed network under.
+	gamma constraintOpts
 	// names is the full-name index of the session's own network: set
-	// when the session stops sharing the base network (unshare) and
+	// when the session stops sharing the base network (adoptNetwork) and
 	// rebuilt by every AddSchema. Read it through attrNames.
 	names map[string]AttrID
 
@@ -361,8 +365,9 @@ func (s *Session) checkCandidate(c int) error {
 // under the same constraint options (DisableOneToOne, DisableCycle,
 // MaxCycleLen, ExclusivePairs) share one compiled copy of it — the
 // network's clone and its compiled constraints, built on first use and
-// kept as long as net — and each session takes a copy of its own on its
-// first topology op (AddSchema, AddCandidates, RetireCandidate). Growing
+// kept as long as net. A topology op (AddSchema, AddCandidates,
+// RetireCandidate) changes the session's own network and compiles Γ for
+// it once; the first one clones the shared network to do so. Growing
 // net in place through its own mutators drops the compiled copy: later
 // sessions see the grown network, existing ones keep the network they
 // started from. See DESIGN.md, "One compiled Γ per base network".
@@ -454,6 +459,7 @@ func newSession(net *Network, opts *Options, history []wal.Record,
 		workers:  o.Workers,
 		seed:     o.Seed,
 		base:     b,
+		gamma:    cons,
 	}
 	s.instCfg.Iterations = o.InstantiateIterations
 	s.logOps(history...)

@@ -414,8 +414,9 @@ func (s *Session) replayOps(log []wal.Record, base int) error {
 // net is read, never written, and its compiled copy is shared with
 // every NewSession and LoadSession on the same *Network under the same
 // constraint options: a reload compiles nothing when a session on net
-// compiled it already. A file with topology records unshares during
-// replay, at its first such record (see NewSession).
+// compiled it already. A file with topology records gives the session
+// a network of its own at its first such record, and every topology
+// record compiles Γ once for the changed network (see NewSession).
 func LoadSession(net *Network, opts *Options, r io.Reader) (*Session, error) {
 	log, _, err := decodeSession(r)
 	if err != nil {

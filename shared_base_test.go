@@ -123,8 +123,8 @@ var sharedTopoOps = []struct {
 // Violations and every Probability stay bit-identical — nor the
 // caller's network. Covered on every surface: two Sessions, a Session
 // beside a LoadSession (both ways round), two DurableSessions of one
-// store, and a ConcurrentSession that unshares while a Suggest reader
-// runs (the race detector watches that one).
+// store, and a ConcurrentSession whose first topology op runs while a
+// Suggest reader does (the race detector watches that one).
 func TestSharedBaseIsolation(t *testing.T) {
 	opts := &schemanet.Options{Seed: 3}
 	type pair struct {
@@ -200,7 +200,7 @@ func TestSharedBaseIsolation(t *testing.T) {
 				for i := 0; i < 50; i++ {
 					a.Suggest()
 					if _, err := a.Probability(i % 10); err != nil {
-						t.Errorf("probability during unshare: %v", err)
+						t.Errorf("probability during the topology op: %v", err)
 					}
 				}
 			}
