@@ -81,10 +81,11 @@ bench-smoke:
 	# beside a carried dense single-component session, and one retire on
 	# a fresh and on an already-owned dense session.
 	$(GO) test -run '^$$' -bench 'BenchmarkAddSchema|BenchmarkAddCandidatesMerge|BenchmarkAddCandidatesIsolated|BenchmarkRetireCandidate' -benchmem -benchtime $(BENCHTIME) -count $(COUNT) . | $(GO) run ./cmd/benchmedian
-	# Lazy top-k ranking: suggest-per-assert (assert off the clock)
-	# plus the core-layer gain-pass microbenchmark, which keeps the
-	# pruned-vs-exhaustive ratio measurable.
-	$(GO) test -run '^$$' -bench 'BenchmarkSuggestHot' -benchmem -benchtime $(BENCHTIME) -count $(COUNT) . | $(GO) run ./cmd/benchmedian
+	# Lazy top-k ranking: suggest-per-assert (assert off the clock), the
+	# first Suggest on an all-unranked session (construction off the
+	# clock), plus the core-layer gain-pass microbenchmark, which keeps
+	# the pruned-vs-exhaustive ratio measurable.
+	$(GO) test -run '^$$' -bench 'BenchmarkSuggest(Hot|Cold)' -benchmem -benchtime $(BENCHTIME) -count $(COUNT) . | $(GO) run ./cmd/benchmedian
 	$(GO) test -run '^$$' -bench 'BenchmarkTopGainPass' -benchmem -benchtime $(BENCHTIME) -count $(COUNT) ./internal/core | $(GO) run ./cmd/benchmedian
 	# Session setup and reopen: construction (per-component backends),
 	# LoadSession's construction under a saved history, and a store
@@ -99,11 +100,13 @@ bench-throughput:
 	$(GO) test -run '^$$' -bench 'BenchmarkThroughput' -cpu $(BENCHCPUS) -benchtime $(BENCHTIME) -count $(COUNT) . | \
 		$(GO) run ./cmd/benchmedian $(if $(BENCHJSON),-json $(BENCHJSON))
 
-# Lazy top-k acceptance rig: BenchmarkSuggestHot medians (pruned
-# ranking) on the multicomp and hub-heavy merged profiles. Set SUGGESTJSON=path.json for the machine-readable
-# summary (CI archives it as BENCH_suggest.json).
+# Lazy top-k acceptance rig: BenchmarkSuggestHot (warm) and
+# BenchmarkSuggestCold (first Suggest, every component unranked) medians
+# on the multicomp and hub-heavy merged profiles. Set
+# SUGGESTJSON=path.json for the machine-readable summary (CI archives it
+# as BENCH_suggest.json).
 bench-suggest:
-	$(GO) test -run '^$$' -bench 'BenchmarkSuggestHot' -benchmem -benchtime $(SUGGESTTIME) -count $(COUNT) . | \
+	$(GO) test -run '^$$' -bench 'BenchmarkSuggest(Hot|Cold)' -benchmem -benchtime $(SUGGESTTIME) -count $(COUNT) . | \
 		$(GO) run ./cmd/benchmedian $(if $(SUGGESTJSON),-json $(SUGGESTJSON))
 
 # Run every example main once — a smoke test that the public API

@@ -823,6 +823,46 @@ func BenchmarkSuggestHot(b *testing.B) {
 	}
 }
 
+// BenchmarkSuggestCold times the first Suggest on a session whose
+// components are all unranked — every one is either ranked or skipped
+// by the component-entropy bound — with construction off the clock.
+// "session" is a fresh Session; "concurrent" is a just-wrapped
+// Session.Concurrent(), the state a store reopen leaves, whose first
+// Suggest also publishes every component's snapshot.
+func BenchmarkSuggestCold(b *testing.B) {
+	multi := benchMultiCompDataset(b)
+	merged := benchMultiComponentDataset(b, 512, 4)
+	for _, w := range []struct {
+		name string
+		d    *schemanet.Dataset
+	}{{"multicomp/C=512", multi}, {"merged/C=512", merged}} {
+		for _, concurrent := range []bool{false, true} {
+			name := w.name + "/session"
+			if concurrent {
+				name = w.name + "/concurrent"
+			}
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					s, err := schemanet.NewSession(w.d.Network, &schemanet.Options{Seed: 1})
+					if err != nil {
+						b.Fatal(err)
+					}
+					suggest := s.Suggest
+					if concurrent {
+						suggest = s.Concurrent().Suggest
+					}
+					b.StartTimer()
+					if _, ok := suggest(); !ok {
+						b.Fatal("fresh session has nothing to suggest")
+					}
+				}
+			})
+		}
+	}
+}
+
 // benchMultiCompDataset is the small-component-heavy "multicomp"
 // profile at C=512 (~160 components of ~3 candidates, mostly exact
 // under the default auto inference).

@@ -135,8 +135,8 @@ func (s *Session) Concurrent() *ConcurrentSession {
 	}
 	// Publish nothing up front: every component starts dirty, and the
 	// first reader that needs it publishes it (the first Suggest then
-	// ranks on demand, its entropy-ordered skip rule pruning most
-	// components without ever ranking them).
+	// ranks on demand, skipping every component whose entropy term
+	// cannot reach the best gain it has found so far).
 	for k := range cs.dirty {
 		cs.dirty[k].Store(true)
 	}
@@ -292,39 +292,28 @@ func (cs *ConcurrentSession) Suggest() (c int, ok bool) {
 	best := -1.0
 	nUnasserted := 0
 	snaps := make([]*core.ComponentSnapshot, len(cs.snaps))
-	var pending []int
 	for k := range cs.snaps {
 		snap := cs.loadFresh(k)
 		snaps[k] = snap
 		nUnasserted += len(snap.Unasserted())
-		if !snap.Ranked() {
-			pending = append(pending, k)
-			continue
-		}
-		if compBest, g := snap.Best(); len(compBest) > 0 && g > best {
+		if _, g := snap.Best(); snap.Ranked() && g > best {
 			best = g
 		}
 	}
-	// Rank the unranked components highest-entropy-term first: H_k is an
-	// upper bound on any member's gain, so once the running best exceeds
-	// a component's entropy term (strictly, beyond the fp margin) the
-	// component cannot contribute a maximum or a tie and is skipped
-	// without any ranking work — left unranked for a later Suggest to
-	// revisit if the bar ever drops.
-	sort.Slice(pending, func(a, b int) bool {
-		ea, eb := snaps[pending[a]].Entropy(), snaps[pending[b]].Entropy()
-		if ea != eb {
-			return ea > eb
-		}
-		return pending[a] < pending[b]
-	})
-	for _, k := range pending {
-		if snaps[k].Entropy() < best-core.PruneMargin(best) {
+	// Rank the unranked components in component order. H_k is an upper
+	// bound on any member's gain, so a component whose entropy term is
+	// below the running best (strictly, beyond the fp margin) cannot
+	// contribute a maximum or a tie and is skipped without any ranking
+	// work — left unranked for a later Suggest to revisit if the bar
+	// ever drops. The bar only rises, so a component skipped against it
+	// is also below the final best: the skips do not depend on the order.
+	for k, snap := range snaps {
+		if snap.Ranked() || snap.Entropy() < best-core.PruneMargin(best) {
 			continue
 		}
-		snap := cs.rankComponent(k)
+		snap = cs.rankComponent(k)
 		snaps[k] = snap
-		if compBest, g := snap.Best(); len(compBest) > 0 && g > best {
+		if _, g := snap.Best(); g > best {
 			best = g
 		}
 	}

@@ -140,10 +140,10 @@ func (st *SessionStore) storeInverted(ls *liveSession) {
 	defer st.mu.Unlock()
 }
 
-// suggestRankPattern is the lazy Suggest loop: under the topology read
-// lock, stale components are ranked in descending-entropy order — an
-// arbitrary index order — which is safe only because each component
-// lock is released before the next is taken. Silent.
+// suggestRankPattern is a lazy rank loop: under the topology read lock,
+// stale components are ranked in an index order the analyzer cannot
+// see, which is safe only because each component lock is released
+// before the next is taken. Silent.
 func (cs *ConcurrentSession) suggestRankPattern(pending []int) {
 	cs.topoMu.RLock()
 	defer cs.topoMu.RUnlock()
@@ -154,7 +154,7 @@ func (cs *ConcurrentSession) suggestRankPattern(pending []int) {
 }
 
 // rankHoldingPrevious shows why the release matters: ranking component
-// 1 while still holding component 2 (entropy order need not be
+// 1 while still holding component 2 (an index list need not be
 // ascending) is the deadlock the released-between discipline prevents.
 func (cs *ConcurrentSession) rankHoldingPrevious() {
 	cs.topoMu.RLock()

@@ -44,11 +44,13 @@ import (
 // Above the cap the matrix would cost nu² ints, and a separate bounding
 // pass would cost as much as the evaluation it prunes, so every member
 // is evaluated with the streaming block kernels — the one place the
-// ranker shards across Config.Workers.
+// ranker shards across Config.Workers. That path is what keeps the
+// ranker's memory linear in the piece; no perfbench workload reaches it.
 //
-// Pieces whose cached entropy H_U cannot reach the component's running
-// best, and components whose cached entropy term H_k cannot reach the
-// network-wide best, are skipped wholesale.
+// Every stale piece of a component being ranked is ranked. Across
+// components, one more bound applies: a stale component whose cached
+// entropy term H_k cannot reach the network-wide running best is
+// skipped wholesale (TopGainTies), exactly in any visiting order.
 // InformationGains is the exhaustive reference the tests hold this
 // ranker to.
 
@@ -69,7 +71,6 @@ var topkMatrixCap = 1024
 // ranking passes (one piece at a time); owned by the component and used
 // only under the same serialization as the rest of its maintenance.
 type topkScratch struct {
-	stale []*piece  // pieces awaiting a ranking, entropy descending
 	u     *piece    // the piece being ranked
 	cand  []int     // uncertain unasserted members, ascending global id
 	ucols []int     // their store columns, same order
@@ -98,13 +99,6 @@ type topkScratch struct {
 	// already excludes asserted members — so the igScratch asserted
 	// field stays nil.
 	scr []*igScratch
-}
-
-func (cp *component) ensureTopScratch() *topkScratch {
-	if cp.topScratch == nil {
-		cp.topScratch = &topkScratch{}
-	}
-	return cp.topScratch
 }
 
 // PruneMargin is the strict dominance slack of the exactness-preserving
@@ -137,41 +131,23 @@ func (p *PMN) TopGains(k int) ([]int, float64) {
 }
 
 // computeTopGains ranks one stale component: pieces with fresh cached
-// tie sets contribute for free, stale pieces are ranked in descending
-// entropy order, and a stale piece whose entropy H_U — an upper bound on
-// any member's gain — cannot reach the running best is skipped.
+// tie sets contribute for free and every stale piece is ranked.
 func (p *PMN) computeTopGains(k int) ([]int, float64) {
 	cp := p.comps[k]
-	ts := cp.ensureTopScratch()
-	pieces := cp.pieces
 	best := -1.0
-	ts.stale = ts.stale[:0]
-	for _, u := range pieces {
+	for _, u := range cp.pieces {
+		g := u.gain
 		if !u.fresh {
-			ts.stale = append(ts.stale, u)
-		} else if u.gain > best {
-			best = u.gain
+			g = p.rankPiece(cp, u)
 		}
-	}
-	sort.Slice(ts.stale, func(a, b int) bool {
-		ua, ub := ts.stale[a], ts.stale[b]
-		if ua.entropy != ub.entropy {
-			return ua.entropy > ub.entropy
-		}
-		return ua.members[0] < ub.members[0]
-	})
-	for _, u := range ts.stale {
-		if u.entropy < best-PruneMargin(best) {
-			continue // IG ≤ H_U: no member can reach the best, ties included
-		}
-		if g := p.rankPiece(cp, u); g > best {
+		if g > best {
 			best = g
 		}
 	}
 	ties := cp.topTies[:0]
 	if best >= 0 {
-		for _, u := range pieces {
-			if u.fresh && u.gain == best {
+		for _, u := range cp.pieces {
+			if u.gain == best {
 				ties = append(ties, u.ties...)
 			}
 		}
@@ -187,6 +163,9 @@ func (p *PMN) computeTopGains(k int) ([]int, float64) {
 // strictly dominates the remaining bounds, or — above the matrix cap —
 // evaluate every member. It caches and returns the piece's best gain.
 func (p *PMN) rankPiece(cp *component, u *piece) float64 {
+	if cp.topScratch == nil {
+		cp.topScratch = &topkScratch{}
+	}
 	ts := cp.topScratch
 	ts.u = u
 	net := p.Network()
@@ -487,35 +466,25 @@ func (ts *topkScratch) workerScratch(p *PMN, w int) *igScratch {
 // the network-maximal information gain (ascending ids — exactly the tie
 // set the exhaustive InfoGainStrategy scan would collect) and that
 // gain, or (nil, -1) when no uncertain unasserted candidate remains.
-// Components with fresh cached tie sets contribute for free; stale
-// components are ranked lazily in descending cached-entropy order, and
-// a stale component whose entropy term H_k — an upper bound on any
-// member's gain — cannot reach the running best is skipped without any
-// ranking work at all.
+// Components with fresh cached tie sets set the bar for free; the stale
+// ones are then visited in component order, and a stale component whose
+// entropy term H_k — an upper bound on any member's gain — is below the
+// running best by more than the margin is skipped without any ranking
+// work. The bar only rises during the pass, so a skip taken against it
+// is also a skip against the final best: the result does not depend on
+// the visiting order.
 func (p *PMN) TopGainTies() ([]int, float64) {
 	best := -1.0
-	var stale []int
-	for k, cp := range p.comps {
-		if cp.topFresh {
-			if cp.topGain > best {
-				best = cp.topGain
-			}
-		} else {
-			stale = append(stale, k)
+	for _, cp := range p.comps {
+		if cp.topFresh && cp.topGain > best {
+			best = cp.topGain
 		}
 	}
-	sort.Slice(stale, func(a, b int) bool {
-		ha, hb := p.comps[stale[a]].entropy, p.comps[stale[b]].entropy
-		if ha != hb {
-			return ha > hb
-		}
-		return stale[a] < stale[b]
-	})
-	for _, k := range stale {
-		if p.comps[k].entropy < best-PruneMargin(best) {
+	for k, cp := range p.comps {
+		if cp.topFresh || cp.entropy < best-PruneMargin(best) {
 			continue // IG ≤ H_k: no member can reach the best, ties included
 		}
-		if _, g := p.TopGains(k); g > best {
+		if _, g := p.computeTopGains(k); g > best {
 			best = g
 		}
 	}

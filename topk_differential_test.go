@@ -159,32 +159,60 @@ func newOracle(t *testing.T, d *schemanet.Dataset, workers int) *schemanet.Sessi
 	return s
 }
 
+// differentialInput is one network shape the pruned ≡ exhaustive runs
+// cover, with the schedule length and seed each surface drives it for.
+type differentialInput struct {
+	name  string
+	d     *schemanet.Dataset
+	steps int
+}
+
+// differentialInputs returns the two shapes: the hub-heavy merged
+// profile (mergedSize candidates in four merged groups), where a few
+// large components hold the best gain, and the multicomp profile at
+// C=512 (~160 components of ~3 candidates), where most components stay
+// skipped by the component-entropy bound for many steps and are ranked
+// only once the best gain falls to their entropy term.
+func differentialInputs(t *testing.T, mergedSize, mergedSteps int) []differentialInput {
+	t.Helper()
+	return []differentialInput{
+		{"merged", benchMultiComponentDataset(t, mergedSize, 4), mergedSteps},
+		{"multicomp", benchMultiCompDataset(t), 400},
+	}
+}
+
 // TestSuggestPrunedMatchesExhaustivePlain: the plain Session surface,
 // where the whole pruned tie set is visible and must equal the
 // exhaustive one.
 func TestSuggestPrunedMatchesExhaustivePlain(t *testing.T) {
-	d := benchMultiComponentDataset(t, 240, 4)
-	pr, err := schemanet.NewSession(d.Network, topkOptions(0))
-	if err != nil {
-		t.Fatal(err)
+	for _, in := range differentialInputs(t, 240, 160) {
+		t.Run(in.name, func(t *testing.T) {
+			pr, err := schemanet.NewSession(in.d.Network, topkOptions(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ties := func() ([]int, float64) { return schemanet.PrunedTies(pr) }
+			driveDifferential(t, pr, ties, newOracle(t, in.d, 0), in.d.GroundTruth, in.steps, 3)
+		})
 	}
-	ties := func() ([]int, float64) { return schemanet.PrunedTies(pr) }
-	driveDifferential(t, pr, ties, newOracle(t, d, 0), d.GroundTruth, 160, 3)
 }
 
 // TestSuggestPrunedMatchesExhaustiveConcurrent: the concurrent surface,
 // where lazy ranking composes with coalesced snapshot publication and
-// the entropy-ordered component skip.
+// the component-entropy skip over the loaded snapshots.
 func TestSuggestPrunedMatchesExhaustiveConcurrent(t *testing.T) {
-	d := benchMultiComponentDataset(t, 240, 4)
-	pr, err := schemanet.NewConcurrentSession(d.Network, topkOptions(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle := newOracle(t, d, 4)
-	driveDifferential(t, pr, nil, oracle, d.GroundTruth, 160, 11)
-	if ph, oh := pr.Uncertainty(), oracle.Uncertainty(); ph != oh {
-		t.Fatalf("H: pruned %v != oracle %v", ph, oh)
+	for _, in := range differentialInputs(t, 240, 160) {
+		t.Run(in.name, func(t *testing.T) {
+			pr, err := schemanet.NewConcurrentSession(in.d.Network, topkOptions(4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracle := newOracle(t, in.d, 4)
+			driveDifferential(t, pr, nil, oracle, in.d.GroundTruth, in.steps, 11)
+			if ph, oh := pr.Uncertainty(), oracle.Uncertainty(); ph != oh {
+				t.Fatalf("H: pruned %v != oracle %v", ph, oh)
+			}
+		})
 	}
 }
 
@@ -192,19 +220,22 @@ func TestSuggestPrunedMatchesExhaustiveConcurrent(t *testing.T) {
 // WAL-backed session delegates serving to the concurrent layer, so the
 // lazy path must survive the record/replay plumbing too.
 func TestSuggestPrunedMatchesExhaustiveDurable(t *testing.T) {
-	d := benchMultiComponentDataset(t, 160, 4)
-	st, err := schemanet.OpenStore("pruned", d.Network, &schemanet.StoreOptions{
-		Session: topkOptions(2), FS: wal.NewMemFS(),
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, in := range differentialInputs(t, 160, 120) {
+		t.Run(in.name, func(t *testing.T) {
+			st, err := schemanet.OpenStore("pruned", in.d.Network, &schemanet.StoreOptions{
+				Session: topkOptions(2), FS: wal.NewMemFS(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { st.Close() })
+			pr, err := st.Session("diff")
+			if err != nil {
+				t.Fatal(err)
+			}
+			driveDifferential(t, pr, nil, newOracle(t, in.d, 2), in.d.GroundTruth, in.steps, 19)
+		})
 	}
-	t.Cleanup(func() { st.Close() })
-	pr, err := st.Session("diff")
-	if err != nil {
-		t.Fatal(err)
-	}
-	driveDifferential(t, pr, nil, newOracle(t, d, 2), d.GroundTruth, 120, 19)
 }
 
 // TestConcurrentPrunedContention hammers a pruned session with
